@@ -54,10 +54,6 @@ __all__ = [
 ]
 
 
-def _endo(tau) -> SymEndo:
-    return SymEndo(tau.a11, tau.a12, tau.a22)
-
-
 def _gradient_all_rows(s: CapField):
     """(d_beta s, d_phi s) on every node row, including the rim ring."""
     g = s.grid
@@ -149,7 +145,7 @@ def volume(s: CapField) -> float:
     """Divergence-theorem volume of the reconstructed body (n = 2)."""
     g = s.grid
     x3 = surface_points(s)[: g.nbeta, :, 2]
-    det = sigma_k(_endo(tau_sharp(s)), 2)
+    det = sigma_k(tau_sharp(s), 2)
     cosb = np.cos(g.beta_cells)[:, None]
     return g.integrate(x3 * cosb * det)
 
@@ -178,7 +174,7 @@ def mixed_volume(fields, params: CapParams) -> float:
     for f in fields[1:]:
         if f.grid != g:
             raise ValueError("mixed_volume: grid mismatch between arguments")
-    mats = [_endo(tau_sharp(f)) for f in fields[1:]]
+    mats = [tau_sharp(f) for f in fields[1:]]
     qk = polarize_qk(mats, params.n)
     return g.integrate(fields[0].interior * qk) / (params.n + 1.0)
 
@@ -187,7 +183,7 @@ def mixed_volume_repeated(s0: CapField, s: CapField, params: CapParams) -> float
     """Repeated-argument mixed volume, direct form (1/(n+1)) int s_0 sigma_k / C(n,k)."""
     if s.grid != s0.grid:
         raise ValueError("mixed_volume_repeated: grid mismatch")
-    sk = sigma_k(_endo(tau_sharp(s)), params.k)
+    sk = sigma_k(tau_sharp(s), params.k)
     return s.grid.integrate(s0.interior * sk) / ((params.n + 1.0) * params.cnk)
 
 
@@ -230,7 +226,7 @@ class AreaMeasureField:
 
 def area_measure(s: CapField, params: CapParams) -> AreaMeasureField:
     g = s.grid
-    sk = sigma_k(_endo(tau_sharp(s)), params.k)
+    sk = sigma_k(tau_sharp(s), params.k)
     density = ell(g.theta, g.beta_cells)[:, None] * sk / params.cnk
     return AreaMeasureField(grid=g, density=density, total=g.integrate(density))
 
@@ -247,7 +243,7 @@ def steiner_sigma_check(s: CapField, t: float, params: CapParams) -> dict:
     tau of s + t ell, which would reintroduce the O(h^2) stencil error.
     """
     k, n = params.k, params.n
-    a = _endo(tau_sharp(s))
+    a = tau_sharp(s)
     lhs = sigma_k(a + float(t) * SymEndo.identity(a.shape), k)
     rhs = np.zeros(a.shape)
     for j in range(k + 1):
@@ -274,7 +270,7 @@ def steiner_coefficients(s: CapField, params: CapParams) -> np.ndarray:
     """
     g = s.grid
     n = params.n
-    a = _endo(tau_sharp(s))
+    a = tau_sharp(s)
     lc = ell(g.theta, g.beta_cells)[:, None]
     return np.array(
         [g.integrate(lc * sigma_k(a, j)) / (n + 1.0 - j) for j in range(n + 1)]
@@ -398,7 +394,7 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams,
             items.append(_record(name, statement + " (skipped: not convex)",
                                  None, None, None, False))
 
-    sig1max = float(np.max(sigma_k(_endo(tau), 1)))
+    sig1max = float(np.max(sigma_k(tau, 1)))
     items.append(_record(
         "sigma1_observed", "max sigma_1 (reported; no explicit comparison constant)",
         sig1max, None, None, None,

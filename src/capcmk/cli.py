@@ -1,7 +1,8 @@
 """Command-line front end: solve, verify, oracle, sweep, and selftest.
 
 Exit codes: 0 success, 1 configuration or input error, 2 solve did not
-converge (continuation stall or Newton failure), 3 a mandatory audit failed.
+converge (a continuation stall; report.json records where), 3 a mandatory
+audit failed.
 Output files are deterministic for identical inputs: JSON is written with
 sorted keys, wall-clock timing is excluded, and every randomized battery
 takes its seed from --seed.
@@ -46,14 +47,7 @@ from .geometry import (
     random_neumann_factor,
 )
 from .rotsym import barrier_height_check, cross_check_gap, save_profile, solve_rotsym
-from .solver import (
-    ContinuationStall,
-    NewtonFailure,
-    jacobian_fd_error,
-    phi_q,
-    residual,
-    solve_path,
-)
+from .solver import ContinuationStall, jacobian_fd_error, phi_q, residual, solve_path
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -193,9 +187,6 @@ def cmd_solve(args) -> int:
         _write_json(report, out / "report.json")
         _fail(f"solve stalled: {stall}")
         return EXIT_NO_CONVERGENCE
-    except NewtonFailure as exc:
-        _fail(f"solve failed: {exc}")
-        return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         _fail(f"invalid problem: {exc}")
         return EXIT_CONFIG
@@ -267,9 +258,6 @@ def cmd_oracle(args) -> int:
         _write_json(report, out / "report.json")
         _fail(f"oracle stalled: {stall}")
         return EXIT_NO_CONVERGENCE
-    except NewtonFailure as exc:
-        _fail(f"oracle failed: {exc}")
-        return EXIT_NO_CONVERGENCE
 
     report["solve"] = rep.to_dict()
     barrier = barrier_height_check(profile, cfg.params)
@@ -317,8 +305,8 @@ def _sweep_member(cfg: RunConfig, p: float, theta: float, out: Path, args) -> di
         _write_json(report, mdir / "report.json")
         rec.update(exit=EXIT_NO_CONVERGENCE, error=f"stalled at t = {stall.t:.6f}")
         return rec
-    except (NewtonFailure, ValueError) as exc:
-        rec.update(exit=EXIT_NO_CONVERGENCE, error=str(exc))
+    except ValueError as exc:
+        rec.update(exit=EXIT_CONFIG, error=str(exc))
         return rec
 
     report["solve"] = rep.to_dict()

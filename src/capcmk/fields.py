@@ -18,6 +18,9 @@ derivative, which a 3-point nonuniform stencil would only do to first order),
 and the boundary ring itself carries the one-sided Robin derivative.
 Quadrature is the midpoint rule over the cell rings, w_ij = sin(beta_i)
 dbeta dphi; the boundary ring carries no quadrature weight.
+
+`tau_sharp` returns the curvature endomorphism as a `symfunc.SymEndo` batch,
+the one endomorphism type shared by the solver and the audits.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .symfunc import SymEndo
 
 
 def fd_weights(offsets, order):
@@ -306,41 +311,6 @@ class CapField:
         return bool(np.max(np.abs(self.values - np.roll(self.values, h, axis=1))) <= tol)
 
 
-@dataclass(eq=False)
-class TauField:
-    """Per-node tau_sharp[s] in the orthonormal frame {d_beta, d_phi/sin(beta)}.
-
-    a11 = tau_bb, a12 = tau_bp / sin(beta), a22 = tau_pp / sin^2(beta) on the
-    interior rings; the frame makes the endomorphism a plain symmetric 2x2, so
-    its eigenvalues are the principal curvature radii.
-    """
-
-    grid: CapGrid
-    a11: np.ndarray
-    a12: np.ndarray
-    a22: np.ndarray
-
-    def __post_init__(self):
-        self._eig = None
-
-    @property
-    def eigenvalues(self):
-        """(lam1, lam2) with lam1 <= lam2, closed-form 2x2."""
-        if self._eig is None:
-            mean = 0.5 * (self.a11 + self.a22)
-            disc = np.hypot(0.5 * (self.a11 - self.a22), self.a12)
-            self._eig = (mean - disc, mean + disc)
-        return self._eig
-
-    @property
-    def lam1min(self) -> float:
-        return float(np.min(self.eigenvalues[0]))
-
-    def shifted(self, t: float) -> "TauField":
-        """tau + t * identity (exact algebra on the frame components)."""
-        return TauField(self.grid, self.a11 + t, self.a12.copy(), self.a22 + t)
-
-
 def covariant_hessian(s: CapField):
     """Coordinate components (H_bb, H_bp, H_pp) of the covariant Hessian.
 
@@ -361,8 +331,13 @@ def covariant_hessian(s: CapField):
     return sbb, sbp - (cosb / sinb) * sphi, spp + sinb * cosb * sb
 
 
-def tau_sharp(s: CapField) -> TauField:
-    """tau_sharp[s] = g^{-1}(Hess s + s g) on the interior rings.
+def tau_sharp(s: CapField) -> SymEndo:
+    """tau_sharp[s] = g^{-1}(Hess s + s g) on the interior rings, as a SymEndo.
+
+    The components are taken in the orthonormal frame {d_beta, d_phi/sin(beta)}:
+    a11 = tau_bb, a12 = tau_bp / sin(beta), a22 = tau_pp / sin^2(beta).  The
+    frame makes the endomorphism a plain symmetric 2x2, so its eigenvalues are
+    the principal curvature radii and its `lam1min` is the convexity margin.
 
     The azimuthal-stencil parts act on the field minus its per-ring mean.
     Those stencils annihilate ring constants exactly (the row sums telescope
@@ -379,7 +354,7 @@ def tau_sharp(s: CapField) -> TauField:
     a11 = (ops["a11"] @ x).reshape(shape)
     a12 = (ops["a12"] @ y).reshape(shape)
     a22 = (ops["a22_phi"] @ y + ops["a22_rad"] @ x).reshape(shape)
-    return TauField(g, a11, a12, a22)
+    return SymEndo(a11, a12, a22)
 
 
 def robin_residual(s: CapField) -> np.ndarray:

@@ -17,6 +17,10 @@ lam_t - lam_r gap at the first ring vanishes under refinement) and the same
 Robin row s'(theta) = cot(theta) s(theta) at the rim.  Discretization mirrors
 the 2-D conventions: cell-centered rings plus a rim node, second order
 throughout, 4-point nonuniform second derivative next to the rim.
+
+The Newton corrector is the solver's shared damped-Newton loop
+(`solver._damped_newton`) with this module's residual, Jacobian and sparse
+solve as callbacks; only the discretization is independent of the 2-D path.
 """
 
 from __future__ import annotations
@@ -30,12 +34,7 @@ from scipy.sparse.linalg import spsolve
 
 from .fields import fd_weights
 from .geometry import CapParams, ell
-from .solver import (
-    NewtonFailure,
-    Schedule,
-    homotopy_values,
-    run_continuation,
-)
+from .solver import Schedule, _damped_newton, homotopy_values, run_continuation
 
 __all__ = [
     "RotGrid",
@@ -210,55 +209,6 @@ def _linearize(profile: RotProfile, q: float, rhs_cells: np.ndarray, params: Cap
     return sp.vstack([jint, robin], format="csr")
 
 
-def _newton(profile: RotProfile, q: float, rhs_cells: np.ndarray, params: CapParams,
-            sched: Schedule):
-    s = profile
-    fint, gbd = _residual(s, q, rhs_cells, params)
-    rn = max(float(np.max(np.abs(fint))), abs(gbd))
-    history = [rn]
-
-    def lam1min(prof):
-        return float(min(np.min(prof.lam_r), np.min(prof.lam_t)))
-
-    def info(iters):
-        return {
-            "iters": iters,
-            "res_norm": float(np.max(np.abs(fint))),
-            "robin_norm": abs(gbd),
-            "lam1min": lam1min(s),
-            "smin": float(np.min(s.s)),
-            "smax": float(np.max(s.s)),
-            "history": history,
-        }
-
-    for it in range(sched.newton_max):
-        if rn <= sched.tol_solve:
-            return s, info(it)
-        if lam1min(s) <= sched.delta_cone:
-            raise NewtonFailure(f"profile left the cone: lam1min = {lam1min(s):.3e}")
-        jac = _linearize(s, q, rhs_cells, params)
-        delta = spsolve(jac.tocsc(), -np.concatenate([fint, [gbd]]))
-
-        alpha, accepted = 1.0, False
-        for _ in range(sched.backtrack_max):
-            s_try = RotProfile(s.grid, s.s + alpha * delta)
-            if np.min(s_try.s) > 0.0 and lam1min(s_try) > sched.delta_cone:
-                fint_try, gbd_try = _residual(s_try, q, rhs_cells, params)
-                rn_try = max(float(np.max(np.abs(fint_try))), abs(gbd_try))
-                if rn_try <= (1.0 - 1e-4 * alpha) * rn:
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            raise NewtonFailure(f"1-D line search failed at iteration {it} (res = {rn:.3e})")
-        s, fint, gbd, rn = s_try, fint_try, gbd_try, rn_try
-        history.append(rn)
-
-    if rn <= sched.tol_solve:
-        return s, info(sched.newton_max)
-    raise NewtonFailure(f"1-D Newton: no convergence in {sched.newton_max} iterations")
-
-
 def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells: int = 512,
                  t_end: float = 1.0, s0: RotProfile | None = None):
     """Continuation solve of the 1-D reduction; the oracle for rotsym data.
@@ -284,7 +234,19 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
     phi_cells = phi_vals[: grid.n_cells]
 
     def newton_fn(s, q, rhs_cells):
-        return _newton(s, q, rhs_cells, params, sched)
+        def cone(x):
+            prof = RotProfile(grid, x)
+            return float(min(np.min(prof.lam_r), np.min(prof.lam_t))), prof
+
+        def evaluate(prof):
+            return _residual(prof, q, rhs_cells, params)
+
+        def solve(prof, fint, gbd):
+            jac = _linearize(prof, q, rhs_cells, params)
+            return spsolve(jac.tocsc(), -np.concatenate([fint, [gbd]]))
+
+        x, info = _damped_newton(s.s, cone, evaluate, solve, sched)
+        return RotProfile(grid, x), info
 
     def rhs_fn(t):
         return homotopy_values(t, phi_cells, params)

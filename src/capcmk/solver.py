@@ -16,6 +16,11 @@ even subspace: at q = 1 the odd horizontal-translation fields <a, zeta> are an
 exact kernel of the pair (they are capillary and tau[<a, zeta>] = 0), so the
 full-space matrix is singular by design and the even restriction is what makes
 the problem well-posed, matching the even solution class.
+
+`_damped_newton` is the one damped-Newton corrector: `newton_solve` and the
+1-D oracle in `rotsym` both run it, with their own residual, cone margin and
+linear solve as callbacks.  Every failure to converge, at t = 0 or later,
+leaves `run_continuation` as a ContinuationStall carrying the partial report.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from scipy.sparse.linalg import spsolve
 
 from .fields import CapField, CapGrid, robin_residual, tau_sharp
 from .geometry import CapParams, ell_field
-from .symfunc import SymEndo, sigma_k, sigma_k_grad
+from .symfunc import sigma_k, sigma_k_grad
 
 __all__ = [
     "Schedule",
@@ -111,18 +116,23 @@ class SolveReport:
 
 
 class NewtonFailure(RuntimeError):
-    """A Newton corrector did not converge (line search or iteration budget)."""
+    """The damped-Newton corrector did not converge (cone, line search or budget)."""
 
 
 class ContinuationStall(RuntimeError):
-    """dt fell below dt_min; carries the partial report for diagnostics."""
+    """The continuation could not advance; carries the partial report.
 
-    def __init__(self, t, dt, report):
+    Raised when the corrector fails at t = 0 (dt = 0: no step was taken) or
+    when dt falls below dt_min; `failure` is the last NewtonFailure.
+    """
+
+    def __init__(self, t, dt, report, failure):
         self.t = t
         self.dt = dt
         self.report = report
+        self.failure = failure
         super().__init__(
-            f"continuation stalled at t = {t:.6f} (dt = {dt:.2e} < dt_min); "
+            f"continuation stalled at t = {t:.6f} (dt = {dt:.2e} < dt_min): {failure}; "
             f"last lam1min = {report.lam1min_trace[-1] if report.lam1min_trace else None}"
         )
 
@@ -165,14 +175,14 @@ def homotopy_rhs(t: float, phi: CapField, params: CapParams):
 # -- residual and linearization ----------------------------------------------------
 
 
-def _endo(tau):
-    return SymEndo(tau.a11, tau.a12, tau.a22)
+def residual(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None):
+    """Interior residual sigma_k(tau_sharp[s]) - s^{q-1} rhs and Robin residual.
 
-
-def residual(s: CapField, q: float, rhs: CapField, params: CapParams):
-    """Interior residual sigma_k(tau_sharp[s]) - s^{q-1} rhs and Robin residual."""
-    tau = tau_sharp(s)
-    sk = sigma_k(_endo(tau), params.k)
+    tau, if given, is tau_sharp(s), already evaluated by the caller.
+    """
+    if tau is None:
+        tau = tau_sharp(s)
+    sk = sigma_k(tau, params.k)
     fint = sk - s.interior ** (q - 1.0) * rhs.interior
     return fint, robin_residual(s)
 
@@ -188,7 +198,7 @@ def linearize(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None)
     ops = g.ops()
     if tau is None:
         tau = tau_sharp(s)
-    grad = sigma_k_grad(_endo(tau), params.k)
+    grad = sigma_k_grad(tau, params.k)
     jint = (
         sp.diags(grad.a11.ravel()) @ ops["a11"]
         + sp.diags(2.0 * grad.a12.ravel()) @ ops["a12"]
@@ -209,60 +219,99 @@ def _even_solve(grid: CapGrid, jac, stacked_res):
     return ops["even_p"] @ dh
 
 
-def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched: Schedule):
-    """Damped Newton in the even subspace with positivity and cone guards.
+# -- damped-Newton corrector -------------------------------------------------------
 
-    Returns (s, info); raises NewtonFailure if the line search or the iteration
-    budget gives out.  Accepted iterates always satisfy min s > 0 and
-    lam1min > delta_cone.
+
+def _damped_newton(x, cone, evaluate, solve, sched: Schedule):
+    """The damped-Newton corrector shared by newton_solve and the 1-D oracle.
+
+    x is the array of unknowns.  The discretization enters through callbacks:
+      cone(x) -> (lam1min, at): the cone margin of the point with values x,
+          and the evaluation `at` that the two other callbacks reuse;
+      evaluate(at) -> (fint, gbd): interior and Robin residuals;
+      solve(at, fint, gbd) -> Newton step, shaped like x.
+    A trial point is evaluated once.  Its residual is computed only if min x > 0
+    and lam1min > delta_cone; the step is accepted on Armijo decrease of the
+    max-norm residual, halving alpha up to backtrack_max times.
+
+    Returns (x, info); raises NewtonFailure naming the cone, the line search or
+    the iteration budget.
     """
-    g = s0.grid
-    s = s0 if s0.even else s0.project_even()
-    fint, gbd = residual(s, q, rhs, params)
+    lam1, at = cone(x)
+    fint, gbd = evaluate(at)
     rn = max(float(np.max(np.abs(fint))), float(np.max(np.abs(gbd))))
     history = [rn]
-    tau = tau_sharp(s)
 
     def info(iters):
         return {
             "iters": iters,
             "res_norm": float(np.max(np.abs(fint))),
             "robin_norm": float(np.max(np.abs(gbd))),
-            "lam1min": tau.lam1min,
-            "smin": float(np.min(s.values)),
-            "smax": float(np.max(s.values)),
+            "lam1min": lam1,
+            "smin": float(np.min(x)),
+            "smax": float(np.max(x)),
             "history": history,
         }
 
     for it in range(sched.newton_max):
         if rn <= sched.tol_solve:
-            return s, info(it)
-        if tau.lam1min <= sched.delta_cone:
-            raise NewtonFailure(f"iterate left the cone: lam1min = {tau.lam1min:.3e}")
-        jac = linearize(s, q, rhs, params, tau=tau)
-        delta = _even_solve(g, jac, np.concatenate([fint.ravel(), gbd]))
-        step = delta.reshape(s.values.shape)
+            return x, info(it)
+        if lam1 <= sched.delta_cone:
+            raise NewtonFailure(f"iterate left the cone: lam1min = {lam1:.3e}")
+        step = solve(at, fint, gbd)
 
         alpha, accepted = 1.0, False
         for _ in range(sched.backtrack_max):
-            s_try = CapField(g, s.values + alpha * step, even=True)
-            if np.min(s_try.values) > 0.0:
-                tau_try = tau_sharp(s_try)
-                if tau_try.lam1min > sched.delta_cone:
-                    fint_try, gbd_try = residual(s_try, q, rhs, params)
-                    rn_try = max(float(np.max(np.abs(fint_try))), float(np.max(np.abs(gbd_try))))
+            x_try = x + alpha * step
+            if np.min(x_try) > 0.0:
+                lam1_try, at_try = cone(x_try)
+                if lam1_try > sched.delta_cone:
+                    fint_try, gbd_try = evaluate(at_try)
+                    rn_try = max(float(np.max(np.abs(fint_try))),
+                                 float(np.max(np.abs(gbd_try))))
                     if rn_try <= (1.0 - 1e-4 * alpha) * rn:
                         accepted = True
                         break
             alpha *= 0.5
         if not accepted:
             raise NewtonFailure(f"line search failed at Newton iteration {it} (res = {rn:.3e})")
-        s, tau, fint, gbd, rn = s_try, tau_try, fint_try, gbd_try, rn_try
+        x, lam1, at, fint, gbd, rn = x_try, lam1_try, at_try, fint_try, gbd_try, rn_try
         history.append(rn)
 
     if rn <= sched.tol_solve:
-        return s, info(sched.newton_max)
+        return x, info(sched.newton_max)
     raise NewtonFailure(f"no convergence in {sched.newton_max} iterations (res = {rn:.3e})")
+
+
+def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched: Schedule):
+    """Damped Newton in the even subspace with positivity and cone guards.
+
+    Runs the shared corrector `_damped_newton`, evaluating tau_sharp once per
+    point for the cone guard, the residual and the Jacobian.  Returns (s, info);
+    raises NewtonFailure if the cone guard, the line search or the iteration
+    budget gives out.  Accepted iterates always satisfy min s > 0 and
+    lam1min > delta_cone.
+    """
+    g = s0.grid
+    s = s0 if s0.even else s0.project_even()
+
+    def cone(x):
+        sx = CapField(g, x, even=True)
+        tau = tau_sharp(sx)
+        return tau.lam1min, (sx, tau)
+
+    def evaluate(at):
+        sx, tau = at
+        return residual(sx, q, rhs, params, tau=tau)
+
+    def solve(at, fint, gbd):
+        sx, tau = at
+        jac = linearize(sx, q, rhs, params, tau=tau)
+        delta = _even_solve(g, jac, np.concatenate([fint.ravel(), gbd]))
+        return delta.reshape(sx.values.shape)
+
+    x, info = _damped_newton(s.values, cone, evaluate, solve, sched)
+    return CapField(g, x, even=True), info
 
 
 # -- continuation driver -----------------------------------------------------------
@@ -274,12 +323,22 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 
     newton_fn(s, q, rhs) -> (s, info) raising NewtonFailure; rhs_fn(t) -> (q, rhs).
     The previous solution is the predictor; dt halves on failure and grows on
     fast correctors; the branch point t = 1/2 is always hit exactly.  Raises
-    ContinuationStall when dt underflows dt_min.
+    ContinuationStall, with the partial report, when the corrector fails at
+    t = 0 or dt underflows dt_min.
     """
     report = SolveReport()
     tick = time.perf_counter()
+
+    def stall(t, dt, failure):
+        report.wall_time = time.perf_counter() - tick
+        report.stalled_at = t
+        return ContinuationStall(t, dt, report, failure)
+
     q, rhs = rhs_fn(0.0)
-    s, info = newton_fn(s_init, q, rhs)
+    try:
+        s, info = newton_fn(s_init, q, rhs)
+    except NewtonFailure as exc:
+        raise stall(0.0, 0.0, exc) from exc
     report.record(0.0, info)
 
     t, dt = 0.0, sched.dt0
@@ -290,12 +349,10 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 
         q, rhs = rhs_fn(t_next)
         try:
             s_new, info = newton_fn(s, q, rhs)
-        except NewtonFailure:
+        except NewtonFailure as exc:
             dt *= sched.shrink
             if dt < sched.dt_min:
-                report.wall_time = time.perf_counter() - tick
-                report.stalled_at = t
-                raise ContinuationStall(t, dt, report) from None
+                raise stall(t, dt, exc) from exc
             continue
         s = s_new
         t = t_next

@@ -67,11 +67,17 @@ class SymEndo:
 
     @property
     def eigenvalues(self):
+        """(lam1, lam2) with lam1 <= lam2, closed-form 2x2."""
         if self._eig is None:
             mean = 0.5 * (self.a11 + self.a22)
             disc = np.hypot(0.5 * (self.a11 - self.a22), self.a12)
             self._eig = (mean - disc, mean + disc)
         return self._eig
+
+    @property
+    def lam1min(self) -> float:
+        """Smallest eigenvalue over the batch: the convexity-cone margin."""
+        return float(np.min(self.eigenvalues[0]))
 
     def __add__(self, other):
         if isinstance(other, SymEndo):

@@ -299,6 +299,18 @@ def test_oracle_rejects_file_phi(tmp_path, solved_cli):
                      "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_failed_solve_writes_a_stall_report(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, SOLVE_CFG + "oracle.cells = 64\nschedule.newton_max = 0\n")
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["solve"]["converged"] is False
+    assert report["solve"]["stalled_at"] == 0.0
+    assert report["solve"]["t_steps"] == []
+    assert "0 iterations" in capsys.readouterr().err
+
+
 def test_sweep_over_a_small_lattice(tmp_path):
     cfg = write_cfg(tmp_path, BASE + "grid.nbeta = 16\ngrid.nphi = 32\n"
                     + "sweep.p_list = 1.2, 1.5\nsweep.theta_list = pi/3\n")
@@ -316,6 +328,15 @@ def test_sweep_over_a_small_lattice(tmp_path):
         assert m["max_bound_margin"] > 0.0
         assert (out / m["name"] / "solution.csv").exists()
         assert (out / m["name"] / "audit.json").exists()
+
+
+def test_sweep_reports_an_invalid_problem_as_a_config_error(tmp_path):
+    cfg = write_cfg(tmp_path, BASE.replace("n = 2", "n = 3") + "grid.nbeta = 16\n"
+                    + "grid.nphi = 32\nsweep.p_list = 1.5\nsweep.theta_list = pi/3\n")
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [m["exit"] for m in summary["members"]] == [1]
 
 
 def test_selftest_passes(capsys):

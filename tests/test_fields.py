@@ -6,6 +6,7 @@ import pytest
 from capcmk import (
     CapField,
     CapGrid,
+    SymEndo,
     boundary_tau_identity_residual,
     covariant_hessian,
     ell_field,
@@ -162,7 +163,7 @@ def test_tau_is_linear_and_shifts_by_identity():
         assert gap < 1e-10
     # and tau[ell] is the identity to discretization accuracy, so the sum
     # matches the exact shift to O(h^2)
-    shifted = tau_s.shifted(t)
+    shifted = tau_s + t * SymEndo.identity(tau_s.shape)
     assert np.max(np.abs(tau_sum.a11 - shifted.a11)) < 1e-3
     assert np.max(np.abs(tau_sum.a22 - shifted.a22)) < 1e-3
 
@@ -181,6 +182,7 @@ def test_tau_matches_covariant_hessian_components():
 def test_tau_eigenvalues_and_convexity_flag():
     g = CapGrid(16, 32, THETA)
     tau = tau_sharp(ell_field(g))
+    assert isinstance(tau, SymEndo)
     lo, hi = tau.eigenvalues
     assert np.all(lo <= hi)
     assert tau.lam1min > 0.9

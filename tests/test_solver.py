@@ -159,12 +159,14 @@ def test_continuation_hits_the_branch_point_exactly(params_k1, grid_16):
     assert report.t_steps[0] == 0.0 and report.t_steps[-1] == 1.0
 
 
-def test_continuation_stall_carries_the_partial_report():
+@pytest.mark.parametrize("first_failure, t_steps", [(2, [0.0]), (1, [])],
+                         ids=["after_t0", "at_t0"])
+def test_continuation_stall_carries_the_partial_report(first_failure, t_steps):
     calls = {"n": 0}
 
     def newton_fn(s, q, rhs):
         calls["n"] += 1
-        if calls["n"] == 1:
+        if calls["n"] < first_failure:
             return s, {"iters": 1, "res_norm": 0.0, "robin_norm": 0.0,
                        "lam1min": 1.0, "smin": 1.0, "smax": 1.0}
         raise NewtonFailure("forced")
@@ -173,8 +175,10 @@ def test_continuation_stall_carries_the_partial_report():
         run_continuation(newton_fn, lambda t: (1.0, None), object(),
                          Schedule(dt0=0.1, dt_min=0.05))
     assert err.value.t == 0.0
-    assert err.value.report.t_steps == [0.0]
+    assert err.value.report.t_steps == t_steps
+    assert err.value.report.stalled_at == 0.0
     assert not err.value.report.converged
+    assert "forced" in str(err.value)
 
 
 def test_solve_path_validates_inputs(params_k1, grid_16):
