@@ -200,8 +200,9 @@ def cmd_solve(args) -> int:
     save_embedding(s, out / "embedding.csv")
     _write_json(report, out / "report.json")
     _write_json(audit, out / "audit.json")
-    _say(args, f"converged in {len(rep.t_steps)} continuation steps; "
-               f"residual {rep.residual_norms[-1]:.3e}; "
+    _say(args, f"converged in {len(rep.t_steps)} continuation steps "
+               f"({sum(rep.newton_iters)} Newton steps, {sum(rep.factorizations)} LU "
+               f"factorizations); residual {rep.residual_norms[-1]:.3e}; "
                f"audits {'pass' if audit['mandatory_pass'] else 'FAIL'}")
     return EXIT_OK if audit["mandatory_pass"] else EXIT_AUDIT
 
@@ -323,6 +324,7 @@ def _sweep_member(cfg: RunConfig, p: float, theta: float, out: Path, args) -> di
         slope_pass=items["slope_bound"]["pass"],
         path_lam1min=min(rep.lam1min_trace),
         newton_steps=int(sum(rep.newton_iters)),
+        factorizations=int(sum(rep.factorizations)),
     )
     return rec
 

@@ -19,8 +19,12 @@ the 2-D conventions: cell-centered rings plus a rim node, second order
 throughout, 4-point nonuniform second derivative next to the rim.
 
 The Newton corrector is the solver's shared damped-Newton loop
-(`solver._damped_newton`) with this module's residual, Jacobian and sparse
-solve as callbacks; only the discretization is independent of the 2-D path.
+(`solver._damped_newton`) with this module's residual, cone margin and sparse
+LU (`splu`) as callbacks; only the discretization is independent of the 2-D
+path.  As there, one LU per `solve_rotsym` call is reused across Newton
+iterations and continuation steps and refactorized when the last accepted step
+cut the residual by less than `solver.REFACTOR_RATIO`, or when a step from it
+fails the full-step Armijo test.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .fields import fd_weights
 from .geometry import CapParams, ell
-from .solver import Schedule, _damped_newton, homotopy_values, run_continuation
+from .solver import Schedule, _damped_newton, _LUSlot, homotopy_values, run_continuation
 
 __all__ = [
     "RotGrid",
@@ -232,6 +236,7 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
         s0 = RotProfile(grid, scale * ell(params.theta, grid.beta_all))
 
     phi_cells = phi_vals[: grid.n_cells]
+    lu = _LUSlot()
 
     def newton_fn(s, q, rhs_cells):
         def cone(x):
@@ -241,11 +246,11 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
         def evaluate(prof):
             return _residual(prof, q, rhs_cells, params)
 
-        def solve(prof, fint, gbd):
-            jac = _linearize(prof, q, rhs_cells, params)
-            return spsolve(jac.tocsc(), -np.concatenate([fint, [gbd]]))
+        def factor(prof):
+            factors = splu(_linearize(prof, q, rhs_cells, params).tocsc())
+            return lambda fint, gbd: factors.solve(-np.concatenate([fint, [gbd]]))
 
-        x, info = _damped_newton(s.s, cone, evaluate, solve, sched)
+        x, info = _damped_newton(s.s, cone, evaluate, factor, sched, lu)
         return RotProfile(grid, x), info
 
     def rhs_fn(t):

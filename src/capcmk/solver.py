@@ -19,8 +19,13 @@ the problem well-posed, matching the even solution class.
 
 `_damped_newton` is the one damped-Newton corrector: `newton_solve` and the
 1-D oracle in `rotsym` both run it, with their own residual, cone margin and
-linear solve as callbacks.  Every failure to converge, at t = 0 or later,
-leaves `run_continuation` as a ContinuationStall carrying the partial report.
+sparse LU factorization as callbacks.  Each continuation path holds one LU,
+which the corrector reuses across Newton iterations and continuation steps; it
+refactorizes when it holds none, when the last accepted step cut the residual
+by less than REFACTOR_RATIO = 0.1, or when a step from the reused LU fails the
+full-step Armijo test (then at the same iterate, with the full line search).
+Every failure to converge, at t = 0 or later, leaves `run_continuation` as a
+ContinuationStall carrying the partial report.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
-from .fields import CapField, CapGrid, robin_residual, tau_sharp
+from .fields import CapField, robin_residual, tau_sharp
 from .geometry import CapParams, ell_field
 from .symfunc import sigma_k, sigma_k_grad
 
@@ -76,6 +81,7 @@ class SolveReport:
 
     t_steps: list = field(default_factory=list)
     newton_iters: list = field(default_factory=list)
+    factorizations: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     robin_norms: list = field(default_factory=list)
     lam1min_trace: list = field(default_factory=list)
@@ -89,6 +95,7 @@ class SolveReport:
     def record(self, t, info):
         self.t_steps.append(float(t))
         self.newton_iters.append(int(info["iters"]))
+        self.factorizations.append(int(info["factorizations"]))
         self.residual_norms.append(float(info["res_norm"]))
         self.robin_norms.append(float(info["robin_norm"]))
         self.lam1min_trace.append(float(info["lam1min"]))
@@ -101,6 +108,7 @@ class SolveReport:
         d = {
             "t_steps": self.t_steps,
             "newton_iters": self.newton_iters,
+            "factorizations": self.factorizations,
             "residual_norms": self.residual_norms,
             "robin_norms": self.robin_norms,
             "lam1min_trace": self.lam1min_trace,
@@ -210,41 +218,61 @@ def linearize(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None)
     return sp.vstack([jint, ops["robin"]], format="csr")
 
 
-def _even_solve(grid: CapGrid, jac, stacked_res):
-    """Solve J delta = -res restricted to the even subspace, return full delta."""
-    ops = grid.ops()
-    rows = ops["even_rows"]
-    jh = (jac[rows] @ ops["even_p"]).tocsc()
-    dh = spsolve(jh, -stacked_res[rows])
-    return ops["even_p"] @ dh
-
-
 # -- damped-Newton corrector -------------------------------------------------------
 
+# A factorization is kept while each accepted step cuts the residual by at least
+# this factor; a slower step drops it, and the next iteration refactorizes.
+REFACTOR_RATIO = 0.1
 
-def _damped_newton(x, cone, evaluate, solve, sched: Schedule):
+
+class _LUSlot:
+    """The one factorization a continuation path reuses (see _damped_newton).
+
+    solve_path and solve_rotsym each hold their own slot, so solves that run
+    concurrently share no state.  `apply` is None or the callable that the
+    corrector's `factor` callback returned.
+    """
+
+    __slots__ = ("apply",)
+
+    def __init__(self):
+        self.apply = None
+
+
+def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
     """The damped-Newton corrector shared by newton_solve and the 1-D oracle.
 
     x is the array of unknowns.  The discretization enters through callbacks:
       cone(x) -> (lam1min, at): the cone margin of the point with values x,
           and the evaluation `at` that the two other callbacks reuse;
       evaluate(at) -> (fint, gbd): interior and Robin residuals;
-      solve(at, fint, gbd) -> Newton step, shaped like x.
+      factor(at) -> apply: factorizes the Jacobian at `at`; apply(fint, gbd)
+          is the Newton step for that residual, shaped like x.
     A trial point is evaluated once.  Its residual is computed only if min x > 0
-    and lam1min > delta_cone; the step is accepted on Armijo decrease of the
-    max-norm residual, halving alpha up to backtrack_max times.
+    and lam1min > delta_cone; a step is accepted on Armijo decrease of the
+    max-norm residual.
 
-    Returns (x, info); raises NewtonFailure naming the cone, the line search or
-    the iteration budget.
+    The factorization in `lu` is reused across iterations and continuation
+    steps (chord Newton).  The corrector refactorizes when `lu` holds none or
+    when the last accepted step cut the residual by less than REFACTOR_RATIO.
+    A step from a reused factorization gets only the full-step Armijo test; if
+    that fails, the corrector refactorizes at the same iterate and redoes the
+    step with the full line search, halving alpha up to backtrack_max times.
+    Every accepted step counts against newton_max, reused or fresh.
+
+    Returns (x, info); raises NewtonFailure naming the cone, a singular
+    Jacobian, the line search of a fresh step or the iteration budget.
     """
     lam1, at = cone(x)
     fint, gbd = evaluate(at)
     rn = max(float(np.max(np.abs(fint))), float(np.max(np.abs(gbd))))
     history = [rn]
+    factorizations = 0
 
     def info(iters):
         return {
             "iters": iters,
+            "factorizations": factorizations,
             "res_norm": float(np.max(np.abs(fint))),
             "robin_norm": float(np.max(np.abs(gbd))),
             "lam1min": lam1,
@@ -253,47 +281,67 @@ def _damped_newton(x, cone, evaluate, solve, sched: Schedule):
             "history": history,
         }
 
+    def trial(step, alpha):
+        x_try = x + alpha * step
+        if np.min(x_try) > 0.0:
+            lam1_try, at_try = cone(x_try)
+            if lam1_try > sched.delta_cone:
+                fint_try, gbd_try = evaluate(at_try)
+                rn_try = max(float(np.max(np.abs(fint_try))), float(np.max(np.abs(gbd_try))))
+                if rn_try <= (1.0 - 1e-4 * alpha) * rn:
+                    return x_try, lam1_try, at_try, fint_try, gbd_try, rn_try
+        return None
+
     for it in range(sched.newton_max):
         if rn <= sched.tol_solve:
             return x, info(it)
         if lam1 <= sched.delta_cone:
             raise NewtonFailure(f"iterate left the cone: lam1min = {lam1:.3e}")
-        step = solve(at, fint, gbd)
 
-        alpha, accepted = 1.0, False
-        for _ in range(sched.backtrack_max):
-            x_try = x + alpha * step
-            if np.min(x_try) > 0.0:
-                lam1_try, at_try = cone(x_try)
-                if lam1_try > sched.delta_cone:
-                    fint_try, gbd_try = evaluate(at_try)
-                    rn_try = max(float(np.max(np.abs(fint_try))),
-                                 float(np.max(np.abs(gbd_try))))
-                    if rn_try <= (1.0 - 1e-4 * alpha) * rn:
-                        accepted = True
-                        break
-            alpha *= 0.5
-        if not accepted:
-            raise NewtonFailure(f"line search failed at Newton iteration {it} (res = {rn:.3e})")
-        x, lam1, at, fint, gbd, rn = x_try, lam1_try, at_try, fint_try, gbd_try, rn_try
+        accepted = trial(lu.apply(fint, gbd), 1.0) if lu.apply is not None else None
+        if accepted is None:
+            lu.apply = None  # drop the old factorization before building the next
+            try:
+                lu.apply = factor(at)
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise NewtonFailure(f"singular Jacobian at Newton iteration {it}: {exc}") from exc
+            factorizations += 1
+            step = lu.apply(fint, gbd)
+            alpha = 1.0
+            for _ in range(sched.backtrack_max):
+                accepted = trial(step, alpha)
+                if accepted is not None:
+                    break
+                alpha *= 0.5
+            else:
+                raise NewtonFailure(f"line search failed at Newton iteration {it} (res = {rn:.3e})")
+        rn_prev = rn
+        x, lam1, at, fint, gbd, rn = accepted
         history.append(rn)
+        if rn > REFACTOR_RATIO * rn_prev:
+            lu.apply = None
 
     if rn <= sched.tol_solve:
         return x, info(sched.newton_max)
     raise NewtonFailure(f"no convergence in {sched.newton_max} iterations (res = {rn:.3e})")
 
 
-def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched: Schedule):
+def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched: Schedule,
+                 lu: _LUSlot | None = None):
     """Damped Newton in the even subspace with positivity and cone guards.
 
     Runs the shared corrector `_damped_newton`, evaluating tau_sharp once per
-    point for the cone guard, the residual and the Jacobian.  Returns (s, info);
-    raises NewtonFailure if the cone guard, the line search or the iteration
-    budget gives out.  Accepted iterates always satisfy min s > 0 and
-    lam1min > delta_cone.
+    point for the cone guard, the residual and the Jacobian.  The even system
+    is factorized with SuperLU (`splu`); `lu` is the slot of a continuation
+    path, whose factorization the corrector reuses (an empty one by default).
+    Returns (s, info); raises NewtonFailure if the cone guard, the line search
+    or the iteration budget gives out.  Accepted iterates always satisfy
+    min s > 0 and lam1min > delta_cone.
     """
     g = s0.grid
     s = s0 if s0.even else s0.project_even()
+    ops = g.ops()
+    rows, even_p, shape = ops["even_rows"], ops["even_p"], s.values.shape
 
     def cone(x):
         sx = CapField(g, x, even=True)
@@ -304,13 +352,19 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
         sx, tau = at
         return residual(sx, q, rhs, params, tau=tau)
 
-    def solve(at, fint, gbd):
+    def factor(at):
         sx, tau = at
         jac = linearize(sx, q, rhs, params, tau=tau)
-        delta = _even_solve(g, jac, np.concatenate([fint.ravel(), gbd]))
-        return delta.reshape(sx.values.shape)
+        lu_even = splu((jac[rows] @ even_p).tocsc())
 
-    x, info = _damped_newton(s.values, cone, evaluate, solve, sched)
+        def apply(fint, gbd):
+            dh = lu_even.solve(-np.concatenate([fint.ravel(), gbd])[rows])
+            return (even_p @ dh).reshape(shape)
+
+        return apply
+
+    x, info = _damped_newton(s.values, cone, evaluate, factor, sched,
+                             lu if lu is not None else _LUSlot())
     return CapField(g, x, even=True), info
 
 
@@ -386,8 +440,10 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
     if s0 is None:
         s0 = params.cnk ** (-1.0 / params.k) * ell_field(grid)
 
+    lu = _LUSlot()
+
     def newton_fn(s, q, rhs):
-        return newton_solve(s, q, rhs, params, sched)
+        return newton_solve(s, q, rhs, params, sched, lu)
 
     def rhs_fn(t):
         return homotopy_rhs(t, phi, params)

@@ -173,6 +173,10 @@ def test_solve_writes_all_outputs(solved_cli):
     assert report["phi"] == {"kind": "cap_manufactured", "r": 1.3}
     assert report["solve"]["converged"]
     assert "wall_time" not in report["solve"]
+    factorizations = report["solve"]["factorizations"]
+    assert len(factorizations) == len(report["solve"]["t_steps"])
+    assert factorizations[0] == 1
+    assert all(0 <= f <= n for f, n in zip(factorizations, report["solve"]["newton_iters"]))
     assert report["manufactured_sup_error"] < 5e-3
     audit = json.loads((out / "audit.json").read_text())
     assert audit["mandatory_pass"]
@@ -268,6 +272,7 @@ def test_oracle_solves_the_reduction(tmp_path):
     assert (out / "profile.csv").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["oracle_cells"] == 64
+    assert len(report["solve"]["factorizations"]) == len(report["solve"]["t_steps"])
     assert report["barrier"]["pass"]
     assert "cross_check_gap" not in report
 
@@ -326,6 +331,7 @@ def test_sweep_over_a_small_lattice(tmp_path):
         assert m["exit"] == 0
         assert m["slope_pass"]
         assert m["max_bound_margin"] > 0.0
+        assert 1 <= m["factorizations"] <= m["newton_steps"]
         assert (out / m["name"] / "solution.csv").exists()
         assert (out / m["name"] / "audit.json").exists()
 

@@ -1,8 +1,13 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from capcmk import solver
 from capcmk import (
     CapField,
     CapGrid,
@@ -167,8 +172,8 @@ def test_continuation_stall_carries_the_partial_report(first_failure, t_steps):
     def newton_fn(s, q, rhs):
         calls["n"] += 1
         if calls["n"] < first_failure:
-            return s, {"iters": 1, "res_norm": 0.0, "robin_norm": 0.0,
-                       "lam1min": 1.0, "smin": 1.0, "smax": 1.0}
+            return s, {"iters": 1, "factorizations": 1, "res_norm": 0.0,
+                       "robin_norm": 0.0, "lam1min": 1.0, "smin": 1.0, "smax": 1.0}
         raise NewtonFailure("forced")
 
     with pytest.raises(ContinuationStall) as err:
@@ -179,6 +184,98 @@ def test_continuation_stall_carries_the_partial_report(first_failure, t_steps):
     assert err.value.report.stalled_at == 0.0
     assert not err.value.report.converged
     assert "forced" in str(err.value)
+
+
+def _toy_corrector(c):
+    """Callbacks for F(x) = x^2 - c, split as (fint, gbd) = (F[:-1], F[-1:]);
+    `calls` records the points where the Jacobian diag(2x) is factorized."""
+    calls = []
+
+    def cone(x):
+        return 1.0, x
+
+    def evaluate(x):
+        f = x**2 - c
+        return f[:-1], f[-1:]
+
+    def factor(x):
+        calls.append(x.copy())
+        lu = splu(sp.diags(2.0 * x).tocsc())
+        return lambda fint, gbd: lu.solve(-np.concatenate([fint, gbd]))
+
+    return cone, evaluate, factor, calls
+
+
+def test_corrector_refactors_a_stale_lu_at_the_same_iterate():
+    c, x0 = np.array([4.0, 9.0, 2.0]), np.array([1.5, 2.5, 1.0])
+    cone, evaluate, factor, calls = _toy_corrector(c)
+    slot = solver._LUSlot()
+    slot.apply = factor(-x0)  # wrong sign: its full step raises the residual
+    x, info = solver._damped_newton(x0, cone, evaluate, factor, Schedule(), slot)
+    assert np.array_equal(calls[1], x0)
+    assert info["res_norm"] <= Schedule().tol_solve
+    assert np.allclose(x, np.sqrt(c), rtol=0.0, atol=1e-9)
+    assert info["factorizations"] == len(calls) - 1  # the stale LU was built here
+    assert info["factorizations"] < info["iters"]  # and later steps reused the fresh one
+
+
+def test_corrector_fails_only_on_a_fresh_step():
+    c, x0 = np.array([4.0, 9.0]), np.array([1.5, 2.5])
+    cone, evaluate, factor, calls = _toy_corrector(c)
+
+    def uphill(x):
+        apply = factor(x)
+        return lambda fint, gbd: -apply(fint, gbd)
+
+    slot = solver._LUSlot()
+    slot.apply = uphill(x0)
+    with pytest.raises(NewtonFailure, match="line search failed at Newton iteration 0"):
+        solver._damped_newton(x0, cone, evaluate, uphill, Schedule(), slot)
+    assert len(calls) == 2
+
+
+def test_corrector_reports_a_singular_jacobian():
+    cone, evaluate, factor, _ = _toy_corrector(np.array([4.0, 9.0]))
+    with pytest.raises(NewtonFailure, match="singular Jacobian at Newton iteration 0"):
+        solver._damped_newton(np.array([0.0, 2.5]), cone, evaluate, factor, Schedule(),
+                              solver._LUSlot())
+
+
+def test_linear_path_factorizes_once(params_k1, grid_32, monkeypatch):
+    """k = 1 and q = 1 make the operator linear for t <= 1/2: one LU serves the path."""
+    calls = []
+
+    def counting_splu(a, *args, **kwargs):
+        calls.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    _, report = solve_path(positive_even_phi(grid_32), params_k1, t_end=0.5)
+    assert report.converged and report.t_steps == [0.0, 0.25, 0.5]
+    assert len(calls) == 1
+    assert report.factorizations == [1, 0, 0]
+
+
+def test_concurrent_solves_match_serial_ones(grid_32):
+    problems = [
+        (positive_even_phi(grid_32), CapParams(n=2, k=1, p=1.5, theta=THETA)),
+        (CapField(grid_32, 2.0 - positive_even_phi(grid_32).values, even=True),
+         CapParams(n=2, k=2, p=1.8, theta=THETA)),
+    ]
+
+    def run(problem):
+        s, report = solve_path(*problem)
+        return s.values.tobytes(), report.to_dict()
+
+    serial = [run(pr) for pr in problems]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two solves finely
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(run, problems, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_solve_path_validates_inputs(params_k1, grid_16):
