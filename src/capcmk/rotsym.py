@@ -24,7 +24,8 @@ LU (`splu`) as callbacks; only the discretization is independent of the 2-D
 path.  As there, one LU per `solve_rotsym` call is reused across Newton
 iterations and continuation steps and refactorized when the last accepted step
 cut the residual by less than `solver.REFACTOR_RATIO`, or when a step from it
-fails the full-step Armijo test.
+fails the full-step Armijo test; a run that reused it and then fails is redone
+as plain damped Newton.
 """
 
 from __future__ import annotations

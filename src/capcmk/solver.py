@@ -24,6 +24,8 @@ which the corrector reuses across Newton iterations and continuation steps; it
 refactorizes when it holds none, when the last accepted step cut the residual
 by less than REFACTOR_RATIO = 0.1, or when a step from the reused LU fails the
 full-step Armijo test (then at the same iterate, with the full line search).
+A corrector run that took a step from a reused LU and then fails is redone
+from its starting point as plain damped Newton.
 Every failure to converge, at t = 0 or later, leaves `run_continuation` as a
 ContinuationStall carrying the partial report.
 """
@@ -258,72 +260,96 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
     A step from a reused factorization gets only the full-step Armijo test; if
     that fails, the corrector refactorizes at the same iterate and redoes the
     step with the full line search, halving alpha up to backtrack_max times.
-    Every accepted step counts against newton_max, reused or fresh.
 
-    Returns (x, info); raises NewtonFailure naming the cone, a singular
-    Jacobian, the line search of a fresh step or the iteration budget.
+    A run that accepted a step from a reused factorization and then fails is
+    redone from x as plain damped Newton, with a fresh factorization at every
+    iteration, so reuse never fails a step that plain Newton from the same
+    point passes.  (Near the roundoff floor of fine grids, whether the last
+    steps get below tol_solve depends on the path taken to it.)  info["iters"]
+    counts the accepted steps of the run that converged, reused or fresh, and
+    each run is held to newton_max; info["factorizations"] counts the
+    factorizations of both runs.
+
+    Returns (x, info); raises the last run's NewtonFailure, naming the cone, a
+    singular Jacobian, the line search of a fresh step or the iteration budget.
     """
-    lam1, at = cone(x)
-    fint, gbd = evaluate(at)
-    rn = max(float(np.max(np.abs(fint))), float(np.max(np.abs(gbd))))
-    history = [rn]
     factorizations = 0
+    reused = 0  # accepted steps that came from a reused factorization
 
-    def info(iters):
-        return {
-            "iters": iters,
-            "factorizations": factorizations,
-            "res_norm": float(np.max(np.abs(fint))),
-            "robin_norm": float(np.max(np.abs(gbd))),
-            "lam1min": lam1,
-            "smin": float(np.min(x)),
-            "smax": float(np.max(x)),
-            "history": history,
-        }
+    def run(x, reuse):
+        nonlocal factorizations, reused
+        lam1, at = cone(x)
+        fint, gbd = evaluate(at)
+        rn = max(float(np.max(np.abs(fint))), float(np.max(np.abs(gbd))))
+        history = [rn]
 
-    def trial(step, alpha):
-        x_try = x + alpha * step
-        if np.min(x_try) > 0.0:
-            lam1_try, at_try = cone(x_try)
-            if lam1_try > sched.delta_cone:
-                fint_try, gbd_try = evaluate(at_try)
-                rn_try = max(float(np.max(np.abs(fint_try))), float(np.max(np.abs(gbd_try))))
-                if rn_try <= (1.0 - 1e-4 * alpha) * rn:
-                    return x_try, lam1_try, at_try, fint_try, gbd_try, rn_try
-        return None
+        def info(iters):
+            return {
+                "iters": iters,
+                "factorizations": factorizations,
+                "res_norm": float(np.max(np.abs(fint))),
+                "robin_norm": float(np.max(np.abs(gbd))),
+                "lam1min": lam1,
+                "smin": float(np.min(x)),
+                "smax": float(np.max(x)),
+                "history": history,
+            }
 
-    for it in range(sched.newton_max):
-        if rn <= sched.tol_solve:
-            return x, info(it)
-        if lam1 <= sched.delta_cone:
-            raise NewtonFailure(f"iterate left the cone: lam1min = {lam1:.3e}")
+        def trial(step, alpha):
+            x_try = x + alpha * step
+            if np.min(x_try) > 0.0:
+                lam1_try, at_try = cone(x_try)
+                if lam1_try > sched.delta_cone:
+                    fint_try, gbd_try = evaluate(at_try)
+                    rn_try = max(float(np.max(np.abs(fint_try))), float(np.max(np.abs(gbd_try))))
+                    if rn_try <= (1.0 - 1e-4 * alpha) * rn:
+                        return x_try, lam1_try, at_try, fint_try, gbd_try, rn_try
+            return None
 
-        accepted = trial(lu.apply(fint, gbd), 1.0) if lu.apply is not None else None
-        if accepted is None:
-            lu.apply = None  # drop the old factorization before building the next
-            try:
-                lu.apply = factor(at)
-            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-                raise NewtonFailure(f"singular Jacobian at Newton iteration {it}: {exc}") from exc
-            factorizations += 1
-            step = lu.apply(fint, gbd)
-            alpha = 1.0
-            for _ in range(sched.backtrack_max):
-                accepted = trial(step, alpha)
-                if accepted is not None:
-                    break
-                alpha *= 0.5
+        for it in range(sched.newton_max):
+            if rn <= sched.tol_solve:
+                return x, info(it)
+            if lam1 <= sched.delta_cone:
+                raise NewtonFailure(f"iterate left the cone: lam1min = {lam1:.3e}")
+
+            accepted = trial(lu.apply(fint, gbd), 1.0) if lu.apply is not None else None
+            if accepted is None:
+                lu.apply = None  # drop the old factorization before building the next
+                try:
+                    lu.apply = factor(at)
+                except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                    raise NewtonFailure(
+                        f"singular Jacobian at Newton iteration {it}: {exc}") from exc
+                factorizations += 1
+                step = lu.apply(fint, gbd)
+                alpha = 1.0
+                for _ in range(sched.backtrack_max):
+                    accepted = trial(step, alpha)
+                    if accepted is not None:
+                        break
+                    alpha *= 0.5
+                else:
+                    raise NewtonFailure(
+                        f"line search failed at Newton iteration {it} (res = {rn:.3e})")
             else:
-                raise NewtonFailure(f"line search failed at Newton iteration {it} (res = {rn:.3e})")
-        rn_prev = rn
-        x, lam1, at, fint, gbd, rn = accepted
-        history.append(rn)
-        if rn > REFACTOR_RATIO * rn_prev:
-            lu.apply = None
+                reused += 1
+            rn_prev = rn
+            x, lam1, at, fint, gbd, rn = accepted
+            history.append(rn)
+            if not reuse or rn > REFACTOR_RATIO * rn_prev:
+                lu.apply = None
 
-    if rn <= sched.tol_solve:
-        return x, info(sched.newton_max)
-    raise NewtonFailure(f"no convergence in {sched.newton_max} iterations (res = {rn:.3e})")
+        if rn <= sched.tol_solve:
+            return x, info(sched.newton_max)
+        raise NewtonFailure(f"no convergence in {sched.newton_max} iterations (res = {rn:.3e})")
+
+    try:
+        return run(x, reuse=True)
+    except NewtonFailure:
+        if not reused:  # every step was a fresh one: plain Newton fails the same way
+            raise
+    lu.apply = None
+    return run(x, reuse=False)
 
 
 def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched: Schedule,
@@ -376,7 +402,8 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 
 
     newton_fn(s, q, rhs) -> (s, info) raising NewtonFailure; rhs_fn(t) -> (q, rhs).
     The previous solution is the predictor; dt halves on failure and grows on
-    fast correctors; the branch point t = 1/2 is always hit exactly.  Raises
+    fast correctors (info["iters"] <= fast_iters, steps from a reused LU
+    included); the branch point t = 1/2 is always hit exactly.  Raises
     ContinuationStall, with the partial report, when the corrector fails at
     t = 0 or dt underflows dt_min.
     """

@@ -234,6 +234,21 @@ def test_corrector_fails_only_on_a_fresh_step():
     assert len(calls) == 2
 
 
+def test_corrector_redoes_a_failed_reuse_run_as_plain_newton():
+    c = np.array([4.0, 9.0])
+    x0 = np.sqrt(c) + 1e-3
+    cone, evaluate, factor, calls = _toy_corrector(c)
+    slot = solver._LUSlot()
+    slot.apply = factor(np.sqrt(c) / 0.95)  # its steps cut the residual only ~20x each
+    sched = Schedule(newton_max=3)
+    x, info = solver._damped_newton(x0, cone, evaluate, factor, sched, slot)
+    assert np.array_equal(calls[1], x0)  # the redo starts from the same point
+    assert info["res_norm"] <= sched.tol_solve
+    assert np.allclose(x, np.sqrt(c), rtol=0.0, atol=1e-9)
+    assert info["iters"] == 2  # plain Newton steps, within newton_max
+    assert info["factorizations"] == len(calls) - 1 == 2
+
+
 def test_corrector_reports_a_singular_jacobian():
     cone, evaluate, factor, _ = _toy_corrector(np.array([4.0, 9.0]))
     with pytest.raises(NewtonFailure, match="singular Jacobian at Newton iteration 0"):
