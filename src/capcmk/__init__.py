@@ -8,162 +8,68 @@ identity and a priori bound the underlying theory supplies.
 """
 
 from .audit import (
-    AreaMeasureField,
-    BodyGeometry,
     af_inequality_check,
-    area_measure,
     estimates_audit,
     mixed_volume,
-    parallel_body,
-    reconstruct,
-    save_embedding,
-    steiner_coefficients,
-    steiner_sigma_check,
-    steiner_volume_check,
-    surface_points,
-    uniqueness_check,
     mixed_volume_repeated,
-    volume,
+    steiner_sigma_check,
 )
-from .config import ConfigError, RunConfig, load_config, parse_kv_text
 from .fields import (
     CapField,
     CapGrid,
     boundary_tau_identity_residual,
-    covariant_hessian,
-    fd_weights,
-    integrate,
     load_field,
-    robin_residual,
     save_field,
     tau_sharp,
 )
 from .geometry import (
     CapParams,
-    NeumannFactor,
-    chart_metric,
     ell,
-    ell_dbeta,
     ell_field,
     make_capillary_test_function,
     random_capillary_field,
     random_neumann_factor,
-    reflect_even,
 )
-from .rotsym import (
-    RotGrid,
-    RotProfile,
-    barrier_height_check,
-    cross_check_gap,
-    reconstruct_rot,
-    rotsym_sigma_k,
-    save_profile,
-    sigma_rot,
-    solve_rotsym,
-)
+from .rotsym import cross_check_gap, solve_rotsym
 from .solver import (
     ContinuationStall,
     NewtonFailure,
     Schedule,
     SolveReport,
     homotopy_rhs,
-    homotopy_values,
     jacobian_fd_error,
-    linearize,
-    newton_solve,
     phi_q,
-    residual,
-    run_continuation,
     solve_path,
-    structural_hypothesis_check,
-)
-from .symfunc import (
-    ConeViolation,
-    F_and_grad,
-    SymEndo,
-    assert_gamma_k,
-    contract,
-    in_gamma_k,
-    newton_maclaurin_check,
-    polarize_qk,
-    sigma_k,
-    sigma_k_grad,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AreaMeasureField",
-    "BodyGeometry",
     "CapField",
     "CapGrid",
     "CapParams",
-    "ConeViolation",
-    "ConfigError",
     "ContinuationStall",
-    "F_and_grad",
-    "NeumannFactor",
     "NewtonFailure",
-    "RotGrid",
-    "RotProfile",
-    "RunConfig",
     "Schedule",
     "SolveReport",
-    "SymEndo",
     "af_inequality_check",
-    "area_measure",
-    "assert_gamma_k",
-    "barrier_height_check",
     "boundary_tau_identity_residual",
-    "chart_metric",
-    "contract",
-    "covariant_hessian",
     "cross_check_gap",
     "ell",
-    "ell_dbeta",
     "ell_field",
     "estimates_audit",
-    "fd_weights",
     "homotopy_rhs",
-    "homotopy_values",
-    "in_gamma_k",
-    "integrate",
     "jacobian_fd_error",
-    "linearize",
-    "load_config",
     "load_field",
     "make_capillary_test_function",
     "mixed_volume",
-    "newton_maclaurin_check",
-    "newton_solve",
-    "parallel_body",
-    "parse_kv_text",
+    "mixed_volume_repeated",
     "phi_q",
-    "polarize_qk",
     "random_capillary_field",
     "random_neumann_factor",
-    "reconstruct",
-    "reconstruct_rot",
-    "reflect_even",
-    "residual",
-    "robin_residual",
-    "rotsym_sigma_k",
-    "run_continuation",
-    "save_embedding",
     "save_field",
-    "save_profile",
-    "sigma_k",
-    "sigma_k_grad",
-    "sigma_rot",
     "solve_path",
     "solve_rotsym",
-    "steiner_coefficients",
     "steiner_sigma_check",
-    "steiner_volume_check",
-    "structural_hypothesis_check",
-    "surface_points",
     "tau_sharp",
-    "uniqueness_check",
-    "mixed_volume_repeated",
-    "volume",
 ]

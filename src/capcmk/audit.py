@@ -1,5 +1,5 @@
-"""Geometric verification: body reconstruction, capillary mixed volumes, area
-measures, parallel bodies, and the a priori estimate audit.
+"""Geometric verification: body reconstruction, capillary mixed volumes,
+parallel bodies, and the a priori estimate audit.
 
 The body behind a strictly convex capillary support function s is recovered by
 the inverse Gauss map
@@ -36,7 +36,6 @@ from .symfunc import SymEndo, polarize_qk, sigma_k
 
 __all__ = [
     "BodyGeometry",
-    "AreaMeasureField",
     "reconstruct",
     "surface_points",
     "volume",
@@ -44,12 +43,10 @@ __all__ = [
     "mixed_volume",
     "mixed_volume_repeated",
     "af_inequality_check",
-    "area_measure",
     "steiner_sigma_check",
     "steiner_coefficients",
     "steiner_volume_check",
     "estimates_audit",
-    "uniqueness_check",
     "save_embedding",
 ]
 
@@ -212,23 +209,7 @@ def af_inequality_check(s1: CapField, s2: CapField, params: CapParams) -> dict:
     }
 
 
-# -- area measures and Steiner identities ------------------------------------------
-
-
-@dataclass(eq=False)
-class AreaMeasureField:
-    """Density ell sigma_k(tau_sharp[s]) / C(n,k) on the cell rings, plus its mass."""
-
-    grid: object
-    density: np.ndarray
-    total: float
-
-
-def area_measure(s: CapField, params: CapParams) -> AreaMeasureField:
-    g = s.grid
-    sk = sigma_k(tau_sharp(s), params.k)
-    density = ell(g.theta, g.beta_cells)[:, None] * sk / params.cnk
-    return AreaMeasureField(grid=g, density=density, total=g.integrate(density))
+# -- Steiner identities -----------------------------------------------------------
 
 
 def steiner_sigma_check(s: CapField, t: float, params: CapParams) -> dict:
@@ -402,23 +383,6 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams,
 
     gated = [it["pass"] for it in items if it["pass"] is not None]
     return {"items": items, "all_passed": bool(all(gated))}
-
-
-def uniqueness_check(s1: CapField, s2: CapField, phi: CapField, params: CapParams) -> dict:
-    """Agreement measures for two solves of the same problem.
-
-    Reports the sup-norm gap and the weighted-energy gap int s^p phi, whose
-    equality is the scalar invariant behind the uniqueness argument.
-    """
-    g = s1.grid
-    e1 = g.integrate(s1.interior ** params.p * phi.interior)
-    e2 = g.integrate(s2.interior ** params.p * phi.interior)
-    return {
-        "sup_gap": float(np.max(np.abs(s1.values - s2.values))),
-        "energy_1": e1,
-        "energy_2": e2,
-        "energy_gap": abs(e1 - e2) / max(1.0, abs(e1)),
-    }
 
 
 def save_embedding(s: CapField, path):

@@ -289,7 +289,7 @@ def _sweep_member(cfg: RunConfig, p: float, theta: float, out: Path, args) -> di
         mcfg = replace(cfg, params=params)
         grid = mcfg.grid()
         phi = mcfg.phi_field(grid)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         rec.update(exit=EXIT_CONFIG, error=str(exc))
         return rec
     mdir = out / name

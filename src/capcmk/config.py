@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,13 +45,10 @@ _KNOWN_KEYS = {
     "n", "k", "p", "theta",
     "grid.nbeta", "grid.nphi",
     "phi.kind", "phi.value", "phi.r", "phi.coeffs", "phi.path",
-    "schedule.dt0", "schedule.dt_min", "schedule.dt_max", "schedule.grow",
-    "schedule.shrink", "schedule.fast_iters", "schedule.newton_max",
-    "schedule.backtrack_max", "schedule.tol_solve", "schedule.delta_cone",
     "oracle.cells",
     "audit.slope_slack", "audit.steiner_tol",
     "sweep.p_list", "sweep.theta_list",
-}
+} | {f"schedule.{f.name}" for f in fields(Schedule)}
 
 
 def _parse_angle(text: str, key: str) -> float:
@@ -59,7 +56,7 @@ def _parse_angle(text: str, key: str) -> float:
     if t == "pi":
         return math.pi
     m = re.fullmatch(r"pi\s*/\s*(\d+)", t)
-    if m:
+    if m and int(m.group(1)) > 0:
         return math.pi / int(m.group(1))
     m = re.fullmatch(r"([0-9.eE+-]+)\s*\*\s*pi", t)
     if m:
@@ -92,6 +89,10 @@ def parse_kv_text(text: str) -> dict:
     return table
 
 
+def _float_list(text: str) -> tuple:
+    return tuple(float(c) for c in text.split(","))
+
+
 def _take(table, key, conv, default=None, required=False):
     if key not in table:
         if required:
@@ -99,11 +100,16 @@ def _take(table, key, conv, default=None, required=False):
         return default
     text = table[key]
     try:
-        return conv(text)
+        value = conv(text)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: bad value {text!r} ({exc})") from None
+    # nan passes range tests written as `x <= 0`, so non-finite values stop here
+    numbers = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+        raise ConfigError(f"{key}: must be finite, got {text!r}")
+    return value
 
 
 @dataclass
@@ -200,11 +206,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"phi.kind must be one of {_PHI_KINDS}, got {phi_kind!r}")
     phi_value = _take(table, "phi.value", float, default=1.0)
     phi_r = _take(table, "phi.r", float, default=1.0)
-    coeffs_text = _take(table, "phi.coeffs", str, default="1.0")
-    try:
-        phi_coeffs = tuple(float(c) for c in coeffs_text.split(","))
-    except ValueError:
-        raise ConfigError(f"phi.coeffs: bad list {coeffs_text!r}") from None
+    phi_coeffs = _take(table, "phi.coeffs", _float_list, default=(1.0,))
     phi_path = _take(table, "phi.path", str, default=None)
     if phi_kind == "file" and phi_path is None:
         raise ConfigError("phi.kind = file requires phi.path")
@@ -213,20 +215,10 @@ def load_config(path) -> RunConfig:
     if phi_kind == "cap_manufactured" and phi_r <= 0.0:
         raise ConfigError(f"phi.r must be > 0, got {phi_r}")
 
-    defaults = Schedule()
-    sched = Schedule(
-        dt0=_take(table, "schedule.dt0", float, default=defaults.dt0),
-        dt_min=_take(table, "schedule.dt_min", float, default=defaults.dt_min),
-        dt_max=_take(table, "schedule.dt_max", float, default=defaults.dt_max),
-        grow=_take(table, "schedule.grow", float, default=defaults.grow),
-        shrink=_take(table, "schedule.shrink", float, default=defaults.shrink),
-        fast_iters=_take(table, "schedule.fast_iters", int, default=defaults.fast_iters),
-        newton_max=_take(table, "schedule.newton_max", int, default=defaults.newton_max),
-        backtrack_max=_take(table, "schedule.backtrack_max", int,
-                            default=defaults.backtrack_max),
-        tol_solve=_take(table, "schedule.tol_solve", float, default=defaults.tol_solve),
-        delta_cone=_take(table, "schedule.delta_cone", float, default=defaults.delta_cone),
-    )
+    sched = Schedule(**{
+        f.name: _take(table, f"schedule.{f.name}", type(f.default), default=f.default)
+        for f in fields(Schedule)
+    })
     for name in ("dt0", "dt_min", "dt_max", "grow", "tol_solve", "delta_cone"):
         if getattr(sched, name) <= 0.0:
             raise ConfigError(f"schedule.{name} must be > 0")
@@ -242,9 +234,7 @@ def load_config(path) -> RunConfig:
     def angle_list(text):
         return tuple(_parse_angle(t, "sweep.theta_list") for t in text.split(","))
 
-    sweep_p = _take(table, "sweep.p_list",
-                    lambda t: tuple(float(c) for c in t.split(",")),
-                    default=(1.2, 1.5, 1.8))
+    sweep_p = _take(table, "sweep.p_list", _float_list, default=(1.2, 1.5, 1.8))
     sweep_theta = _take(table, "sweep.theta_list", angle_list,
                         default=(math.pi / 6, math.pi / 4, math.pi / 3))
 

@@ -225,11 +225,7 @@ class CapGrid:
             "a22": a22,
             "a22_phi": a22_phi,
             "a22_rad": a22_rad,
-            "sinb": sinb,
-            "cosb": cosb,
             "even_p": even_p,
-            "keep_int": keep_int,
-            "keep_bd": keep_bd,
             "even_rows": even_rows,
         }
         return self._ops
@@ -293,9 +289,6 @@ class CapField:
 
     __rmul__ = __mul__
 
-    def copy(self) -> "CapField":
-        return CapField(self.grid, self.values.copy(), self.even)
-
     def project_even(self) -> "CapField":
         """Average over the ambient-reflection action phi -> phi + pi.
 
@@ -309,26 +302,6 @@ class CapField:
     def is_even(self, tol=0.0) -> bool:
         h = self.grid.nphi // 2
         return bool(np.max(np.abs(self.values - np.roll(self.values, h, axis=1))) <= tol)
-
-
-def covariant_hessian(s: CapField):
-    """Coordinate components (H_bb, H_bp, H_pp) of the covariant Hessian.
-
-    H_bb = s_bb, H_bp = s_bp - cot(beta) s_p, H_pp = s_pp + sin(beta)cos(beta) s_b,
-    on the interior rings, using the grid's cached stencils.
-    """
-    g = s.grid
-    ops = g.ops()
-    x = s.flat
-    shape = (g.nbeta, g.nphi)
-    sb = (ops["dbeta"] @ x).reshape(shape)
-    sphi = (ops["dphi"] @ x).reshape(shape)
-    sbb = (ops["dbeta2"] @ x).reshape(shape)
-    spp = (ops["dphi2"] @ x).reshape(shape)
-    sbp = (ops["dbetaphi"] @ x).reshape(shape)
-    sinb = np.sin(g.beta_cells)[:, None]
-    cosb = np.cos(g.beta_cells)[:, None]
-    return sbb, sbp - (cosb / sinb) * sphi, spp + sinb * cosb * sb
 
 
 def tau_sharp(s: CapField) -> SymEndo:
@@ -390,10 +363,6 @@ def boundary_tau_identity_residual(s: CapField) -> float:
     da22_rim = np.tensordot(wder, tau.a22[rows], axes=(0, 0))
     ct = math.cos(g.theta) / math.sin(g.theta)
     return float(np.max(np.abs(da22_rim - (a11_rim - a22_rim) * ct)))
-
-
-def integrate(s: CapField) -> float:
-    return s.grid.integrate(s.values)
 
 
 # -- serialization -------------------------------------------------------------

@@ -60,10 +60,6 @@ class CapParams:
         """Binomial C(n, k) = sigma_k(identity)."""
         return float(math.comb(self.n, self.k))
 
-    @property
-    def cot_theta(self) -> float:
-        return math.cos(self.theta) / math.sin(self.theta)
-
 
 def ell(theta, beta):
     """Model capillary support function, chart form: 1 - cos(theta) cos(beta).
@@ -74,28 +70,6 @@ def ell(theta, beta):
     d/dbeta ell(theta) = cos(theta) sin(theta) = cot(theta) ell(theta).
     """
     return 1.0 - math.cos(theta) * np.cos(beta)
-
-
-def ell_dbeta(theta, beta):
-    """d ell / d beta = cos(theta) sin(beta)."""
-    return math.cos(theta) * np.sin(beta)
-
-
-def chart_metric(beta):
-    """Round-metric components in (beta, phi) for n = 2: (g_bb, g_pp, g_bp).
-
-    g = dbeta^2 + sin^2(beta) dphi^2.  The chart degenerates at the pole;
-    callers must use the across-pole closure there instead.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if np.any(beta <= 0.0):
-        raise ValueError("chart_metric: beta = 0 is the pole; use the across-pole closure")
-    return np.ones_like(beta), np.sin(beta) ** 2, np.zeros_like(beta)
-
-
-def reflect_even(beta, phi):
-    """Chart action of the ambient reflection R: (beta, phi) -> (beta, phi + pi)."""
-    return beta, np.mod(phi + math.pi, 2.0 * math.pi)
 
 
 def ell_field(grid: CapGrid) -> CapField:

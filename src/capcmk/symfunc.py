@@ -23,18 +23,6 @@ from itertools import combinations
 import numpy as np
 
 
-class ConeViolation(ValueError):
-    """Raised when an endomorphism leaves the Garding cone Gamma_k.
-
-    Carries the first violated order j and the worst sigma_j value.
-    """
-
-    def __init__(self, j, worst):
-        self.j = int(j)
-        self.worst = float(worst)
-        super().__init__(f"Gamma_k exit: min sigma_{self.j} = {self.worst:.6e} <= cone margin")
-
-
 @dataclass(eq=False)
 class SymEndo:
     """Batch of symmetric 2x2 endomorphisms in an orthonormal frame."""
@@ -55,11 +43,6 @@ class SymEndo:
     def identity(cls, shape=()):
         one = np.ones(shape)
         return cls(one, np.zeros(shape), one.copy())
-
-    @classmethod
-    def diagonal(cls, l1, l2):
-        l1 = np.asarray(l1, dtype=float)
-        return cls(l1, np.zeros_like(l1), np.asarray(l2, dtype=float))
 
     @property
     def shape(self):
@@ -114,41 +97,6 @@ def sigma_k_grad(a: SymEndo, k: int) -> SymEndo:
     raise ValueError(f"sigma_k_grad defined for k in {{1, 2}}, got {k}")
 
 
-def contract(grad: SymEndo, a: SymEndo):
-    """sum_ij grad^{ij} a_ij = g11 a11 + 2 g12 a12 + g22 a22."""
-    return grad.a11 * a.a11 + 2.0 * grad.a12 * a.a12 + grad.a22 * a.a22
-
-
-def in_gamma_k(a: SymEndo, k: int, margin: float = 0.0):
-    """Elementwise Gamma_k membership: sigma_j > margin for all j <= k."""
-    ok = np.ones(a.shape, dtype=bool)
-    for j in range(1, k + 1):
-        ok &= sigma_k(a, j) > margin
-    return ok
-
-
-def assert_gamma_k(a: SymEndo, k: int, margin: float = 0.0):
-    """Raise ConeViolation (with the violated order) if any entry leaves Gamma_k."""
-    for j in range(1, k + 1):
-        worst = float(np.min(sigma_k(a, j)))
-        if worst <= margin:
-            raise ConeViolation(j, worst)
-
-
-def F_and_grad(a: SymEndo, k: int, margin: float = 0.0):
-    """Normalized operator F = sigma_k^{1/k} and its derivative F^{ij}.
-
-    F^{ij} = (1/k) sigma_k^{1/k - 1} sigma_k^{ij}; F is 1-homogeneous, so
-    sum F^{ij} a_ij = F(A).  Requires A in Gamma_k (explicit cone error else).
-    """
-    assert_gamma_k(a, k, margin)
-    sk = sigma_k(a, k)
-    f = sk ** (1.0 / k)
-    grad = sigma_k_grad(a, k)
-    scale = (1.0 / k) * sk ** (1.0 / k - 1.0)
-    return f, SymEndo(scale * grad.a11, scale * grad.a12, scale * grad.a22)
-
-
 def polarize_qk(mats, n: int):
     """Full polarization Q_k of sigma_k, normalized so Q_k(A,...,A) = sigma_k(A)/C(n,k).
 
@@ -169,19 +117,3 @@ def polarize_qk(mats, n: int):
                 acc = acc + mats[i]
             total = total + sign * sigma_k(acc, k)
     return total / (math.comb(n, k) * math.factorial(k))
-
-
-def newton_maclaurin_check(a: SymEndo, k: int, n: int = 2):
-    """Maclaurin chain member (sigma_k/C(n,k))^{1/k} <= (sigma_{k-1}/C(n,k-1))^{1/(k-1)}.
-
-    Returns (ok, margin) with margin = min(rhs - lhs); the k = 1 member is
-    vacuous (the k = 0 side is the empty normalization) and passes with +inf.
-    Requires A in Gamma_k so the fractional powers are real.
-    """
-    if k == 1:
-        return True, math.inf
-    assert_gamma_k(a, k)
-    lhs = (sigma_k(a, k) / math.comb(n, k)) ** (1.0 / k)
-    rhs = (sigma_k(a, k - 1) / math.comb(n, k - 1)) ** (1.0 / (k - 1))
-    margin = float(np.min(rhs - lhs))
-    return margin >= 0.0, margin

@@ -3,28 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from capcmk import (
-    CapField,
-    CapGrid,
-    CapParams,
+from capcmk.audit import (
     af_inequality_check,
-    area_measure,
-    ell,
-    ell_field,
     estimates_audit,
     mixed_volume,
+    mixed_volume_repeated,
     parallel_body,
-    random_capillary_field,
     reconstruct,
     save_embedding,
     steiner_coefficients,
     steiner_sigma_check,
     steiner_volume_check,
     surface_points,
-    uniqueness_check,
-    mixed_volume_repeated,
     volume,
 )
+from capcmk.fields import CapField, CapGrid
+from capcmk.geometry import CapParams, ell_field, random_capillary_field
 
 from conftest import THETA
 
@@ -206,23 +200,7 @@ def test_af_equality_at_scalar_multiples(grid_16, params_k1):
     assert rec["pass"]
 
 
-# -- area measures and Steiner identities ------------------------------------------
-
-
-def test_area_measure_of_the_model(grid_32, params_k1):
-    am = area_measure(ell_field(grid_32), params_k1)
-    assert am.density.shape == (grid_32.nbeta, grid_32.nphi)
-    assert np.min(am.density) > 0.0
-    c = math.cos(THETA)
-    exact = math.pi * (1.0 - c) ** 2 * (2.0 + c)
-    assert abs(am.total - exact) / exact < 1e-3
-
-
-def test_area_measure_positive_for_convex_fields(grid_16, params_k1):
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        s = random_capillary_field(grid_16, rng)
-        assert np.min(area_measure(s, params_k1).density) > 0.0
+# -- Steiner identities -----------------------------------------------------------
 
 
 def test_steiner_sigma_identity_is_exact(solved_32, params_k1):
@@ -304,15 +282,6 @@ def test_estimates_audit_flags_nonconvex(grid_16, params_k1):
     assert by_name["slope_bound"]["pass"] is False
     assert by_name["slope_bound"]["lhs"] is None
     assert "skipped: not convex" in by_name["slope_bound"]["statement"]
-
-
-def test_uniqueness_check_on_identical_fields(solved_32, params_k1):
-    s, _, phi = solved_32
-    rec = uniqueness_check(s, s, phi, params_k1)
-    assert set(rec) == {"sup_gap", "energy_1", "energy_2", "energy_gap"}
-    assert rec["sup_gap"] == 0.0
-    assert rec["energy_gap"] == 0.0
-    assert rec["energy_1"] > 0.0
 
 
 def test_save_embedding_format(tmp_path, grid_16):

@@ -4,17 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from capcmk import (
-    CapGrid,
-    ConfigError,
-    ell,
-    ell_field,
-    load_config,
-    load_field,
-    parse_kv_text,
-    save_field,
-)
 from capcmk.cli import main as cli_main
+from capcmk.config import ConfigError, load_config, parse_kv_text
+from capcmk.fields import CapGrid, load_field, save_field
+from capcmk.geometry import ell, ell_field
+from capcmk.solver import Schedule
 
 BASE = """\
 n = 2
@@ -70,6 +64,7 @@ def test_load_config_defaults(tmp_path):
     assert cfg.steiner_tol == 5e-3
     assert cfg.sweep_p == (1.2, 1.5, 1.8)
     assert cfg.sweep_theta == pytest.approx((math.pi / 6, math.pi / 4, math.pi / 3))
+    assert cfg.schedule == Schedule()
 
 
 @pytest.mark.parametrize(
@@ -89,14 +84,20 @@ def test_load_config_angle_forms(tmp_path, theta_text, value):
         "n = 2\nk = 1\ntheta = pi/3\n",                        # missing p
         "n = 2\nk = 1\np = 1.5\ntheta = sixty\n",              # unparseable angle
         "n = 2\nk = 1\np = 1.5\ntheta = pi\n",                 # theta outside (0, pi/2)
+        "n = 2\nk = 1\np = 1.5\ntheta = pi/0\n",               # zero denominator
         BASE + "phi.kind = quadratic\n",                        # unknown phi kind
         BASE + "phi.kind = file\n",                             # file kind without path
         BASE + "phi.kind = constant\nphi.value = -1\n",         # nonpositive data
         BASE + "phi.kind = cap_manufactured\nphi.r = 0\n",      # nonpositive scale
+        BASE + "phi.kind = constant\nphi.value = nan\n",        # non-finite data
+        BASE + "phi.kind = cap_manufactured\nphi.r = inf\n",    # non-finite scale
         BASE + "schedule.shrink = 1.5\n",                       # shrink outside (0, 1)
         BASE + "schedule.tol_solve = 0\n",                      # nonpositive tolerance
+        BASE + "schedule.tol_solve = nan\n",                    # non-finite tolerance
+        BASE + "audit.slope_slack = nan\n",                     # non-finite slack
         BASE + "grid.nbeta = 4\n",                              # grid too coarse
         BASE + "phi.kind = rotsym_expr\nphi.coeffs = 1,oops\n", # bad coefficient list
+        BASE + "phi.kind = rotsym_expr\nphi.coeffs = 1,nan\n",  # non-finite coefficient
         BASE + "oracle.cells = 4\n",                            # oracle grid too coarse
     ],
 )
@@ -336,8 +337,15 @@ def test_sweep_over_a_small_lattice(tmp_path):
         assert (out / m["name"] / "audit.json").exists()
 
 
-def test_sweep_reports_an_invalid_problem_as_a_config_error(tmp_path):
-    cfg = write_cfg(tmp_path, BASE.replace("n = 2", "n = 3") + "grid.nbeta = 16\n"
+@pytest.mark.parametrize(
+    "text",
+    [
+        BASE.replace("n = 2", "n = 3"),                       # no 2-D solver for n = 3
+        BASE + "phi.kind = file\nphi.path = {tmp}/missing.csv\n",  # data file not found
+    ],
+)
+def test_sweep_reports_an_invalid_problem_as_a_config_error(tmp_path, text):
+    cfg = write_cfg(tmp_path, text.format(tmp=tmp_path) + "grid.nbeta = 16\n"
                     + "grid.nphi = 32\nsweep.p_list = 1.5\nsweep.theta_list = pi/3\n")
     out = tmp_path / "out"
     assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 1

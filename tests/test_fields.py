@@ -3,23 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from capcmk import (
+from capcmk.fields import (
     CapField,
     CapGrid,
-    SymEndo,
     boundary_tau_identity_residual,
-    covariant_hessian,
-    ell_field,
     fd_weights,
-    integrate,
     load_field,
-    make_capillary_test_function,
-    random_capillary_field,
-    random_neumann_factor,
     robin_residual,
     save_field,
     tau_sharp,
 )
+from capcmk.geometry import (
+    ell_field,
+    make_capillary_test_function,
+    random_capillary_field,
+    random_neumann_factor,
+)
+from capcmk.symfunc import SymEndo
 
 THETA = math.pi / 3
 
@@ -80,7 +80,6 @@ def test_integrate_validates_shape_and_drops_the_rim():
     assert g.integrate(full) == pytest.approx(g.integrate(np.ones((16, 32))))
     with pytest.raises(ValueError):
         g.integrate(np.ones((5, 5)))
-    assert integrate(ell_field(g)) == pytest.approx(g.integrate(ell_field(g).interior))
 
 
 def test_fd_weights_reproduce_central_stencils():
@@ -166,6 +165,28 @@ def test_tau_is_linear_and_shifts_by_identity():
     shifted = tau_s + t * SymEndo.identity(tau_s.shape)
     assert np.max(np.abs(tau_sum.a11 - shifted.a11)) < 1e-3
     assert np.max(np.abs(tau_sum.a22 - shifted.a22)) < 1e-3
+
+
+def covariant_hessian(s: CapField):
+    """Coordinate components (H_bb, H_bp, H_pp) of the covariant Hessian.
+
+    H_bb = s_bb, H_bp = s_bp - cot(beta) s_p, H_pp = s_pp + sin(beta)cos(beta) s_b,
+    on the interior rings, from the grid's plain derivative stencils: the
+    reference that the assembled frame operators of tau_sharp are checked
+    against.
+    """
+    g = s.grid
+    ops = g.ops()
+    x = s.flat
+    shape = (g.nbeta, g.nphi)
+    sb = (ops["dbeta"] @ x).reshape(shape)
+    sphi = (ops["dphi"] @ x).reshape(shape)
+    sbb = (ops["dbeta2"] @ x).reshape(shape)
+    spp = (ops["dphi2"] @ x).reshape(shape)
+    sbp = (ops["dbetaphi"] @ x).reshape(shape)
+    sinb = np.sin(g.beta_cells)[:, None]
+    cosb = np.cos(g.beta_cells)[:, None]
+    return sbb, sbp - (cosb / sinb) * sphi, spp + sinb * cosb * sb
 
 
 def test_tau_matches_covariant_hessian_components():

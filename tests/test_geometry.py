@@ -3,20 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from capcmk import (
-    CapGrid,
+from capcmk.fields import CapGrid, robin_residual, tau_sharp
+from capcmk.geometry import (
     CapParams,
     NeumannFactor,
-    chart_metric,
     ell,
-    ell_dbeta,
     ell_field,
     make_capillary_test_function,
     random_capillary_field,
     random_neumann_factor,
-    reflect_even,
-    robin_residual,
-    tau_sharp,
 )
 
 THETA = math.pi / 3
@@ -25,7 +20,6 @@ THETA = math.pi / 3
 def test_params_accept_valid_range():
     p = CapParams(n=2, k=1, p=1.5, theta=THETA)
     assert p.cnk == 2.0
-    assert p.cot_theta == pytest.approx(1.0 / math.tan(THETA))
     CapParams(n=4, k=3, p=3.9, theta=0.01)
 
 
@@ -57,28 +51,10 @@ def test_ell_endpoint_values_and_monotonicity():
 
 
 def test_ell_satisfies_robin_exactly():
-    # d ell/d beta at the rim equals cot(theta) * ell(theta) in closed form
-    lhs = ell_dbeta(THETA, THETA)
+    # d ell/d beta = cos(theta) sin(beta); at the rim it equals cot(theta) * ell(theta)
+    lhs = math.cos(THETA) * math.sin(THETA)
     rhs = (math.cos(THETA) / math.sin(THETA)) * ell(THETA, THETA)
     assert abs(lhs - rhs) < 1e-15
-
-
-def test_chart_metric_values_and_pole_rejection():
-    gbb, gpp, gbp = chart_metric(np.array([0.3, 0.6]))
-    assert np.allclose(gbb, 1.0)
-    assert np.allclose(gpp, np.sin([0.3, 0.6]) ** 2)
-    assert np.allclose(gbp, 0.0)
-    with pytest.raises(ValueError):
-        chart_metric(np.array([0.0, 0.3]))
-
-
-def test_reflect_even_is_an_involution():
-    beta = np.array([0.1, 0.5, 1.0])
-    phi = np.array([0.0, 2.0, 5.5])
-    b1, p1 = reflect_even(beta, phi)
-    b2, p2 = reflect_even(b1, p1)
-    assert np.allclose(b2, beta)
-    assert np.allclose(np.mod(p2 - phi, 2.0 * math.pi), 0.0)
 
 
 def test_ell_field_is_even_and_matches_closed_form():

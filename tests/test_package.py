@@ -1,0 +1,61 @@
+"""Package-level guards: no dead library code, and a top-level API that resolves."""
+
+import ast
+from pathlib import Path
+
+import capcmk
+
+PKG = Path(capcmk.__file__).parent
+
+
+def _module_defs():
+    """Module-level defs and the identifiers each reads, over the submodules.
+
+    Returns ({(module, name): identifiers}, identifiers of the module-level
+    statements that are not defs).  Identifiers are plain names and attribute
+    names alike, so a method call `g.integrate(...)` also reaches a def named
+    `integrate`: the walk errs toward calling code live.
+    """
+    defs, roots = {}, set()
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[(path.stem, node.name)] = names
+            else:
+                roots |= names
+    return defs, roots
+
+
+def unreachable_defs():
+    """Module-level defs that no chain of identifiers from `cli.main` reaches."""
+    defs, roots = _module_defs()
+    by_name = {}
+    for key in defs:
+        by_name.setdefault(key[1], []).append(key)
+    reached = set()
+    todo = [("cli", "main")] + [key for name in roots for key in by_name.get(name, [])]
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        todo.extend(k for name in defs[key] for k in by_name.get(name, []))
+    return sorted(f"{m}.{name}" for m, name in set(defs) - reached)
+
+
+def test_every_library_def_is_reachable_from_the_cli():
+    assert unreachable_defs() == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in capcmk.__all__ if not hasattr(capcmk, name)]
+    assert missing == []
+    assert len(set(capcmk.__all__)) == len(capcmk.__all__)

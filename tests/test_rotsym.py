@@ -4,22 +4,20 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from capcmk import (
-    CapField,
-    CapGrid,
-    CapParams,
+from capcmk.fields import CapField, CapGrid
+from capcmk.geometry import CapParams, ell
+from capcmk.rotsym import (
     RotGrid,
     RotProfile,
     barrier_height_check,
     cross_check_gap,
-    ell,
     reconstruct_rot,
     rotsym_sigma_k,
     save_profile,
     sigma_rot,
-    solve_path,
     solve_rotsym,
 )
+from capcmk.solver import solve_path
 
 THETA4 = math.pi / 4
 

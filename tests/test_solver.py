@@ -8,21 +8,18 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from capcmk import solver
-from capcmk import (
-    CapField,
-    CapGrid,
-    CapParams,
+from capcmk.fields import CapField, CapGrid
+from capcmk.geometry import CapParams, ell_field, random_capillary_field
+from capcmk.solver import (
     ContinuationStall,
     NewtonFailure,
     Schedule,
-    ell_field,
     homotopy_rhs,
     homotopy_values,
     jacobian_fd_error,
     linearize,
     newton_solve,
     phi_q,
-    random_capillary_field,
     residual,
     run_continuation,
     solve_path,
