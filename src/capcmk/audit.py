@@ -95,10 +95,6 @@ class BodyGeometry:
     lam1min: float
 
     @property
-    def rim(self) -> np.ndarray:
-        return self.points[-1]
-
-    @property
     def slope_max(self) -> float:
         return float(np.max(self.slopes))
 

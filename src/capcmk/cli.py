@@ -200,9 +200,13 @@ def cmd_solve(args) -> int:
     save_embedding(s, out / "embedding.csv")
     _write_json(report, out / "report.json")
     _write_json(audit, out / "audit.json")
-    _say(args, f"converged in {len(rep.t_steps)} continuation steps "
-               f"({sum(rep.newton_iters)} Newton steps, {sum(rep.factorizations)} LU "
-               f"factorizations); residual {rep.residual_norms[-1]:.3e}; "
+    if rep.fallback:
+        _say(args, f"grid sequencing failed, continuation rerun on the solve grid: "
+                   f"{rep.fallback}")
+    _say(args, f"converged on {' -> '.join(dict.fromkeys(rep.grids))} in "
+               f"{len(rep.t_steps)} steps ({sum(rep.newton_iters)} Newton steps, "
+               f"{sum(rep.factorizations)} LU factorizations); "
+               f"residual {rep.residual_norms[-1]:.3e}; "
                f"audits {'pass' if audit['mandatory_pass'] else 'FAIL'}")
     return EXIT_OK if audit["mandatory_pass"] else EXIT_AUDIT
 
@@ -281,8 +285,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if barrier["pass"] else EXIT_AUDIT
 
 
-def _sweep_member(cfg: RunConfig, p: float, theta: float, out: Path, args) -> dict:
-    name = f"p{p:g}_theta{theta:.6g}"
+def _sweep_member(cfg: RunConfig, name: str, p: float, theta: float, out: Path) -> dict:
     rec = {"name": name, "p": p, "theta": theta}
     try:
         params = CapParams(n=cfg.params.n, k=cfg.params.k, p=p, theta=theta)
@@ -336,11 +339,11 @@ def cmd_sweep(args) -> int:
         _fail(f"config error: {exc}")
         return EXIT_CONFIG
     out = _outdir(args)
-    points = [(p, th) for p in cfg.sweep_p for th in cfg.sweep_theta]
+    points = cfg.sweep_points()
     _say(args, f"sweep: {len(points)} members over p in {list(cfg.sweep_p)}, "
                f"theta in {[f'{t:.6g}' for t in cfg.sweep_theta]}")
     with ThreadPoolExecutor(max_workers=min(4, len(points))) as pool:
-        members = list(pool.map(lambda pt: _sweep_member(cfg, pt[0], pt[1], out, args), points))
+        members = list(pool.map(lambda pt: _sweep_member(cfg, *pt, out), points))
     converged = [m for m in members if m["exit"] == EXIT_OK]
     summary = {
         "members": members,

@@ -134,6 +134,12 @@ class RunConfig:
     def grid(self) -> CapGrid:
         return CapGrid(self.nbeta, self.nphi, self.params.theta)
 
+    def sweep_points(self) -> list:
+        """The sweep lattice as (name, p, theta), p-major; the name is also
+        the member's output directory."""
+        return [(f"p{p:g}_theta{theta:.6g}", p, theta)
+                for p in self.sweep_p for theta in self.sweep_theta]
+
     def phi_is_rotsym(self) -> bool:
         return self.phi_kind in ("constant", "cap_manufactured", "rotsym_expr")
 
@@ -258,6 +264,15 @@ def load_config(path) -> RunConfig:
         cfg.grid()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # sweep members run concurrently, each writing its own directory
+    named = {}
+    for name, *point in cfg.sweep_points():
+        if name in named:
+            raise ConfigError(
+                f"sweep.p_list/sweep.theta_list: lattice points (p, theta) = "
+                f"({named[name][0]!r}, {named[name][1]!r}) and ({point[0]!r}, {point[1]!r}) "
+                f"share the member name {name!r}")
+        named[name] = point
     if oracle_cells < 8:
         raise ConfigError(f"oracle.cells must be >= 8, got {oracle_cells}")
     return cfg

@@ -257,7 +257,7 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
     def rhs_fn(t):
         return homotopy_values(t, phi_cells, params)
 
-    return run_continuation(newton_fn, rhs_fn, s0, sched, t_end=t_end)
+    return run_continuation(newton_fn, rhs_fn, s0, sched, t_end=t_end, grid=str(grid.n_cells))
 
 
 # -- geometric audits -------------------------------------------------------------

@@ -28,6 +28,15 @@ A corrector run that took a step from a reused LU and then fails is redone
 from its starting point as plain damped Newton.
 Every failure to converge, at t = 0 or later, leaves `run_continuation` as a
 ContinuationStall carrying the partial report.
+
+`solve_path` sequences grids: it halves Nbeta and Nphi while Nbeta is even,
+Nphi % 4 == 0 and the coarser grid keeps COARSE_MIN_NBETA = 32 rings, runs
+the continuation on the coarsest grid only, and on each finer grid runs one
+Newton corrector at t_end from the fourth-order prolongation of the coarser
+solution (an interpolated solution lies inside the finer grid's quadratic
+convergence region, so one corrector replaces the path).  If that fails
+anywhere, the continuation reruns once on the requested grid; the report
+names every step's grid and the failure that caused a fallback.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .fields import CapField, robin_residual, tau_sharp
+from .fields import CapField, CapGrid, fd_weights, robin_residual, tau_sharp
 from .geometry import CapParams, ell_field
 from .symfunc import sigma_k, sigma_k_grad
 
@@ -82,6 +91,7 @@ class SolveReport:
     """Trace of one continuation run; everything needed to audit the path."""
 
     t_steps: list = field(default_factory=list)
+    grids: list = field(default_factory=list)
     newton_iters: list = field(default_factory=list)
     factorizations: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
@@ -91,11 +101,13 @@ class SolveReport:
     smax_trace: list = field(default_factory=list)
     converged: bool = False
     stalled_at: float | None = None
+    fallback: str | None = None
     structural: dict | None = None
     wall_time: float = 0.0
 
-    def record(self, t, info):
+    def record(self, t, info, grid):
         self.t_steps.append(float(t))
+        self.grids.append(grid)
         self.newton_iters.append(int(info["iters"]))
         self.factorizations.append(int(info["factorizations"]))
         self.residual_norms.append(float(info["res_norm"]))
@@ -109,6 +121,7 @@ class SolveReport:
         identical inputs produce bit-identical report files."""
         d = {
             "t_steps": self.t_steps,
+            "grids": self.grids,
             "newton_iters": self.newton_iters,
             "factorizations": self.factorizations,
             "residual_norms": self.residual_norms,
@@ -118,6 +131,7 @@ class SolveReport:
             "smax_trace": self.smax_trace,
             "converged": self.converged,
             "stalled_at": self.stalled_at,
+            "fallback": self.fallback,
             "structural": self.structural,
         }
         if include_timing:
@@ -397,10 +411,11 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
 # -- continuation driver -----------------------------------------------------------
 
 
-def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 1.0):
+def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 1.0, *, grid):
     """Adaptive predictor-corrector walk of t from 0 to t_end.
 
-    newton_fn(s, q, rhs) -> (s, info) raising NewtonFailure; rhs_fn(t) -> (q, rhs).
+    newton_fn(s, q, rhs) -> (s, info) raising NewtonFailure; rhs_fn(t) -> (q, rhs);
+    grid is the label the report records for every step.
     The previous solution is the predictor; dt halves on failure and grows on
     fast correctors (info["iters"] <= fast_iters, steps from a reused LU
     included); the branch point t = 1/2 is always hit exactly.  Raises
@@ -420,7 +435,7 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 
         s, info = newton_fn(s_init, q, rhs)
     except NewtonFailure as exc:
         raise stall(0.0, 0.0, exc) from exc
-    report.record(0.0, info)
+    report.record(0.0, info, grid)
 
     t, dt = 0.0, sched.dt0
     while t < t_end:
@@ -437,7 +452,7 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 
             continue
         s = s_new
         t = t_next
-        report.record(t, info)
+        report.record(t, info, grid)
         if info["iters"] <= sched.fast_iters:
             dt = min(dt * sched.grow, sched.dt_max)
     report.converged = True
@@ -445,28 +460,13 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 
     return s, report
 
 
-def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
-               t_end: float = 1.0, s0: CapField | None = None):
-    """Continuation solve of sigma_k(tau_sharp[s]) = s^{q-1} phi_q up to t_end.
-
-    Starts at the scaled model function C(n,k)^{-1/k} ell; returns the solution
-    field and the SolveReport (structural-hypothesis report included,
-    informational only).  Raises ContinuationStall with the partial report on
-    a stalled path.
-    """
-    if params.n != 2:
-        raise ValueError("full-field solves are restricted to n = 2; use the rotsym oracle")
-    sched = sched or Schedule()
+def _continuation(phi: CapField, params: CapParams, sched: Schedule, t_end: float,
+                  s0: CapField | None):
+    """run_continuation on phi's own grid, from s0 or the scaled model function,
+    with one LU slot for the whole path."""
     grid = phi.grid
-    if np.min(phi.values) <= 0.0:
-        raise ValueError("phi must be strictly positive")
-    if not phi.is_even(tol=1e-12 * max(1.0, float(np.max(np.abs(phi.values))))):
-        raise ValueError("phi must be even (invariant under phi -> phi + pi)")
-    phi = phi if phi.even else phi.project_even()
-
     if s0 is None:
         s0 = params.cnk ** (-1.0 / params.k) * ell_field(grid)
-
     lu = _LUSlot()
 
     def newton_fn(s, q, rhs):
@@ -475,7 +475,136 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
     def rhs_fn(t):
         return homotopy_rhs(t, phi, params)
 
-    s, report = run_continuation(newton_fn, rhs_fn, s0, sched, t_end=t_end)
+    return run_continuation(newton_fn, rhs_fn, s0, sched, t_end=t_end, grid=_label(grid))
+
+
+# -- grid sequencing -----------------------------------------------------------------
+
+# solve_path halves Nbeta and Nphi while the coarser grid keeps at least this
+# many rings, runs the continuation on the coarsest grid and one Newton
+# corrector on each finer one.
+COARSE_MIN_NBETA = 32
+
+
+def _label(grid: CapGrid) -> str:
+    return f"{grid.nbeta}x{grid.nphi}"
+
+
+def _coarser(grid: CapGrid) -> CapGrid | None:
+    """The grid with half the rings and columns, or None where sequencing stops.
+
+    Nphi % 4 == 0 keeps the coarse Nphi even, so phi + pi stays on the grid;
+    Nphi >= 16 keeps the coarse grid above CapGrid's floor.
+    """
+    nb, np_ = grid.nbeta, grid.nphi
+    if nb % 2 or np_ % 4 or nb // 2 < COARSE_MIN_NBETA or np_ < 16:
+        return None
+    return CapGrid(nb // 2, np_ // 2, grid.theta)
+
+
+def _restrict(f: CapField, coarse: CapGrid) -> CapField:
+    """f on the grid with half the rings and columns.
+
+    Coarse ring i, centred between fine rings 2i and 2i + 1, is their mean;
+    the coarse columns are every other fine column, and the rim is copied.
+    """
+    v = f.values
+    vals = np.vstack([0.5 * (v[0:-1:2] + v[1:-1:2]), v[-1:]])[:, ::2]
+    return CapField(coarse, vals, even=f.even)
+
+
+def _prolong(c: CapField, fine: CapGrid) -> CapField:
+    """c interpolated to the grid with twice the rings and columns.
+
+    In beta: 4-point Lagrange weights over the nodes -beta_1, -beta_0 (the
+    first two rings mirrored across the pole, where the chart identity
+    s(-beta, phi) = s(beta, phi + pi) gives their values), the coarse rings
+    and the rim; the rim ring is copied.  In phi: the periodic midpoint rule
+    (-1, 9, 9, -1)/16 on the odd fine columns.  Both are fourth order on
+    smooth fields.  The result is projected onto the even subspace.
+    """
+    g = c.grid
+    v = c.values
+    nodes = np.concatenate([-g.beta_cells[1::-1], g.beta_all])
+    ext = np.vstack([np.roll(v[1::-1], g.nphi // 2, axis=1), v])
+    rings = np.empty((fine.nbeta + 1, g.nphi))
+    for i, b in enumerate(fine.beta_cells):
+        lo = min(max(int(np.searchsorted(nodes, b)) - 2, 0), nodes.size - 4)
+        rings[i] = fd_weights(nodes[lo:lo + 4] - b, 0) @ ext[lo:lo + 4]
+    rings[-1] = v[-1]
+    out = np.empty((fine.nbeta + 1, fine.nphi))
+    out[:, ::2] = rings
+    out[:, 1::2] = (9.0 * (rings + np.roll(rings, -1, axis=1))
+                    - np.roll(rings, 1, axis=1) - np.roll(rings, -2, axis=1)) / 16.0
+    return CapField(fine, out).project_even()
+
+
+def _sequenced(phi: CapField, params: CapParams, sched: Schedule, t_end: float,
+               s0: CapField | None):
+    """Continuation on the coarsest grid below phi's, then one Newton corrector
+    at t_end on each finer grid, with a fresh LU.
+
+    Raises the coarsest grid's ContinuationStall, or the NewtonFailure of a
+    finer grid's corrector with that grid named in its message.
+    """
+    phis = [phi]  # finest first
+    while (coarse := _coarser(phis[-1].grid)) is not None:
+        phis.append(_restrict(phis[-1], coarse))
+        if s0 is not None:
+            s0 = _restrict(s0, coarse)
+    s, report = _continuation(phis.pop(), params, sched, t_end, s0)
+    while phis:
+        level = phis.pop()
+        # rebinding s frees the coarser solution, and with it the coarser
+        # grid's cached ops(), before this grid factorizes
+        s = _prolong(s, level.grid)
+        q, rhs = homotopy_rhs(t_end, level, params)
+        try:
+            s, info = newton_solve(s, q, rhs, params, sched, _LUSlot())
+        except NewtonFailure as exc:
+            raise NewtonFailure(f"corrector on {_label(level.grid)}: {exc}") from exc
+        report.record(t_end, info, _label(level.grid))
+    return s, report
+
+
+def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
+               t_end: float = 1.0, s0: CapField | None = None):
+    """Continuation solve of sigma_k(tau_sharp[s]) = s^{q-1} phi_q up to t_end.
+
+    Grid sequencing: where `_coarser` can halve phi's grid, phi (and s0, if
+    given) are restricted to the coarsest grid it reaches, the continuation
+    runs there, and each finer grid, up to phi's own, gets the prolonged
+    solution and one Newton corrector at t_end.  If any of that fails, the
+    continuation runs once on phi's own grid, as it does on grids that are not
+    coarsened, and the report's `fallback` names the failure.  The path starts
+    at s0 or the scaled model function C(n,k)^{-1/k} ell.
+
+    Returns the solution field and the SolveReport (structural-hypothesis
+    report included, informational only).  Raises ContinuationStall with the
+    partial report on a stalled path.
+    """
+    if params.n != 2:
+        raise ValueError("full-field solves are restricted to n = 2; use the rotsym oracle")
+    sched = sched or Schedule()
+    if np.min(phi.values) <= 0.0:
+        raise ValueError("phi must be strictly positive")
+    if not phi.is_even(tol=1e-12 * max(1.0, float(np.max(np.abs(phi.values))))):
+        raise ValueError("phi must be even (invariant under phi -> phi + pi)")
+    phi = phi if phi.even else phi.project_even()
+
+    report = fallback = None
+    if _coarser(phi.grid) is not None:
+        try:
+            s, report = _sequenced(phi, params, sched, t_end, s0)
+        except (ContinuationStall, NewtonFailure) as exc:
+            fallback = f"{type(exc).__name__}: {exc}"
+    if report is None:
+        try:
+            s, report = _continuation(phi, params, sched, t_end, s0)
+        except ContinuationStall as stall:
+            stall.report.fallback = fallback
+            raise
+        report.fallback = fallback
     report.structural = structural_hypothesis_check(phi, params)
     return s, report
 

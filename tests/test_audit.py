@@ -64,7 +64,7 @@ def test_reconstruct_model_geometry(grid_32):
     assert geo.rim_planarity < 1e-3
     assert geo.lam1min > 0.9
     assert geo.slope_max < math.tan(THETA) + 0.02
-    assert geo.rim.shape == (grid_32.nphi, 3)
+    assert geo.points[-1].shape == (grid_32.nphi, 3)  # the rim row
 
 
 def test_reconstruct_rejects_nonconvex(grid_16):

@@ -31,6 +31,13 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def read_report(out):
+    """report.json of an output directory; every step names its grid."""
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["solve"]["grids"]) == len(report["solve"]["t_steps"])
+    return report
+
+
 # -- config parsing -----------------------------------------------------------------
 
 
@@ -99,6 +106,8 @@ def test_load_config_angle_forms(tmp_path, theta_text, value):
         BASE + "phi.kind = rotsym_expr\nphi.coeffs = 1,oops\n", # bad coefficient list
         BASE + "phi.kind = rotsym_expr\nphi.coeffs = 1,nan\n",  # non-finite coefficient
         BASE + "oracle.cells = 4\n",                            # oracle grid too coarse
+        BASE + "sweep.p_list = 1.5, 1.5\n",                     # repeated sweep member
+        BASE + "sweep.theta_list = pi/3, 1.0471975\n",          # sweep members named alike
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, text):
@@ -168,7 +177,7 @@ def test_solve_writes_all_outputs(solved_cli):
     _, _, out = solved_cli
     for name in ("solution.csv", "embedding.csv", "report.json", "audit.json"):
         assert (out / name).exists()
-    report = json.loads((out / "report.json").read_text())
+    report = read_report(out)
     assert report["problem"] == {"n": 2, "k": 1, "p": 1.5, "theta": pytest.approx(math.pi / 3)}
     assert report["grid"] == {"nbeta": 16, "nphi": 32}
     assert report["phi"] == {"kind": "cap_manufactured", "r": 1.3}
@@ -198,7 +207,7 @@ def test_grid_override_is_reflected(tmp_path):
     code = cli_main(["solve", "--config", cfg, "--out", str(out),
                      "--grid", "12x24", "--quiet"])
     assert code == 0
-    report = json.loads((out / "report.json").read_text())
+    report = read_report(out)
     assert report["grid"] == {"nbeta": 12, "nphi": 24}
     assert cli_main(["solve", "--config", cfg, "--out", str(out),
                      "--grid", "16x", "--quiet"]) == 1
@@ -271,7 +280,7 @@ def test_oracle_solves_the_reduction(tmp_path):
     code = cli_main(["oracle", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == 0
     assert (out / "profile.csv").exists()
-    report = json.loads((out / "report.json").read_text())
+    report = read_report(out)
     assert report["oracle_cells"] == 64
     assert len(report["solve"]["factorizations"]) == len(report["solve"]["t_steps"])
     assert report["barrier"]["pass"]
@@ -285,7 +294,7 @@ def test_oracle_cross_checks_a_solution(solved_cli, tmp_path):
     code = cli_main(["oracle", "--config", cfg, "--out", str(out),
                      "--solution", str(out2d / "solution.csv"), "--quiet"])
     assert code == 0
-    report = json.loads((out / "report.json").read_text())
+    report = read_report(out)
     assert report["cross_check_gap"] < 5e-3
 
 
@@ -310,7 +319,7 @@ def test_failed_solve_writes_a_stall_report(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, SOLVE_CFG + "oracle.cells = 64\nschedule.newton_max = 0\n")
     out = tmp_path / "out"
     assert cli_main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
-    report = json.loads((out / "report.json").read_text())
+    report = read_report(out)
     assert report["solve"]["converged"] is False
     assert report["solve"]["stalled_at"] == 0.0
     assert report["solve"]["t_steps"] == []
@@ -335,6 +344,17 @@ def test_sweep_over_a_small_lattice(tmp_path):
         assert 1 <= m["factorizations"] <= m["newton_steps"]
         assert (out / m["name"] / "solution.csv").exists()
         assert (out / m["name"] / "audit.json").exists()
+        assert read_report(out / m["name"])["solve"]["fallback"] is None
+
+
+def test_sweep_rejects_colliding_member_names(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE + "grid.nbeta = 16\ngrid.nphi = 32\n"
+                    + "sweep.p_list = 1.5\nsweep.theta_list = pi/3, 1.0471975\n")
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()  # no member started
+    err = capsys.readouterr().err
+    assert "1.0471975511965976" in err and "1.0471975)" in err and "p1.5_theta1.0472" in err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Package-level guards: no dead library code, and a top-level API that resolves."""
+"""Package-level guards: no dead library code (module-level defs, methods and
+properties), and a top-level API that resolves."""
 
 import ast
 from pathlib import Path
@@ -51,8 +52,37 @@ def unreachable_defs():
     return sorted(f"{m}.{name}" for m, name in set(defs) - reached)
 
 
+def unread_members():
+    """Methods and properties whose name the package never reads as an
+    attribute outside their own def; dunder methods are called by Python."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PKG.glob("*.py"))}
+    members = [
+        (f"{module}.{cls.name}.{node.name}", node)
+        for module, tree in trees.items()
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    reads = [
+        n for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    ]
+    unread = []
+    for name, node in members:
+        own = {id(n) for n in ast.walk(node)}
+        if not any(n.attr == node.name and id(n) not in own for n in reads):
+            unread.append(name)
+    return sorted(unread)
+
+
 def test_every_library_def_is_reachable_from_the_cli():
     assert unreachable_defs() == []
+
+
+def test_every_method_and_property_is_read_by_the_package():
+    assert unread_members() == []
 
 
 def test_every_exported_name_resolves():

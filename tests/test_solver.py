@@ -9,7 +9,7 @@ from scipy.sparse.linalg import splu
 
 from capcmk import solver
 from capcmk.fields import CapField, CapGrid
-from capcmk.geometry import CapParams, ell_field, random_capillary_field
+from capcmk.geometry import CapParams, ell, ell_field, random_capillary_field
 from capcmk.solver import (
     ContinuationStall,
     NewtonFailure,
@@ -175,9 +175,10 @@ def test_continuation_stall_carries_the_partial_report(first_failure, t_steps):
 
     with pytest.raises(ContinuationStall) as err:
         run_continuation(newton_fn, lambda t: (1.0, None), object(),
-                         Schedule(dt0=0.1, dt_min=0.05))
+                         Schedule(dt0=0.1, dt_min=0.05), grid="16x32")
     assert err.value.t == 0.0
     assert err.value.report.t_steps == t_steps
+    assert err.value.report.grids == ["16x32"] * len(t_steps)
     assert err.value.report.stalled_at == 0.0
     assert not err.value.report.converged
     assert "forced" in str(err.value)
@@ -288,6 +289,122 @@ def test_concurrent_solves_match_serial_ones(grid_32):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def smooth_even_field(grid):
+    """Smooth even test field: the model function times low harmonics that
+    vanish at the pole to the order their azimuthal frequency needs."""
+    bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
+    vals = ell(grid.theta, bb) * (1.0 + 0.2 * (1.0 - np.cos(bb))
+                                  + 0.1 * np.sin(bb) ** 2 * np.cos(2.0 * pp - 0.3)
+                                  + 0.05 * np.sin(bb) ** 4 * np.sin(4.0 * pp))
+    return CapField(grid, vals)
+
+
+def test_prolongation_copies_the_rim_and_keeps_evenness(grid_32):
+    coarse = smooth_even_field(grid_32).project_even()
+    fine = solver._prolong(coarse, CapGrid(64, 128, THETA))
+    assert np.array_equal(fine.values[-1, ::2], coarse.values[-1])
+    assert fine.even and fine.is_even(tol=0.0)
+    back = solver._restrict(fine, grid_32)
+    assert np.array_equal(back.values[-1], coarse.values[-1])
+    assert back.even and back.is_even(tol=0.0)
+
+
+def test_prolongation_is_fourth_order():
+    errs = []
+    for nbeta in (16, 32, 64):
+        coarse, fine = CapGrid(nbeta, 2 * nbeta, THETA), CapGrid(2 * nbeta, 4 * nbeta, THETA)
+        lifted = solver._prolong(smooth_even_field(coarse), fine)
+        errs.append(float(np.max(np.abs(lifted.values - smooth_even_field(fine).values))))
+    assert errs[0] / errs[1] >= 8.0 and errs[1] / errs[2] >= 8.0
+
+
+def test_grid_sequencing_stops_at_the_coarsest_grid():
+    shapes = [(256, 512)]
+    while (g := solver._coarser(CapGrid(*shapes[-1], THETA))) is not None:
+        shapes.append((g.nbeta, g.nphi))
+    assert shapes == [(256, 512), (128, 256), (64, 128), (32, 64)]
+    assert solver._coarser(CapGrid(66, 132, THETA)) == CapGrid(33, 66, THETA)
+    for nbeta, nphi in ((32, 64), (62, 124), (65, 128), (64, 130), (64, 8)):
+        assert solver._coarser(CapGrid(nbeta, nphi, THETA)) is None
+
+
+@pytest.mark.parametrize("params", [CapParams(n=2, k=1, p=1.5, theta=THETA),
+                                    CapParams(n=2, k=2, p=1.8, theta=THETA)],
+                         ids=["k1", "k2"])
+def test_sequenced_solve_matches_the_plain_continuation(params, monkeypatch):
+    grid = CapGrid(64, 128, THETA)
+    phi = positive_even_phi(grid)
+    shapes = []
+
+    def counting_splu(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    s, report = solve_path(phi, params)
+    finest = shapes[-1]
+    assert finest[0] == 64 * 64 + 64  # the even system: half the columns of each ring
+    assert shapes.count(finest) == 1
+    assert report.converged and report.fallback is None
+    steps = len(report.t_steps)
+    assert report.grids == ["32x64"] * (steps - 1) + ["64x128"]
+    assert report.t_steps[-2:] == [1.0, 1.0]
+    assert report.factorizations[-1] == 1
+
+    plain, plain_report = solver._continuation(phi, params, Schedule(), 1.0, None)
+    assert plain_report.grids == ["64x128"] * len(plain_report.t_steps)
+    assert np.max(np.abs(s.values - plain.values)) <= 1e-8
+
+
+def test_a_failed_finer_corrector_falls_back_to_the_plain_continuation(params_k1, monkeypatch):
+    grid = CapGrid(64, 128, THETA)
+    phi = positive_even_phi(grid)
+    plain, plain_report = solver._continuation(phi, params_k1, Schedule(), 1.0, None)
+    newton = solver.newton_solve
+    fine_calls = []
+
+    def failing_once(s, *args, **kwargs):
+        if s.grid == grid:
+            fine_calls.append(None)
+            if len(fine_calls) == 1:
+                raise NewtonFailure("forced")
+        return newton(s, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", failing_once)
+    s, report = solve_path(phi, params_k1)
+    assert np.array_equal(s.values, plain.values)
+    got, want = report.to_dict(), plain_report.to_dict()
+    assert got.pop("fallback") == "NewtonFailure: corrector on 64x128: forced"
+    assert got.pop("structural") is not None
+    assert want.pop("fallback") is None and want.pop("structural") is None
+    assert got == want
+
+
+def test_a_failed_fallback_stalls_and_names_the_first_failure(params_k1):
+    phi = positive_even_phi(CapGrid(64, 128, THETA))
+    with pytest.raises(ContinuationStall) as err:
+        solve_path(phi, params_k1, Schedule(newton_max=0))
+    report = err.value.report
+    assert report.stalled_at == 0.0 and report.t_steps == [] == report.grids
+    assert report.fallback.startswith("ContinuationStall: continuation stalled at t = 0.000000")
+    assert "0 iterations" in report.fallback
+
+
+def test_sequenced_solve_converges_where_the_fine_continuation_stalls():
+    """256x512, k = 1, theta = pi/4, phi = 1 + 0.2 (1 - cos beta): the
+    continuation on this grid stalls at t = 0 on the roundoff floor of its
+    residual (line search failed at 1.6e-9 > tol_solve); the path on 32x64
+    and three correctors converge without a fallback."""
+    theta = math.pi / 4
+    grid = CapGrid(256, 512, theta)
+    vals = 1.0 + 0.2 * (1.0 - np.cos(grid.beta_all))
+    phi = CapField(grid, np.broadcast_to(vals[:, None], (257, 512)).copy(), even=True)
+    s, report = solve_path(phi, CapParams(n=2, k=1, p=1.5, theta=theta), Schedule(dt_min=0.1))
+    assert report.converged and report.fallback is None
+    assert report.grids[-3:] == ["64x128", "128x256", "256x512"]
+    assert report.residual_norms[-1] <= Schedule().tol_solve
 
 
 def test_solve_path_validates_inputs(params_k1, grid_16):
