@@ -1,8 +1,8 @@
 """Command-line front end: solve, verify, oracle, sweep, and selftest.
 
 Exit codes: 0 success, 1 configuration or input error, 2 solve did not
-converge (a continuation stall; report.json records where), 3 a mandatory
-audit failed.
+converge (a continuation stall; report.json records where and why), 3 a
+mandatory audit failed.
 Output files are deterministic for identical inputs: JSON is written with
 sorted keys, wall-clock timing is excluded, and every randomized battery
 takes its seed from --seed.
@@ -200,9 +200,6 @@ def cmd_solve(args) -> int:
     save_embedding(s, out / "embedding.csv")
     _write_json(report, out / "report.json")
     _write_json(audit, out / "audit.json")
-    if rep.fallback:
-        _say(args, f"grid sequencing failed, continuation rerun on the solve grid: "
-                   f"{rep.fallback}")
     _say(args, f"converged on {' -> '.join(dict.fromkeys(rep.grids))} in "
                f"{len(rep.t_steps)} steps ({sum(rep.newton_iters)} Newton steps, "
                f"{sum(rep.factorizations)} LU factorizations); "
@@ -307,7 +304,8 @@ def _sweep_member(cfg: RunConfig, name: str, p: float, theta: float, out: Path) 
     except ContinuationStall as stall:
         report["solve"] = stall.report.to_dict()
         _write_json(report, mdir / "report.json")
-        rec.update(exit=EXIT_NO_CONVERGENCE, error=f"stalled at t = {stall.t:.6f}")
+        rec.update(exit=EXIT_NO_CONVERGENCE,
+                   error=f"stalled at t = {stall.t:.6f}: {stall.report.failure}")
         return rec
     except ValueError as exc:
         rec.update(exit=EXIT_CONFIG, error=str(exc))

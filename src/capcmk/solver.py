@@ -26,17 +26,16 @@ by less than REFACTOR_RATIO = 0.1, or when a step from the reused LU fails the
 full-step Armijo test (then at the same iterate, with the full line search).
 A corrector run that took a step from a reused LU and then fails is redone
 from its starting point as plain damped Newton.
-Every failure to converge, at t = 0 or later, leaves `run_continuation` as a
-ContinuationStall carrying the partial report.
 
 `solve_path` sequences grids: it halves Nbeta and Nphi while Nbeta is even,
 Nphi % 4 == 0 and the coarser grid keeps COARSE_MIN_NBETA = 32 rings, runs
 the continuation on the coarsest grid only, and on each finer grid runs one
 Newton corrector at t_end from the fourth-order prolongation of the coarser
 solution (an interpolated solution lies inside the finer grid's quadratic
-convergence region, so one corrector replaces the path).  If that fails
-anywhere, the continuation reruns once on the requested grid; the report
-names every step's grid and the failure that caused a fallback.
+convergence region, so one corrector replaces the path).  The report names
+every step's grid.  Every failure to converge, of the continuation at t = 0
+or later or of a finer grid's corrector, leaves the solve as one
+ContinuationStall carrying the partial report and the failure's message.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ class SolveReport:
     smax_trace: list = field(default_factory=list)
     converged: bool = False
     stalled_at: float | None = None
-    fallback: str | None = None
+    failure: str | None = None
     structural: dict | None = None
     wall_time: float = 0.0
 
@@ -131,7 +130,7 @@ class SolveReport:
             "smax_trace": self.smax_trace,
             "converged": self.converged,
             "stalled_at": self.stalled_at,
-            "fallback": self.fallback,
+            "failure": self.failure,
             "structural": self.structural,
         }
         if include_timing:
@@ -144,10 +143,12 @@ class NewtonFailure(RuntimeError):
 
 
 class ContinuationStall(RuntimeError):
-    """The continuation could not advance; carries the partial report.
+    """The solve could not reach t_end; carries the partial report.
 
-    Raised when the corrector fails at t = 0 (dt = 0: no step was taken) or
-    when dt falls below dt_min; `failure` is the last NewtonFailure.
+    Raised when the corrector fails at t = 0, or on a finer grid at t_end
+    (in both cases dt is None), or when dt falls below dt_min; `failure` is
+    the NewtonFailure.  The report is marked not converged, with
+    stalled_at = t and failure = the NewtonFailure's message.
     """
 
     def __init__(self, t, dt, report, failure):
@@ -155,8 +156,12 @@ class ContinuationStall(RuntimeError):
         self.dt = dt
         self.report = report
         self.failure = failure
+        report.converged = False
+        report.stalled_at = t
+        report.failure = str(failure)
+        why = "the corrector failed at this t" if dt is None else f"dt = {dt:.2e} < dt_min"
         super().__init__(
-            f"continuation stalled at t = {t:.6f} (dt = {dt:.2e} < dt_min): {failure}; "
+            f"continuation stalled at t = {t:.6f} ({why}): {failure}; "
             f"last lam1min = {report.lam1min_trace[-1] if report.lam1min_trace else None}"
         )
 
@@ -427,14 +432,13 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 
 
     def stall(t, dt, failure):
         report.wall_time = time.perf_counter() - tick
-        report.stalled_at = t
         return ContinuationStall(t, dt, report, failure)
 
     q, rhs = rhs_fn(0.0)
     try:
         s, info = newton_fn(s_init, q, rhs)
     except NewtonFailure as exc:
-        raise stall(0.0, 0.0, exc) from exc
+        raise stall(0.0, None, exc) from exc
     report.record(0.0, info, grid)
 
     t, dt = 0.0, sched.dt0
@@ -539,14 +543,30 @@ def _prolong(c: CapField, fine: CapGrid) -> CapField:
     return CapField(fine, out).project_even()
 
 
-def _sequenced(phi: CapField, params: CapParams, sched: Schedule, t_end: float,
-               s0: CapField | None):
-    """Continuation on the coarsest grid below phi's, then one Newton corrector
-    at t_end on each finer grid, with a fresh LU.
+def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
+               t_end: float = 1.0, s0: CapField | None = None):
+    """Continuation solve of sigma_k(tau_sharp[s]) = s^{q-1} phi_q up to t_end.
 
-    Raises the coarsest grid's ContinuationStall, or the NewtonFailure of a
-    finer grid's corrector with that grid named in its message.
+    Grid sequencing: phi (and s0, if given) are restricted to the coarsest
+    grid `_coarser` reaches from phi's (phi's own, if it cannot be halved),
+    the continuation runs there, and each finer grid, up to phi's own, gets
+    the prolonged solution and one Newton corrector at t_end with a fresh LU.
+    The path starts at s0 or the scaled model function C(n,k)^{-1/k} ell.
+
+    Returns the solution field and the SolveReport (structural-hypothesis
+    report included, informational only).  Raises ContinuationStall with the
+    partial report if the continuation stalls, or at t_end, with the grid
+    named in its failure, if a finer grid's corrector fails.
     """
+    if params.n != 2:
+        raise ValueError("full-field solves are restricted to n = 2; use the rotsym oracle")
+    sched = sched or Schedule()
+    if np.min(phi.values) <= 0.0:
+        raise ValueError("phi must be strictly positive")
+    if not phi.is_even(tol=1e-12 * max(1.0, float(np.max(np.abs(phi.values))))):
+        raise ValueError("phi must be even (invariant under phi -> phi + pi)")
+    phi = phi if phi.even else phi.project_even()
+
     phis = [phi]  # finest first
     while (coarse := _coarser(phis[-1].grid)) is not None:
         phis.append(_restrict(phis[-1], coarse))
@@ -562,49 +582,9 @@ def _sequenced(phi: CapField, params: CapParams, sched: Schedule, t_end: float,
         try:
             s, info = newton_solve(s, q, rhs, params, sched, _LUSlot())
         except NewtonFailure as exc:
-            raise NewtonFailure(f"corrector on {_label(level.grid)}: {exc}") from exc
+            failure = NewtonFailure(f"corrector on {_label(level.grid)}: {exc}")
+            raise ContinuationStall(t_end, None, report, failure) from exc
         report.record(t_end, info, _label(level.grid))
-    return s, report
-
-
-def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
-               t_end: float = 1.0, s0: CapField | None = None):
-    """Continuation solve of sigma_k(tau_sharp[s]) = s^{q-1} phi_q up to t_end.
-
-    Grid sequencing: where `_coarser` can halve phi's grid, phi (and s0, if
-    given) are restricted to the coarsest grid it reaches, the continuation
-    runs there, and each finer grid, up to phi's own, gets the prolonged
-    solution and one Newton corrector at t_end.  If any of that fails, the
-    continuation runs once on phi's own grid, as it does on grids that are not
-    coarsened, and the report's `fallback` names the failure.  The path starts
-    at s0 or the scaled model function C(n,k)^{-1/k} ell.
-
-    Returns the solution field and the SolveReport (structural-hypothesis
-    report included, informational only).  Raises ContinuationStall with the
-    partial report on a stalled path.
-    """
-    if params.n != 2:
-        raise ValueError("full-field solves are restricted to n = 2; use the rotsym oracle")
-    sched = sched or Schedule()
-    if np.min(phi.values) <= 0.0:
-        raise ValueError("phi must be strictly positive")
-    if not phi.is_even(tol=1e-12 * max(1.0, float(np.max(np.abs(phi.values))))):
-        raise ValueError("phi must be even (invariant under phi -> phi + pi)")
-    phi = phi if phi.even else phi.project_even()
-
-    report = fallback = None
-    if _coarser(phi.grid) is not None:
-        try:
-            s, report = _sequenced(phi, params, sched, t_end, s0)
-        except (ContinuationStall, NewtonFailure) as exc:
-            fallback = f"{type(exc).__name__}: {exc}"
-    if report is None:
-        try:
-            s, report = _continuation(phi, params, sched, t_end, s0)
-        except ContinuationStall as stall:
-            stall.report.fallback = fallback
-            raise
-        report.fallback = fallback
     report.structural = structural_hypothesis_check(phi, params)
     return s, report
 

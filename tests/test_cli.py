@@ -323,7 +323,8 @@ def test_failed_solve_writes_a_stall_report(tmp_path, capsys, command):
     assert report["solve"]["converged"] is False
     assert report["solve"]["stalled_at"] == 0.0
     assert report["solve"]["t_steps"] == []
-    assert "0 iterations" in capsys.readouterr().err
+    assert "0 iterations" in report["solve"]["failure"]
+    assert report["solve"]["failure"] in capsys.readouterr().err
 
 
 def test_sweep_over_a_small_lattice(tmp_path):
@@ -344,7 +345,19 @@ def test_sweep_over_a_small_lattice(tmp_path):
         assert 1 <= m["factorizations"] <= m["newton_steps"]
         assert (out / m["name"] / "solution.csv").exists()
         assert (out / m["name"] / "audit.json").exists()
-        assert read_report(out / m["name"])["solve"]["fallback"] is None
+        assert read_report(out / m["name"])["solve"]["failure"] is None
+
+
+def test_a_stalled_sweep_member_names_its_failure(tmp_path):
+    cfg = write_cfg(tmp_path, BASE + "grid.nbeta = 16\ngrid.nphi = 32\n"
+                    + "sweep.p_list = 1.5\nsweep.theta_list = pi/3\n"
+                    + "schedule.newton_max = 0\n")
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    [m] = json.loads((out / "sweep_summary.json").read_text())["members"]
+    failure = read_report(out / m["name"])["solve"]["failure"]
+    assert "0 iterations" in failure
+    assert m["exit"] == 2 and m["error"] == f"stalled at t = 0.000000: {failure}"
 
 
 def test_sweep_rejects_colliding_member_names(tmp_path, capsys):

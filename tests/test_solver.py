@@ -182,6 +182,10 @@ def test_continuation_stall_carries_the_partial_report(first_failure, t_steps):
     assert err.value.report.stalled_at == 0.0
     assert not err.value.report.converged
     assert "forced" in str(err.value)
+    assert err.value.report.failure == "forced" == str(err.value.failure)
+    # only a stall after dt shrank below dt_min names dt_min
+    assert ("dt_min" in str(err.value)) == (first_failure == 2)
+    assert (err.value.dt is None) == (first_failure == 1)
 
 
 def _toy_corrector(c):
@@ -347,7 +351,7 @@ def test_sequenced_solve_matches_the_plain_continuation(params, monkeypatch):
     finest = shapes[-1]
     assert finest[0] == 64 * 64 + 64  # the even system: half the columns of each ring
     assert shapes.count(finest) == 1
-    assert report.converged and report.fallback is None
+    assert report.converged and report.failure is None
     steps = len(report.t_steps)
     assert report.grids == ["32x64"] * (steps - 1) + ["64x128"]
     assert report.t_steps[-2:] == [1.0, 1.0]
@@ -358,51 +362,58 @@ def test_sequenced_solve_matches_the_plain_continuation(params, monkeypatch):
     assert np.max(np.abs(s.values - plain.values)) <= 1e-8
 
 
-def test_a_failed_finer_corrector_falls_back_to_the_plain_continuation(params_k1, monkeypatch):
+def test_a_failed_finer_corrector_stalls_with_the_coarse_path(params_k1, monkeypatch):
     grid = CapGrid(64, 128, THETA)
-    phi = positive_even_phi(grid)
-    plain, plain_report = solver._continuation(phi, params_k1, Schedule(), 1.0, None)
     newton = solver.newton_solve
     fine_calls = []
 
-    def failing_once(s, *args, **kwargs):
+    def failing_on_64x128(s, *args, **kwargs):
         if s.grid == grid:
             fine_calls.append(None)
-            if len(fine_calls) == 1:
-                raise NewtonFailure("forced")
+            raise NewtonFailure("forced")
         return newton(s, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "newton_solve", failing_once)
-    s, report = solve_path(phi, params_k1)
-    assert np.array_equal(s.values, plain.values)
-    got, want = report.to_dict(), plain_report.to_dict()
-    assert got.pop("fallback") == "NewtonFailure: corrector on 64x128: forced"
-    assert got.pop("structural") is not None
-    assert want.pop("fallback") is None and want.pop("structural") is None
-    assert got == want
-
-
-def test_a_failed_fallback_stalls_and_names_the_first_failure(params_k1):
-    phi = positive_even_phi(CapGrid(64, 128, THETA))
+    monkeypatch.setattr(solver, "newton_solve", failing_on_64x128)
     with pytest.raises(ContinuationStall) as err:
-        solve_path(phi, params_k1, Schedule(newton_max=0))
+        solve_path(positive_even_phi(grid), params_k1)
     report = err.value.report
+    assert len(fine_calls) == 1
+    assert err.value.t == report.stalled_at == 1.0 and not report.converged
+    assert report.t_steps[-1] == 1.0 and report.grids == ["32x64"] * len(report.t_steps)
+    assert report.failure == "corrector on 64x128: forced" == str(err.value.failure)
+    assert isinstance(err.value.failure, NewtonFailure) and err.value.dt is None
+    assert report.failure in str(err.value) and "dt_min" not in str(err.value)
+
+
+def test_a_stall_at_t0_runs_the_continuation_once(params_k1, monkeypatch):
+    grid = CapGrid(64, 128, THETA)
+    newton = solver.newton_solve
+    grids = []
+
+    def counting_newton(s, *args, **kwargs):
+        grids.append(solver._label(s.grid))
+        return newton(s, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", counting_newton)
+    with pytest.raises(ContinuationStall) as err:
+        solve_path(positive_even_phi(grid), params_k1, Schedule(newton_max=0))
+    report = err.value.report
+    assert grids == ["32x64"]
     assert report.stalled_at == 0.0 and report.t_steps == [] == report.grids
-    assert report.fallback.startswith("ContinuationStall: continuation stalled at t = 0.000000")
-    assert "0 iterations" in report.fallback
+    assert report.failure.startswith("no convergence in 0 iterations")
 
 
 def test_sequenced_solve_converges_where_the_fine_continuation_stalls():
     """256x512, k = 1, theta = pi/4, phi = 1 + 0.2 (1 - cos beta): the
     continuation on this grid stalls at t = 0 on the roundoff floor of its
     residual (line search failed at 1.6e-9 > tol_solve); the path on 32x64
-    and three correctors converge without a fallback."""
+    and three correctors converge."""
     theta = math.pi / 4
     grid = CapGrid(256, 512, theta)
     vals = 1.0 + 0.2 * (1.0 - np.cos(grid.beta_all))
     phi = CapField(grid, np.broadcast_to(vals[:, None], (257, 512)).copy(), even=True)
     s, report = solve_path(phi, CapParams(n=2, k=1, p=1.5, theta=theta), Schedule(dt_min=0.1))
-    assert report.converged and report.fallback is None
+    assert report.converged and report.failure is None
     assert report.grids[-3:] == ["64x128", "128x256", "256x512"]
     assert report.residual_norms[-1] <= Schedule().tol_solve
 
