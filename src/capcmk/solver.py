@@ -24,31 +24,29 @@ which the corrector reuses across Newton iterations and continuation steps; it
 refactorizes when it holds none, when the last accepted step cut the residual
 by less than REFACTOR_RATIO = 0.1, or when a step from the reused LU fails the
 full-step Armijo test (then at the same iterate, with the full line search).
-A corrector run that took a step from a reused LU and then fails is redone
-from its starting point as plain damped Newton.
 
-`solve_path` sequences grids: it halves Nbeta and Nphi while Nbeta is even,
-Nphi % 4 == 0 and the coarser grid keeps COARSE_MIN_NBETA = 32 rings, runs
-the continuation on the coarsest grid only, and on each finer grid runs one
-Newton corrector at t_end from the fourth-order prolongation of the coarser
-solution (an interpolated solution lies inside the finer grid's quadratic
-convergence region, so one corrector replaces the path).  The report names
-every step's grid.  Every failure to converge, of the continuation at t = 0
-or later or of a finer grid's corrector, leaves the solve as one
-ContinuationStall carrying the partial report and the failure's message.
+`solve_path` sequences grids: it halves Nbeta and Nphi, rounding down (Nphi
+to an even number), while the coarser grid keeps COARSE_MIN_NBETA = 32 rings,
+so any grid of 64 rings or more runs its continuation on one of 32-63 rings.
+Each finer grid runs one Newton corrector at t_end from the fourth-order
+interpolation of the coarser solution (an interpolated solution lies inside
+the finer grid's quadratic convergence region, so one corrector replaces the
+path).  The report names every step's grid.  Every failure to converge, of
+the continuation at t = 0 or later or of a finer grid's corrector, leaves the
+solve as one ContinuationStall carrying the partial report and the failure's
+message.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .fields import CapField, CapGrid, fd_weights, robin_residual, tau_sharp
+from .fields import CapField, CapGrid, robin_residual, tau_sharp
 from .geometry import CapParams, ell_field
 from .symfunc import sigma_k, sigma_k_grad
 
@@ -102,7 +100,6 @@ class SolveReport:
     stalled_at: float | None = None
     failure: str | None = None
     structural: dict | None = None
-    wall_time: float = 0.0
 
     def record(self, t, info, grid):
         self.t_steps.append(float(t))
@@ -115,10 +112,10 @@ class SolveReport:
         self.smin_trace.append(float(info["smin"]))
         self.smax_trace.append(float(info["smax"]))
 
-    def to_dict(self, include_timing=False):
-        """JSON payload; wall time is volatile and excluded by default so that
-        identical inputs produce bit-identical report files."""
-        d = {
+    def to_dict(self):
+        """JSON payload; it holds no timing, so identical inputs produce
+        bit-identical report files."""
+        return {
             "t_steps": self.t_steps,
             "grids": self.grids,
             "newton_iters": self.newton_iters,
@@ -133,9 +130,6 @@ class SolveReport:
             "failure": self.failure,
             "structural": self.structural,
         }
-        if include_timing:
-            d["wall_time"] = self.wall_time
-        return d
 
 
 class NewtonFailure(RuntimeError):
@@ -279,96 +273,75 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
     A step from a reused factorization gets only the full-step Armijo test; if
     that fails, the corrector refactorizes at the same iterate and redoes the
     step with the full line search, halving alpha up to backtrack_max times.
+    info["iters"] counts the accepted steps, reused or fresh, and
+    info["factorizations"] the factorizations this call made.
 
-    A run that accepted a step from a reused factorization and then fails is
-    redone from x as plain damped Newton, with a fresh factorization at every
-    iteration, so reuse never fails a step that plain Newton from the same
-    point passes.  (Near the roundoff floor of fine grids, whether the last
-    steps get below tol_solve depends on the path taken to it.)  info["iters"]
-    counts the accepted steps of the run that converged, reused or fresh, and
-    each run is held to newton_max; info["factorizations"] counts the
-    factorizations of both runs.
-
-    Returns (x, info); raises the last run's NewtonFailure, naming the cone, a
-    singular Jacobian, the line search of a fresh step or the iteration budget.
+    Returns (x, info); raises NewtonFailure, naming the cone, a singular
+    Jacobian, the line search of a fresh step or the iteration budget.
     """
     factorizations = 0
-    reused = 0  # accepted steps that came from a reused factorization
+    lam1, at = cone(x)
+    fint, gbd = evaluate(at)
+    rn = max(float(np.max(np.abs(fint))), float(np.max(np.abs(gbd))))
+    history = [rn]
 
-    def run(x, reuse):
-        nonlocal factorizations, reused
-        lam1, at = cone(x)
-        fint, gbd = evaluate(at)
-        rn = max(float(np.max(np.abs(fint))), float(np.max(np.abs(gbd))))
-        history = [rn]
+    def info(iters):
+        return {
+            "iters": iters,
+            "factorizations": factorizations,
+            "res_norm": float(np.max(np.abs(fint))),
+            "robin_norm": float(np.max(np.abs(gbd))),
+            "lam1min": lam1,
+            "smin": float(np.min(x)),
+            "smax": float(np.max(x)),
+            "history": history,
+        }
 
-        def info(iters):
-            return {
-                "iters": iters,
-                "factorizations": factorizations,
-                "res_norm": float(np.max(np.abs(fint))),
-                "robin_norm": float(np.max(np.abs(gbd))),
-                "lam1min": lam1,
-                "smin": float(np.min(x)),
-                "smax": float(np.max(x)),
-                "history": history,
-            }
+    def trial(step, alpha):
+        x_try = x + alpha * step
+        if np.min(x_try) > 0.0:
+            lam1_try, at_try = cone(x_try)
+            if lam1_try > sched.delta_cone:
+                fint_try, gbd_try = evaluate(at_try)
+                rn_try = max(float(np.max(np.abs(fint_try))), float(np.max(np.abs(gbd_try))))
+                if rn_try <= (1.0 - 1e-4 * alpha) * rn:
+                    return x_try, lam1_try, at_try, fint_try, gbd_try, rn_try
+        return None
 
-        def trial(step, alpha):
-            x_try = x + alpha * step
-            if np.min(x_try) > 0.0:
-                lam1_try, at_try = cone(x_try)
-                if lam1_try > sched.delta_cone:
-                    fint_try, gbd_try = evaluate(at_try)
-                    rn_try = max(float(np.max(np.abs(fint_try))), float(np.max(np.abs(gbd_try))))
-                    if rn_try <= (1.0 - 1e-4 * alpha) * rn:
-                        return x_try, lam1_try, at_try, fint_try, gbd_try, rn_try
-            return None
-
-        for it in range(sched.newton_max):
-            if rn <= sched.tol_solve:
-                return x, info(it)
-            if lam1 <= sched.delta_cone:
-                raise NewtonFailure(f"iterate left the cone: lam1min = {lam1:.3e}")
-
-            accepted = trial(lu.apply(fint, gbd), 1.0) if lu.apply is not None else None
-            if accepted is None:
-                lu.apply = None  # drop the old factorization before building the next
-                try:
-                    lu.apply = factor(at)
-                except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-                    raise NewtonFailure(
-                        f"singular Jacobian at Newton iteration {it}: {exc}") from exc
-                factorizations += 1
-                step = lu.apply(fint, gbd)
-                alpha = 1.0
-                for _ in range(sched.backtrack_max):
-                    accepted = trial(step, alpha)
-                    if accepted is not None:
-                        break
-                    alpha *= 0.5
-                else:
-                    raise NewtonFailure(
-                        f"line search failed at Newton iteration {it} (res = {rn:.3e})")
-            else:
-                reused += 1
-            rn_prev = rn
-            x, lam1, at, fint, gbd, rn = accepted
-            history.append(rn)
-            if not reuse or rn > REFACTOR_RATIO * rn_prev:
-                lu.apply = None
-
+    for it in range(sched.newton_max):
         if rn <= sched.tol_solve:
-            return x, info(sched.newton_max)
-        raise NewtonFailure(f"no convergence in {sched.newton_max} iterations (res = {rn:.3e})")
+            return x, info(it)
+        if lam1 <= sched.delta_cone:
+            raise NewtonFailure(f"iterate left the cone: lam1min = {lam1:.3e}")
 
-    try:
-        return run(x, reuse=True)
-    except NewtonFailure:
-        if not reused:  # every step was a fresh one: plain Newton fails the same way
-            raise
-    lu.apply = None
-    return run(x, reuse=False)
+        accepted = trial(lu.apply(fint, gbd), 1.0) if lu.apply is not None else None
+        if accepted is None:
+            lu.apply = None  # drop the old factorization before building the next
+            try:
+                lu.apply = factor(at)
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise NewtonFailure(
+                    f"singular Jacobian at Newton iteration {it}: {exc}") from exc
+            factorizations += 1
+            step = lu.apply(fint, gbd)
+            alpha = 1.0
+            for _ in range(sched.backtrack_max):
+                accepted = trial(step, alpha)
+                if accepted is not None:
+                    break
+                alpha *= 0.5
+            else:
+                raise NewtonFailure(
+                    f"line search failed at Newton iteration {it} (res = {rn:.3e})")
+        rn_prev = rn
+        x, lam1, at, fint, gbd, rn = accepted
+        history.append(rn)
+        if rn > REFACTOR_RATIO * rn_prev:
+            lu.apply = None
+
+    if rn <= sched.tol_solve:
+        return x, info(sched.newton_max)
+    raise NewtonFailure(f"no convergence in {sched.newton_max} iterations (res = {rn:.3e})")
 
 
 def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched: Schedule,
@@ -428,17 +401,11 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 
     t = 0 or dt underflows dt_min.
     """
     report = SolveReport()
-    tick = time.perf_counter()
-
-    def stall(t, dt, failure):
-        report.wall_time = time.perf_counter() - tick
-        return ContinuationStall(t, dt, report, failure)
-
     q, rhs = rhs_fn(0.0)
     try:
         s, info = newton_fn(s_init, q, rhs)
     except NewtonFailure as exc:
-        raise stall(0.0, None, exc) from exc
+        raise ContinuationStall(0.0, None, report, exc) from exc
     report.record(0.0, info, grid)
 
     t, dt = 0.0, sched.dt0
@@ -452,7 +419,7 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 
         except NewtonFailure as exc:
             dt *= sched.shrink
             if dt < sched.dt_min:
-                raise stall(t, dt, exc) from exc
+                raise ContinuationStall(t, dt, report, exc) from exc
             continue
         s = s_new
         t = t_next
@@ -460,7 +427,6 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 
         if info["iters"] <= sched.fast_iters:
             dt = min(dt * sched.grow, sched.dt_max)
     report.converged = True
-    report.wall_time = time.perf_counter() - tick
     return s, report
 
 
@@ -484,9 +450,9 @@ def _continuation(phi: CapField, params: CapParams, sched: Schedule, t_end: floa
 
 # -- grid sequencing -----------------------------------------------------------------
 
-# solve_path halves Nbeta and Nphi while the coarser grid keeps at least this
-# many rings, runs the continuation on the coarsest grid and one Newton
-# corrector on each finer one.
+# solve_path coarsens while the coarser grid keeps at least this many rings,
+# runs the continuation on the coarsest grid and one Newton corrector on each
+# finer one.
 COARSE_MIN_NBETA = 32
 
 
@@ -495,62 +461,64 @@ def _label(grid: CapGrid) -> str:
 
 
 def _coarser(grid: CapGrid) -> CapGrid | None:
-    """The grid with half the rings and columns, or None where sequencing stops.
+    """The grid with Nbeta // 2 rings and 2 (Nphi // 4) columns, or None
+    where sequencing stops: below COARSE_MIN_NBETA rings or 8 columns.
 
-    Nphi % 4 == 0 keeps the coarse Nphi even, so phi + pi stays on the grid;
-    Nphi >= 16 keeps the coarse grid above CapGrid's floor.
+    The column count stays even, so phi + pi stays on the grid.
     """
-    nb, np_ = grid.nbeta, grid.nphi
-    if nb % 2 or np_ % 4 or nb // 2 < COARSE_MIN_NBETA or np_ < 16:
+    nb, np_ = grid.nbeta // 2, 2 * (grid.nphi // 4)
+    if nb < COARSE_MIN_NBETA or np_ < 8:
         return None
-    return CapGrid(nb // 2, np_ // 2, grid.theta)
+    return CapGrid(nb, np_, grid.theta)
 
 
-def _restrict(f: CapField, coarse: CapGrid) -> CapField:
-    """f on the grid with half the rings and columns.
+def _lagrange(d, idx, ncols: int):
+    """Sparse interpolation matrix with ncols columns: row i holds, in columns
+    idx[i], the 4-point Lagrange weights at 0 of the nodes at offsets d[i].
 
-    Coarse ring i, centred between fine rings 2i and 2i + 1, is their mean;
-    the coarse columns are every other fine column, and the rim is copied.
+    A node at offset exactly 0 gets weight exactly 1 and the others 0.
     """
-    v = f.values
-    vals = np.vstack([0.5 * (v[0:-1:2] + v[1:-1:2]), v[-1:]])[:, ::2]
-    return CapField(coarse, vals, even=f.even)
+    w = np.stack([np.prod([d[:, m] / (d[:, m] - d[:, k]) for m in range(4) if m != k], axis=0)
+                  for k in range(4)], axis=1)
+    return sp.csr_matrix((w.ravel(), idx.ravel(), np.arange(0, w.size + 1, 4)),
+                         shape=(len(d), ncols))
 
 
-def _prolong(c: CapField, fine: CapGrid) -> CapField:
-    """c interpolated to the grid with twice the rings and columns.
+def _interpolate(f: CapField, grid: CapGrid) -> CapField:
+    """f interpolated to another grid on the same cap, finer or coarser.
 
-    In beta: 4-point Lagrange weights over the nodes -beta_1, -beta_0 (the
-    first two rings mirrored across the pole, where the chart identity
-    s(-beta, phi) = s(beta, phi + pi) gives their values), the coarse rings
-    and the rim; the rim ring is copied.  In phi: the periodic midpoint rule
-    (-1, 9, 9, -1)/16 on the odd fine columns.  Both are fourth order on
-    smooth fields.  The result is projected onto the even subspace.
+    Fourth order on smooth fields, by 4-point Lagrange weights in each
+    direction.  In phi: over the 4 periodic columns around each target
+    column, so a column that both grids share is copied exactly.  In beta:
+    over the nodes -beta_1, -beta_0 (the first two rings mirrored across the
+    pole, where the chart identity s(-beta, phi) = s(beta, phi + pi) gives
+    their values), the rings and the rim; the rim ring is interpolated in phi
+    only.  The result is projected onto the even subspace.
     """
-    g = c.grid
-    v = c.values
+    g = f.grid
+    # column j of `grid` lies t columns right of column `left` of f's grid
+    pos = np.arange(grid.nphi) * g.nphi
+    left, t = pos // grid.nphi, (pos % grid.nphi) / grid.nphi
+    cols = (left[:, None] + np.arange(-1, 3)) % g.nphi
+    # phi first: the beta matrix then acts from the left and its product is row-major
+    in_phi = (_lagrange(np.arange(-1.0, 3.0) - t[:, None], cols, g.nphi) @ f.values.T).T
     nodes = np.concatenate([-g.beta_cells[1::-1], g.beta_all])
-    ext = np.vstack([np.roll(v[1::-1], g.nphi // 2, axis=1), v])
-    rings = np.empty((fine.nbeta + 1, g.nphi))
-    for i, b in enumerate(fine.beta_cells):
-        lo = min(max(int(np.searchsorted(nodes, b)) - 2, 0), nodes.size - 4)
-        rings[i] = fd_weights(nodes[lo:lo + 4] - b, 0) @ ext[lo:lo + 4]
-    rings[-1] = v[-1]
-    out = np.empty((fine.nbeta + 1, fine.nphi))
-    out[:, ::2] = rings
-    out[:, 1::2] = (9.0 * (rings + np.roll(rings, -1, axis=1))
-                    - np.roll(rings, 1, axis=1) - np.roll(rings, -2, axis=1)) / 16.0
-    return CapField(fine, out).project_even()
+    ext = np.vstack([np.roll(in_phi[1::-1], grid.nphi // 2, axis=1), in_phi])
+    rows = np.clip(np.searchsorted(nodes, grid.beta_cells) - 2, 0, nodes.size - 4)
+    rows = rows[:, None] + np.arange(4)
+    in_beta = _lagrange(nodes[rows] - grid.beta_cells[:, None], rows, nodes.size) @ ext
+    return CapField(grid, np.vstack([in_beta, in_phi[-1:]])).project_even()
 
 
 def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
                t_end: float = 1.0, s0: CapField | None = None):
     """Continuation solve of sigma_k(tau_sharp[s]) = s^{q-1} phi_q up to t_end.
 
-    Grid sequencing: phi (and s0, if given) are restricted to the coarsest
-    grid `_coarser` reaches from phi's (phi's own, if it cannot be halved),
-    the continuation runs there, and each finer grid, up to phi's own, gets
-    the prolonged solution and one Newton corrector at t_end with a fresh LU.
+    Grid sequencing: phi (and s0, if given) are interpolated to the coarsest
+    grid `_coarser` reaches from phi's, one of 32-63 rings (phi's own, if it
+    has fewer than 64), the continuation runs there, and each finer grid, up
+    to phi's own, gets the interpolated solution and one Newton corrector at
+    t_end with a fresh LU.
     The path starts at s0 or the scaled model function C(n,k)^{-1/k} ell.
 
     Returns the solution field and the SolveReport (structural-hypothesis
@@ -569,15 +537,15 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
 
     phis = [phi]  # finest first
     while (coarse := _coarser(phis[-1].grid)) is not None:
-        phis.append(_restrict(phis[-1], coarse))
+        phis.append(_interpolate(phis[-1], coarse))
         if s0 is not None:
-            s0 = _restrict(s0, coarse)
+            s0 = _interpolate(s0, coarse)
     s, report = _continuation(phis.pop(), params, sched, t_end, s0)
     while phis:
         level = phis.pop()
         # rebinding s frees the coarser solution, and with it the coarser
         # grid's cached ops(), before this grid factorizes
-        s = _prolong(s, level.grid)
+        s = _interpolate(s, level.grid)
         q, rhs = homotopy_rhs(t_end, level, params)
         try:
             s, info = newton_solve(s, q, rhs, params, sched, _LUSlot())
