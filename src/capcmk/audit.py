@@ -254,14 +254,17 @@ def steiner_coefficients(s: CapField, params: CapParams) -> np.ndarray:
     )
 
 
-def steiner_volume_check(s: CapField, rho: float, params: CapParams,
-                         tol: float = 5e-3) -> dict:
+# steiner_volume_check passes when the two sides agree to this relative gap
+STEINER_TOL = 5e-3
+
+
+def steiner_volume_check(s: CapField, rho: float, params: CapParams) -> dict:
     """Parallel-slab volume two ways: divergence theorem vs curvature measures.
 
     Left side: vol(body of s + rho ell) - vol(body of s).  Right side: the
     rho-polynomial with the steiner_coefficients.  Both sides are second-order
     quadratures of the same smooth quantity, so they agree to the combined
-    discretization error, not to roundoff.
+    discretization error, not to roundoff, which STEINER_TOL allows for.
     """
     if params.n != 2:
         raise ValueError("volume audits are n = 2 only")
@@ -277,7 +280,7 @@ def steiner_volume_check(s: CapField, rho: float, params: CapParams,
         "lhs": lhs,
         "rhs": rhs,
         "margin": gap / scale,
-        "pass": bool(gap / scale <= tol),
+        "pass": bool(gap / scale <= STEINER_TOL),
     }
 
 
@@ -295,12 +298,27 @@ def _record(name, statement, lhs, rhs, margin, ok):
     }
 
 
-def estimates_audit(s: CapField, phi: CapField, params: CapParams,
-                    slope_slack: float = 0.02) -> dict:
+# discretization slack on the slope bound tan(theta)
+SLOPE_SLACK = 0.02
+
+# the statements of estimates_audit's items, in audit order
+_STATEMENTS = {
+    "max_lower_bound": "max s >= (phi0/C(n,k))^{1/(k+1-p)} (1-cos theta)^{k/(k+1-p)}",
+    "strict_convexity": "lam1(tau_sharp[s]) > 0",
+    "slope_bound": "max |Df| <= tan(theta) + slack",
+    "height_positive": "H > 0",
+    "support_height_bound": "s >= cos(theta) H (even bodies)",
+    "inradius_height": "r_in >= H / tan(theta)",
+    "rim_planarity": "max |X_3| on the rim <= O(h^2) (Robin <=> planar rim)",
+    "sigma1_observed": "max sigma_1 (reported; no explicit comparison constant)",
+}
+
+
+def estimates_audit(s: CapField, phi: CapField, params: CapParams) -> dict:
     """Audit the solution-independent bounds on a (claimed) solution field.
 
     Items: (a) lower bound on max s from min phi; (b) slope bound tan(theta)
-    plus the stated discretization slack; (c) positive height and the
+    plus the discretization slack SLOPE_SLACK; (c) positive height and the
     even-body support bound s >= cos(theta) H; (d) strict convexity;
     (e) observed max sigma_1, report-only (the comparison constant is not
     explicit); (f) base inradius >= H / tan(theta).
@@ -308,74 +326,46 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams,
     Non-convex input is flagged, not raised: geometry-dependent items fail
     with empty values.
     """
-    k, n, p = params.k, params.n, params.p
+    k, p = params.k, params.p
     tau = tau_sharp(s)
     items = []
+
+    def item(name, lhs, rhs, margin, ok):
+        items.append(_record(name, _STATEMENTS[name], lhs, rhs, margin, ok))
 
     phi0 = float(np.min(phi.values))
     bound = (phi0 / params.cnk) ** (1.0 / (k + 1.0 - p)) * (
         1.0 - math.cos(params.theta)
     ) ** (k / (k + 1.0 - p))
     smax = float(np.max(s.values))
-    items.append(_record(
-        "max_lower_bound",
-        "max s >= (phi0/C(n,k))^{1/(k+1-p)} (1-cos theta)^{k/(k+1-p)}",
-        smax, bound, smax - bound, bool(smax - bound > 0.0),
-    ))
+    item("max_lower_bound", smax, bound, smax - bound, bool(smax - bound > 0.0))
 
     convex = tau.lam1min > 0.0
-    items.append(_record(
-        "strict_convexity", "lam1(tau_sharp[s]) > 0",
-        tau.lam1min, 0.0, tau.lam1min, bool(convex),
-    ))
+    item("strict_convexity", tau.lam1min, 0.0, tau.lam1min, bool(convex))
 
-    geom = reconstruct(s) if convex else None
     tan_t = math.tan(params.theta)
-    if geom is not None:
-        items.append(_record(
-            "slope_bound", "max |Df| <= tan(theta) + slack",
-            geom.slope_max, tan_t + slope_slack,
-            tan_t + slope_slack - geom.slope_max,
-            bool(geom.slope_max <= tan_t + slope_slack),
-        ))
-        items.append(_record(
-            "height_positive", "H > 0", geom.height, 0.0, geom.height,
-            bool(geom.height > 0.0),
-        ))
+    if convex:
+        geom = reconstruct(s)
+        rhs = tan_t + SLOPE_SLACK
+        item("slope_bound", geom.slope_max, rhs, rhs - geom.slope_max,
+             bool(geom.slope_max <= rhs))
+        item("height_positive", geom.height, 0.0, geom.height, bool(geom.height > 0.0))
         smin = float(np.min(s.values))
         rhs = math.cos(params.theta) * geom.height
-        items.append(_record(
-            "support_height_bound", "s >= cos(theta) H (even bodies)",
-            smin, rhs, smin - rhs, bool(smin >= rhs),
-        ))
+        item("support_height_bound", smin, rhs, smin - rhs, bool(smin >= rhs))
         rhs = geom.height / tan_t
-        items.append(_record(
-            "inradius_height", "r_in >= H / tan(theta)",
-            geom.r_in, rhs, geom.r_in - rhs, bool(geom.r_in >= rhs),
-        ))
+        item("inradius_height", geom.r_in, rhs, geom.r_in - rhs, bool(geom.r_in >= rhs))
         g = s.grid
         rhs = 10.0 * (g.dbeta**2 + (math.sin(params.theta) * g.dphi) ** 2) * max(1.0, smax)
-        items.append(_record(
-            "rim_planarity", "max |X_3| on the rim <= O(h^2) (Robin <=> planar rim)",
-            geom.rim_planarity, rhs, rhs - geom.rim_planarity,
-            bool(geom.rim_planarity <= rhs),
-        ))
+        item("rim_planarity", geom.rim_planarity, rhs, rhs - geom.rim_planarity,
+             bool(geom.rim_planarity <= rhs))
     else:
-        for name, statement in (
-            ("slope_bound", "max |Df| <= tan(theta) + slack"),
-            ("height_positive", "H > 0"),
-            ("support_height_bound", "s >= cos(theta) H (even bodies)"),
-            ("inradius_height", "r_in >= H / tan(theta)"),
-            ("rim_planarity", "max |X_3| on the rim <= O(h^2)"),
-        ):
-            items.append(_record(name, statement + " (skipped: not convex)",
+        for name in ("slope_bound", "height_positive", "support_height_bound",
+                     "inradius_height", "rim_planarity"):
+            items.append(_record(name, _STATEMENTS[name] + " (skipped: not convex)",
                                  None, None, None, False))
 
-    sig1max = float(np.max(sigma_k(tau, 1)))
-    items.append(_record(
-        "sigma1_observed", "max sigma_1 (reported; no explicit comparison constant)",
-        sig1max, None, None, None,
-    ))
+    item("sigma1_observed", float(np.max(sigma_k(tau, 1))), None, None, None)
 
     gated = [it["pass"] for it in items if it["pass"] is not None]
     return {"items": items, "all_passed": bool(all(gated))}

@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,10 +97,6 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _problem_dict(params: CapParams) -> dict:
-    return {"n": params.n, "k": params.k, "p": params.p, "theta": params.theta}
-
-
 def _phi_dict(cfg: RunConfig) -> dict:
     d = {"kind": cfg.phi_kind}
     if cfg.phi_kind == "constant":
@@ -135,11 +131,9 @@ def _solution_audit(s: CapField, phi: CapField, cfg: RunConfig) -> dict:
         "pass": bool(math.isfinite(imax) and math.isfinite(bmax)
                      and max(imax, bmax) <= threshold),
     }
-    est = estimates_audit(s, phi, params, slope_slack=cfg.slope_slack)
+    est = estimates_audit(s, phi, params)
     st_sigma = [steiner_sigma_check(s, t, params) for t in (0.1, 0.5, 1.0)]
-    st_volume = [
-        steiner_volume_check(s, r, params, tol=cfg.steiner_tol) for r in (0.1, 0.5, 1.0)
-    ]
+    st_volume = [steiner_volume_check(s, r, params) for r in (0.1, 0.5, 1.0)]
     mandatory = (
         res["pass"]
         and est["all_passed"]
@@ -161,6 +155,36 @@ def _outdir(args) -> Path:
     return out
 
 
+def _solve_and_write(cfg: RunConfig, phi: CapField, out: Path):
+    """Solve for phi and write report.json into out; on convergence also
+    solution.csv and audit.json.
+
+    Returns (s, SolveReport, audit).  A ContinuationStall propagates after
+    its partial report.json is written; a ValueError from solve_path (an
+    invalid problem) propagates with nothing written.
+    """
+    report = {
+        "problem": asdict(cfg.params),
+        "grid": {"nbeta": cfg.nbeta, "nphi": cfg.nphi},
+        "phi": _phi_dict(cfg),
+    }
+    try:
+        s, rep = solve_path(phi, cfg.params, cfg.schedule)
+    except ContinuationStall as stall:
+        report["solve"] = stall.report.to_dict()
+        _write_json(report, out / "report.json")
+        raise
+    report["solve"] = rep.to_dict()
+    ref = cfg.manufactured_reference(phi.grid)
+    if ref is not None:
+        report["manufactured_sup_error"] = float(np.max(np.abs(s.values - ref.values)))
+    audit = _solution_audit(s, phi, cfg)
+    save_field(s, out / "solution.csv")
+    _write_json(report, out / "report.json")
+    _write_json(audit, out / "audit.json")
+    return s, rep, audit
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -175,31 +199,15 @@ def cmd_solve(args) -> int:
     out = _outdir(args)
     _say(args, f"solve: n={cfg.params.n} k={cfg.params.k} p={cfg.params.p:g} "
                f"theta={cfg.params.theta:.6g} grid={cfg.nbeta}x{cfg.nphi}")
-    report = {
-        "problem": _problem_dict(cfg.params),
-        "grid": {"nbeta": cfg.nbeta, "nphi": cfg.nphi},
-        "phi": _phi_dict(cfg),
-    }
     try:
-        s, rep = solve_path(phi, cfg.params, cfg.schedule)
+        s, rep, audit = _solve_and_write(cfg, phi, out)
     except ContinuationStall as stall:
-        report["solve"] = stall.report.to_dict()
-        _write_json(report, out / "report.json")
         _fail(f"solve stalled: {stall}")
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         _fail(f"invalid problem: {exc}")
         return EXIT_CONFIG
-
-    report["solve"] = rep.to_dict()
-    ref = cfg.manufactured_reference(grid)
-    if ref is not None:
-        report["manufactured_sup_error"] = float(np.max(np.abs(s.values - ref.values)))
-    audit = _solution_audit(s, phi, cfg)
-    save_field(s, out / "solution.csv")
     save_embedding(s, out / "embedding.csv")
-    _write_json(report, out / "report.json")
-    _write_json(audit, out / "audit.json")
     _say(args, f"converged on {' -> '.join(dict.fromkeys(rep.grids))} in "
                f"{len(rep.t_steps)} steps ({sum(rep.newton_iters)} Newton steps, "
                f"{sum(rep.factorizations)} LU factorizations); "
@@ -247,7 +255,7 @@ def cmd_oracle(args) -> int:
         return EXIT_CONFIG
     out = _outdir(args)
     report = {
-        "problem": _problem_dict(cfg.params),
+        "problem": asdict(cfg.params),
         "phi": _phi_dict(cfg),
         "oracle_cells": cfg.oracle_cells,
     }
@@ -294,28 +302,15 @@ def _sweep_member(cfg: RunConfig, name: str, p: float, theta: float, out: Path) 
         return rec
     mdir = out / name
     mdir.mkdir(parents=True, exist_ok=True)
-    report = {
-        "problem": _problem_dict(params),
-        "grid": {"nbeta": mcfg.nbeta, "nphi": mcfg.nphi},
-        "phi": _phi_dict(mcfg),
-    }
     try:
-        s, rep = solve_path(phi, params, mcfg.schedule)
+        s, rep, audit = _solve_and_write(mcfg, phi, mdir)
     except ContinuationStall as stall:
-        report["solve"] = stall.report.to_dict()
-        _write_json(report, mdir / "report.json")
         rec.update(exit=EXIT_NO_CONVERGENCE,
                    error=f"stalled at t = {stall.t:.6f}: {stall.report.failure}")
         return rec
     except ValueError as exc:
         rec.update(exit=EXIT_CONFIG, error=str(exc))
         return rec
-
-    report["solve"] = rep.to_dict()
-    audit = _solution_audit(s, phi, mcfg)
-    save_field(s, mdir / "solution.csv")
-    _write_json(report, mdir / "report.json")
-    _write_json(audit, mdir / "audit.json")
     items = {it["name"]: it for it in audit["estimates"]["items"]}
     rec.update(
         exit=EXIT_OK if audit["mandatory_pass"] else EXIT_AUDIT,

@@ -46,7 +46,6 @@ _KNOWN_KEYS = {
     "grid.nbeta", "grid.nphi",
     "phi.kind", "phi.value", "phi.r", "phi.coeffs", "phi.path",
     "oracle.cells",
-    "audit.slope_slack", "audit.steiner_tol",
     "sweep.p_list", "sweep.theta_list",
 } | {f"schedule.{f.name}" for f in fields(Schedule)}
 
@@ -126,8 +125,6 @@ class RunConfig:
     phi_path: str | None
     schedule: Schedule
     oracle_cells: int
-    slope_slack: float
-    steiner_tol: float
     sweep_p: tuple
     sweep_theta: tuple
 
@@ -225,17 +222,13 @@ def load_config(path) -> RunConfig:
         f.name: _take(table, f"schedule.{f.name}", type(f.default), default=f.default)
         for f in fields(Schedule)
     })
-    for name in ("dt0", "dt_min", "dt_max", "grow", "tol_solve", "delta_cone"):
+    for name in ("dt_min", "tol_solve"):
         if getattr(sched, name) <= 0.0:
             raise ConfigError(f"schedule.{name} must be > 0")
-    if not (0.0 < sched.shrink < 1.0):
-        raise ConfigError(f"schedule.shrink must lie in (0, 1), got {sched.shrink}")
 
     nbeta = _take(table, "grid.nbeta", int, default=64)
     nphi = _take(table, "grid.nphi", int, default=128)
     oracle_cells = _take(table, "oracle.cells", int, default=512)
-    slope_slack = _take(table, "audit.slope_slack", float, default=0.02)
-    steiner_tol = _take(table, "audit.steiner_tol", float, default=5e-3)
 
     def angle_list(text):
         return tuple(_parse_angle(t, "sweep.theta_list") for t in text.split(","))
@@ -255,8 +248,6 @@ def load_config(path) -> RunConfig:
         phi_path=phi_path,
         schedule=sched,
         oracle_cells=oracle_cells,
-        slope_slack=slope_slack,
-        steiner_tol=steiner_tol,
         sweep_p=sweep_p,
         sweep_theta=sweep_theta,
     )

@@ -275,13 +275,6 @@ class CapField:
             return CapField(self.grid, self.values + other.values, self.even and other.even)
         return NotImplemented
 
-    def __sub__(self, other):
-        if isinstance(other, CapField):
-            if other.grid != self.grid:
-                raise ValueError("grid mismatch")
-            return CapField(self.grid, self.values - other.values, self.even and other.even)
-        return NotImplemented
-
     def __mul__(self, c):
         if np.isscalar(c):
             return CapField(self.grid, self.values * float(c), self.even)

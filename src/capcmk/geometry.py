@@ -144,55 +144,33 @@ class NeumannFactor:
         return out
 
 
-def random_neumann_factor(theta, rng, max_m=3, amp=0.05, radial_amp=0.1) -> NeumannFactor:
-    """Seeded random admissible factor: small even harmonics plus a radial part."""
-    terms = [(0, radial_amp * (2.0 * rng.random() - 1.0), 0.0)]
-    for m in range(1, max_m + 1):
-        terms.append((m, amp * (2.0 * rng.random() - 1.0), 2.0 * math.pi * rng.random()))
+def random_neumann_factor(theta, rng) -> NeumannFactor:
+    """Seeded random admissible factor: a radial part of amplitude up to 0.1
+    plus the harmonics m = 1, 2, 3 of amplitude up to 0.05."""
+    terms = [(0, 0.1 * (2.0 * rng.random() - 1.0), 0.0)]
+    for m in range(1, 4):
+        terms.append((m, 0.05 * (2.0 * rng.random() - 1.0), 2.0 * math.pi * rng.random()))
     return NeumannFactor(theta, terms)
 
 
-def make_capillary_test_function(grid: CapGrid, v, dv_dbeta=None, neumann_tol=1e-8) -> CapField:
+def make_capillary_test_function(grid: CapGrid, v: NeumannFactor) -> CapField:
     """Build the capillary field s = ell * v from a Neumann factor v.
-
-    v : NeumannFactor, or any callable v(beta, phi) smooth and even.
-    dv_dbeta : optional callable for the analytic rim derivative; NeumannFactor
-        supplies its own.  Without either, the rim Neumann condition is
-        estimated by Richardson extrapolation of central differences on the
-        callable (good to ~1e-10; the closed-form path certifies ~1e-16).
 
     The product rule gives d(ell v)/dbeta = cot(theta) ell v at beta = theta
     whenever dv/dbeta(theta, .) = 0, so the output is capillary exactly at the
-    analytic level.  Inputs violating the Neumann condition beyond neumann_tol
-    are rejected.
+    analytic level.  A factor whose closed-form v.dbeta exceeds 1e-8 anywhere
+    on the rim is rejected.
     """
     theta = grid.theta
-    if dv_dbeta is None and isinstance(v, NeumannFactor):
-        dv_dbeta = v.dbeta
-    if dv_dbeta is not None:
-        rim = np.asarray(dv_dbeta(np.full(grid.nphi, theta), grid.phi), dtype=float)
-    else:
-        # Richardson: (4 D_h/2 - D_h)/3 on the callable, h small but roundoff-safe.
-        h = 1e-4
-        phi = grid.phi
-
-        def central(hh):
-            return (np.asarray(v(theta + hh, phi)) - np.asarray(v(theta - hh, phi))) / (2 * hh)
-
-        rim = (4.0 * central(h / 2) - central(h)) / 3.0
-    worst = float(np.max(np.abs(rim)))
-    if worst > neumann_tol:
+    worst = float(np.max(np.abs(v.dbeta(np.full(grid.nphi, theta), grid.phi))))
+    if worst > 1e-8:
         raise ValueError(
-            f"factor violates the rim Neumann condition: max |dv/dbeta(theta)| = {worst:.3e} "
-            f"> {neumann_tol:.1e}"
-        )
+            f"factor violates the rim Neumann condition: max |dv/dbeta(theta)| = {worst:.3e}")
     bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
-    values = ell(theta, bb) * np.asarray(v(bb, pp), dtype=float)
-    field = CapField(grid, values, even=False)
-    return field.project_even()
+    values = ell(theta, bb) * v(bb, pp)
+    return CapField(grid, values, even=False).project_even()
 
 
-def random_capillary_field(grid: CapGrid, rng, max_m=3, amp=0.05, radial_amp=0.1) -> CapField:
-    """Seeded random even, strictly convex (for small amplitudes) capillary field."""
-    factor = random_neumann_factor(grid.theta, rng, max_m=max_m, amp=amp, radial_amp=radial_amp)
-    return make_capillary_test_function(grid, factor)
+def random_capillary_field(grid: CapGrid, rng) -> CapField:
+    """Seeded random even, strictly convex capillary field."""
+    return make_capillary_test_function(grid, random_neumann_factor(grid.theta, rng))

@@ -68,16 +68,6 @@ class RotGrid:
         self.beta_all = np.concatenate([self.beta_cells, [self.theta]])
         self._ops = None
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RotGrid)
-            and self.n_cells == other.n_cells
-            and self.theta == other.theta
-        )
-
-    def __hash__(self):
-        return hash((self.n_cells, self.theta))
-
     def ops(self):
         """Sparse d/dbeta, d2/dbeta2 on cells and the rim derivative row.
 
@@ -213,11 +203,12 @@ def _linearize(profile: RotProfile, q: float, rhs_cells: np.ndarray, params: Cap
     return sp.vstack([jint, robin], format="csr")
 
 
-def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells: int = 512,
-                 t_end: float = 1.0, s0: RotProfile | None = None):
+def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells: int = 512):
     """Continuation solve of the 1-D reduction; the oracle for rotsym data.
 
     phi : callable phi(beta) > 0 or array of n_cells + 1 values (cells + rim).
+    The path runs from t = 0 to 1 and starts at the scaled model profile
+    C(n,k)^{-1/k} ell.
     Returns (RotProfile, SolveReport); same stall semantics as solve_path.
     """
     sched = sched or Schedule()
@@ -231,9 +222,7 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
     if np.min(phi_vals) <= 0.0:
         raise ValueError("phi must be strictly positive")
 
-    if s0 is None:
-        scale = params.cnk ** (-1.0 / params.k)
-        s0 = RotProfile(grid, scale * ell(params.theta, grid.beta_all))
+    s0 = RotProfile(grid, params.cnk ** (-1.0 / params.k) * ell(params.theta, grid.beta_all))
 
     phi_cells = phi_vals[: grid.n_cells]
     lu = _LUSlot()
@@ -256,7 +245,7 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
     def rhs_fn(t):
         return homotopy_values(t, phi_cells, params)
 
-    return run_continuation(newton_fn, rhs_fn, s0, sched, t_end=t_end, grid=str(grid.n_cells))
+    return run_continuation(newton_fn, rhs_fn, s0, sched, grid=str(grid.n_cells))
 
 
 # -- geometric audits -------------------------------------------------------------

@@ -28,7 +28,7 @@ full-step Armijo test (then at the same iterate, with the full line search).
 `solve_path` sequences grids: it halves Nbeta and Nphi, rounding down (Nphi
 to an even number), while the coarser grid keeps COARSE_MIN_NBETA = 32 rings,
 so any grid of 64 rings or more runs its continuation on one of 32-63 rings.
-Each finer grid runs one Newton corrector at t_end from the fourth-order
+Each finer grid runs one Newton corrector at t = 1 from the fourth-order
 interpolation of the coarser solution (an interpolated solution lies inside
 the finer grid's quadratic convergence region, so one corrector replaces the
 path).  The report names every step's grid.  Every failure to converge, of
@@ -40,7 +40,7 @@ message.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,18 +69,28 @@ __all__ = [
 
 @dataclass
 class Schedule:
-    """Continuation and Newton controls with the pinned default tolerances."""
+    """The Newton controls a run may set: the residual tolerance, the
+    iteration budget of one corrector and the smallest continuation step.
 
-    dt0: float = 0.25
+    The rest of the continuation and line search is fixed by the module
+    constants below.
+    """
+
     dt_min: float = 1e-4
-    dt_max: float = 0.25
-    grow: float = 1.6
-    shrink: float = 0.5
-    fast_iters: int = 5
     newton_max: int = 30
-    backtrack_max: int = 40
     tol_solve: float = 1e-9
-    delta_cone: float = 1e-10
+
+
+# The continuation starts at, and never exceeds, the step DT_MAX; it multiplies
+# dt by SHRINK after a failed corrector and by GROW after one that took at most
+# FAST_ITERS steps.  The line search halves alpha up to BACKTRACK_MAX times, and
+# every accepted point keeps its cone margin lam1min above DELTA_CONE.
+DT_MAX = 0.25
+GROW = 1.6
+SHRINK = 0.5
+FAST_ITERS = 5
+BACKTRACK_MAX = 40
+DELTA_CONE = 1e-10
 
 
 @dataclass
@@ -115,21 +125,7 @@ class SolveReport:
     def to_dict(self):
         """JSON payload; it holds no timing, so identical inputs produce
         bit-identical report files."""
-        return {
-            "t_steps": self.t_steps,
-            "grids": self.grids,
-            "newton_iters": self.newton_iters,
-            "factorizations": self.factorizations,
-            "residual_norms": self.residual_norms,
-            "robin_norms": self.robin_norms,
-            "lam1min_trace": self.lam1min_trace,
-            "smin_trace": self.smin_trace,
-            "smax_trace": self.smax_trace,
-            "converged": self.converged,
-            "stalled_at": self.stalled_at,
-            "failure": self.failure,
-            "structural": self.structural,
-        }
+        return asdict(self)
 
 
 class NewtonFailure(RuntimeError):
@@ -137,9 +133,9 @@ class NewtonFailure(RuntimeError):
 
 
 class ContinuationStall(RuntimeError):
-    """The solve could not reach t_end; carries the partial report.
+    """The solve could not reach t = 1; carries the partial report.
 
-    Raised when the corrector fails at t = 0, or on a finer grid at t_end
+    Raised when the corrector fails at t = 0, or on a finer grid at t = 1
     (in both cases dt is None), or when dt falls below dt_min; `failure` is
     the NewtonFailure.  The report is marked not converged, with
     stalled_at = t and failure = the NewtonFailure's message.
@@ -264,7 +260,7 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
       factor(at) -> apply: factorizes the Jacobian at `at`; apply(fint, gbd)
           is the Newton step for that residual, shaped like x.
     A trial point is evaluated once.  Its residual is computed only if min x > 0
-    and lam1min > delta_cone; a step is accepted on Armijo decrease of the
+    and lam1min > DELTA_CONE; a step is accepted on Armijo decrease of the
     max-norm residual.
 
     The factorization in `lu` is reused across iterations and continuation
@@ -272,7 +268,7 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
     when the last accepted step cut the residual by less than REFACTOR_RATIO.
     A step from a reused factorization gets only the full-step Armijo test; if
     that fails, the corrector refactorizes at the same iterate and redoes the
-    step with the full line search, halving alpha up to backtrack_max times.
+    step with the full line search, halving alpha up to BACKTRACK_MAX times.
     info["iters"] counts the accepted steps, reused or fresh, and
     info["factorizations"] the factorizations this call made.
 
@@ -301,7 +297,7 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
         x_try = x + alpha * step
         if np.min(x_try) > 0.0:
             lam1_try, at_try = cone(x_try)
-            if lam1_try > sched.delta_cone:
+            if lam1_try > DELTA_CONE:
                 fint_try, gbd_try = evaluate(at_try)
                 rn_try = max(float(np.max(np.abs(fint_try))), float(np.max(np.abs(gbd_try))))
                 if rn_try <= (1.0 - 1e-4 * alpha) * rn:
@@ -311,7 +307,7 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
     for it in range(sched.newton_max):
         if rn <= sched.tol_solve:
             return x, info(it)
-        if lam1 <= sched.delta_cone:
+        if lam1 <= DELTA_CONE:
             raise NewtonFailure(f"iterate left the cone: lam1min = {lam1:.3e}")
 
         accepted = trial(lu.apply(fint, gbd), 1.0) if lu.apply is not None else None
@@ -325,7 +321,7 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
             factorizations += 1
             step = lu.apply(fint, gbd)
             alpha = 1.0
-            for _ in range(sched.backtrack_max):
+            for _ in range(BACKTRACK_MAX):
                 accepted = trial(step, alpha)
                 if accepted is not None:
                     break
@@ -345,16 +341,16 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
 
 
 def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched: Schedule,
-                 lu: _LUSlot | None = None):
+                 lu: _LUSlot):
     """Damped Newton in the even subspace with positivity and cone guards.
 
     Runs the shared corrector `_damped_newton`, evaluating tau_sharp once per
     point for the cone guard, the residual and the Jacobian.  The even system
     is factorized with SuperLU (`splu`); `lu` is the slot of a continuation
-    path, whose factorization the corrector reuses (an empty one by default).
+    path, whose factorization the corrector reuses.
     Returns (s, info); raises NewtonFailure if the cone guard, the line search
     or the iteration budget gives out.  Accepted iterates always satisfy
-    min s > 0 and lam1min > delta_cone.
+    min s > 0 and lam1min > DELTA_CONE.
     """
     g = s0.grid
     s = s0 if s0.even else s0.project_even()
@@ -381,24 +377,24 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
 
         return apply
 
-    x, info = _damped_newton(s.values, cone, evaluate, factor, sched,
-                             lu if lu is not None else _LUSlot())
+    x, info = _damped_newton(s.values, cone, evaluate, factor, sched, lu)
     return CapField(g, x, even=True), info
 
 
 # -- continuation driver -----------------------------------------------------------
 
 
-def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 1.0, *, grid):
-    """Adaptive predictor-corrector walk of t from 0 to t_end.
+def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, *, grid):
+    """Adaptive predictor-corrector walk of t from 0 to 1.
 
     newton_fn(s, q, rhs) -> (s, info) raising NewtonFailure; rhs_fn(t) -> (q, rhs);
     grid is the label the report records for every step.
-    The previous solution is the predictor; dt halves on failure and grows on
-    fast correctors (info["iters"] <= fast_iters, steps from a reused LU
-    included); the branch point t = 1/2 is always hit exactly.  Raises
-    ContinuationStall, with the partial report, when the corrector fails at
-    t = 0 or dt underflows dt_min.
+    The previous solution is the predictor; dt starts at DT_MAX, shrinks by
+    SHRINK on failure and grows by GROW, up to DT_MAX, on fast correctors
+    (info["iters"] <= FAST_ITERS, steps from a reused LU included); the
+    branch point t = 1/2 is always hit exactly.  Raises ContinuationStall,
+    with the partial report, when the corrector fails at t = 0 or dt
+    underflows sched.dt_min.
     """
     report = SolveReport()
     q, rhs = rhs_fn(0.0)
@@ -408,30 +404,29 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, t_end: float = 
         raise ContinuationStall(0.0, None, report, exc) from exc
     report.record(0.0, info, grid)
 
-    t, dt = 0.0, sched.dt0
-    while t < t_end:
-        t_next = min(t + dt, t_end)
-        if t < 0.5 < t_next and t_end > 0.5:
+    t, dt = 0.0, DT_MAX
+    while t < 1.0:
+        t_next = min(t + dt, 1.0)
+        if t < 0.5 < t_next:
             t_next = 0.5
         q, rhs = rhs_fn(t_next)
         try:
             s_new, info = newton_fn(s, q, rhs)
         except NewtonFailure as exc:
-            dt *= sched.shrink
+            dt *= SHRINK
             if dt < sched.dt_min:
                 raise ContinuationStall(t, dt, report, exc) from exc
             continue
         s = s_new
         t = t_next
         report.record(t, info, grid)
-        if info["iters"] <= sched.fast_iters:
-            dt = min(dt * sched.grow, sched.dt_max)
+        if info["iters"] <= FAST_ITERS:
+            dt = min(dt * GROW, DT_MAX)
     report.converged = True
     return s, report
 
 
-def _continuation(phi: CapField, params: CapParams, sched: Schedule, t_end: float,
-                  s0: CapField | None):
+def _continuation(phi: CapField, params: CapParams, sched: Schedule, s0: CapField | None):
     """run_continuation on phi's own grid, from s0 or the scaled model function,
     with one LU slot for the whole path."""
     grid = phi.grid
@@ -445,7 +440,7 @@ def _continuation(phi: CapField, params: CapParams, sched: Schedule, t_end: floa
     def rhs_fn(t):
         return homotopy_rhs(t, phi, params)
 
-    return run_continuation(newton_fn, rhs_fn, s0, sched, t_end=t_end, grid=_label(grid))
+    return run_continuation(newton_fn, rhs_fn, s0, sched, grid=_label(grid))
 
 
 # -- grid sequencing -----------------------------------------------------------------
@@ -511,19 +506,19 @@ def _interpolate(f: CapField, grid: CapGrid) -> CapField:
 
 
 def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
-               t_end: float = 1.0, s0: CapField | None = None):
-    """Continuation solve of sigma_k(tau_sharp[s]) = s^{q-1} phi_q up to t_end.
+               s0: CapField | None = None):
+    """Continuation solve of sigma_k(tau_sharp[s]) = s^{q-1} phi_q from t = 0 to 1.
 
     Grid sequencing: phi (and s0, if given) are interpolated to the coarsest
     grid `_coarser` reaches from phi's, one of 32-63 rings (phi's own, if it
     has fewer than 64), the continuation runs there, and each finer grid, up
     to phi's own, gets the interpolated solution and one Newton corrector at
-    t_end with a fresh LU.
+    t = 1 with a fresh LU.
     The path starts at s0 or the scaled model function C(n,k)^{-1/k} ell.
 
     Returns the solution field and the SolveReport (structural-hypothesis
     report included, informational only).  Raises ContinuationStall with the
-    partial report if the continuation stalls, or at t_end, with the grid
+    partial report if the continuation stalls, or at t = 1, with the grid
     named in its failure, if a finer grid's corrector fails.
     """
     if params.n != 2:
@@ -540,19 +535,19 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
         phis.append(_interpolate(phis[-1], coarse))
         if s0 is not None:
             s0 = _interpolate(s0, coarse)
-    s, report = _continuation(phis.pop(), params, sched, t_end, s0)
+    s, report = _continuation(phis.pop(), params, sched, s0)
     while phis:
         level = phis.pop()
         # rebinding s frees the coarser solution, and with it the coarser
         # grid's cached ops(), before this grid factorizes
         s = _interpolate(s, level.grid)
-        q, rhs = homotopy_rhs(t_end, level, params)
+        q, rhs = homotopy_rhs(1.0, level, params)
         try:
             s, info = newton_solve(s, q, rhs, params, sched, _LUSlot())
         except NewtonFailure as exc:
             failure = NewtonFailure(f"corrector on {_label(level.grid)}: {exc}")
-            raise ContinuationStall(t_end, None, report, failure) from exc
-        report.record(t_end, info, _label(level.grid))
+            raise ContinuationStall(1.0, None, report, failure) from exc
+        report.record(1.0, info, _label(level.grid))
     report.structural = structural_hypothesis_check(phi, params)
     return s, report
 
@@ -584,8 +579,9 @@ def structural_hypothesis_check(phi: CapField, params: CapParams) -> dict:
 
 
 def jacobian_fd_error(s: CapField, q: float, rhs: CapField, params: CapParams,
-                      v: CapField, eps: float = 1e-6) -> float:
+                      v: CapField) -> float:
     """Relative gap between the assembled Jacobian action and central differences."""
+    eps = 1e-6
     jac = linearize(s, q, rhs, params)
     jv = jac @ v.flat
     fp, gp = residual(CapField(s.grid, s.values + eps * v.values), q, rhs, params)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from capcmk import audit
 from capcmk.audit import (
     af_inequality_check,
     estimates_audit,
@@ -265,9 +266,10 @@ def test_estimates_audit_passes_on_a_solution(solved_32, params_k1):
     assert by_name["slope_bound"]["rhs"] == pytest.approx(math.tan(THETA) + 0.02)
 
 
-def test_estimates_audit_respects_slope_slack(solved_32, params_k1):
+def test_estimates_audit_respects_slope_slack(solved_32, params_k1, monkeypatch):
     s, _, phi = solved_32
-    result = estimates_audit(s, phi, params_k1, slope_slack=-1.0)
+    monkeypatch.setattr(audit, "SLOPE_SLACK", -1.0)
+    result = estimates_audit(s, phi, params_k1)
     by_name = {it["name"]: it for it in result["items"]}
     assert not by_name["slope_bound"]["pass"]
     assert not result["all_passed"]
@@ -282,6 +284,19 @@ def test_estimates_audit_flags_nonconvex(grid_16, params_k1):
     assert by_name["slope_bound"]["pass"] is False
     assert by_name["slope_bound"]["lhs"] is None
     assert "skipped: not convex" in by_name["slope_bound"]["statement"]
+
+
+def test_skipped_items_state_the_convex_bound(solved_32, grid_16, params_k1):
+    s, _, phi = solved_32
+    stated = {it["name"]: it["statement"] for it in estimates_audit(s, phi, params_k1)["items"]}
+    result = estimates_audit(rough_field(grid_16), ones_field(grid_16), params_k1)
+    skipped = [it for it in result["items"] if it["lhs"] is None and it["pass"] is False]
+    assert [it["name"] for it in skipped] == [
+        "slope_bound", "height_positive", "support_height_bound", "inradius_height",
+        "rim_planarity",
+    ]
+    for it in skipped:
+        assert it["statement"] == stated[it["name"]] + " (skipped: not convex)"
 
 
 def test_save_embedding_format(tmp_path, grid_16):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,8 +68,6 @@ def test_load_config_defaults(tmp_path):
     assert (cfg.nbeta, cfg.nphi) == (64, 128)
     assert cfg.phi_kind == "constant" and cfg.phi_value == 1.0
     assert cfg.oracle_cells == 512
-    assert cfg.slope_slack == 0.02
-    assert cfg.steiner_tol == 5e-3
     assert cfg.sweep_p == (1.2, 1.5, 1.8)
     assert cfg.sweep_theta == pytest.approx((math.pi / 6, math.pi / 4, math.pi / 3))
     assert cfg.schedule == Schedule()
@@ -98,10 +97,10 @@ def test_load_config_angle_forms(tmp_path, theta_text, value):
         BASE + "phi.kind = cap_manufactured\nphi.r = 0\n",      # nonpositive scale
         BASE + "phi.kind = constant\nphi.value = nan\n",        # non-finite data
         BASE + "phi.kind = cap_manufactured\nphi.r = inf\n",    # non-finite scale
-        BASE + "schedule.shrink = 1.5\n",                       # shrink outside (0, 1)
+        BASE + "schedule.dt_min = 0\n",                         # nonpositive step floor
         BASE + "schedule.tol_solve = 0\n",                      # nonpositive tolerance
         BASE + "schedule.tol_solve = nan\n",                    # non-finite tolerance
-        BASE + "audit.slope_slack = nan\n",                     # non-finite slack
+        BASE + "schedule.newton_max = 2.5\n",                   # non-integer budget
         BASE + "grid.nbeta = 4\n",                              # grid too coarse
         BASE + "phi.kind = rotsym_expr\nphi.coeffs = 1,oops\n", # bad coefficient list
         BASE + "phi.kind = rotsym_expr\nphi.coeffs = 1,nan\n",  # non-finite coefficient
@@ -113,6 +112,17 @@ def test_load_config_angle_forms(tmp_path, theta_text, value):
 def test_load_config_rejects_bad_values(tmp_path, text):
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize("key", [
+    "schedule.dt0", "schedule.dt_max", "schedule.grow", "schedule.shrink",
+    "schedule.fast_iters", "schedule.backtrack_max", "schedule.delta_cone",
+    "audit.slope_slack", "audit.steiner_tol",
+])
+def test_load_config_rejects_the_fixed_controls_as_unknown(tmp_path, key):
+    """The continuation, line-search and audit constants are not settable."""
+    with pytest.raises(ConfigError, match=f"^unknown keys: {re.escape(key)}$"):
+        load_config(write_cfg(tmp_path, BASE + f"{key} = 1\n"))
 
 
 def test_phi_field_kinds(tmp_path):

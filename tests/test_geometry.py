@@ -103,25 +103,20 @@ def test_capillary_test_function_output_is_even():
     assert s.even and s.is_even()
 
 
-def test_capillary_test_function_accepts_plain_callable():
-    # same closed form fed in as a black-box callable: the Richardson check
-    # has to certify the rim Neumann condition on its own
-    g = CapGrid(16, 32, THETA)
-    nf = NeumannFactor(THETA, [(1, 0.05, 0.2)])
-    s_callable = make_capillary_test_function(g, lambda b, p: nf(b, p), neumann_tol=1e-8)
-    s_direct = make_capillary_test_function(g, nf)
-    assert np.allclose(s_callable.values, s_direct.values)
-
-
 def test_capillary_test_function_rejects_neumann_violation():
     g = CapGrid(16, 32, THETA)
 
-    def bad(beta, phi):
-        # missing the rim correction, so d v/d beta(theta) != 0
-        return 1.0 + 0.1 * np.cos(2.0 * np.asarray(phi)) * np.sin(np.asarray(beta)) ** 2
+    class Uncorrected(NeumannFactor):
+        # v = 1 + 0.1 cos(2 phi) sin^2(beta): missing the rim correction,
+        # so d v/d beta(theta) != 0
+        def _rho(self, m, beta):
+            return np.sin(beta) ** (2 * m)
+
+        def _rho_dbeta(self, m, beta):
+            return 2 * m * np.sin(beta) ** (2 * m - 1) * np.cos(beta)
 
     with pytest.raises(ValueError, match="Neumann"):
-        make_capillary_test_function(g, bad)
+        make_capillary_test_function(g, Uncorrected(THETA, [(1, 0.1, 0.0)]))
 
 
 def test_random_capillary_field_is_positive_even_convex():

@@ -39,7 +39,6 @@ def test_rot_grid_validation():
         RotGrid(64, math.pi / 2)
     g = RotGrid(64, THETA4)
     assert g.beta_all.shape == (65,)
-    assert g == RotGrid(64, THETA4)
 
 
 def test_profile_shape_validation():
