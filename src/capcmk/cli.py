@@ -1,11 +1,12 @@
 """Command-line front end: solve, verify, oracle, sweep, and selftest.
 
-Exit codes: 0 success, 1 configuration or input error, 2 solve did not
-converge (a continuation stall; report.json records where and why), 3 a
-mandatory audit failed.
+Exit codes: 0 success, 1 configuration, input or usage error, 2 solve did
+not converge (a continuation stall; report.json records where and why), 3 a
+mandatory audit failed.  Commands raise; `main` maps the exception to
+its exit code and prints one stderr line, `<command>: <message>`.
 Output files are deterministic for identical inputs: JSON is written with
-sorted keys, wall-clock timing is excluded, and every randomized battery
-takes its seed from --seed.
+sorted keys, wall-clock timing is excluded, and the selftest battery takes
+its seed from --seed.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_AUDIT = 3
-
-
-def _fail(msg: str):
-    print(msg, file=sys.stderr)
 
 
 def _say(args, msg: str):
@@ -155,6 +152,28 @@ def _outdir(args) -> Path:
     return out
 
 
+# what a command raises for a request it cannot serve (ConfigError is a ValueError)
+_FAILURES = (ContinuationStall, ValueError, OSError)
+
+
+def _exit_code(exc: Exception) -> int:
+    return EXIT_NO_CONVERGENCE if isinstance(exc, ContinuationStall) else EXIT_CONFIG
+
+
+def _solve_reported(report: dict, out: Path, solve, *args, **kwargs):
+    """solve(*args, **kwargs) -> (solution, SolveReport), with its record in
+    report["solve"].  A ContinuationStall propagates after report.json, with
+    the partial record, is written into out."""
+    try:
+        sol, rep = solve(*args, **kwargs)
+    except ContinuationStall as stall:
+        report["solve"] = stall.report.to_dict()
+        _write_json(report, out / "report.json")
+        raise
+    report["solve"] = rep.to_dict()
+    return sol, rep
+
+
 def _solve_and_write(cfg: RunConfig, phi: CapField, out: Path):
     """Solve for phi and write report.json into out; on convergence also
     solution.csv and audit.json.
@@ -168,13 +187,7 @@ def _solve_and_write(cfg: RunConfig, phi: CapField, out: Path):
         "grid": {"nbeta": cfg.nbeta, "nphi": cfg.nphi},
         "phi": _phi_dict(cfg),
     }
-    try:
-        s, rep = solve_path(phi, cfg.params, cfg.schedule)
-    except ContinuationStall as stall:
-        report["solve"] = stall.report.to_dict()
-        _write_json(report, out / "report.json")
-        raise
-    report["solve"] = rep.to_dict()
+    s, rep = _solve_reported(report, out, solve_path, phi, cfg.params, cfg.schedule)
     ref = cfg.manufactured_reference(phi.grid)
     if ref is not None:
         report["manufactured_sup_error"] = float(np.max(np.abs(s.values - ref.values)))
@@ -189,24 +202,12 @@ def _solve_and_write(cfg: RunConfig, phi: CapField, out: Path):
 
 
 def cmd_solve(args) -> int:
-    try:
-        cfg = _load(args)
-        grid = cfg.grid()
-        phi = cfg.phi_field(grid)
-    except (ConfigError, ValueError, OSError) as exc:
-        _fail(f"config error: {exc}")
-        return EXIT_CONFIG
+    cfg = _load(args)
+    phi = cfg.phi_field(cfg.grid())
     out = _outdir(args)
     _say(args, f"solve: n={cfg.params.n} k={cfg.params.k} p={cfg.params.p:g} "
                f"theta={cfg.params.theta:.6g} grid={cfg.nbeta}x{cfg.nphi}")
-    try:
-        s, rep, audit = _solve_and_write(cfg, phi, out)
-    except ContinuationStall as stall:
-        _fail(f"solve stalled: {stall}")
-        return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
-        _fail(f"invalid problem: {exc}")
-        return EXIT_CONFIG
+    s, rep, audit = _solve_and_write(cfg, phi, out)
     save_embedding(s, out / "embedding.csv")
     _say(args, f"converged on {' -> '.join(dict.fromkeys(rep.grids))} in "
                f"{len(rep.t_steps)} steps ({sum(rep.newton_iters)} Newton steps, "
@@ -217,25 +218,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = _load(args)
-        grid = cfg.grid()
-    except (ConfigError, ValueError, OSError) as exc:
-        _fail(f"config error: {exc}")
-        return EXIT_CONFIG
-    try:
-        s = load_field(args.solution)
-    except (OSError, ValueError) as exc:
-        _fail(f"cannot read solution: {exc}")
-        return EXIT_CONFIG
+    cfg = _load(args)
+    if cfg.params.n != 2:
+        raise ConfigError(f"full-field audits are restricted to n = 2, got n = "
+                          f"{cfg.params.n}; use oracle")
+    grid = cfg.grid()
+    s = load_field(args.solution)
     if s.grid != grid:
-        _fail(f"grid mismatch: solution has {s.grid!r}, config wants {grid!r}")
-        return EXIT_CONFIG
-    try:
-        phi = cfg.phi_field(grid)
-    except (ConfigError, ValueError, OSError) as exc:
-        _fail(f"config error: {exc}")
-        return EXIT_CONFIG
+        raise ConfigError(f"grid mismatch: solution has {s.grid!r}, config wants {grid!r}")
+    phi = cfg.phi_field(grid)
     audit = _solution_audit(s, phi, cfg)
     out = _outdir(args)
     _write_json(audit, out / "audit.json")
@@ -247,41 +238,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        cfg = _load(args)
-        profile_fn = cfg.phi_profile()
-    except (ConfigError, ValueError, OSError) as exc:
-        _fail(f"config error: {exc}")
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    profile_fn = cfg.phi_profile()
     out = _outdir(args)
     report = {
         "problem": asdict(cfg.params),
         "phi": _phi_dict(cfg),
         "oracle_cells": cfg.oracle_cells,
     }
-    try:
-        profile, rep = solve_rotsym(
-            profile_fn, cfg.params, cfg.schedule, n_cells=cfg.oracle_cells
-        )
-    except ContinuationStall as stall:
-        report["solve"] = stall.report.to_dict()
-        _write_json(report, out / "report.json")
-        _fail(f"oracle stalled: {stall}")
-        return EXIT_NO_CONVERGENCE
-
-    report["solve"] = rep.to_dict()
+    profile, rep = _solve_reported(report, out, solve_rotsym, profile_fn, cfg.params,
+                                   cfg.schedule, n_cells=cfg.oracle_cells)
     barrier = barrier_height_check(profile, cfg.params)
     report["barrier"] = barrier
     if args.solution:
-        try:
-            s2 = load_field(args.solution)
-        except (OSError, ValueError) as exc:
-            _fail(f"cannot read solution: {exc}")
-            return EXIT_CONFIG
+        s2 = load_field(args.solution)
         if abs(s2.grid.theta - cfg.params.theta) > 1e-12:
-            _fail(f"theta mismatch: solution grid has {s2.grid.theta!r}, "
-                  f"config wants {cfg.params.theta!r}")
-            return EXIT_CONFIG
+            raise ConfigError(f"theta mismatch: solution grid has {s2.grid.theta!r}, "
+                              f"config wants {cfg.params.theta!r}")
         report["cross_check_gap"] = cross_check_gap(profile, s2)
         _say(args, f"cross-check gap vs 2-D solution: {report['cross_check_gap']:.3e}")
     save_profile(profile, cfg.params, out / "profile.csv")
@@ -297,19 +270,13 @@ def _sweep_member(cfg: RunConfig, name: str, p: float, theta: float, out: Path) 
         mcfg = replace(cfg, params=params)
         grid = mcfg.grid()
         phi = mcfg.phi_field(grid)
-    except (ConfigError, ValueError, OSError) as exc:
-        rec.update(exit=EXIT_CONFIG, error=str(exc))
-        return rec
-    mdir = out / name
-    mdir.mkdir(parents=True, exist_ok=True)
-    try:
+        mdir = out / name
+        mdir.mkdir(parents=True, exist_ok=True)
         s, rep, audit = _solve_and_write(mcfg, phi, mdir)
-    except ContinuationStall as stall:
-        rec.update(exit=EXIT_NO_CONVERGENCE,
-                   error=f"stalled at t = {stall.t:.6f}: {stall.report.failure}")
-        return rec
-    except ValueError as exc:
-        rec.update(exit=EXIT_CONFIG, error=str(exc))
+    except _FAILURES as exc:
+        rec.update(exit=_exit_code(exc), error=(
+            f"stalled at t = {exc.t:.6f}: {exc.report.failure}"
+            if isinstance(exc, ContinuationStall) else str(exc)))
         return rec
     items = {it["name"]: it for it in audit["estimates"]["items"]}
     rec.update(
@@ -326,11 +293,7 @@ def _sweep_member(cfg: RunConfig, name: str, p: float, theta: float, out: Path) 
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _load(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        _fail(f"config error: {exc}")
-        return EXIT_CONFIG
+    cfg = _load(args)
     out = _outdir(args)
     points = cfg.sweep_points()
     _say(args, f"sweep: {len(points)} members over p in {list(cfg.sweep_p)}, "
@@ -413,7 +376,7 @@ def cmd_selftest(args) -> int:
     for name, value, ok in checks:
         _say(args, f"  {'ok  ' if ok else 'FAIL'} {name} ({value:.3e})")
     if failed:
-        _fail(f"selftest: {len(failed)} of {len(checks)} checks failed")
+        print(f"selftest: {len(failed)} of {len(checks)} checks failed", file=sys.stderr)
         return EXIT_AUDIT
     _say(args, f"selftest: all {len(checks)} checks passed (seed {args.seed})")
     return EXIT_OK
@@ -429,27 +392,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="key = value config file")
+    def command(name, help, *, grid=True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
-        p.add_argument("--grid", default=None, help="override grid as NbetaxNphi, e.g. 64x128")
+        if grid:
+            p.add_argument("--grid", default=None, help="override grid as NbetaxNphi, e.g. 64x128")
         p.add_argument("--quiet", action="store_true", help="suppress status lines")
+        return p
 
-    p = sub.add_parser("solve", help="run the continuation solve and audits")
-    common(p)
-    p = sub.add_parser("verify", help="recheck a stored solution file")
-    common(p)
-    p.add_argument("--solution", required=True, help="stored solution CSV")
-    p = sub.add_parser("oracle", help="run the 1-D rotationally symmetric reduction")
-    common(p)
-    p.add_argument("--solution", default=None,
-                   help="optional 2-D solution CSV to cross-check against")
-    p = sub.add_parser("sweep", help="solve a (p, theta) lattice concurrently")
-    common(p)
+    command("solve", "run the continuation solve and audits")
+    command("verify", "recheck a stored solution file").add_argument(
+        "--solution", required=True, help="stored solution CSV")
+    command("oracle", "run the 1-D rotationally symmetric reduction", grid=False).add_argument(
+        "--solution", default=None, help="optional 2-D solution CSV to cross-check against")
+    command("sweep", "solve a (p, theta) lattice concurrently")
     p = sub.add_parser("selftest", help="run the seeded identity battery")
-    common(p, config_required=False)
+    p.add_argument("--seed", type=int, default=0, help="seed for the randomized battery")
+    p.add_argument("--quiet", action="store_true", help="suppress status lines")
     return ap
 
 
@@ -463,8 +423,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    try:
+        return _COMMANDS[args.command](args)
+    except _FAILURES as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

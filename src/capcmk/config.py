@@ -225,6 +225,8 @@ def load_config(path) -> RunConfig:
     for name in ("dt_min", "tol_solve"):
         if getattr(sched, name) <= 0.0:
             raise ConfigError(f"schedule.{name} must be > 0")
+    if sched.newton_max < 0:
+        raise ConfigError(f"schedule.newton_max must be >= 0, got {sched.newton_max}")
 
     nbeta = _take(table, "grid.nbeta", int, default=64)
     nphi = _take(table, "grid.nphi", int, default=128)

@@ -279,7 +279,6 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
     lam1, at = cone(x)
     fint, gbd = evaluate(at)
     rn = max(float(np.max(np.abs(fint))), float(np.max(np.abs(gbd))))
-    history = [rn]
 
     def info(iters):
         return {
@@ -290,7 +289,6 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
             "lam1min": lam1,
             "smin": float(np.min(x)),
             "smax": float(np.max(x)),
-            "history": history,
         }
 
     def trial(step, alpha):
@@ -331,7 +329,6 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
                     f"line search failed at Newton iteration {it} (res = {rn:.3e})")
         rn_prev = rn
         x, lam1, at, fint, gbd, rn = accepted
-        history.append(rn)
         if rn > REFACTOR_RATIO * rn_prev:
             lu.apply = None
 

@@ -101,6 +101,7 @@ def test_load_config_angle_forms(tmp_path, theta_text, value):
         BASE + "schedule.tol_solve = 0\n",                      # nonpositive tolerance
         BASE + "schedule.tol_solve = nan\n",                    # non-finite tolerance
         BASE + "schedule.newton_max = 2.5\n",                   # non-integer budget
+        BASE + "schedule.newton_max = -3\n",                    # negative budget
         BASE + "grid.nbeta = 4\n",                              # grid too coarse
         BASE + "phi.kind = rotsym_expr\nphi.coeffs = 1,oops\n", # bad coefficient list
         BASE + "phi.kind = rotsym_expr\nphi.coeffs = 1,nan\n",  # non-finite coefficient
@@ -398,3 +399,30 @@ def test_sweep_reports_an_invalid_problem_as_a_config_error(tmp_path, text):
 
 def test_selftest_passes(capsys):
     assert cli_main(["selftest", "--quiet"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["verify", "--config", "{n3}", "--solution", "{sol}", "--out", "{out}"], 1),
+        (["solve", "--config", "{cfg}", "--out", "{cfg}"], 1),
+        (["solve", "--config", "{cfg}", "--bogus"], 1),
+        (["solve"], 1),
+        (["solve", "--config", "{cfg}", "--seed", "1"], 1),
+        (["selftest", "--out", "{out}"], 1),
+        (["--help"], 0),
+    ],
+    ids=["verify-n3", "out-is-a-file", "unknown-flag", "no-config", "seed-on-solve",
+         "out-on-selftest", "help"],
+)
+def test_every_exit_path_returns_its_code(solved_cli, tmp_path, capsys, argv, code):
+    _, _, out2d = solved_cli
+    paths = {
+        "cfg": write_cfg(tmp_path, SOLVE_CFG),
+        "n3": write_cfg(tmp_path, SOLVE_CFG.replace("n = 2", "n = 3"), "n3.cfg"),
+        "sol": str(out2d / "solution.csv"),
+        "out": str(tmp_path / "out"),
+    }
+    assert cli_main([a.format(**paths) for a in argv]) == code
+    assert not (tmp_path / "out").exists()
+    assert (capsys.readouterr().err != "") == (code != 0)
