@@ -81,26 +81,18 @@ def surface_points(s: CapField) -> np.ndarray:
     return np.stack([x1, x2, x3], axis=-1)
 
 
-@dataclass(eq=False)
+@dataclass
 class BodyGeometry:
-    """Reconstructed capillary body: embedding points and scalar summaries."""
+    """Scalar summaries of a reconstructed capillary body."""
 
-    grid: object
-    points: np.ndarray
     height: float
     r_in: float
-    r_out: float
     rim_planarity: float
-    slopes: np.ndarray
-    lam1min: float
-
-    @property
-    def slope_max(self) -> float:
-        return float(np.max(self.slopes))
+    slope_max: float
 
 
 def reconstruct(s: CapField) -> BodyGeometry:
-    """Recover the body from s; refuses non-convex input.
+    """Reconstruct the body behind s and summarize it; refuses non-convex input.
 
     Slopes are measured on the reconstructed surface itself: the discrete
     normal cross(d_beta X, d_phi X) has slope |N'|/N_3, which for an exact
@@ -123,14 +115,10 @@ def reconstruct(s: CapField) -> BodyGeometry:
     rim = pts[-1]
     radii = np.hypot(rim[:, 0], rim[:, 1])
     return BodyGeometry(
-        grid=g,
-        points=pts,
         height=float(np.max(pts[..., 2])),
         r_in=float(np.min(radii)),
-        r_out=float(np.max(radii)),
         rim_planarity=float(np.max(np.abs(rim[:, 2]))),
-        slopes=slopes,
-        lam1min=tau.lam1min,
+        slope_max=float(np.max(slopes)),
     )
 
 

@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 configuration, input or usage error, 2 solve did
 not converge (a continuation stall; report.json records where and why), 3 a
 mandatory audit failed.  Commands raise; `main` maps the exception to
 its exit code and prints one stderr line, `<command>: <message>`.
+A stored solution (`verify`, `oracle --solution`) brings its own grid; only
+its theta must match the config's.
 Output files are deterministic for identical inputs: JSON is written with
 sorted keys, wall-clock timing is excluded, and the selftest battery takes
 its seed from --seed.
@@ -94,17 +96,14 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _phi_dict(cfg: RunConfig) -> dict:
-    d = {"kind": cfg.phi_kind}
-    if cfg.phi_kind == "constant":
-        d["value"] = cfg.phi_value
-    elif cfg.phi_kind == "cap_manufactured":
-        d["r"] = cfg.phi_r
-    elif cfg.phi_kind == "rotsym_expr":
-        d["coeffs"] = list(cfg.phi_coeffs)
-    else:
-        d["path"] = cfg.phi_path
-    return d
+def _stored_solution(path, cfg: RunConfig) -> CapField:
+    """The stored field at path, on its own grid; only its theta must match
+    the config's."""
+    s = load_field(path)
+    if abs(s.grid.theta - cfg.params.theta) > 1e-12:
+        raise ConfigError(f"theta mismatch: solution grid has {s.grid.theta!r}, "
+                          f"config wants {cfg.params.theta!r}")
+    return s
 
 
 def _solution_audit(s: CapField, phi: CapField, cfg: RunConfig) -> dict:
@@ -185,7 +184,7 @@ def _solve_and_write(cfg: RunConfig, phi: CapField, out: Path):
     report = {
         "problem": asdict(cfg.params),
         "grid": {"nbeta": cfg.nbeta, "nphi": cfg.nphi},
-        "phi": _phi_dict(cfg),
+        "phi": cfg.phi,
     }
     s, rep = _solve_reported(report, out, solve_path, phi, cfg.params, cfg.schedule)
     ref = cfg.manufactured_reference(phi.grid)
@@ -218,15 +217,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     if cfg.params.n != 2:
         raise ConfigError(f"full-field audits are restricted to n = 2, got n = "
                           f"{cfg.params.n}; use oracle")
-    grid = cfg.grid()
-    s = load_field(args.solution)
-    if s.grid != grid:
-        raise ConfigError(f"grid mismatch: solution has {s.grid!r}, config wants {grid!r}")
-    phi = cfg.phi_field(grid)
+    s = _stored_solution(args.solution, cfg)
+    phi = cfg.phi_field(s.grid)
     audit = _solution_audit(s, phi, cfg)
     out = _outdir(args)
     _write_json(audit, out / "audit.json")
@@ -240,21 +236,18 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     profile_fn = cfg.phi_profile()
+    s2 = _stored_solution(args.solution, cfg) if args.solution else None
     out = _outdir(args)
     report = {
         "problem": asdict(cfg.params),
-        "phi": _phi_dict(cfg),
+        "phi": cfg.phi,
         "oracle_cells": cfg.oracle_cells,
     }
     profile, rep = _solve_reported(report, out, solve_rotsym, profile_fn, cfg.params,
                                    cfg.schedule, n_cells=cfg.oracle_cells)
     barrier = barrier_height_check(profile, cfg.params)
     report["barrier"] = barrier
-    if args.solution:
-        s2 = load_field(args.solution)
-        if abs(s2.grid.theta - cfg.params.theta) > 1e-12:
-            raise ConfigError(f"theta mismatch: solution grid has {s2.grid.theta!r}, "
-                              f"config wants {cfg.params.theta!r}")
+    if s2 is not None:
         report["cross_check_gap"] = cross_check_gap(profile, s2)
         _say(args, f"cross-check gap vs 2-D solution: {report['cross_check_gap']:.3e}")
     save_profile(profile, cfg.params, out / "profile.csv")
@@ -402,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("solve", "run the continuation solve and audits")
-    command("verify", "recheck a stored solution file").add_argument(
+    command("verify", "recheck a stored solution on its own grid", grid=False).add_argument(
         "--solution", required=True, help="stored solution CSV")
     command("oracle", "run the 1-D rotationally symmetric reduction", grid=False).add_argument(
         "--solution", default=None, help="optional 2-D solution CSV to cross-check against")

@@ -14,10 +14,12 @@ in the source text.
     phi.kind = cap_manufactured
     phi.r = 1.3
 
-phi kinds: `constant` (phi.value), `cap_manufactured` (phi.r; data whose exact
-solution is r times the model function), `rotsym_expr` (phi.coeffs c0,c1,...
-meaning sum_i c_i (1 - cos beta)^i), and `file` (phi.path, a stored field;
-2-D solves only).
+Each phi kind reads one key, and any other `phi.*` key is an error:
+`constant` (phi.value), `cap_manufactured` (phi.r; data whose exact solution
+is r times the model function), `rotsym_expr` (phi.coeffs c0,c1,... meaning
+sum_i c_i (1 - cos beta)^i), and `file` (phi.path, a stored field; 2-D solves
+only).  The parsed spec is `RunConfig.phi = {"kind": kind, name: value}`, the
+record report.json writes under "phi".
 """
 
 from __future__ import annotations
@@ -39,12 +41,22 @@ class ConfigError(ValueError):
     """Malformed configuration: parse failure, bad value, or range violation."""
 
 
-_PHI_KINDS = ("constant", "cap_manufactured", "rotsym_expr", "file")
+def _float_list(text: str) -> tuple:
+    return tuple(float(c) for c in text.split(","))
+
+
+# phi kind -> (name, parser, default) of the one key phi.<name> it reads
+_PHI_KINDS = {
+    "constant": ("value", float, 1.0),
+    "cap_manufactured": ("r", float, 1.0),
+    "rotsym_expr": ("coeffs", _float_list, (1.0,)),
+    "file": ("path", str, None),
+}
 
 _KNOWN_KEYS = {
     "n", "k", "p", "theta",
     "grid.nbeta", "grid.nphi",
-    "phi.kind", "phi.value", "phi.r", "phi.coeffs", "phi.path",
+    "phi.kind", *(f"phi.{name}" for name, _, _ in _PHI_KINDS.values()),
     "oracle.cells",
     "sweep.p_list", "sweep.theta_list",
 } | {f"schedule.{f.name}" for f in fields(Schedule)}
@@ -88,10 +100,6 @@ def parse_kv_text(text: str) -> dict:
     return table
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(c) for c in text.split(","))
-
-
 def _take(table, key, conv, default=None, required=False):
     if key not in table:
         if required:
@@ -118,11 +126,7 @@ class RunConfig:
     params: CapParams
     nbeta: int
     nphi: int
-    phi_kind: str
-    phi_value: float
-    phi_r: float
-    phi_coeffs: tuple
-    phi_path: str | None
+    phi: dict
     schedule: Schedule
     oracle_cells: int
     sweep_p: tuple
@@ -137,54 +141,53 @@ class RunConfig:
         return [(f"p{p:g}_theta{theta:.6g}", p, theta)
                 for p in self.sweep_p for theta in self.sweep_theta]
 
-    def phi_is_rotsym(self) -> bool:
-        return self.phi_kind in ("constant", "cap_manufactured", "rotsym_expr")
-
     def _profile_values(self, beta):
         beta = np.asarray(beta, dtype=float)
-        if self.phi_kind == "constant":
-            return np.full(beta.shape, self.phi_value)
-        if self.phi_kind == "cap_manufactured":
+        if self.phi["kind"] == "constant":
+            return np.full(beta.shape, self.phi["value"])
+        if self.phi["kind"] == "cap_manufactured":
             pw = self.params.k + 1.0 - self.params.p
             return (
                 self.params.cnk
-                * self.phi_r**pw
+                * self.phi["r"]**pw
                 * ell(self.params.theta, beta) ** (1.0 - self.params.p)
             )
-        if self.phi_kind == "rotsym_expr":
-            x = 1.0 - np.cos(beta)
-            out = np.zeros(beta.shape)
-            for i, c in enumerate(self.phi_coeffs):
-                out = out + c * x**i
-            return out
-        raise ConfigError(f"phi.kind = {self.phi_kind!r} has no closed-form profile")
+        x = 1.0 - np.cos(beta)
+        out = np.zeros(beta.shape)
+        for i, c in enumerate(self.phi["coeffs"]):
+            out = out + c * x**i
+        return out
 
     def phi_profile(self):
         """phi as a callable of beta; rejects the `file` kind."""
-        if not self.phi_is_rotsym():
+        if self.phi["kind"] == "file":
             raise ConfigError(
-                f"the 1-D reduction needs a rotationally symmetric phi kind, got {self.phi_kind!r}"
+                "the 1-D reduction needs a rotationally symmetric phi kind, got 'file'"
             )
         return self._profile_values
 
     def phi_field(self, grid: CapGrid) -> CapField:
-        if self.phi_kind == "file":
-            f = load_field(self.phi_path)
+        """phi on grid; it must be finite and strictly positive."""
+        if self.phi["kind"] == "file":
+            f = load_field(self.phi["path"])
             if f.grid != grid:
                 raise ConfigError(
-                    f"phi.path grid {f.grid!r} does not match the solve grid {grid!r}"
+                    f"phi.path grid {f.grid!r} does not match the grid {grid!r} it is needed on"
                 )
-            return f
-        values = np.broadcast_to(
-            self._profile_values(grid.beta_all)[:, None], (grid.nbeta + 1, grid.nphi)
-        ).copy()
-        return CapField(grid, values, even=True)
+        else:
+            values = np.broadcast_to(
+                self._profile_values(grid.beta_all)[:, None], (grid.nbeta + 1, grid.nphi)
+            ).copy()
+            f = CapField(grid, values, even=True)
+        if not (np.all(np.isfinite(f.values)) and np.min(f.values) > 0.0):
+            raise ConfigError("phi must be finite and strictly positive")
+        return f
 
     def manufactured_reference(self, grid: CapGrid) -> CapField | None:
         """Exact solution r ell when phi.kind is cap_manufactured, else None."""
-        if self.phi_kind != "cap_manufactured":
+        if self.phi["kind"] != "cap_manufactured":
             return None
-        values = self.phi_r * np.broadcast_to(
+        values = self.phi["r"] * np.broadcast_to(
             ell(self.params.theta, grid.beta_all)[:, None], (grid.nbeta + 1, grid.nphi)
         ).copy()
         return CapField(grid, values, even=True)
@@ -204,19 +207,20 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    phi_kind = _take(table, "phi.kind", str, default="constant")
-    if phi_kind not in _PHI_KINDS:
-        raise ConfigError(f"phi.kind must be one of {_PHI_KINDS}, got {phi_kind!r}")
-    phi_value = _take(table, "phi.value", float, default=1.0)
-    phi_r = _take(table, "phi.r", float, default=1.0)
-    phi_coeffs = _take(table, "phi.coeffs", _float_list, default=(1.0,))
-    phi_path = _take(table, "phi.path", str, default=None)
-    if phi_kind == "file" and phi_path is None:
-        raise ConfigError("phi.kind = file requires phi.path")
-    if phi_kind == "constant" and phi_value <= 0.0:
-        raise ConfigError(f"phi.value must be > 0, got {phi_value}")
-    if phi_kind == "cap_manufactured" and phi_r <= 0.0:
-        raise ConfigError(f"phi.r must be > 0, got {phi_r}")
+    kind = _take(table, "phi.kind", str, default="constant")
+    if kind not in _PHI_KINDS:
+        raise ConfigError(f"phi.kind must be one of {tuple(_PHI_KINDS)}, got {kind!r}")
+    name, conv, default = _PHI_KINDS[kind]
+    unread = sorted(key for key in table
+                    if key.startswith("phi.") and key not in ("phi.kind", f"phi.{name}"))
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by phi.kind = {kind}, "
+                          f"which reads phi.{name} only")
+    value = _take(table, f"phi.{name}", conv, default=default, required=default is None)
+    # a scalar phi parameter is a value or a scale
+    if isinstance(value, float) and value <= 0.0:
+        raise ConfigError(f"phi.{name} must be > 0, got {value}")
+    phi = {"kind": kind, name: value}
 
     sched = Schedule(**{
         f.name: _take(table, f"schedule.{f.name}", type(f.default), default=f.default)
@@ -228,30 +232,19 @@ def load_config(path) -> RunConfig:
     if sched.newton_max < 0:
         raise ConfigError(f"schedule.newton_max must be >= 0, got {sched.newton_max}")
 
-    nbeta = _take(table, "grid.nbeta", int, default=64)
-    nphi = _take(table, "grid.nphi", int, default=128)
-    oracle_cells = _take(table, "oracle.cells", int, default=512)
-
     def angle_list(text):
         return tuple(_parse_angle(t, "sweep.theta_list") for t in text.split(","))
 
-    sweep_p = _take(table, "sweep.p_list", _float_list, default=(1.2, 1.5, 1.8))
-    sweep_theta = _take(table, "sweep.theta_list", angle_list,
-                        default=(math.pi / 6, math.pi / 4, math.pi / 3))
-
     cfg = RunConfig(
         params=params,
-        nbeta=nbeta,
-        nphi=nphi,
-        phi_kind=phi_kind,
-        phi_value=phi_value,
-        phi_r=phi_r,
-        phi_coeffs=phi_coeffs,
-        phi_path=phi_path,
+        nbeta=_take(table, "grid.nbeta", int, default=64),
+        nphi=_take(table, "grid.nphi", int, default=128),
+        phi=phi,
         schedule=sched,
-        oracle_cells=oracle_cells,
-        sweep_p=sweep_p,
-        sweep_theta=sweep_theta,
+        oracle_cells=_take(table, "oracle.cells", int, default=512),
+        sweep_p=_take(table, "sweep.p_list", _float_list, default=(1.2, 1.5, 1.8)),
+        sweep_theta=_take(table, "sweep.theta_list", angle_list,
+                          default=(math.pi / 6, math.pi / 4, math.pi / 3)),
     )
     try:
         cfg.grid()
@@ -266,6 +259,6 @@ def load_config(path) -> RunConfig:
                 f"({named[name][0]!r}, {named[name][1]!r}) and ({point[0]!r}, {point[1]!r}) "
                 f"share the member name {name!r}")
         named[name] = point
-    if oracle_cells < 8:
-        raise ConfigError(f"oracle.cells must be >= 8, got {oracle_cells}")
+    if cfg.oracle_cells < 8:
+        raise ConfigError(f"oracle.cells must be >= 8, got {cfg.oracle_cells}")
     return cfg

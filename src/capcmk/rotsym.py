@@ -206,21 +206,16 @@ def _linearize(profile: RotProfile, q: float, rhs_cells: np.ndarray, params: Cap
 def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells: int = 512):
     """Continuation solve of the 1-D reduction; the oracle for rotsym data.
 
-    phi : callable phi(beta) > 0 or array of n_cells + 1 values (cells + rim).
+    phi : callable phi(beta) > 0, evaluated on the n_cells cell centres and the rim.
     The path runs from t = 0 to 1 and starts at the scaled model profile
     C(n,k)^{-1/k} ell.
     Returns (RotProfile, SolveReport); same stall semantics as solve_path.
     """
     sched = sched or Schedule()
     grid = RotGrid(n_cells, params.theta)
-    if callable(phi):
-        phi_vals = np.asarray(phi(grid.beta_all), dtype=float)
-    else:
-        phi_vals = np.asarray(phi, dtype=float)
-    if phi_vals.shape != grid.beta_all.shape:
-        raise ValueError(f"phi values shape {phi_vals.shape} != {grid.beta_all.shape}")
-    if np.min(phi_vals) <= 0.0:
-        raise ValueError("phi must be strictly positive")
+    phi_vals = np.asarray(phi(grid.beta_all), dtype=float)
+    if not (np.all(np.isfinite(phi_vals)) and np.min(phi_vals) > 0.0):
+        raise ValueError("phi must be finite and strictly positive")
 
     s0 = RotProfile(grid, params.cnk ** (-1.0 / params.k) * ell(params.theta, grid.beta_all))
 

@@ -521,8 +521,8 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
     if params.n != 2:
         raise ValueError("full-field solves are restricted to n = 2; use the rotsym oracle")
     sched = sched or Schedule()
-    if np.min(phi.values) <= 0.0:
-        raise ValueError("phi must be strictly positive")
+    if not (np.all(np.isfinite(phi.values)) and np.min(phi.values) > 0.0):
+        raise ValueError("phi must be finite and strictly positive")
     if not phi.is_even(tol=1e-12 * max(1.0, float(np.max(np.abs(phi.values))))):
         raise ValueError("phi must be even (invariant under phi -> phi + pi)")
     phi = phi if phi.even else phi.project_even()

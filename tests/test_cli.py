@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_load_config_defaults(tmp_path):
     assert cfg.params.n == 2 and cfg.params.k == 1
     assert cfg.params.theta == pytest.approx(math.pi / 3)
     assert (cfg.nbeta, cfg.nphi) == (64, 128)
-    assert cfg.phi_kind == "constant" and cfg.phi_value == 1.0
+    assert cfg.phi == {"kind": "constant", "value": 1.0}
     assert cfg.oracle_cells == 512
     assert cfg.sweep_p == (1.2, 1.5, 1.8)
     assert cfg.sweep_theta == pytest.approx((math.pi / 6, math.pi / 4, math.pi / 3))
@@ -113,6 +114,36 @@ def test_load_config_angle_forms(tmp_path, theta_text, value):
 def test_load_config_rejects_bad_values(tmp_path, text):
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "phi_lines,unread",
+    [
+        ("phi.coeffs = 1, 0.3\n", "phi.coeffs"),                 # no kind: constant
+        ("phi.kind = constant\nphi.r = 2\nphi.path = a.csv\n", "phi.path, phi.r"),
+        ("phi.kind = cap_manufactured\nphi.value = 2\n", "phi.value"),
+        ("phi.kind = rotsym_expr\nphi.coeffs = 1\nphi.r = 1.3\n", "phi.r"),
+        ("phi.kind = file\nphi.path = a.csv\nphi.coeffs = 1\n", "phi.coeffs"),
+    ],
+    ids=["no-kind", "constant", "cap_manufactured", "rotsym_expr", "file"],
+)
+def test_a_phi_key_the_kind_does_not_read_is_an_error(tmp_path, capsys, phi_lines, unread):
+    cfg = write_cfg(tmp_path, BASE + phi_lines)
+    with pytest.raises(ConfigError, match=f"^{re.escape(unread)}: not read by phi.kind"):
+        load_config(cfg)
+    assert cli_main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and unread in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_readme_example_config_loads(tmp_path):
+    """The indented example under "Command line" in README.md is a valid config."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"\n\n((?: {4}.*\n)+)", section).group(1)
+    cfg = load_config(write_cfg(tmp_path, block.replace("\n    ", "\n").strip() + "\n"))
+    assert cfg.phi["kind"] == "rotsym_expr"
 
 
 @pytest.mark.parametrize("key", [
@@ -275,13 +306,17 @@ def test_verify_writes_strict_json_for_corrupted_input(solved_cli, tmp_path):
     assert not audit["residual"]["pass"]
 
 
-def test_verify_rejects_grid_mismatch(solved_cli, tmp_path):
-    root, _, out = solved_cli
+def test_verify_audits_on_the_solutions_grid(solved_cli, tmp_path):
+    # the config's grid keys (32x64) are not the stored solution's (16x32)
+    _, cfg, out = solved_cli
     cfg32 = write_cfg(tmp_path, SOLVE_CFG.replace("nbeta = 16", "nbeta = 32")
-                      .replace("nphi = 32", "nphi = 64"))
-    code = cli_main(["verify", "--config", cfg32, "--solution", str(out / "solution.csv"),
-                     "--out", str(tmp_path / "v"), "--quiet"])
-    assert code == 1
+                      .replace("nphi = 32", "nphi = 64"), "cfg32.cfg")
+    for name, config in (("v16", cfg), ("v32", cfg32)):
+        assert cli_main(["verify", "--config", config, "--solution",
+                         str(out / "solution.csv"), "--out", str(tmp_path / name),
+                         "--quiet"]) == 0
+    audit = (tmp_path / "v32" / "audit.json").read_bytes()
+    assert audit == (tmp_path / "v16" / "audit.json").read_bytes()
 
 
 def test_oracle_solves_the_reduction(tmp_path):
@@ -309,12 +344,34 @@ def test_oracle_cross_checks_a_solution(solved_cli, tmp_path):
     assert report["cross_check_gap"] < 5e-3
 
 
-def test_oracle_rejects_theta_mismatch(solved_cli, tmp_path):
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_stored_solution_rejects_theta_mismatch(solved_cli, tmp_path, capsys, command):
     _, _, out2d = solved_cli
     cfg = write_cfg(tmp_path, SOLVE_CFG.replace("pi/3", "pi/4") + "oracle.cells = 64\n")
-    code = cli_main(["oracle", "--config", cfg, "--out", str(tmp_path / "o"),
+    code = cli_main([command, "--config", cfg, "--out", str(tmp_path / "o"),
                      "--solution", str(out2d / "solution.csv"), "--quiet"])
     assert code == 1
+    assert capsys.readouterr().err.startswith(f"{command}: theta mismatch")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_finite_phi_is_rejected(solved_cli, tmp_path, capsys, command, bad):
+    _, _, out2d = solved_cli
+    grid = CapGrid(16, 32, math.pi / 3)
+    phi = ell_field(grid)
+    phi.values[5, [3, 3 + grid.nphi // 2]] = bad  # an even pair of nodes
+    save_field(phi, tmp_path / "phi.csv")
+    cfg = write_cfg(tmp_path, BASE + "grid.nbeta = 16\ngrid.nphi = 32\n"
+                    + f"phi.kind = file\nphi.path = {tmp_path / 'phi.csv'}\n")
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]
+    if command == "verify":
+        argv += ["--solution", str(out2d / "solution.csv")]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "finite" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_oracle_rejects_file_phi(tmp_path, solved_cli):

@@ -1,5 +1,5 @@
-"""Package-level guards: no dead library code (module-level defs, methods and
-properties), and a top-level API that resolves."""
+"""Package-level guards: no dead library code (module-level defs, methods,
+properties and dataclass fields), and a top-level API that resolves."""
 
 import ast
 from pathlib import Path
@@ -77,12 +77,45 @@ def unread_members():
     return sorted(unread)
 
 
+# dataclasses the package writes whole through `asdict`, so every field is output
+WRITTEN_WHOLE = {"geometry.CapParams", "solver.SolveReport"}
+
+
+def unread_fields():
+    """Dataclass fields whose name the package never reads as an attribute
+    outside the class's own `__post_init__`."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PKG.glob("*.py"))}
+    reads = [
+        n for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    ]
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+                    and f"{module}.{cls.name}" not in WRITTEN_WHOLE):
+                continue
+            own = {id(n) for node in cls.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "__post_init__" for n in ast.walk(node)}
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and not any(
+                        n.attr == node.target.id and id(n) not in own for n in reads):
+                    unread.append(f"{module}.{cls.name}.{node.target.id}")
+    return sorted(unread)
+
+
 def test_every_library_def_is_reachable_from_the_cli():
     assert unreachable_defs() == []
 
 
 def test_every_method_and_property_is_read_by_the_package():
     assert unread_members() == []
+
+
+def test_every_dataclass_field_is_read_by_the_package():
+    assert unread_fields() == []
 
 
 def test_every_exported_name_resolves():
