@@ -142,21 +142,24 @@ class RunConfig:
                 for p in self.sweep_p for theta in self.sweep_theta]
 
     def _profile_values(self, beta):
+        """phi at beta; a value beyond the float range comes out as inf, for
+        the callers' finiteness check to reject."""
         beta = np.asarray(beta, dtype=float)
         if self.phi["kind"] == "constant":
             return np.full(beta.shape, self.phi["value"])
-        if self.phi["kind"] == "cap_manufactured":
-            pw = self.params.k + 1.0 - self.params.p
-            return (
-                self.params.cnk
-                * self.phi["r"]**pw
-                * ell(self.params.theta, beta) ** (1.0 - self.params.p)
-            )
-        x = 1.0 - np.cos(beta)
-        out = np.zeros(beta.shape)
-        for i, c in enumerate(self.phi["coeffs"]):
-            out = out + c * x**i
-        return out
+        with np.errstate(over="ignore"):
+            if self.phi["kind"] == "cap_manufactured":
+                pw = self.params.k + 1.0 - self.params.p
+                return (
+                    self.params.cnk
+                    * np.float64(self.phi["r"]) ** pw
+                    * ell(self.params.theta, beta) ** (1.0 - self.params.p)
+                )
+            x = 1.0 - np.cos(beta)
+            out = np.zeros(beta.shape)
+            for i, c in enumerate(self.phi["coeffs"]):
+                out = out + c * x**i
+            return out
 
     def phi_profile(self):
         """phi as a callable of beta; rejects the `file` kind."""

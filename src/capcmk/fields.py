@@ -10,12 +10,15 @@ The half-offset keeps every ring away from the coordinate singularity at the
 pole; values "across" the pole are supplied by the chart identity
 s(-beta, phi) = s(beta, phi + pi), which holds for every field because
 (-beta, phi) and (beta, phi + pi) name the same point.  Nphi must be even so
-that phi + pi lands on the grid.
+that the half-turn phi -> phi + pi lands on the grid.  Even fields, the
+class the solver works in, are those the half-turn leaves fixed.
 
-Derivatives are second-order central stencils; the ring next to the boundary
-uses nonuniform stencils reaching the boundary ring (4-point for the second
-derivative, which a 3-point nonuniform stencil would only do to first order),
-and the boundary ring itself carries the one-sided Robin derivative.
+Each derivative operator is a 1-D beta-stencil laid over a periodic 1-D
+phi-stencil.  The beta-stencils are second-order central; on the pole ring
+they reach ring -1, which is ring 0 under the half-turn; the ring next to the
+boundary uses nonuniform stencils reaching the boundary ring (4-point for the
+second derivative, which a 3-point nonuniform stencil would only do to first
+order), and the boundary ring itself carries the one-sided Robin derivative.
 Quadrature is the midpoint rule over the cell rings, w_ij = sin(beta_i)
 dbeta dphi; the boundary ring carries no quadrature weight.
 
@@ -100,92 +103,67 @@ class CapGrid:
         """Sparse derivative operators, built once per grid.
 
         All map the full value vector (row-major over (Nbeta+1) x Nphi nodes)
-        to the interior rings, except `dbd`/`ibd` which map to the boundary
-        ring.  a11/a12/a22 are the orthonormal-frame components of tau_sharp
-        as linear operators, so the Newton linearization is the exact
-        derivative of the discrete residual.
+        to the interior rings, except `dbd` which maps to the boundary ring.
+        Each primitive is a beta-matrix over the rings -1..Nbeta laid over a
+        periodic phi-stencil (`lay`); ring -1, at beta = -beta_0, is ring 0
+        turned by the half-turn phi -> phi + pi.  a11/a12/a22 are the
+        orthonormal-frame components of tau_sharp as linear operators, so the
+        Newton linearization is the exact derivative of the discrete residual.
         """
         if self._ops is not None:
             return self._ops
         nb, np_, h = self.nbeta, self.nphi, self.nphi // 2
         db, dp = self.dbeta, self.dphi
         nint, ntot = self.n_interior, self.n_total
-        js = np.arange(np_)
+        # int32 indices, which scipy keeps as they are: it stores int32 below
+        # 2^31 nodes, and a grid that large would need over 100 GB for ops()
+        js = np.arange(np_, dtype=np.int32)
 
-        def aidx(i, j):
-            return i * np_ + j
+        def lay(bmat, phi_weights=None):
+            """CSR of bmat (column c: ring c - 1) (x) phi-stencil {offset: weight}."""
+            phi_weights = phi_weights or {0: 1.0}
+            ri, rc = (a.astype(np.int32) for a in np.nonzero(bmat))
+            off = np.array(list(phi_weights), dtype=np.int32)[:, None]
+            w = np.array(list(phi_weights.values()))[:, None]
+            # phase[t, o, j]: the azimuthal index of node j + o within its ring,
+            # turned by the half-turn (t = 1) for ring -1, ring 0 at phi + pi
+            phase = (js + off + np.array([0, h], dtype=np.int32)[:, None, None]) % np_
+            rows = np.broadcast_to(ri[:, None, None] * np_ + js, (ri.size, off.size, np_))
+            cols = np.maximum(rc - 1, 0)[:, None, None] * np_ + phase[(rc == 0).astype(int)]
+            vals = np.broadcast_to(bmat[ri, rc][:, None, None] * w, rows.shape)
+            return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                                 shape=(bmat.shape[0] * np_, ntot))
 
-        rows, cols, data = [], [], []
+        def band(central, rim, m=nb):
+            """m-row beta-matrix: central {ring offset: weight} on rings 0..m-2,
+            and a last row whose weights `rim` end at the rim ring."""
+            b = np.zeros((m, nb + 2))
+            i = np.arange(m - 1)
+            for o, wo in central.items():
+                b[i, i + 1 + o] = wo
+            b[-1, nb + 2 - len(rim):] = rim
+            return b
 
-        def put(r, c, v):
-            rows.append(np.asarray(r, dtype=np.int64).ravel())
-            cols.append(np.asarray(c, dtype=np.int64).ravel())
-            data.append(np.broadcast_to(np.asarray(v, dtype=float), rows[-1].shape).ravel())
-
-        def collect(shape):
-            nonlocal rows, cols, data
-            m = sp.csr_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-            )
-            rows, cols, data = [], [], []
-            return m
-
-        mirror = (js + h) % np_
-
-        # d/dbeta on interior rings
-        put(aidx(0, js), aidx(0, mirror), -0.5 / db)
-        put(aidx(0, js), aidx(1, js), 0.5 / db)
-        if nb > 2:
-            ii = np.arange(1, nb - 1)[:, None]
-            put(aidx(ii, js), aidx(ii - 1, js), -0.5 / db)
-            put(aidx(ii, js), aidx(ii + 1, js), 0.5 / db)
-        w = fd_weights([-db, 0.0, 0.5 * db], 1)
-        for c, wc in zip((nb - 2, nb - 1, nb), w):
-            put(aidx(nb - 1, js), aidx(c, js), wc)
-        dbeta_op = collect((nint, ntot))
-
-        # d2/dbeta2 on interior rings
-        put(aidx(0, js), aidx(0, mirror), 1.0 / db**2)
-        put(aidx(0, js), aidx(0, js), -2.0 / db**2)
-        put(aidx(0, js), aidx(1, js), 1.0 / db**2)
-        if nb > 2:
-            ii = np.arange(1, nb - 1)[:, None]
-            put(aidx(ii, js), aidx(ii - 1, js), 1.0 / db**2)
-            put(aidx(ii, js), aidx(ii, js), -2.0 / db**2)
-            put(aidx(ii, js), aidx(ii + 1, js), 1.0 / db**2)
-        w = fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)
-        for c, wc in zip((nb - 3, nb - 2, nb - 1, nb), w):
-            put(aidx(nb - 1, js), aidx(c, js), wc)
-        dbeta2_op = collect((nint, ntot))
-
-        # d/dphi, d2/dphi2 on interior rings (periodic, uniform)
-        ii = np.arange(nb)[:, None]
-        put(aidx(ii, js), aidx(ii, (js + 1) % np_), 0.5 / dp)
-        put(aidx(ii, js), aidx(ii, (js - 1) % np_), -0.5 / dp)
-        dphi_op = collect((nint, ntot))
-        put(aidx(ii, js), aidx(ii, (js + 1) % np_), 1.0 / dp**2)
-        put(aidx(ii, js), aidx(ii, js), -2.0 / dp**2)
-        put(aidx(ii, js), aidx(ii, (js - 1) % np_), 1.0 / dp**2)
-        dphi2_op = collect((nint, ntot))
+        dbeta_op = lay(band({-1: -0.5 / db, 1: 0.5 / db}, fd_weights([-db, 0.0, 0.5 * db], 1)))
+        dbeta2_op = lay(band({-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
+                             fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)))
+        rings = np.eye(nb, nb + 2, 1)  # the identity on the interior rings
+        dphi_op = lay(rings, {1: 0.5 / dp, -1: -0.5 / dp})
+        dphi2_op = lay(rings, {1: 1.0 / dp**2, 0: -2.0 / dp**2, -1: 1.0 / dp**2})
 
         # mixed derivative: phi-central of the beta-derivative field
         dbetaphi_op = dphi_op[:, :nint] @ dbeta_op
 
-        # boundary ring: value selector and one-sided d/dbeta (O(h^2))
-        put(js, aidx(nb, js), 1.0)
-        ibd = collect((np_, ntot))
-        w = fd_weights([-1.5 * db, -0.5 * db, 0.0], 1)
-        for c, wc in zip((nb - 2, nb - 1, nb), w):
-            put(js, aidx(c, js), wc)
-        dbd = collect((np_, ntot))
+        # boundary ring: one-sided d/dbeta (O(h^2)) and value selector
+        dbd = lay(band({}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1), 1))
+        ibd = lay(band({}, [1.0], 1))
 
         pint = sp.eye(nint, ntot, format="csr")
 
         sinb = np.repeat(np.sin(self.beta_cells), np_)
         cosb = np.repeat(np.cos(self.beta_cells), np_)
 
-        def dg(v):
-            return sp.diags(v)
+        dg = sp.diags
 
         a11 = (dbeta2_op + pint).tocsr()
         a12 = (dg(1.0 / sinb) @ (dbetaphi_op - dg(cosb / sinb) @ dphi_op)).tocsr()
@@ -197,15 +175,13 @@ class CapGrid:
         a22_phi = (dg(1.0 / sinb**2) @ dphi2_op).tocsr()
         a22_rad = (dg(cosb / sinb) @ dbeta_op + pint).tocsr()
 
-        # even-subspace restriction: unknown pairs (i, j) ~ (i, j + Nphi/2)
-        half_cols = np.repeat(np.arange(nb + 1) * h, np_) + (np.tile(js, nb + 1) % h)
-        even_p = sp.csr_matrix(
-            (np.ones(ntot), (np.arange(ntot), half_cols)), shape=(ntot, (nb + 1) * h)
-        )
-        keep_int = (np.arange(nint) % np_) < h
-        keep_bd = np.arange(h)
-        # row selection for the stacked [interior; boundary] system
-        even_rows = np.concatenate([np.flatnonzero(keep_int), nint + keep_bd])
+        # even-subspace restriction I (x) [I_h; I_h]: node (i, j) reads the
+        # unknown (i, j mod Nphi/2); the stacked [interior; boundary] system
+        # keeps the rows with j < Nphi/2
+        node = np.arange(ntot, dtype=np.int32)
+        even_p = sp.csr_matrix((np.ones(ntot), (node, node // np_ * h + node % h)),
+                               shape=(ntot, (nb + 1) * h))
+        even_rows = np.flatnonzero(node % np_ < h)
 
         ct = math.cos(self.theta) / math.sin(self.theta)
         robin = (dbd - ct * ibd).tocsr()
@@ -217,7 +193,6 @@ class CapGrid:
             "dphi2": dphi2_op,
             "dbetaphi": dbetaphi_op,
             "pint": pint,
-            "ibd": ibd,
             "dbd": dbd,
             "robin": robin,
             "a11": a11,

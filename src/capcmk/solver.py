@@ -39,7 +39,6 @@ message.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -559,13 +558,10 @@ def structural_hypothesis_check(phi: CapField, params: CapParams) -> dict:
     boundary: cot(theta) w - d_beta w >= 0 for w = phi^{-1/(p+k-1)}.
     Informational: the hypotheses are sufficient, not necessary.
     """
-    g = phi.grid
     e = -1.0 / (params.p + params.k - 1.0)
-    w = CapField(g, phi.values**e, even=phi.even)
+    w = CapField(phi.grid, phi.values**e, even=phi.even)
     lam1 = tau_sharp(w).lam1min
-    ops = g.ops()
-    ct = math.cos(g.theta) / math.sin(g.theta)
-    bmargin = float(np.min(ct * w.boundary - ops["dbd"] @ w.flat))
+    bmargin = float(np.min(-robin_residual(w)))
     return {
         "interior_min_eigenvalue": lam1,
         "interior_pass": bool(lam1 >= 0.0),

@@ -146,6 +146,15 @@ def test_the_readme_example_config_loads(tmp_path):
     assert cfg.phi["kind"] == "rotsym_expr"
 
 
+def test_the_readme_library_example_runs(capsys):
+    """The python block under "Library use" in README.md runs as printed."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "True True\n"
+
+
 @pytest.mark.parametrize("key", [
     "schedule.dt0", "schedule.dt_max", "schedule.grow", "schedule.shrink",
     "schedule.fast_iters", "schedule.backtrack_max", "schedule.delta_cone",
@@ -372,6 +381,38 @@ def test_non_finite_phi_is_rejected(solved_cli, tmp_path, capsys, command, bad):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "finite" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command,text,code",
+    [
+        ("verify", "k = 1\np = 1.999\nphi.value = 8\n", 3),
+        ("solve", "k = 2\np = 1.01\ngrid.nbeta = 16\ngrid.nphi = 32\n"
+                  "phi.kind = cap_manufactured\nphi.r = 1e200\n", 1),
+        ("oracle", "k = 1\np = 1.5\noracle.cells = 64\nphi.kind = rotsym_expr\n"
+                   "phi.coeffs = 1.7e308, 1.7e308\n", 1),
+    ],
+    ids=["verify", "solve", "oracle"],
+)
+def test_a_value_beyond_the_float_range_is_reported(tmp_path, capsys, command, text, code):
+    """An overflowing bound fails its audit item, and overflowing phi data is
+    rejected in one line; neither escapes as a traceback or a warning."""
+    save_field(ell_field(CapGrid(16, 32, math.pi / 4)), tmp_path / "sol.csv")
+    out = tmp_path / "o"
+    argv = [command, "--config", write_cfg(tmp_path, "n = 2\ntheta = pi/4\n" + text),
+            "--out", str(out), "--quiet"]
+    if command == "verify":
+        argv += ["--solution", str(tmp_path / "sol.csv")]
+    assert cli_main(argv) == code
+    err = capsys.readouterr().err
+    if command == "verify":
+        assert err == ""
+        audit = json.loads((out / "audit.json").read_text())
+        [item] = [it for it in audit["estimates"]["items"] if it["name"] == "max_lower_bound"]
+        assert item["pass"] is False and item["rhs"] is None
+    else:
+        assert err == f"{command}: phi must be finite and strictly positive\n"
 
 
 def test_oracle_rejects_file_phi(tmp_path, solved_cli):
