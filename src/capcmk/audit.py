@@ -322,11 +322,15 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams) -> dict:
         items.append(_record(name, _STATEMENTS[name], lhs, rhs, margin, ok))
 
     phi0 = float(np.min(phi.values))
-    # near p = k + 1 a factor can leave the float range; the bound is then
-    # inf or nan, which fails the item and is written as null
+    # near p = k + 1 a factor can leave the float range (inf * 0 = nan) where
+    # the whole bound does not; the power of the product then gives it, and a
+    # bound that is itself beyond the range is inf, which fails the item and
+    # is written as null
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = float(np.float64(phi0 / params.cnk) ** (1.0 / (k + 1.0 - p))
-                      * np.float64(1.0 - math.cos(params.theta)) ** (k / (k + 1.0 - p)))
+        base, cap = np.float64(phi0 / params.cnk), np.float64(1.0 - math.cos(params.theta))
+        bound = float(base ** (1.0 / (k + 1.0 - p)) * cap ** (k / (k + 1.0 - p)))
+        if not math.isfinite(bound):
+            bound = float((base * cap**k) ** (1.0 / (k + 1.0 - p)))
     smax = float(np.max(s.values))
     item("max_lower_bound", smax, bound, smax - bound, bool(smax - bound > 0.0))
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
+import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -162,11 +164,12 @@ def _exit_code(exc: Exception) -> int:
 def _solve_reported(report: dict, out: Path, solve, *args, **kwargs):
     """solve(*args, **kwargs) -> (solution, SolveReport), with its record in
     report["solve"].  A ContinuationStall propagates after report.json, with
-    the partial record, is written into out."""
+    the partial record, is written into out (made if missing)."""
     try:
         sol, rep = solve(*args, **kwargs)
     except ContinuationStall as stall:
         report["solve"] = stall.report.to_dict()
+        out.mkdir(parents=True, exist_ok=True)
         _write_json(report, out / "report.json")
         raise
     report["solve"] = rep.to_dict()
@@ -237,14 +240,15 @@ def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     profile_fn = cfg.phi_profile()
     s2 = _stored_solution(args.solution, cfg) if args.solution else None
-    out = _outdir(args)
     report = {
         "problem": asdict(cfg.params),
         "phi": cfg.phi,
         "oracle_cells": cfg.oracle_cells,
     }
-    profile, rep = _solve_reported(report, out, solve_rotsym, profile_fn, cfg.params,
-                                   cfg.schedule, n_cells=cfg.oracle_cells)
+    # solve_rotsym checks phi, so the directory is made only once it has passed
+    profile, rep = _solve_reported(report, Path(args.out), solve_rotsym, profile_fn,
+                                   cfg.params, cfg.schedule, n_cells=cfg.oracle_cells)
+    out = _outdir(args)
     barrier = barrier_height_check(profile, cfg.params)
     report["barrier"] = barrier
     if s2 is not None:
@@ -285,14 +289,22 @@ def _sweep_member(cfg: RunConfig, name: str, p: float, theta: float, out: Path) 
     return rec
 
 
+def _sweep_job(job: tuple) -> dict:
+    """_sweep_member(*job); a module-level function, so the pool can pickle it."""
+    return _sweep_member(*job)
+
+
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     points = cfg.sweep_points()
     _say(args, f"sweep: {len(points)} members over p in {list(cfg.sweep_p)}, "
                f"theta in {[f'{t:.6g}' for t in cfg.sweep_theta]}")
-    with ThreadPoolExecutor(max_workers=min(4, len(points))) as pool:
-        members = list(pool.map(lambda pt: _sweep_member(cfg, *pt, out), points))
+    # forked workers inherit the imported modules; one per CPU this process may use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ProcessPoolExecutor(max_workers=min(cpus, len(points)),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        members = list(pool.map(_sweep_job, [(cfg, *pt, out) for pt in points]))
     converged = [m for m in members if m["exit"] == EXIT_OK]
     summary = {
         "members": members,

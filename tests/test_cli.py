@@ -1,11 +1,13 @@
 import json
 import math
+import multiprocessing
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from capcmk import cli
 from capcmk.cli import main as cli_main
 from capcmk.config import ConfigError, load_config, parse_kv_text
 from capcmk.fields import CapGrid, load_field, save_field
@@ -396,8 +398,9 @@ def test_non_finite_phi_is_rejected(solved_cli, tmp_path, capsys, command, bad):
     ids=["verify", "solve", "oracle"],
 )
 def test_a_value_beyond_the_float_range_is_reported(tmp_path, capsys, command, text, code):
-    """An overflowing bound fails its audit item, and overflowing phi data is
-    rejected in one line; neither escapes as a traceback or a warning."""
+    """A bound whose factors overflow is still reported and fails its audit
+    item, and overflowing phi data is rejected in one line with no output
+    directory; neither escapes as a traceback or a warning."""
     save_field(ell_field(CapGrid(16, 32, math.pi / 4)), tmp_path / "sol.csv")
     out = tmp_path / "o"
     argv = [command, "--config", write_cfg(tmp_path, "n = 2\ntheta = pi/4\n" + text),
@@ -410,9 +413,11 @@ def test_a_value_beyond_the_float_range_is_reported(tmp_path, capsys, command, t
         assert err == ""
         audit = json.loads((out / "audit.json").read_text())
         [item] = [it for it in audit["estimates"]["items"] if it["name"] == "max_lower_bound"]
-        assert item["pass"] is False and item["rhs"] is None
+        # ((phi0/C)(1 - cos theta)^k)^(1/(k+1-p)), finite though each factor is not
+        assert item["pass"] is False and item["rhs"] == pytest.approx(5.879e68, rel=1e-3)
     else:
         assert err == f"{command}: phi must be finite and strictly positive\n"
+        assert not out.exists()
 
 
 def test_oracle_rejects_file_phi(tmp_path, solved_cli):
@@ -467,6 +472,49 @@ def test_a_stalled_sweep_member_names_its_failure(tmp_path):
     failure = read_report(out / m["name"])["solve"]["failure"]
     assert "0 iterations" in failure
     assert m["exit"] == 2 and m["error"] == f"stalled at t = 0.000000: {failure}"
+
+
+SWEEP_CFG = BASE + "grid.nbeta = 16\ngrid.nphi = 32\nsweep.p_list = 1.2, 1.5\n"
+
+
+def file_tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_the_worker_pool_writes_what_the_members_write_in_process(tmp_path):
+    cfg = write_cfg(tmp_path, SWEEP_CFG + "sweep.theta_list = pi/4, pi/3\n")
+    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(pooled), "--quiet"]) == 0
+    conf = load_config(cfg)
+    members = [cli._sweep_member(conf, *pt, serial) for pt in conf.sweep_points()]
+    summary = json.loads((pooled / "sweep_summary.json").read_text())
+    assert summary["members"] == json.loads(json.dumps(members))
+    (pooled / "sweep_summary.json").unlink()
+    tree = file_tree(serial)
+    assert len(tree) == 4 * 3  # solution.csv, report.json, audit.json per member
+    assert file_tree(pooled) == tree
+
+
+@pytest.mark.parametrize("extra,code", [("", 0), ("schedule.newton_max = 0\n", 2)],
+                         ids=["converged", "stalled"])
+def test_a_sweep_leaves_no_worker_behind(tmp_path, extra, code):
+    cfg = write_cfg(tmp_path, SWEEP_CFG + "sweep.theta_list = pi/3\n" + extra)
+    assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--quiet"]) == code
+    assert multiprocessing.active_children() == []
+
+
+def test_an_unexpected_member_error_escapes_the_sweep(tmp_path, monkeypatch):
+    """Only a request the member cannot serve becomes an exit code; any other
+    exception in a worker is raised again by the command."""
+    def broken(*args):
+        raise RuntimeError("member broke")
+
+    monkeypatch.setattr(cli, "_sweep_member", broken)  # the forked workers inherit it
+    cfg = write_cfg(tmp_path, SWEEP_CFG + "sweep.theta_list = pi/3\n")
+    with pytest.raises(RuntimeError, match="member broke"):
+        cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_rejects_colliding_member_names(tmp_path, capsys):
