@@ -211,10 +211,11 @@ def cmd_solve(args) -> int:
                f"theta={cfg.params.theta:.6g} grid={cfg.nbeta}x{cfg.nphi}")
     s, rep, audit = _solve_and_write(cfg, phi, out)
     save_embedding(s, out / "embedding.csv")
-    _say(args, f"converged on {' -> '.join(dict.fromkeys(rep.grids))} in "
-               f"{len(rep.t_steps)} steps ({sum(rep.newton_iters)} Newton steps, "
+    fallback = f" (direct Newton failed: {rep.direct_failure})" if rep.direct_failure else ""
+    _say(args, f"converged by {rep.method}{fallback} on {' -> '.join(dict.fromkeys(rep.grids))} "
+               f"in {len(rep.t_steps)} steps ({sum(rep.newton_iters)} Newton steps, "
                f"{sum(rep.factorizations)} LU factorizations); "
-               f"residual {rep.residual_norms[-1]:.3e}; "
+               f"residual {rep.residual_norms[-1]:.3e}, relative {rep.relative_residual:.3e}; "
                f"audits {'pass' if audit['mandatory_pass'] else 'FAIL'}")
     return EXIT_OK if audit["mandatory_pass"] else EXIT_AUDIT
 

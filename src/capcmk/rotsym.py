@@ -21,10 +21,12 @@ throughout, 4-point nonuniform second derivative next to the rim.
 The Newton corrector is the solver's shared damped-Newton loop
 (`solver._damped_newton`) with this module's residual, cone margin and sparse
 LU (`splu`) as callbacks; only the discretization is independent of the 2-D
-path.  As there, one LU per `solve_rotsym` call is reused across Newton
-iterations and continuation steps and refactorized when the last accepted step
-cut the residual by less than `solver.REFACTOR_RATIO`, or when a step from it
-fails the full-step Armijo test.
+path.  The solve is the 2-D path's driver, `solver.newton_first`: one
+corrector at t = 1, and the continuation only if that fails.  As there, one LU
+per path is reused across Newton iterations and continuation steps and
+refactorized when the last accepted step cut the residual by less than
+`solver.REFACTOR_RATIO`, or when a step from it fails the full-step Armijo
+test.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from scipy.sparse.linalg import splu
 
 from .fields import fd_weights
 from .geometry import CapParams, ell
-from .solver import Schedule, _damped_newton, _LUSlot, homotopy_values, run_continuation
+from .solver import Schedule, _damped_newton, homotopy_values, newton_first, relative_residual
 
 __all__ = [
     "RotGrid",
@@ -204,11 +206,13 @@ def _linearize(profile: RotProfile, q: float, rhs_cells: np.ndarray, params: Cap
 
 
 def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells: int = 512):
-    """Continuation solve of the 1-D reduction; the oracle for rotsym data.
+    """Solve of the 1-D reduction; the oracle for rotsym data.
 
     phi : callable phi(beta) > 0, evaluated on the n_cells cell centres and the rim.
-    The path runs from t = 0 to 1 and starts at the scaled model profile
-    C(n,k)^{-1/k} ell.
+    The solve is `solver.newton_first`, as on the 2-D path's coarsest grid:
+    one corrector at t = 1 from the mean-scaled model profile, and only if it
+    fails the continuation from C(n,k)^{-1/k} ell.  The report's relative
+    residual is taken on the cells.
     Returns (RotProfile, SolveReport); same stall semantics as solve_path.
     """
     sched = sched or Schedule()
@@ -216,13 +220,9 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
     phi_vals = np.asarray(phi(grid.beta_all), dtype=float)
     if not (np.all(np.isfinite(phi_vals)) and np.min(phi_vals) > 0.0):
         raise ValueError("phi must be finite and strictly positive")
-
-    s0 = RotProfile(grid, params.cnk ** (-1.0 / params.k) * ell(params.theta, grid.beta_all))
-
     phi_cells = phi_vals[: grid.n_cells]
-    lu = _LUSlot()
 
-    def newton_fn(s, q, rhs_cells):
+    def newton_fn(x, q, rhs_cells, lu):
         def cone(x):
             prof = RotProfile(grid, x)
             return float(min(np.min(prof.lam_r), np.min(prof.lam_t))), prof
@@ -234,13 +234,17 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
             factors = splu(_linearize(prof, q, rhs_cells, params).tocsc())
             return lambda fint, gbd: factors.solve(-np.concatenate([fint, [gbd]]))
 
-        x, info = _damped_newton(s.s, cone, evaluate, factor, sched, lu)
-        return RotProfile(grid, x), info
+        return _damped_newton(x, cone, evaluate, factor, sched, lu)
 
     def rhs_fn(t):
         return homotopy_values(t, phi_cells, params)
 
-    return run_continuation(newton_fn, rhs_fn, s0, sched, grid=str(grid.n_cells))
+    x, report = newton_first(newton_fn, rhs_fn, phi_vals, ell(params.theta, grid.beta_all),
+                             params, sched, grid=str(grid.n_cells))
+    profile = RotProfile(grid, x)
+    fint, _ = _residual(profile, params.p, phi_cells, params)
+    report.relative_residual = relative_residual(fint, rotsym_sigma_k(profile, params))
+    return profile, report
 
 
 # -- geometric audits -------------------------------------------------------------

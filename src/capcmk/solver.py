@@ -1,4 +1,4 @@
-"""Homotopy-continuation Newton solver for sigma_k(tau_sharp[s]) = s^{q-1} phi_q.
+"""Newton solver for sigma_k(tau_sharp[s]) = s^{q-1} phi_q, with homotopy continuation.
 
 The path in t runs the data from the exactly solvable constant problem to the
 target pair (p, phi):
@@ -25,9 +25,14 @@ refactorizes when it holds none, when the last accepted step cut the residual
 by less than REFACTOR_RATIO = 0.1, or when a step from the reused LU fails the
 full-step Armijo test (then at the same iterate, with the full line search).
 
+`newton_first` is the one driver of both layers: one corrector at t = 1 from
+the mean-scaled model function `model_scale(phi) ell`, and only if that fails
+the continuation from t = 0, exactly as it runs alone.  The report's `method`
+says which one produced the solution.
+
 `solve_path` sequences grids: it halves Nbeta and Nphi, rounding down (Nphi
 to an even number), while the coarser grid keeps COARSE_MIN_NBETA = 32 rings,
-so any grid of 64 rings or more runs its continuation on one of 32-63 rings.
+so any grid of 64 rings or more runs `newton_first` on one of 32-63 rings.
 Each finer grid runs one Newton corrector at t = 1 from the fourth-order
 interpolation of the coarser solution (an interpolated solution lies inside
 the finer grid's quadratic convergence region, so one corrector replaces the
@@ -39,6 +44,7 @@ message.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -63,6 +69,7 @@ __all__ = [
     "structural_hypothesis_check",
     "jacobian_fd_error",
     "run_continuation",
+    "newton_first",
 ]
 
 
@@ -94,8 +101,17 @@ DELTA_CONE = 1e-10
 
 @dataclass
 class SolveReport:
-    """Trace of one continuation run; everything needed to audit the path."""
+    """Trace of one solve; everything needed to audit the path.
 
+    method is "newton" (one corrector at t = 1) or "continuation";
+    direct_failure is the failure of a direct attempt that the continuation
+    replaced.  relative_residual is ||F_int|| / ||sigma_k(tau_sharp[s])||
+    (max norms) at the returned solution, report-only; null on a stall.
+    """
+
+    method: str = "continuation"
+    direct_failure: str | None = None
+    relative_residual: float | None = None
     t_steps: list = field(default_factory=list)
     grids: list = field(default_factory=list)
     newton_iters: list = field(default_factory=list)
@@ -380,11 +396,12 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
 # -- continuation driver -----------------------------------------------------------
 
 
-def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, *, grid):
+def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, *, grid, report=None):
     """Adaptive predictor-corrector walk of t from 0 to 1.
 
     newton_fn(s, q, rhs) -> (s, info) raising NewtonFailure; rhs_fn(t) -> (q, rhs);
-    grid is the label the report records for every step.
+    grid is the label the report records for every step; report, if given,
+    is the empty SolveReport to fill.
     The previous solution is the predictor; dt starts at DT_MAX, shrinks by
     SHRINK on failure and grows by GROW, up to DT_MAX, on fast correctors
     (info["iters"] <= FAST_ITERS, steps from a reused LU included); the
@@ -392,7 +409,7 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, *, grid):
     with the partial report, when the corrector fails at t = 0 or dt
     underflows sched.dt_min.
     """
-    report = SolveReport()
+    report = SolveReport() if report is None else report
     q, rhs = rhs_fn(0.0)
     try:
         s, info = newton_fn(s_init, q, rhs)
@@ -422,9 +439,60 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, *, grid):
     return s, report
 
 
+def model_scale(phi_values, params: CapParams) -> float:
+    """(mean phi / C(n,k))^{1/(k+1-p)}, with the plain mean over the layer's
+    nodes, rim included (the one definition both layers use).
+
+    sigma_k(tau_sharp[c ell]) = C(n,k) c^k, so at this c the model function
+    c ell balances the equation at t = 1 for constant data mean phi.  Outside
+    the float range the power is inf or 0.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        mean = np.mean(phi_values) / params.cnk
+        return float(mean ** (1.0 / (params.k + 1.0 - params.p)))
+
+
+def newton_first(newton_fn, rhs_fn, phi_values, model, params: CapParams, sched: Schedule,
+                 *, grid):
+    """One damped-Newton solve at t = 1, with the continuation as its fallback.
+
+    newton_fn(s, q, rhs, lu) -> (s, info) runs the layer's corrector with the
+    _LUSlot lu and raises NewtonFailure; rhs_fn(t) -> (q, rhs) is the
+    homotopy data; phi_values is phi on the layer's nodes and model the
+    model function ell on them (anything a float scales); grid labels the
+    report's steps.
+
+    The direct attempt solves at q = p, H = phi from model_scale(phi) ell.
+    Only if it raises NewtonFailure does run_continuation walk t from 0 to 1,
+    from C(n,k)^{-1/k} ell with an empty LU slot, which is the solve the
+    continuation alone makes; its report keeps the direct failure.
+    Returns (s, SolveReport); raises ContinuationStall if the fallback stalls.
+    """
+    q, rhs = rhs_fn(1.0)
+    c = model_scale(phi_values, params)
+    try:
+        if not 0.0 < c < math.inf:
+            raise NewtonFailure(f"model scale {c:.3e} is outside the float range")
+        s, info = newton_fn(c * model, q, rhs, _LUSlot())
+    except NewtonFailure as exc:
+        lu = _LUSlot()
+        return run_continuation(lambda s, q, rhs: newton_fn(s, q, rhs, lu), rhs_fn,
+                                params.cnk ** (-1.0 / params.k) * model, sched, grid=grid,
+                                report=SolveReport(direct_failure=str(exc)))
+    report = SolveReport(method="newton", converged=True)
+    report.record(1.0, info, grid)
+    return s, report
+
+
+def relative_residual(fint, sk) -> float:
+    """||F_int|| / ||sigma_k(tau_sharp[s])||, max norms: the interior residual
+    in the units of the equation (report-only)."""
+    return float(np.max(np.abs(fint)) / np.max(np.abs(sk)))
+
+
 def _continuation(phi: CapField, params: CapParams, sched: Schedule, s0: CapField | None):
     """run_continuation on phi's own grid, from s0 or the scaled model function,
-    with one LU slot for the whole path."""
+    with one LU slot for the whole path: solve_path's path from a given s0."""
     grid = phi.grid
     if s0 is None:
         s0 = params.cnk ** (-1.0 / params.k) * ell_field(grid)
@@ -503,19 +571,20 @@ def _interpolate(f: CapField, grid: CapGrid) -> CapField:
 
 def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
                s0: CapField | None = None):
-    """Continuation solve of sigma_k(tau_sharp[s]) = s^{q-1} phi_q from t = 0 to 1.
+    """Solve sigma_k(tau_sharp[s]) = s^{p-1} phi on phi's grid.
 
     Grid sequencing: phi (and s0, if given) are interpolated to the coarsest
     grid `_coarser` reaches from phi's, one of 32-63 rings (phi's own, if it
-    has fewer than 64), the continuation runs there, and each finer grid, up
-    to phi's own, gets the interpolated solution and one Newton corrector at
-    t = 1 with a fresh LU.
-    The path starts at s0 or the scaled model function C(n,k)^{-1/k} ell.
+    has fewer than 64).  There `newton_first` solves at t = 1, falling back on
+    the continuation; from a given s0 the continuation runs instead.  Each
+    finer grid, up to phi's own, gets the interpolated solution and one
+    Newton corrector at t = 1 with a fresh LU.
 
-    Returns the solution field and the SolveReport (structural-hypothesis
-    report included, informational only).  Raises ContinuationStall with the
-    partial report if the continuation stalls, or at t = 1, with the grid
-    named in its failure, if a finer grid's corrector fails.
+    Returns the solution field and the SolveReport (its relative residual is
+    taken on phi's grid; structural-hypothesis report included, informational
+    only).  Raises ContinuationStall with the partial report if the
+    continuation stalls, or at t = 1, with the grid named in its failure, if
+    a finer grid's corrector fails.
     """
     if params.n != 2:
         raise ValueError("full-field solves are restricted to n = 2; use the rotsym oracle")
@@ -531,7 +600,14 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
         phis.append(_interpolate(phis[-1], coarse))
         if s0 is not None:
             s0 = _interpolate(s0, coarse)
-    s, report = _continuation(phis.pop(), params, sched, s0)
+    coarsest = phis.pop()
+    if s0 is None:
+        s, report = newton_first(
+            lambda s, q, rhs, lu: newton_solve(s, q, rhs, params, sched, lu),
+            lambda t: homotopy_rhs(t, coarsest, params), coarsest.values,
+            ell_field(coarsest.grid), params, sched, grid=_label(coarsest.grid))
+    else:
+        s, report = _continuation(coarsest, params, sched, s0)
     while phis:
         level = phis.pop()
         # rebinding s frees the coarser solution, and with it the coarser
@@ -544,6 +620,9 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
             failure = NewtonFailure(f"corrector on {_label(level.grid)}: {exc}")
             raise ContinuationStall(1.0, None, report, failure) from exc
         report.record(1.0, info, _label(level.grid))
+    tau = tau_sharp(s)
+    fint, _ = residual(s, params.p, phi, params, tau=tau)
+    report.relative_residual = relative_residual(fint, sigma_k(tau, params.k))
     report.structural = structural_hypothesis_check(phi, params)
     return s, report
 

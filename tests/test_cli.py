@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capcmk import cli
+from capcmk import cli, solver
 from capcmk.cli import main as cli_main
 from capcmk.config import ConfigError, load_config, parse_kv_text
-from capcmk.fields import CapGrid, load_field, save_field
+from capcmk.fields import CapGrid, load_field, save_field, tau_sharp
 from capcmk.geometry import ell, ell_field
-from capcmk.solver import Schedule
+from capcmk.solver import Schedule, residual
+from capcmk.symfunc import sigma_k
 
 BASE = """\
 n = 2
@@ -236,14 +237,51 @@ def test_solve_writes_all_outputs(solved_cli):
     assert report["phi"] == {"kind": "cap_manufactured", "r": 1.3}
     assert report["solve"]["converged"]
     assert "wall_time" not in report["solve"]
+    assert report["solve"]["method"] == "newton" and report["solve"]["direct_failure"] is None
+    assert report["solve"]["relative_residual"] <= 1e-9
     factorizations = report["solve"]["factorizations"]
     assert len(factorizations) == len(report["solve"]["t_steps"])
-    assert factorizations[0] == 1
+    assert factorizations[0] >= 1  # the direct attempt starts without an LU
     assert all(0 <= f <= n for f, n in zip(factorizations, report["solve"]["newton_iters"]))
     assert report["manufactured_sup_error"] < 5e-3
     audit = json.loads((out / "audit.json").read_text())
     assert audit["mandatory_pass"]
     assert audit["residual"]["pass"]
+
+
+def test_a_fallback_solve_writes_the_plain_continuation(solved_cli, tmp_path, monkeypatch,
+                                                        capsys):
+    """A failed direct attempt (here a model scale beyond the float range)
+    leaves the solve to the continuation: solution.csv is what the
+    continuation alone writes, and report.json and stdout say so."""
+    _, cfg, _ = solved_cli
+    monkeypatch.setattr(solver, "model_scale", lambda *args: math.inf)
+    out = tmp_path / "out"
+    assert cli_main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    why = "model scale inf is outside the float range"
+    assert f"converged by continuation (direct Newton failed: {why}) on 16x32" in capsys.readouterr().out
+    report = read_report(out)["solve"]
+    assert report["method"] == "continuation" and report["direct_failure"] == why
+    assert report["factorizations"][0] == 1  # k = 1: the path's t = 0 problem is linear
+    conf = load_config(cfg)
+    plain, _ = solver._continuation(conf.phi_field(conf.grid()), conf.params, conf.schedule, None)
+    save_field(plain, tmp_path / "plain.csv")
+    assert (out / "solution.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_solve_reports_the_relative_residual(tmp_path):
+    """report.json's relative residual ||F_int|| / ||sigma_k(tau_sharp[s])||
+    is taken on the requested grid, at the written solution."""
+    out = tmp_path / "out"
+    assert cli_main(["solve", "--config", write_cfg(tmp_path, SOLVE_CFG), "--grid", "64x128",
+                     "--out", str(out), "--quiet"]) == 0
+    rel = read_report(out)["solve"]["relative_residual"]
+    assert rel <= 1e-9
+    conf = load_config(str(tmp_path / "run.cfg"))
+    s = load_field(out / "solution.csv")
+    tau = tau_sharp(s)
+    fint, _ = residual(s, conf.params.p, conf.phi_field(s.grid), conf.params, tau=tau)
+    assert rel == np.max(np.abs(fint)) / np.max(np.abs(sigma_k(tau, conf.params.k)))
 
 
 def test_solve_is_deterministic(solved_cli):
@@ -439,6 +477,9 @@ def test_failed_solve_writes_a_stall_report(tmp_path, capsys, command):
     assert report["solve"]["t_steps"] == []
     assert "0 iterations" in report["solve"]["failure"]
     assert report["solve"]["failure"] in capsys.readouterr().err
+    assert report["solve"]["method"] == "continuation"
+    assert "0 iterations" in report["solve"]["direct_failure"]
+    assert report["solve"]["relative_residual"] is None
 
 
 def test_sweep_over_a_small_lattice(tmp_path):

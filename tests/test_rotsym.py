@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from capcmk import rotsym, solver
 from capcmk.fields import CapField, CapGrid
 from capcmk.geometry import CapParams, ell
 from capcmk.rotsym import (
@@ -17,7 +18,7 @@ from capcmk.rotsym import (
     sigma_rot,
     solve_rotsym,
 )
-from capcmk.solver import solve_path
+from capcmk.solver import NewtonFailure, model_scale, solve_path
 
 THETA4 = math.pi / 4
 
@@ -141,6 +142,103 @@ def test_oracle_agrees_with_the_two_dimensional_solver():
     phi2d = CapField(g, np.broadcast_to(vals[:, None], (33, 64)).copy(), even=True)
     s2d, _ = solve_path(phi2d, params)
     assert cross_check_gap(prof, s2d) < 5e-4
+
+
+def rotsym_field(grid, c1):
+    """1 + c1 (1 - cos beta) on a 2-D grid."""
+    vals = 1.0 + c1 * (1.0 - np.cos(grid.beta_all))
+    return CapField(grid, np.broadcast_to(vals[:, None], (grid.nbeta + 1, grid.nphi)).copy(),
+                    even=True)
+
+
+def test_both_layers_start_from_one_model_scale():
+    """On rotationally symmetric data the 2-D grid of N rings and the 1-D
+    grid of N cells have the same node values, so both layers' direct
+    attempts start from one scale."""
+    params = CapParams(n=2, k=2, p=1.8, theta=THETA4)
+    phi2d = rotsym_field(CapGrid(32, 64, THETA4), 0.3)
+    phi1d = 1.0 + 0.3 * (1.0 - np.cos(RotGrid(32, THETA4).beta_all))
+    assert model_scale(phi2d.values, params) == pytest.approx(model_scale(phi1d, params),
+                                                              rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "p, theta, c1, max_s, oracle",
+    [(2.709, 1.228, 3.29, 2.785, True), (2.845, 1.388, 1.17, 3.298, True),
+     (2.496, 1.384, 3.76, 4.404, False)],
+    ids=["collapse-1", "collapse-2", "fine-stall"])
+def test_the_direct_solve_finds_the_solution_the_continuation_missed(p, theta, c1, max_s,
+                                                                     oracle):
+    """k = 2, data 1 + c1 (1 - cos beta), 64x128.  The continuation alone
+    ends the first two on collapsed fields (max s 1.6e-6 and 3.0e-6,
+    relative residuals 9.2 and 3.3), which the 512-cell oracle's
+    continuation reproduced; on the third its 32x64 solution leaves the
+    64x128 corrector outside the cone.  The direct solve converges on all
+    three, and the oracle's direct solve agrees on the first two.  On the
+    third the oracle's direct attempt stops on the roundoff floor
+    (ROADMAP item 1)."""
+    params = CapParams(n=2, k=2, p=p, theta=theta)
+    s, report = solve_path(rotsym_field(CapGrid(64, 128, theta), c1), params)
+    assert float(np.max(s.values)) == pytest.approx(max_s, rel=1e-3)
+    assert report.relative_residual <= 1e-9 and report.method == "newton"
+    if oracle:
+        prof, rep1 = solve_rotsym(lambda b: 1.0 + c1 * (1.0 - np.cos(b)), params, n_cells=512)
+        assert cross_check_gap(prof, s) <= 5e-3
+        assert rep1.relative_residual <= 1e-9 and rep1.method == "newton"
+
+
+def test_the_relative_residual_shows_a_false_convergence():
+    """k = 1, p = 1.98, theta = pi/4, data 1 + 0.3 (1 - cos beta): both
+    layers accept their start, whose absolute residual is already below
+    tol_solve (max s is about 2e-15); only the relative residual shows that
+    it is no solution."""
+    params = CapParams(n=2, k=1, p=1.98, theta=THETA4)
+    _, report = solve_path(rotsym_field(CapGrid(64, 128, THETA4), 0.3), params)
+    _, rep1 = solve_rotsym(lambda b: 1.0 + 0.3 * (1.0 - np.cos(b)), params, n_cells=512)
+    for rep in (report, rep1):
+        assert rep.converged and rep.relative_residual > 1e-2
+
+
+def test_a_forced_direct_failure_runs_the_continuation(monkeypatch):
+    params = CapParams(n=2, k=1, p=1.5, theta=THETA4)
+    phi = lambda b: 1.0 + 0.3 * (1.0 - np.cos(b))  # noqa: E731
+    newton = rotsym._damped_newton
+    calls = []
+
+    def failing_first(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise NewtonFailure("forced")
+        return newton(*args)
+
+    monkeypatch.setattr(rotsym, "_damped_newton", failing_first)
+    prof, report = solve_rotsym(phi, params, n_cells=128)
+    monkeypatch.undo()
+    # a model scale beyond the float range fails the direct attempt before
+    # its first Newton step, so this is the continuation alone
+    monkeypatch.setattr(solver, "model_scale", lambda *args: math.inf)
+    plain, plain_report = solve_rotsym(phi, params, n_cells=128)
+    assert report.converged and report.method == "continuation"
+    assert report.direct_failure == "forced" and report.failure is None
+    assert np.array_equal(prof.s, plain.s)
+    assert report.factorizations == plain_report.factorizations
+
+
+def test_a_real_direct_failure_runs_the_continuation(monkeypatch):
+    """k = 2, p = 2.496, theta = 1.384, data 1 + 3.76 (1 - cos beta), 512
+    cells: the direct attempt's line search fails on the roundoff floor
+    (res = 1.32e-9), and the continuation ends on a collapsed profile
+    (ROADMAP item 1).  Its result is bit for bit the continuation's alone."""
+    params = CapParams(n=2, k=2, p=2.496, theta=1.384)
+    phi = lambda b: 1.0 + 3.76 * (1.0 - np.cos(b))  # noqa: E731
+    prof, report = solve_rotsym(phi, params, n_cells=512)
+    monkeypatch.setattr(solver, "model_scale", lambda *args: math.inf)
+    plain, plain_report = solve_rotsym(phi, params, n_cells=512)
+    assert report.converged and report.method == "continuation"
+    assert report.direct_failure.startswith("line search failed")
+    assert plain_report.direct_failure == "model scale inf is outside the float range"
+    assert np.array_equal(prof.s, plain.s)
+    assert report.factorizations == plain_report.factorizations
 
 
 def test_save_profile_writes_all_columns(tmp_path):

@@ -155,8 +155,8 @@ def test_jacobian_matches_finite_differences(params_k1, grid_16):
 
 def test_continuation_hits_the_branch_point_exactly(params_k1, grid_16):
     phi = positive_even_phi(grid_16)
-    s, report = solve_path(phi, params_k1)
-    assert report.converged
+    s, report = solver._continuation(phi, params_k1, Schedule(), None)
+    assert report.converged and report.method == "continuation"
     assert 0.5 in report.t_steps
     assert report.t_steps[0] == 0.0 and report.t_steps[-1] == 1.0
 
@@ -263,7 +263,7 @@ def test_linear_path_factorizes_once(params_k1, grid_32, monkeypatch):
         return splu(a, *args, **kwargs)
 
     monkeypatch.setattr(solver, "splu", counting_splu)
-    _, report = solve_path(positive_even_phi(grid_32), params_k1)
+    _, report = solver._continuation(positive_even_phi(grid_32), params_k1, Schedule(), None)
     assert report.converged and report.t_steps[:3] == [0.0, 0.25, 0.5]
     assert report.factorizations[:3] == [1, 0, 0]
     assert len(calls) == sum(report.factorizations)
@@ -423,9 +423,67 @@ def test_a_stall_at_t0_runs_the_continuation_once(params_k1, monkeypatch):
     with pytest.raises(ContinuationStall) as err:
         solve_path(positive_even_phi(grid), params_k1, Schedule(newton_max=0))
     report = err.value.report
-    assert grids == ["32x64"]
+    assert grids == ["32x64", "32x64"]  # the direct attempt, then the path's t = 0
     assert report.stalled_at == 0.0 and report.t_steps == [] == report.grids
+    assert report.method == "continuation"
+    assert report.direct_failure.startswith("no convergence in 0 iterations")
     assert report.failure.startswith("no convergence in 0 iterations")
+
+
+def test_a_forced_direct_failure_runs_the_plain_continuation(params_k1, grid_32, monkeypatch):
+    newton = solver.newton_solve
+    qs = []
+
+    def failing_first(s, q, *args, **kwargs):
+        qs.append(q)
+        if len(qs) == 1:
+            raise NewtonFailure("forced")
+        return newton(s, q, *args, **kwargs)
+
+    phi = positive_even_phi(grid_32)
+    monkeypatch.setattr(solver, "newton_solve", failing_first)
+    s, report = solve_path(phi, params_k1)
+    monkeypatch.undo()
+    plain, plain_report = solver._continuation(phi, params_k1, Schedule(), None)
+    assert qs[:2] == [params_k1.p, 1.0]  # the direct attempt at t = 1, then the path's t = 0
+    assert report.converged and report.method == "continuation"
+    assert report.direct_failure == "forced" and report.failure is None
+    assert np.array_equal(s.values, plain.values)
+    assert report.t_steps == plain_report.t_steps
+    assert report.factorizations == plain_report.factorizations
+
+
+def stress_phi(grid, c1, a, m):
+    """1 + c1 (1 - cos beta) + a cos(m phi) sin^2 beta: the family of the
+    seeded random stress runs."""
+    bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
+    return CapField(grid, 1.0 + c1 * (1.0 - np.cos(bb)) + a * np.cos(m * pp) * np.sin(bb) ** 2,
+                    even=True)
+
+
+@pytest.mark.parametrize(
+    "p, theta, c1, a, m",
+    [(2.750520217935109, 1.4850083014997018, 1.6435431158297247, 0.5801371701403857, 6),
+     (2.847297540026552, 1.4592424005334272, 2.486071153915271, 0.7161900852056505, 4)],
+    ids=["roundoff-floor", "line-search"])
+def test_a_real_direct_failure_runs_the_plain_continuation(p, theta, c1, a, m):
+    """Two of 1850 seeded random cases at 32x64, k = 2, where the direct
+    attempt fails and the continuation converges.
+
+    In the first, the direct attempt's line search fails on the roundoff
+    floor (res = 1.112e-9, just above tol_solve), so another platform's
+    rounding may let it converge; the continuation reaches a relative
+    residual of 1.1e-11.  In the second it fails at res = 5.1e-8, and the
+    continuation ends on a collapsed field (relative residual 15).
+    """
+    params = CapParams(n=2, k=2, p=p, theta=theta)
+    phi = stress_phi(CapGrid(32, 64, theta), c1, a, m)
+    s, report = solve_path(phi, params)
+    plain, plain_report = solver._continuation(phi, params, Schedule(), None)
+    assert report.converged and report.method == "continuation"
+    assert report.direct_failure.startswith("line search failed")
+    assert np.array_equal(s.values, plain.values)
+    assert report.factorizations == plain_report.factorizations
 
 
 def test_sequenced_solve_converges_where_the_fine_continuation_stalls():
