@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CapField, tau_sharp
+from .fields import CapField, tau_sharp, write_csv
 from .geometry import CapParams, ell, ell_field
 from .symfunc import SymEndo, polarize_qk, sigma_k
 
@@ -368,11 +368,6 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams) -> dict:
 def save_embedding(s: CapField, path):
     """Point-cloud CSV (beta, phi, X1, X2, X3), row-major over the node grid."""
     g = s.grid
-    pts = surface_points(s)
-    lines = ["beta,phi,x1,x2,x3"]
-    for i, b in enumerate(g.beta_all):
-        for j, ph in enumerate(g.phi):
-            x = pts[i, j]
-            lines.append(f"{b:.17g},{ph:.17g},{x[0]:.17g},{x[1]:.17g},{x[2]:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
+    rows = np.column_stack([bb.ravel(), pp.ravel(), surface_points(s).reshape(-1, 3)])
+    write_csv(path, ["beta,phi,x1,x2,x3"], rows)

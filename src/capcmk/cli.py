@@ -239,6 +239,8 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
+    if args.solution and cfg.params.n != 2:
+        raise ConfigError(f"--solution takes an n = 2 solution, got n = {cfg.params.n}")
     profile_fn = cfg.phi_profile()
     s2 = _stored_solution(args.solution, cfg) if args.solution else None
     report = {

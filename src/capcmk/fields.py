@@ -338,18 +338,20 @@ def boundary_tau_identity_residual(s: CapField) -> float:
 _MAGIC = "# capcmk field v1"
 
 
-def save_field(s: CapField, path):
-    """Write a field as CSV: header (Nbeta, Nphi, theta, even), then node rows.
-
-    Values are %.17g so the round-trip is bit-exact.
-    """
-    lines = [_MAGIC, "# nbeta,nphi,theta,even"]
-    g = s.grid
-    lines.append(f"{g.nbeta},{g.nphi},{g.theta:.17g},{int(s.even)}")
-    for row in s.values:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+def write_csv(path, header, rows):
+    """Write the `header` lines, then one line per row of the 2-D float array
+    `rows`, each value as %.17g so that it parses back bit-exactly."""
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    lines = list(header) + [fmt % tuple(r) for r in rows.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def save_field(s: CapField, path):
+    """Write a field as CSV: header (Nbeta, Nphi, theta, even), then node rows."""
+    g = s.grid
+    write_csv(path, [_MAGIC, "# nbeta,nphi,theta,even",
+                     f"{g.nbeta},{g.nphi},{g.theta:.17g},{int(s.even)}"], s.values)
 
 
 def load_field(path) -> CapField:

@@ -16,7 +16,12 @@ beta -> 0 limit of lam_t is s''(0) + s(0) by l'Hopital, and the discrete
 lam_t - lam_r gap at the first ring vanishes under refinement) and the same
 Robin row s'(theta) = cot(theta) s(theta) at the rim.  Discretization mirrors
 the 2-D conventions: cell-centered rings plus a rim node, second order
-throughout, 4-point nonuniform second derivative next to the rim.
+throughout, 4-point nonuniform second derivative next to the rim.  The
+stencils are this module's own, built once per grid (`RotGrid.ops`) together
+with the Jacobian's constant parts; a `RotProfile` computes lam_r and lam_t
+when it is built, so each Newton point is evaluated once for the cone guard,
+the residual and the Jacobian.  `save_profile` writes through the package's
+one CSV writer, `fields.write_csv`.
 
 The Newton corrector is the solver's shared damped-Newton loop
 (`solver._damped_newton`) with this module's residual, cone margin and sparse
@@ -32,13 +37,13 @@ test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .fields import fd_weights
+from .fields import fd_weights, write_csv
 from .geometry import CapParams, ell
 from .solver import Schedule, _damped_newton, homotopy_values, newton_first, relative_residual
 
@@ -68,82 +73,61 @@ class RotGrid:
         self.dbeta = self.theta / self.n_cells
         self.beta_cells = (np.arange(self.n_cells) + 0.5) * self.dbeta
         self.beta_all = np.concatenate([self.beta_cells, [self.theta]])
+        self.cot_cells = np.cos(self.beta_cells) / np.sin(self.beta_cells)
         self._ops = None
 
     def ops(self):
-        """Sparse d/dbeta, d2/dbeta2 on cells and the rim derivative row.
+        """Sparse operators on the profile (cells plus rim), built once per grid.
 
-        The mirror closure s(-beta) = s(beta) (rotational symmetry plus the
-        across-pole chart identity) feeds the first ring's central stencils.
+        d1, d2: d/dbeta, d2/dbeta2 on the cells; dbd: the rim derivative row;
+        pcells: the cell values; lam_r, lam_t, robin: the linearizations of
+        s'' + s, s' cot(beta) + s and the Robin row.  The mirror closure
+        s(-beta) = s(beta) (rotational symmetry plus the across-pole chart
+        identity) feeds the first ring's central stencils.
         """
         if self._ops is not None:
             return self._ops
-        n, db = self.n_cells, self.dbeta
-        ntot = n + 1
-        rows, cols, data = [], [], []
+        n, db, ntot = self.n_cells, self.dbeta, self.n_cells + 1
 
-        def put(r, c, v):
-            rows.append(r)
-            cols.append(c)
-            data.append(v)
+        def stencil(m, central, rim):
+            """m x ntot CSR: {offset: weight} on rows 0..m-2, column -1 mirrored
+            onto column 0, and a last row whose weights `rim` end at the rim."""
+            i = np.arange(m - 1)
+            offs = np.array(list(central), dtype=int)
+            rows = np.concatenate([np.repeat(i, offs.size), np.full(len(rim), m - 1)])
+            cols = np.concatenate([np.maximum(i[:, None] + offs, 0).ravel(),
+                                   np.arange(ntot - len(rim), ntot)])
+            data = np.concatenate([np.tile(list(central.values()), m - 1), rim])
+            return sp.csr_matrix((data, (rows, cols)), shape=(m, ntot))
 
-        # d/dbeta: mirror makes the first ring (f1 - f0)/(2 db)
-        put(0, 0, -0.5 / db)
-        put(0, 1, 0.5 / db)
-        for i in range(1, n - 1):
-            put(i, i - 1, -0.5 / db)
-            put(i, i + 1, 0.5 / db)
-        w = fd_weights([-db, 0.0, 0.5 * db], 1)
-        for c, wc in zip((n - 2, n - 1, n), w):
-            put(n - 1, c, wc)
-        d1 = sp.csr_matrix((data, (rows, cols)), shape=(n, ntot))
-        rows, cols, data = [], [], []
-
-        # d2/dbeta2: mirror makes the first ring (f1 - f0)/db^2
-        put(0, 0, -1.0 / db**2)
-        put(0, 1, 1.0 / db**2)
-        for i in range(1, n - 1):
-            put(i, i - 1, 1.0 / db**2)
-            put(i, i, -2.0 / db**2)
-            put(i, i + 1, 1.0 / db**2)
-        w = fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)
-        for c, wc in zip((n - 3, n - 2, n - 1, n), w):
-            put(n - 1, c, wc)
-        d2 = sp.csr_matrix((data, (rows, cols)), shape=(n, ntot))
-        rows, cols, data = [], [], []
-
-        w = fd_weights([-1.5 * db, -0.5 * db, 0.0], 1)
-        for c, wc in zip((n - 2, n - 1, n), w):
-            put(0, c, wc)
-        dbd = sp.csr_matrix((data, (rows, cols)), shape=(1, ntot))
-
+        d1 = stencil(n, {-1: -0.5 / db, 1: 0.5 / db}, fd_weights([-db, 0.0, 0.5 * db], 1))
+        d2 = stencil(n, {-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
+                     fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2))
+        dbd = stencil(1, {}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1))
         pcells = sp.eye(n, ntot, format="csr")
-        self._ops = {"d1": d1, "d2": d2, "dbd": dbd, "pcells": pcells}
+        ct = math.cos(self.theta) / math.sin(self.theta)
+        self._ops = {"d1": d1, "d2": d2, "dbd": dbd, "pcells": pcells, "lam_r": d2 + pcells,
+                     "lam_t": sp.diags(self.cot_cells) @ d1 + pcells,
+                     "robin": dbd - ct * sp.csr_matrix(([1.0], ([0], [n])), shape=(1, ntot))}
         return self._ops
 
 
 @dataclass(eq=False)
 class RotProfile:
-    """Radial profile s(beta) with its derived curvature-radius eigenvalues."""
+    """Radial profile s(beta); its eigenvalues lam_r, lam_t are computed once, at build."""
 
     grid: RotGrid
     s: np.ndarray
+    lam_r: np.ndarray = field(init=False, repr=False)
+    lam_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
         if self.s.shape != (self.grid.n_cells + 1,):
             raise ValueError(f"profile shape {self.s.shape} != {(self.grid.n_cells + 1,)}")
-
-    @property
-    def lam_r(self) -> np.ndarray:
-        ops = self.grid.ops()
-        return ops["d2"] @ self.s + self.s[: self.grid.n_cells]
-
-    @property
-    def lam_t(self) -> np.ndarray:
-        ops = self.grid.ops()
-        b = self.grid.beta_cells
-        return (ops["d1"] @ self.s) * (np.cos(b) / np.sin(b)) + self.s[: self.grid.n_cells]
+        ops, cells = self.grid.ops(), self.s[: self.grid.n_cells]
+        self.lam_r = ops["d2"] @ self.s + cells
+        self.lam_t = (ops["d1"] @ self.s) * self.grid.cot_cells + cells
 
     def s_rim(self) -> float:
         return float(self.s[-1])
@@ -187,22 +171,13 @@ def _residual(profile: RotProfile, q: float, rhs_cells: np.ndarray, params: CapP
 
 
 def _linearize(profile: RotProfile, q: float, rhs_cells: np.ndarray, params: CapParams):
-    g = profile.grid
-    ops = g.ops()
-    b = g.beta_cells
-    lr, lt = profile.lam_r, profile.lam_t
-    dr, dt = _sigma_rot_partials(lr, lt, params.n, params.k)
-    lam_r_op = ops["d2"] + ops["pcells"]
-    lam_t_op = sp.diags(np.cos(b) / np.sin(b)) @ ops["d1"] + ops["pcells"]
-    jint = sp.diags(dr) @ lam_r_op + sp.diags(dt) @ lam_t_op
+    g, ops = profile.grid, profile.grid.ops()
+    dr, dt = _sigma_rot_partials(profile.lam_r, profile.lam_t, params.n, params.k)
+    jint = sp.diags(dr) @ ops["lam_r"] + sp.diags(dt) @ ops["lam_t"]
     if q != 1.0:
         zer = (q - 1.0) * profile.s[: g.n_cells] ** (q - 2.0) * rhs_cells
         jint = jint - sp.diags(zer) @ ops["pcells"]
-    ct = math.cos(g.theta) / math.sin(g.theta)
-    robin = ops["dbd"] - ct * sp.csr_matrix(
-        ([1.0], ([0], [g.n_cells])), shape=(1, g.n_cells + 1)
-    )
-    return sp.vstack([jint, robin], format="csr")
+    return sp.vstack([jint, ops["robin"]], format="csr")
 
 
 def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells: int = 512):
@@ -304,18 +279,7 @@ def cross_check_gap(profile: RotProfile, field2d) -> float:
 def save_profile(profile: RotProfile, params: CapParams, path):
     """Profile CSV (beta, s, lam_r, lam_t, sigma_k); rim row extrapolated."""
     g = profile.grid
-    lr, lt = profile.lam_r, profile.lam_t
-    sk = rotsym_sigma_k(profile, params)
-    db = g.dbeta
-    wv = fd_weights([-2.5 * db, -1.5 * db, -0.5 * db], 0)
-    rim = [float(wv @ arr[-3:]) for arr in (lr, lt, sk)]
-    lines = ["beta,s,lam_r,lam_t,sigma_k"]
-    for i in range(g.n_cells):
-        lines.append(
-            f"{g.beta_cells[i]:.17g},{profile.s[i]:.17g},{lr[i]:.17g},{lt[i]:.17g},{sk[i]:.17g}"
-        )
-    lines.append(
-        f"{g.theta:.17g},{profile.s[-1]:.17g},{rim[0]:.17g},{rim[1]:.17g},{rim[2]:.17g}"
-    )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cols = [profile.lam_r, profile.lam_t, rotsym_sigma_k(profile, params)]
+    wv = fd_weights([-2.5 * g.dbeta, -1.5 * g.dbeta, -0.5 * g.dbeta], 0)
+    cols = [np.append(c, float(wv @ c[-3:])) for c in cols]
+    write_csv(path, ["beta,s,lam_r,lam_t,sigma_k"], np.column_stack([g.beta_all, profile.s] + cols))

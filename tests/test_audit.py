@@ -308,3 +308,12 @@ def test_save_embedding_format(tmp_path, grid_16):
     assert len(lines) == 1 + (grid_16.nbeta + 1) * grid_16.nphi
     rim_x3 = [abs(float(ln.split(",")[4])) for ln in lines[-grid_16.nphi:]]
     assert max(rim_x3) < 1e-3
+    # every value parses back bit-exactly, row-major over (beta, phi)
+    s = random_capillary_field(grid_16, np.random.default_rng(8))
+    save_embedding(s, path)
+    got = np.array([[float(v) for v in ln.split(",")]
+                    for ln in path.read_text().splitlines()[1:]])
+    got = got.reshape(grid_16.nbeta + 1, grid_16.nphi, 5)
+    assert np.all(got[:, :, 0] == grid_16.beta_all[:, None])
+    assert np.all(got[:, :, 1] == grid_16.phi[None, :])
+    assert np.array_equal(got[:, :, 2:], surface_points(s))

@@ -592,6 +592,7 @@ def test_selftest_passes(capsys):
     "argv,code",
     [
         (["verify", "--config", "{n3}", "--solution", "{sol}", "--out", "{out}"], 1),
+        (["oracle", "--config", "{n3k2}", "--solution", "{sol}", "--out", "{out}"], 1),
         (["solve", "--config", "{cfg}", "--out", "{cfg}"], 1),
         (["solve", "--config", "{cfg}", "--bogus"], 1),
         (["solve"], 1),
@@ -599,14 +600,16 @@ def test_selftest_passes(capsys):
         (["selftest", "--out", "{out}"], 1),
         (["--help"], 0),
     ],
-    ids=["verify-n3", "out-is-a-file", "unknown-flag", "no-config", "seed-on-solve",
-         "out-on-selftest", "help"],
+    ids=["verify-n3", "oracle-n3-solution", "out-is-a-file", "unknown-flag", "no-config",
+         "seed-on-solve", "out-on-selftest", "help"],
 )
 def test_every_exit_path_returns_its_code(solved_cli, tmp_path, capsys, argv, code):
     _, _, out2d = solved_cli
     paths = {
         "cfg": write_cfg(tmp_path, SOLVE_CFG),
         "n3": write_cfg(tmp_path, SOLVE_CFG.replace("n = 2", "n = 3"), "n3.cfg"),
+        "n3k2": write_cfg(tmp_path, SOLVE_CFG.replace("n = 2\nk = 1", "n = 3\nk = 2"),
+                          "n3k2.cfg"),
         "sol": str(out2d / "solution.csv"),
         "out": str(tmp_path / "out"),
     }

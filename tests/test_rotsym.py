@@ -72,6 +72,57 @@ def test_model_profile_has_unit_eigenvalues():
     assert abs(prof.robin_residual()) < 1e-5
 
 
+@pytest.mark.parametrize("n_cells", [8, 9, 64, 512])
+def test_stencils_are_exact_on_low_degree_polynomials(n_cells):
+    # 1 and beta^2 are even, so the mirror closure holds and every row is exact;
+    # beta and beta^3 are odd, so the mirrored first row is not, and on beta^3
+    # the central d1 has its known truncation h^2.  With beta, every weight of
+    # every row is pinned.  Roundoff grows like eps / h^order.
+    g = RotGrid(n_cells, THETA4)
+    ops, b, bc, h = g.ops(), g.beta_all, g.beta_cells, g.dbeta
+    tol = 16.0 * np.finfo(float).eps
+
+    def close(got, want, order):
+        assert np.max(np.abs(got - want)) <= tol / h**order
+
+    for f, df, d2f in [(np.ones_like(b), 0.0 * bc, 0.0 * bc), (b**2, 2.0 * bc, 2.0 + 0.0 * bc)]:
+        close(ops["d1"] @ f, df, 1)
+        close(ops["d2"] @ f, d2f, 2)
+    close((ops["d1"] @ b)[1:], 1.0, 1)
+    close((ops["d2"] @ b)[1:], 0.0, 2)
+    close((ops["d2"] @ b**3)[1:], 6.0 * bc[1:], 2)
+    close((ops["d1"] @ b**3)[1:-1], 3.0 * bc[1:-1] ** 2 + h**2, 1)
+    for f, df in [(np.ones_like(b), 0.0), (b, 1.0), (b**2, 2.0 * g.theta)]:
+        close(ops["dbd"] @ f, df, 1)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 2), (4, 2), (4, 3)])
+def test_linearize_is_the_derivative_of_the_residual(n, k):
+    # central differences of _residual along random smooth directions (random
+    # cosine series, so the lower-order terms are not drowned out by d2); the
+    # truncation of the cubic sigma_3 at (4, 3) is near 4e-8 at this step
+    p = {1: 1.5, 2: 2.2, 3: 2.5}[k]
+    params = CapParams(n=n, k=k, p=p, theta=THETA4)
+    g = RotGrid(64, THETA4)
+    s = 1.2 * ell(THETA4, g.beta_all) + 0.05 * np.cos(g.beta_all) ** 2
+    prof = RotProfile(g, s)
+    assert min(np.min(prof.lam_r), np.min(prof.lam_t)) > 0.5
+    rhs = 1.0 + 0.3 * (1.0 - np.cos(g.beta_cells))
+    rng, h = np.random.default_rng(5), 1e-5
+    modes = np.cos(np.outer(np.arange(6), g.beta_all))
+
+    for q in (1.0, p):
+        def res(x):
+            return np.append(*rotsym._residual(RotProfile(g, x), q, rhs, params))
+
+        jac = rotsym._linearize(prof, q, rhs, params)
+        for _ in range(3):
+            v = rng.standard_normal(6) @ modes
+            jv = jac @ v
+            fd = (res(s + h * v) - res(s - h * v)) / (2.0 * h)
+            assert np.max(np.abs(jv - fd)) <= 1e-5 * np.max(np.abs(jv))
+
+
 @pytest.mark.parametrize("n,k,p", [(2, 1, 1.5), (3, 2, 2.0), (4, 2, 1.7)])
 def test_rotsym_solve_recovers_manufactured_solution(n, k, p):
     params = CapParams(n=n, k=k, p=p, theta=THETA4)
@@ -249,6 +300,10 @@ def test_save_profile_writes_all_columns(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "beta,s,lam_r,lam_t,sigma_k"
     assert len(lines) == 1 + 64 + 1
-    rim = [float(x) for x in lines[-1].split(",")]
-    assert rim[0] == pytest.approx(THETA4)
-    assert all(math.isfinite(v) for v in rim)
+    got = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    # every cell value parses back bit-exactly; the rim row is extrapolated
+    cells = [prof.grid.beta_cells, prof.s[:64], prof.lam_r, prof.lam_t,
+             rotsym_sigma_k(prof, params)]
+    assert np.array_equal(got[:64], np.column_stack(cells))
+    assert got[64, 0] == prof.grid.theta and got[64, 1] == prof.s[-1]
+    assert all(math.isfinite(v) for v in got[64])
