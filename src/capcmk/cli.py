@@ -303,8 +303,10 @@ def cmd_sweep(args) -> int:
     points = cfg.sweep_points()
     _say(args, f"sweep: {len(points)} members over p in {list(cfg.sweep_p)}, "
                f"theta in {[f'{t:.6g}' for t in cfg.sweep_theta]}")
-    # forked workers inherit the imported modules; one per CPU this process may use
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # forked workers inherit the imported modules; one per CPU this process may
+    # use, or one where the CPU count is unknown (os.cpu_count() may be None)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=min(cpus, len(points)),
                              mp_context=multiprocessing.get_context("fork")) as pool:
         members = list(pool.map(_sweep_job, [(cfg, *pt, out) for pt in points]))

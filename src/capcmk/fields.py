@@ -74,6 +74,7 @@ class CapGrid:
         # midpoint-rule weights over the cell rings (boundary ring: no mass)
         self.weights = np.sin(self.beta_cells)[:, None] * self.dbeta * self.dphi * np.ones((1, self.nphi))
         self._ops = None
+        self._even = None
 
     # -- identity / sizes -------------------------------------------------
     @property
@@ -99,22 +100,54 @@ class CapGrid:
         return f"CapGrid({self.nbeta}x{self.nphi}, theta={self.theta:.6g})"
 
     # -- stencil operators -------------------------------------------------
+    def _stencils(self):
+        """The 1-D stencils that ops() and even_blocks() lay over the grid.
+
+        Beta-matrices have one row per output ring and one column per ring
+        -1..Nbeta (column c is ring c - 1): d/dbeta and d^2/dbeta^2 with
+        their nonuniform rim-adjacent rows, the identity on the interior
+        rings, and the rim's one-sided d/dbeta and value selector.
+        Phi-stencils are periodic {offset: weight} dicts.
+        """
+        nb, db, dp = self.nbeta, self.dbeta, self.dphi
+
+        def band(central, rim, m=nb):
+            """m-row beta-matrix: central {ring offset: weight} on rings 0..m-2,
+            and a last row whose weights `rim` end at the rim ring."""
+            b = np.zeros((m, nb + 2))
+            i = np.arange(m - 1)
+            for o, wo in central.items():
+                b[i, i + 1 + o] = wo
+            b[-1, nb + 2 - len(rim):] = rim
+            return b
+
+        return {
+            "d1": band({-1: -0.5 / db, 1: 0.5 / db}, fd_weights([-db, 0.0, 0.5 * db], 1)),
+            "d2": band({-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
+                       fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)),
+            "rings": np.eye(nb, nb + 2, 1),
+            "dbd": band({}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1), 1),
+            "ibd": band({}, [1.0], 1),
+            "w1": {1: 0.5 / dp, -1: -0.5 / dp},
+            "w2": {1: 1.0 / dp**2, 0: -2.0 / dp**2, -1: 1.0 / dp**2},
+        }
+
     def ops(self):
         """Sparse derivative operators, built once per grid.
 
         All map the full value vector (row-major over (Nbeta+1) x Nphi nodes)
         to the interior rings, except `dbd` which maps to the boundary ring.
-        Each primitive is a beta-matrix over the rings -1..Nbeta laid over a
-        periodic phi-stencil (`lay`); ring -1, at beta = -beta_0, is ring 0
-        turned by the half-turn phi -> phi + pi.  a11/a12/a22 are the
-        orthonormal-frame components of tau_sharp as linear operators, so the
-        Newton linearization is the exact derivative of the discrete residual.
+        Each primitive is a beta-matrix of `_stencils` laid over a periodic
+        phi-stencil (`lay`); ring -1, at beta = -beta_0, is ring 0 turned by
+        the half-turn phi -> phi + pi.  a11/a12/a22 are the orthonormal-frame
+        components of tau_sharp as linear operators, so the Newton
+        linearization is the exact derivative of the discrete residual.
         """
         if self._ops is not None:
             return self._ops
-        nb, np_, h = self.nbeta, self.nphi, self.nphi // 2
-        db, dp = self.dbeta, self.dphi
+        np_, h = self.nphi, self.nphi // 2
         nint, ntot = self.n_interior, self.n_total
+        st = self._stencils()
         # int32 indices, which scipy keeps as they are: it stores int32 below
         # 2^31 nodes, and a grid that large would need over 100 GB for ops()
         js = np.arange(np_, dtype=np.int32)
@@ -134,29 +167,17 @@ class CapGrid:
             return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
                                  shape=(bmat.shape[0] * np_, ntot))
 
-        def band(central, rim, m=nb):
-            """m-row beta-matrix: central {ring offset: weight} on rings 0..m-2,
-            and a last row whose weights `rim` end at the rim ring."""
-            b = np.zeros((m, nb + 2))
-            i = np.arange(m - 1)
-            for o, wo in central.items():
-                b[i, i + 1 + o] = wo
-            b[-1, nb + 2 - len(rim):] = rim
-            return b
-
-        dbeta_op = lay(band({-1: -0.5 / db, 1: 0.5 / db}, fd_weights([-db, 0.0, 0.5 * db], 1)))
-        dbeta2_op = lay(band({-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
-                             fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)))
-        rings = np.eye(nb, nb + 2, 1)  # the identity on the interior rings
-        dphi_op = lay(rings, {1: 0.5 / dp, -1: -0.5 / dp})
-        dphi2_op = lay(rings, {1: 1.0 / dp**2, 0: -2.0 / dp**2, -1: 1.0 / dp**2})
+        dbeta_op = lay(st["d1"])
+        dbeta2_op = lay(st["d2"])
+        dphi_op = lay(st["rings"], st["w1"])
+        dphi2_op = lay(st["rings"], st["w2"])
 
         # mixed derivative: phi-central of the beta-derivative field
         dbetaphi_op = dphi_op[:, :nint] @ dbeta_op
 
         # boundary ring: one-sided d/dbeta (O(h^2)) and value selector
-        dbd = lay(band({}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1), 1))
-        ibd = lay(band({}, [1.0], 1))
+        dbd = lay(st["dbd"])
+        ibd = lay(st["ibd"])
 
         pint = sp.eye(nint, ntot, format="csr")
 
@@ -175,14 +196,6 @@ class CapGrid:
         a22_phi = (dg(1.0 / sinb**2) @ dphi2_op).tocsr()
         a22_rad = (dg(cosb / sinb) @ dbeta_op + pint).tocsr()
 
-        # even-subspace restriction I (x) [I_h; I_h]: node (i, j) reads the
-        # unknown (i, j mod Nphi/2); the stacked [interior; boundary] system
-        # keeps the rows with j < Nphi/2
-        node = np.arange(ntot, dtype=np.int32)
-        even_p = sp.csr_matrix((np.ones(ntot), (node, node // np_ * h + node % h)),
-                               shape=(ntot, (nb + 1) * h))
-        even_rows = np.flatnonzero(node % np_ < h)
-
         ct = math.cos(self.theta) / math.sin(self.theta)
         robin = (dbd - ct * ibd).tocsr()
 
@@ -200,10 +213,67 @@ class CapGrid:
             "a22": a22,
             "a22_phi": a22_phi,
             "a22_rad": a22_rad,
-            "even_p": even_p,
-            "even_rows": even_rows,
         }
         return self._ops
+
+    def even_blocks(self):
+        """The Newton blocks on even fields, built on the first call and cached.
+
+        The even-subspace forms of a11, a12, a22, pint (interior rows) and
+        robin (rim row), for the stacked system over the (Nbeta + 1) Nphi/2
+        even unknowns: rows are the nodes with j < Nphi/2, interior rings
+        then the rim, and columns the unknowns (i, j mod Nphi/2).  Each is
+        folded from the beta-matrices of `_stencils`, ring factors
+        multiplied in: on even fields the half-turn is the identity, so
+        ring -1 adds onto ring 0, and a phi-stencil's offsets fold mod
+        Nphi/2.  A block's weight from ring r at azimuthal offset o to row
+        ring i is the same on every column j, so the blocks are stored per
+        slot, one slot for each (i, r, o) that any block has:
+          "ring": each slot's row ring i;
+          name: each slot's weight in that block, as a column;
+          "shape", "indices", "indptr": the CSC pattern of all the blocks;
+          "order": for each stored entry, its index in the slots x (j <
+              Nphi/2) array, whose entry (k, j) is row (i_k, j).
+        """
+        if self._even is not None:
+            return self._even
+        st = self._stencils()
+        nb, h, nr = self.nbeta, self.nphi // 2, self.nbeta + 1
+        sinb = np.sin(self.beta_cells)[:, None]
+        cotb = np.cos(self.beta_cells)[:, None] / sinb
+        d1, rings = st["d1"], st["rings"]
+        ct = math.cos(self.theta) / math.sin(self.theta)
+        rim = np.vstack([np.zeros((nb, nb + 2)), st["dbd"] - ct * st["ibd"]])
+        terms = [
+            ("a11", st["d2"] + rings, {0: 1.0}),
+            ("a12", (d1 - cotb * rings) / sinb, st["w1"]),
+            ("a22", rings / sinb**2, st["w2"]),
+            ("a22", cotb * d1 + rings, {0: 1.0}),
+            ("pint", rings, {0: 1.0}),
+            ("robin", rim, {0: 1.0}),
+        ]
+        # slot key (i nr + r) 3 + o + 1; the offsets are -1, 0 and 1, distinct
+        # mod Nphi/2 >= 4, so distinct slots never share an entry
+        parts = []
+        for name, bmat, weights in terms:
+            i, c = np.nonzero(bmat)
+            for o, w in weights.items():
+                parts.append((name, (i * nr + np.maximum(c - 1, 0)) * 3 + o + 1, bmat[i, c] * w))
+        keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
+        at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
+        blocks = {"ring": keys // (3 * nr)}
+        for (name, _, vals), slots in zip(parts, at):
+            blocks[name] = blocks.get(name, 0.0) + np.bincount(slots, vals, keys.size)[:, None]
+        # entry (k, j): row (i_k, j), column (r_k, (j + o_k) mod Nphi/2)
+        j = np.arange(h)
+        rows = (blocks["ring"][:, None] * h + j).astype(np.int32).ravel()
+        cols = (keys[:, None] // 3 % nr * h + (j + keys[:, None] % 3 - 1) % h).ravel()
+        order = np.lexsort((rows, cols))
+        blocks.update(shape=(nr * h, nr * h), indices=rows[order], order=order.astype(np.int32),
+                      indptr=np.append(0, np.cumsum(np.bincount(cols, minlength=nr * h)))
+                      .astype(np.int32))
+        self._even = blocks
+        return self._even
 
     def integrate(self, values) -> float:
         """Midpoint quadrature over the cell rings; sums to the cap area on 1."""

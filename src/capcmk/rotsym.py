@@ -25,13 +25,13 @@ one CSV writer, `fields.write_csv`.
 
 The Newton corrector is the solver's shared damped-Newton loop
 (`solver._damped_newton`) with this module's residual, cone margin and sparse
-LU (`splu`) as callbacks; only the discretization is independent of the 2-D
-path.  The solve is the 2-D path's driver, `solver.newton_first`: one
-corrector at t = 1, and the continuation only if that fails.  As there, one LU
-per path is reused across Newton iterations and continuation steps and
-refactorized when the last accepted step cut the residual by less than
-`solver.REFACTOR_RATIO`, or when a step from it fails the full-step Armijo
-test.
+LU (`splu`, with the 2-D solver's policy `solver.LU_OPTIONS`) as callbacks;
+only the discretization is independent of the 2-D path.  The solve is the
+2-D path's driver, `solver.newton_first`: one corrector at t = 1, and the
+continuation only if that fails.  As there, one LU per path is reused across
+Newton iterations and continuation steps and refactorized when the last
+accepted step cut the residual by less than `solver.REFACTOR_RATIO`, or when
+a step from it fails the full-step Armijo test.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from scipy.sparse.linalg import splu
 
 from .fields import fd_weights, write_csv
 from .geometry import CapParams, ell
-from .solver import Schedule, _damped_newton, homotopy_values, newton_first, relative_residual
+from .solver import (LU_OPTIONS, Schedule, _damped_newton, homotopy_values, newton_first,
+                     relative_residual)
 
 __all__ = [
     "RotGrid",
@@ -206,7 +207,7 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
             return _residual(prof, q, rhs_cells, params)
 
         def factor(prof):
-            factors = splu(_linearize(prof, q, rhs_cells, params).tocsc())
+            factors = splu(_linearize(prof, q, rhs_cells, params).tocsc(), **LU_OPTIONS)
             return lambda fint, gbd: factors.solve(-np.concatenate([fint, [gbd]]))
 
         return _damped_newton(x, cone, evaluate, factor, sched, lu)

@@ -15,7 +15,13 @@ with the Robin rows d_beta v - cot(theta) v, and are solved restricted to the
 even subspace: at q = 1 the odd horizontal-translation fields <a, zeta> are an
 exact kernel of the pair (they are capillary and tau[<a, zeta>] = 0), so the
 full-space matrix is singular by design and the even restriction is what makes
-the problem well-posed, matching the even solution class.
+the problem well-posed, matching the even solution class.  `linearize_even`
+assembles that restriction directly: a grid builds the even forms of its
+Jacobian blocks once, on its first factorization (`CapGrid.even_blocks`), and
+each Jacobian fills their shared CSC pattern entry by entry.  Both layers
+factorize with one LU policy, LU_OPTIONS: SuperLU's symmetric mode.
+`linearize` is the full-space reference, which jacobian_fd_error checks
+against central differences of the residual.
 
 `_damped_newton` is the one damped-Newton corrector: `newton_solve` and the
 1-D oracle in `rotsym` both run it, with their own residual, cone margin and
@@ -64,6 +70,7 @@ __all__ = [
     "homotopy_rhs",
     "residual",
     "linearize",
+    "linearize_even",
     "newton_solve",
     "solve_path",
     "structural_hypothesis_check",
@@ -244,6 +251,53 @@ def linearize(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None)
     return sp.vstack([jint, ops["robin"]], format="csr")
 
 
+def linearize_even(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None):
+    """The Jacobian of `linearize` on even fields, as the CSC matrix that
+    newton_solve factorizes.
+
+    Rows are the nodes with j < Nphi/2 (interior rings, then the rim) and
+    columns the even unknowns (i, j mod Nphi/2): linearize(...)[even rows]
+    @ even_p.  Its data array is filled on the pattern of the grid's cached
+    even blocks (`CapGrid.even_blocks`), entry by entry, as
+    g11 D11 + 2 g12 D12 + g22 D22 - z DP + DR with the coefficients taken at
+    the entry's row; no sparse product runs.  Entries that come out zero are
+    dropped, so the pattern is linearize's.
+    """
+    g = s.grid
+    blocks = g.even_blocks()
+    if tau is None:
+        tau = tau_sharp(s)
+    grad = sigma_k_grad(tau, params.k)
+    h = g.nphi // 2
+
+    def on_slots(coef):
+        """An interior-ring coefficient on the rows (i, j < Nphi/2) of each
+        slot's row ring i; zero on the rim."""
+        return np.vstack([coef[:, :h], np.zeros(h)])[blocks["ring"]]
+
+    data = (on_slots(grad.a11) * blocks["a11"] + on_slots(2.0 * grad.a12) * blocks["a12"]
+            + on_slots(grad.a22) * blocks["a22"] + blocks["robin"])
+    if q != 1.0:
+        zer = (q - 1.0) * s.interior ** (q - 2.0) * rhs.interior
+        data -= on_slots(zer) * blocks["pint"]
+    data = data.ravel()[blocks["order"]]
+    # a block's entries stay out of the factorization where its coefficient
+    # vanishes (a12's everywhere at k = 1), as they do in linearize
+    keep = data != 0.0
+    kept_before = np.append(0, np.cumsum(keep))
+    return sp.csc_matrix((data[keep], blocks["indices"][keep], kept_before[blocks["indptr"]]),
+                         shape=blocks["shape"])
+
+
+# The one sparse LU policy of both layers (newton_solve and rotsym's oracle):
+# SuperLU's symmetric mode, which orders A + A^T by minimum degree and takes
+# the diagonal pivot wherever it is nonzero.  Both Jacobians have a nearly
+# symmetric sparsity (the 2-D one a 9-point stencil), so this fills less and
+# factorizes faster than the default COLAMD ordering with partial pivoting.
+LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+              "options": {"SymmetricMode": True}}
+
+
 # -- damped-Newton corrector -------------------------------------------------------
 
 # A factorization is kept while each accepted step cuts the residual by at least
@@ -358,7 +412,9 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
 
     Runs the shared corrector `_damped_newton`, evaluating tau_sharp once per
     point for the cone guard, the residual and the Jacobian.  The even system
-    is factorized with SuperLU (`splu`); `lu` is the slot of a continuation
+    (`linearize_even`) is factorized with SuperLU (`splu`, LU_OPTIONS), and
+    a step solves for the even unknowns, the rows j < Nphi/2, and repeats
+    them on the columns j + Nphi/2.  `lu` is the slot of a continuation
     path, whose factorization the corrector reuses.
     Returns (s, info); raises NewtonFailure if the cone guard, the line search
     or the iteration budget gives out.  Accepted iterates always satisfy
@@ -366,8 +422,7 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
     """
     g = s0.grid
     s = s0 if s0.even else s0.project_even()
-    ops = g.ops()
-    rows, even_p, shape = ops["even_rows"], ops["even_p"], s.values.shape
+    h = g.nphi // 2
 
     def cone(x):
         sx = CapField(g, x, even=True)
@@ -380,12 +435,11 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
 
     def factor(at):
         sx, tau = at
-        jac = linearize(sx, q, rhs, params, tau=tau)
-        lu_even = splu((jac[rows] @ even_p).tocsc())
+        lu_even = splu(linearize_even(sx, q, rhs, params, tau=tau), **LU_OPTIONS)
 
         def apply(fint, gbd):
-            dh = lu_even.solve(-np.concatenate([fint.ravel(), gbd])[rows])
-            return (even_p @ dh).reshape(shape)
+            dh = lu_even.solve(-np.append(fint[:, :h], gbd[:h]))
+            return np.tile(dh.reshape(g.nbeta + 1, h), 2)
 
         return apply
 

@@ -1,7 +1,9 @@
 import json
 import math
 import multiprocessing
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +384,21 @@ def test_oracle_solves_the_reduction(tmp_path):
     assert "cross_check_gap" not in report
 
 
+def test_verify_and_oracle_never_build_the_even_blocks(solved_cli, tmp_path, monkeypatch):
+    """The read side factorizes no 2-D Newton system, so it never pays for the
+    even blocks that a grid's first factorization builds."""
+    _, _, out2d = solved_cli
+
+    def refused(grid):
+        raise AssertionError(f"even blocks built for {grid!r}")
+
+    monkeypatch.setattr(CapGrid, "even_blocks", refused)
+    cfg = write_cfg(tmp_path, SOLVE_CFG + "oracle.cells = 64\n")
+    for command in ("verify", "oracle"):
+        assert cli_main([command, "--config", cfg, "--solution", str(out2d / "solution.csv"),
+                         "--out", str(tmp_path / command), "--quiet"]) == 0
+
+
 def test_oracle_cross_checks_a_solution(solved_cli, tmp_path):
     _, _, out2d = solved_cli
     cfg = write_cfg(tmp_path, SOLVE_CFG + "oracle.cells = 128\n")
@@ -543,6 +560,24 @@ def test_a_sweep_leaves_no_worker_behind(tmp_path, extra, code):
     assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--quiet"]) == code
     assert multiprocessing.active_children() == []
+
+
+def test_a_sweep_without_a_cpu_count_runs_one_worker(tmp_path, monkeypatch):
+    """Where os.sched_getaffinity is missing, as on macOS, and os.cpu_count()
+    returns None, the sweep runs its members in one worker process."""
+    workers = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    cfg = write_cfg(tmp_path, SWEEP_CFG + "sweep.theta_list = pi/3\n")
+    assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert workers == [1]
 
 
 def test_an_unexpected_member_error_escapes_the_sweep(tmp_path, monkeypatch):
