@@ -131,7 +131,7 @@ def _solution_audit(s: CapField, phi: CapField, cfg: RunConfig) -> dict:
     }
     est = estimates_audit(s, phi, params)
     st_sigma = [steiner_sigma_check(s, t, params) for t in (0.1, 0.5, 1.0)]
-    st_volume = [steiner_volume_check(s, r, params) for r in (0.1, 0.5, 1.0)]
+    st_volume = steiner_volume_check(s, (0.1, 0.5, 1.0), params)
     mandatory = (
         res["pass"]
         and est["all_passed"]

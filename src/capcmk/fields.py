@@ -22,6 +22,16 @@ order), and the boundary ring itself carries the one-sided Robin derivative.
 Quadrature is the midpoint rule over the cell rings, w_ij = sin(beta_i)
 dbeta dphi; the boundary ring carries no quadrature weight.
 
+Each grid keeps one table of its operators (`CapGrid.terms`), each a list of
+(beta-matrix, phi-stencil) terms, and lays it out three ways: `apply`
+evaluates an operator on a field by multiplying the small beta-matrix into
+the value array extended by ring -1 and one periodic column on each side,
+then applying the phi-stencil by slicing; `even_blocks` folds the table into
+the Newton blocks on even fields; and `ops` lays it out as 2-D CSR for the
+full-space reference `solver.linearize`.  `tau_sharp`, `robin_residual` and
+the audit's gradients use `apply`, so the solver and the audits never build
+the CSR layout.
+
 `tau_sharp` returns the curvature endomorphism as a `symfunc.SymEndo` batch,
 the one endomorphism type shared by the solver and the audits.
 """
@@ -73,14 +83,11 @@ class CapGrid:
         self.phi = np.arange(self.nphi) * self.dphi
         # midpoint-rule weights over the cell rings (boundary ring: no mass)
         self.weights = np.sin(self.beta_cells)[:, None] * self.dbeta * self.dphi * np.ones((1, self.nphi))
+        self._terms = None
         self._ops = None
         self._even = None
 
     # -- identity / sizes -------------------------------------------------
-    @property
-    def n_interior(self) -> int:
-        return self.nbeta * self.nphi
-
     @property
     def n_total(self) -> int:
         return (self.nbeta + 1) * self.nphi
@@ -101,7 +108,7 @@ class CapGrid:
 
     # -- stencil operators -------------------------------------------------
     def _stencils(self):
-        """The 1-D stencils that ops() and even_blocks() lay over the grid.
+        """The 1-D stencils that `terms` combines into the grid's operators.
 
         Beta-matrices have one row per output ring and one column per ring
         -1..Nbeta (column c is ring c - 1): d/dbeta and d^2/dbeta^2 with
@@ -132,89 +139,102 @@ class CapGrid:
             "w2": {1: 1.0 / dp**2, 0: -2.0 / dp**2, -1: 1.0 / dp**2},
         }
 
-    def ops(self):
-        """Sparse derivative operators, built once per grid.
+    def terms(self):
+        """Every operator as a list of (beta-matrix, phi-stencil) terms, built
+        once per grid.
 
-        All map the full value vector (row-major over (Nbeta+1) x Nphi nodes)
-        to the interior rings, except `dbd` which maps to the boundary ring.
-        Each primitive is a beta-matrix of `_stencils` laid over a periodic
-        phi-stencil (`lay`); ring -1, at beta = -beta_0, is ring 0 turned by
-        the half-turn phi -> phi + pi.  a11/a12/a22 are the orthonormal-frame
-        components of tau_sharp as linear operators, so the Newton
-        linearization is the exact derivative of the discrete residual.
+        Each beta-matrix of `_stencils`, ring factors multiplied in, is held
+        as CSR; row r is ring r, except a one-row matrix, which is the rim
+        ring's.  An operator is the sum of its terms, each term the
+        beta-matrix laid over its periodic phi-stencil.  a11/a12/a22 are the
+        orthonormal-frame components of tau_sharp, pint the interior rings,
+        robin the rim's d/dbeta - cot(theta), and dbeta/dphi the gradient on
+        every ring, the rim included.  `apply` evaluates the terms on a field,
+        `even_blocks` folds them onto the even subspace, and `ops` lays them
+        out as CSR for `solver.linearize`.
         """
-        if self._ops is not None:
-            return self._ops
-        np_, h = self.nphi, self.nphi // 2
-        nint, ntot = self.n_interior, self.n_total
+        if self._terms is not None:
+            return self._terms
         st = self._stencils()
+        nb = self.nbeta
+        sinb = np.sin(self.beta_cells)[:, None]
+        cotb = np.cos(self.beta_cells)[:, None] / sinb
+        d1, rings, one = st["d1"], st["rings"], {0: 1.0}
+        ct = math.cos(self.theta) / math.sin(self.theta)
+        table = {
+            "a11": [(st["d2"] + rings, one)],
+            "a12": [((d1 - cotb * rings) / sinb, st["w1"])],
+            "a22": [(rings / sinb**2, st["w2"]), (cotb * d1 + rings, one)],
+            "pint": [(rings, one)],
+            "robin": [(st["dbd"] - ct * st["ibd"], one)],
+            "dbeta": [(np.vstack([d1, st["dbd"]]), one)],
+            "dphi": [(np.eye(nb + 1, nb + 2, 1), st["w1"])],
+        }
+        self._terms = {name: [(sp.csr_matrix(bmat), weights) for bmat, weights in terms]
+                       for name, terms in table.items()}
+        return self._terms
+
+    def extend(self, values) -> np.ndarray:
+        """The (Nbeta + 2) x (Nphi + 2) array that `apply` reads: ring -1,
+        which is ring 0 turned by the half-turn phi -> phi + pi, above the
+        value rings, and one periodic column on each side."""
+        h = self.nphi // 2
+        ext = np.empty((self.nbeta + 2, self.nphi + 2))
+        ext[0, 1:h + 1] = values[0, h:]
+        ext[0, h + 1:-1] = values[0, :h]
+        ext[1:, 1:-1] = values
+        ext[:, 0] = ext[:, -2]
+        ext[:, -1] = ext[:, 1]
+        return ext
+
+    def apply(self, name, x, y=None) -> np.ndarray:
+        """Operator `name` of `terms` on the extended array x (`extend`): each
+        term's beta-matrix times the array, then its phi-stencil by slicing.
+        Terms whose phi-stencil annihilates ring constants read y instead,
+        when it is given.  Returns one row per row of the beta-matrices."""
+        terms = self.terms()[name]
+        out = np.zeros((terms[0][0].shape[0], self.nphi))
+        for bmat, weights in terms:
+            rb = bmat @ (x if y is None or sum(weights.values()) != 0.0 else y)
+            for o, w in weights.items():
+                out += w * rb[:, 1 + o:1 + o + self.nphi]
+        return out
+
+    def ops(self):
+        """The terms of a11, a12, a22, pint and robin laid out as CSR (`csr`),
+        built on the first call and cached: the full-space operators of
+        `solver.linearize`."""
+        if self._ops is None:
+            self._ops = {name: self.csr(name) for name in ("a11", "a12", "a22", "pint", "robin")}
+        return self._ops
+
+    def csr(self, name):
+        """Operator `name` of `terms` as a sparse matrix on the full value
+        vector (row-major over (Nbeta+1) x Nphi nodes), one row per node of
+        the beta-matrices' rings.  A term's entry from beta-matrix column c
+        (ring c - 1) at phi-offset o reads node j + o of that ring; ring -1
+        is ring 0 turned by the half-turn phi -> phi + pi."""
+        np_, h = self.nphi, self.nphi // 2
         # int32 indices, which scipy keeps as they are: it stores int32 below
         # 2^31 nodes, and a grid that large would need over 100 GB for ops()
         js = np.arange(np_, dtype=np.int32)
-
-        def lay(bmat, phi_weights=None):
-            """CSR of bmat (column c: ring c - 1) (x) phi-stencil {offset: weight}."""
-            phi_weights = phi_weights or {0: 1.0}
-            ri, rc = (a.astype(np.int32) for a in np.nonzero(bmat))
+        terms = self.terms()[name]
+        rows, cols, vals = [], [], []
+        for bmat, phi_weights in terms:
+            b = bmat.tocoo()
+            ri, rc = b.row.astype(np.int32), b.col.astype(np.int32)
             off = np.array(list(phi_weights), dtype=np.int32)[:, None]
             w = np.array(list(phi_weights.values()))[:, None]
-            # phase[t, o, j]: the azimuthal index of node j + o within its ring,
-            # turned by the half-turn (t = 1) for ring -1, ring 0 at phi + pi
+            # phase[t, o, j]: the azimuthal index of node j + o within its
+            # ring, turned by the half-turn (t = 1) for ring -1
             phase = (js + off + np.array([0, h], dtype=np.int32)[:, None, None]) % np_
-            rows = np.broadcast_to(ri[:, None, None] * np_ + js, (ri.size, off.size, np_))
-            cols = np.maximum(rc - 1, 0)[:, None, None] * np_ + phase[(rc == 0).astype(int)]
-            vals = np.broadcast_to(bmat[ri, rc][:, None, None] * w, rows.shape)
-            return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                                 shape=(bmat.shape[0] * np_, ntot))
-
-        dbeta_op = lay(st["d1"])
-        dbeta2_op = lay(st["d2"])
-        dphi_op = lay(st["rings"], st["w1"])
-        dphi2_op = lay(st["rings"], st["w2"])
-
-        # mixed derivative: phi-central of the beta-derivative field
-        dbetaphi_op = dphi_op[:, :nint] @ dbeta_op
-
-        # boundary ring: one-sided d/dbeta (O(h^2)) and value selector
-        dbd = lay(st["dbd"])
-        ibd = lay(st["ibd"])
-
-        pint = sp.eye(nint, ntot, format="csr")
-
-        sinb = np.repeat(np.sin(self.beta_cells), np_)
-        cosb = np.repeat(np.cos(self.beta_cells), np_)
-
-        dg = sp.diags
-
-        a11 = (dbeta2_op + pint).tocsr()
-        a12 = (dg(1.0 / sinb) @ (dbetaphi_op - dg(cosb / sinb) @ dphi_op)).tocsr()
-        a22 = (dg(1.0 / sinb**2) @ (dphi2_op + dg(sinb * cosb) @ dbeta_op) + pint).tocsr()
-        # split of a22 into its azimuthal-stencil part and the rest: tau_sharp
-        # evaluates the azimuthal parts on the field minus its ring means, which
-        # the phi stencils annihilate exactly, so the 1/sin^2(beta) weight near
-        # the pole amplifies a far smaller cancellation error
-        a22_phi = (dg(1.0 / sinb**2) @ dphi2_op).tocsr()
-        a22_rad = (dg(cosb / sinb) @ dbeta_op + pint).tocsr()
-
-        ct = math.cos(self.theta) / math.sin(self.theta)
-        robin = (dbd - ct * ibd).tocsr()
-
-        self._ops = {
-            "dbeta": dbeta_op,
-            "dbeta2": dbeta2_op,
-            "dphi": dphi_op,
-            "dphi2": dphi2_op,
-            "dbetaphi": dbetaphi_op,
-            "pint": pint,
-            "dbd": dbd,
-            "robin": robin,
-            "a11": a11,
-            "a12": a12,
-            "a22": a22,
-            "a22_phi": a22_phi,
-            "a22_rad": a22_rad,
-        }
-        return self._ops
+            shape = (ri.size, off.size, np_)
+            rows.append(np.broadcast_to(ri[:, None, None] * np_ + js, shape).ravel())
+            cols.append((np.maximum(rc - 1, 0)[:, None, None] * np_
+                         + phase[(rc == 0).astype(int)]).ravel())
+            vals.append(np.broadcast_to(b.data[:, None, None] * w, shape).ravel())
+        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(terms[0][0].shape[0] * np_, self.n_total))
 
     def even_blocks(self):
         """The Newton blocks on even fields, built on the first call and cached.
@@ -223,12 +243,11 @@ class CapGrid:
         robin (rim row), for the stacked system over the (Nbeta + 1) Nphi/2
         even unknowns: rows are the nodes with j < Nphi/2, interior rings
         then the rim, and columns the unknowns (i, j mod Nphi/2).  Each is
-        folded from the beta-matrices of `_stencils`, ring factors
-        multiplied in: on even fields the half-turn is the identity, so
-        ring -1 adds onto ring 0, and a phi-stencil's offsets fold mod
-        Nphi/2.  A block's weight from ring r at azimuthal offset o to row
-        ring i is the same on every column j, so the blocks are stored per
-        slot, one slot for each (i, r, o) that any block has:
+        folded from the terms of `terms`: on even fields the half-turn is
+        the identity, so ring -1 adds onto ring 0, and a phi-stencil's
+        offsets fold mod Nphi/2.  A block's weight from ring r at azimuthal
+        offset o to row ring i is the same on every column j, so the blocks
+        are stored per slot, one slot for each (i, r, o) that any block has:
           "ring": each slot's row ring i;
           name: each slot's weight in that block, as a column;
           "shape", "indices", "indptr": the CSC pattern of all the blocks;
@@ -237,28 +256,18 @@ class CapGrid:
         """
         if self._even is not None:
             return self._even
-        st = self._stencils()
         nb, h, nr = self.nbeta, self.nphi // 2, self.nbeta + 1
-        sinb = np.sin(self.beta_cells)[:, None]
-        cotb = np.cos(self.beta_cells)[:, None] / sinb
-        d1, rings = st["d1"], st["rings"]
-        ct = math.cos(self.theta) / math.sin(self.theta)
-        rim = np.vstack([np.zeros((nb, nb + 2)), st["dbd"] - ct * st["ibd"]])
-        terms = [
-            ("a11", st["d2"] + rings, {0: 1.0}),
-            ("a12", (d1 - cotb * rings) / sinb, st["w1"]),
-            ("a22", rings / sinb**2, st["w2"]),
-            ("a22", cotb * d1 + rings, {0: 1.0}),
-            ("pint", rings, {0: 1.0}),
-            ("robin", rim, {0: 1.0}),
-        ]
+        table = self.terms()
         # slot key (i nr + r) 3 + o + 1; the offsets are -1, 0 and 1, distinct
         # mod Nphi/2 >= 4, so distinct slots never share an entry
         parts = []
-        for name, bmat, weights in terms:
-            i, c = np.nonzero(bmat)
-            for o, w in weights.items():
-                parts.append((name, (i * nr + np.maximum(c - 1, 0)) * 3 + o + 1, bmat[i, c] * w))
+        for name in ("a11", "a12", "a22", "pint", "robin"):
+            for bmat, weights in table[name]:
+                b = bmat.tocoo()
+                # a one-row beta-matrix is the rim ring's
+                i = b.row + (nb if b.shape[0] == 1 else 0)
+                for o, w in weights.items():
+                    parts.append((name, (i * nr + np.maximum(b.col - 1, 0)) * 3 + o + 1, b.data * w))
         keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
         at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
         blocks = {"ring": keys // (3 * nr)}
@@ -299,14 +308,10 @@ class CapField:
         if self.values.shape != expected:
             raise ValueError(f"field shape {self.values.shape} != {expected}")
 
-    # interior/boundary views ------------------------------------------------
+    # views ------------------------------------------------------------------
     @property
     def interior(self) -> np.ndarray:
         return self.values[: self.grid.nbeta]
-
-    @property
-    def boundary(self) -> np.ndarray:
-        return self.values[self.grid.nbeta]
 
     @property
     def flat(self) -> np.ndarray:
@@ -350,7 +355,9 @@ def tau_sharp(s: CapField) -> SymEndo:
     frame makes the endomorphism a plain symmetric 2x2, so its eigenvalues are
     the principal curvature radii and its `lam1min` is the convexity margin.
 
-    The azimuthal-stencil parts act on the field minus its per-ring mean.
+    Each component is evaluated by stencil application (`CapGrid.apply`),
+    not through the CSR layout `CapGrid.ops`, which only `solver.linearize`
+    reads.  The azimuthal-stencil parts act on the field minus its per-ring mean.
     Those stencils annihilate ring constants exactly (the row sums telescope
     to exact zero in floating point), so this evaluates the same discrete
     operator while keeping the pole-ring 1/sin(beta) weights from amplifying
@@ -358,22 +365,15 @@ def tau_sharp(s: CapField) -> SymEndo:
     cannot be driven below a few 1e-9 on fine grids.
     """
     g = s.grid
-    ops = g.ops()
-    x = s.flat
-    y = (s.values - np.mean(s.values, axis=1, keepdims=True)).ravel()
-    shape = (g.nbeta, g.nphi)
-    a11 = (ops["a11"] @ x).reshape(shape)
-    a12 = (ops["a12"] @ y).reshape(shape)
-    a22 = (ops["a22_phi"] @ y + ops["a22_rad"] @ x).reshape(shape)
-    return SymEndo(a11, a12, a22)
+    x = g.extend(s.values)
+    y = x - np.mean(x[:, 1:-1], axis=1, keepdims=True)
+    return SymEndo(g.apply("a11", x), g.apply("a12", x, y), g.apply("a22", x, y))
 
 
 def robin_residual(s: CapField) -> np.ndarray:
     """(d_beta s - cot(theta) s) on the boundary ring, one-sided O(h^2)."""
     g = s.grid
-    ops = g.ops()
-    ct = math.cos(g.theta) / math.sin(g.theta)
-    return (ops["dbd"] @ s.flat) - ct * s.boundary
+    return g.apply("robin", g.extend(s.values))[0]
 
 
 def boundary_tau_identity_residual(s: CapField) -> float:

@@ -21,7 +21,8 @@ Jacobian blocks once, on its first factorization (`CapGrid.even_blocks`), and
 each Jacobian fills their shared CSC pattern entry by entry.  Both layers
 factorize with one LU policy, LU_OPTIONS: SuperLU's symmetric mode.
 `linearize` is the full-space reference, which jacobian_fd_error checks
-against central differences of the residual.
+against central differences of the residual; it alone reads the grid's CSR
+operators (`CapGrid.ops`), while the residual applies the 1-D stencils.
 
 `_damped_newton` is the one damped-Newton corrector: `newton_solve` and the
 1-D oracle in `rotsym` both run it, with their own residual, cone margin and
@@ -665,7 +666,7 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
     while phis:
         level = phis.pop()
         # rebinding s frees the coarser solution, and with it the coarser
-        # grid's cached ops(), before this grid factorizes
+        # grid's cached terms and even blocks, before this grid factorizes
         s = _interpolate(s, level.grid)
         q, rhs = homotopy_rhs(1.0, level, params)
         try:

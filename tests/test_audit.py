@@ -227,11 +227,12 @@ def test_steiner_coefficients_of_the_model(grid_32, params_k1):
 
 def test_steiner_volume_check_passes_on_solutions(solved_32, params_k1):
     s, _, _ = solved_32
-    for rho in (0.1, 0.5, 1.0):
-        rec = steiner_volume_check(s, rho, params_k1)
+    records = steiner_volume_check(s, (0.1, 0.5, 1.0), params_k1)
+    assert [rec["rho"] for rec in records] == [0.1, 0.5, 1.0]
+    for rec in records:
         assert rec["pass"], rec
     with pytest.raises(ValueError, match="n = 2"):
-        steiner_volume_check(s, 0.5, CapParams(n=3, k=2, p=2.0, theta=THETA))
+        steiner_volume_check(s, (0.5,), CapParams(n=3, k=2, p=2.0, theta=THETA))
 
 
 def test_parallel_volume_polynomial_matches_coefficients(grid_32, params_k1):

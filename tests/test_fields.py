@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from capcmk import audit
 from capcmk.fields import (
     CapField,
     CapGrid,
@@ -29,6 +30,30 @@ def smooth_even_field(grid):
     return CapField(grid, np.cos(bb) * (1.0 + 0.1 * np.cos(2.0 * pp)), even=True)
 
 
+def plain(grid, bmat, phi_weights, values):
+    """The beta-matrix bmat (column c: ring c - 1) laid over the periodic
+    phi-stencil {offset: weight} and applied to the node values by dense
+    products and rolls: the tests' own reference operator.  Ring -1 is ring 0
+    turned by the half-turn phi -> phi + pi."""
+    rings = np.vstack([np.roll(values[0], -(grid.nphi // 2)), values])
+    return sum(w * (bmat @ np.roll(rings, -o, axis=1)) for o, w in phi_weights.items())
+
+
+def plain_derivatives(s: CapField):
+    """d/dbeta, d/dphi, their squares and d^2/dbeta dphi on the interior
+    rings, from the grid's 1-D stencils through `plain`."""
+    g = s.grid
+    st = g._stencils()
+    one = {0: 1.0}
+    return {
+        "dbeta": plain(g, st["d1"], one, s.values),
+        "dphi": plain(g, st["rings"], st["w1"], s.values),
+        "dbeta2": plain(g, st["d2"], one, s.values),
+        "dphi2": plain(g, st["rings"], st["w2"], s.values),
+        "dbetaphi": plain(g, st["d1"], st["w1"], s.values),
+    }
+
+
 def stencil_sup_errors(nbeta):
     """Sup errors of the plain stencils, keyed by operator and field."""
     grid = CapGrid(nbeta, 2 * nbeta, THETA)
@@ -37,7 +62,7 @@ def stencil_sup_errors(nbeta):
     # rows read it through the half-turn phi -> phi + pi, which even fields
     # cannot tell from the identity
     fields = {"even": smooth_even_field(grid), "odd": CapField(grid, np.sin(bb) * np.cos(pp))}
-    ops = grid.ops()
+    derivs = {kind: plain_derivatives(f) for kind, f in fields.items()}
     bc = grid.beta_cells[:, None]
     pc = grid.phi[None, :]
     exact = {
@@ -48,11 +73,8 @@ def stencil_sup_errors(nbeta):
         ("dbeta", "odd"): np.cos(bc) * np.cos(pc),
         ("dbeta2", "odd"): -np.sin(bc) * np.cos(pc),
     }
-    return {
-        (name, kind): float(np.max(np.abs(
-            (ops[name] @ fields[kind].flat).reshape(nbeta, 2 * nbeta) - ex)))
-        for (name, kind), ex in exact.items()
-    }
+    return {(name, kind): float(np.max(np.abs(derivs[kind][name] - ex)))
+            for (name, kind), ex in exact.items()}
 
 
 def test_grid_rejects_bad_shapes_and_angles():
@@ -116,7 +138,6 @@ def test_field_shape_validation_and_views():
         CapField(g, np.ones((16, 32)))
     f = CapField(g, np.arange(17 * 32, dtype=float).reshape(17, 32))
     assert f.interior.shape == (16, 32)
-    assert f.boundary.shape == (32,)
     assert f.flat.shape == (17 * 32,)
 
 
@@ -178,21 +199,14 @@ def covariant_hessian(s: CapField):
 
     H_bb = s_bb, H_bp = s_bp - cot(beta) s_p, H_pp = s_pp + sin(beta)cos(beta) s_b,
     on the interior rings, from the grid's plain derivative stencils: the
-    reference that the assembled frame operators of tau_sharp are checked
-    against.
+    reference that the frame operators of tau_sharp are checked against.
     """
     g = s.grid
-    ops = g.ops()
-    x = s.flat
-    shape = (g.nbeta, g.nphi)
-    sb = (ops["dbeta"] @ x).reshape(shape)
-    sphi = (ops["dphi"] @ x).reshape(shape)
-    sbb = (ops["dbeta2"] @ x).reshape(shape)
-    spp = (ops["dphi2"] @ x).reshape(shape)
-    sbp = (ops["dbetaphi"] @ x).reshape(shape)
+    d = plain_derivatives(s)
     sinb = np.sin(g.beta_cells)[:, None]
     cosb = np.cos(g.beta_cells)[:, None]
-    return sbb, sbp - (cosb / sinb) * sphi, spp + sinb * cosb * sb
+    return (d["dbeta2"], d["dbetaphi"] - (cosb / sinb) * d["dphi"],
+            d["dphi2"] + sinb * cosb * d["dbeta"])
 
 
 def test_tau_matches_covariant_hessian_components():
@@ -204,6 +218,30 @@ def test_tau_matches_covariant_hessian_components():
     assert np.max(np.abs(tau.a11 - (hbb + s.interior))) < 1e-9
     assert np.max(np.abs(tau.a12 - hbp / sinb)) < 1e-9
     assert np.max(np.abs(tau.a22 - (hpp / sinb**2 + s.interior))) < 1e-9
+
+
+@pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 30), (33, 64), (128, 256)],
+                         ids=["8x8", "odd-half-turn", "odd-nbeta", "128x256"])
+def test_stencil_application_matches_the_csr_layout(nbeta, nphi):
+    """tau_sharp, robin_residual and the audit gradients, which apply the
+    grid's terms to the extended value array, agree with the CSR layout of
+    the same terms (`ops`, `csr`) to roundoff.  The field sin(beta) cos(phi)
+    is odd under the half-turn, so reading ring -1 as ring 0 without the turn
+    would fail; 16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
+    g = CapGrid(nbeta, nphi, THETA)
+    bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
+    fields = [random_capillary_field(g, np.random.default_rng(seed)) for seed in (8, 9)]
+    fields.append(CapField(g, np.sin(bb) * np.cos(pp)))
+    ops = dict(g.ops(), dbeta=g.csr("dbeta"), dphi=g.csr("dphi"))
+    for s in fields:
+        tau = tau_sharp(s)
+        sb, sphi = audit._gradient_all_rows(s)
+        got = {"a11": tau.a11, "a12": tau.a12, "a22": tau.a22, "robin": robin_residual(s),
+               "dbeta": sb, "dphi": sphi}
+        for name, value in got.items():
+            # relative to the magnitude |A| |x| that the roundoff of A x scales with
+            ref, scale = ops[name] @ s.flat, abs(ops[name]) @ np.abs(s.flat)
+            assert np.all(np.abs(value.ravel() - ref) <= 1e-13 * scale), name
 
 
 def test_tau_eigenvalues_and_convexity_flag():

@@ -519,18 +519,20 @@ def stress_phi(grid, c1, a, m):
 
 @pytest.mark.parametrize(
     "p, theta, c1, a, m",
-    [(2.7422001753014857, 1.3054837525250942, 2.8845270485114476, 0.12166201670241403, 6),
+    [(2.741427201672021, 1.4460953524619666, 2.0699231805423883, 0.5433911629569121, 6),
      (2.847297540026552, 1.4592424005334272, 2.486071153915271, 0.7161900852056505, 4)],
     ids=["roundoff-floor", "line-search"])
 def test_a_real_direct_failure_runs_the_plain_continuation(p, theta, c1, a, m):
-    """Two of 6000 seeded random cases at 32x64, k = 2 (seeds 2840 and 731),
+    """Two of 6000 seeded random cases at 32x64, k = 2 (seeds 3997 and 731),
     where the direct attempt fails and the continuation converges.
 
     In the first, the direct attempt's line search fails on the roundoff
-    floor (res = 1.155e-9, just above tol_solve), so another rounding of the
-    Jacobian, on another platform or from another assembly order, may let it
-    converge.  In the second it fails at res = 8.8e-8.  Both continuations
-    end on a collapsed field (relative residuals 9.0 and 15).
+    floor (res = 1.233e-9, just above tol_solve), so another rounding of the
+    residual or the Jacobian, on another platform or from another evaluation
+    order, may let it converge; its continuation ends on a solution
+    (relative residual 1.0e-11).  In the second the direct attempt fails at
+    res = 3.7e-8, and the continuation ends on a collapsed field (relative
+    residual 15).
     """
     params = CapParams(n=2, k=2, p=p, theta=theta)
     phi = stress_phi(CapGrid(32, 64, theta), c1, a, m)
