@@ -21,6 +21,10 @@ with sigma_n dH the surface area element in the Gauss-map parametrization.
 Every audit is read-only and returns a plain record {name, statement, lhs,
 rhs, margin, pass} (or a small dict of such), never an exception, except for
 reconstruction itself which refuses non-convex input.
+
+The audits of one field s take an optional `tau`, tau_sharp(s) already
+evaluated by the caller, so that a battery evaluates it once; without it they
+evaluate it themselves.
 """
 
 from __future__ import annotations
@@ -83,14 +87,15 @@ class BodyGeometry:
     slope_max: float
 
 
-def reconstruct(s: CapField) -> BodyGeometry:
+def reconstruct(s: CapField, tau=None) -> BodyGeometry:
     """Reconstruct the body behind s and summarize it; refuses non-convex input.
 
     Slopes are measured on the reconstructed surface itself: the discrete
     normal cross(d_beta X, d_phi X) has slope |N'|/N_3, which for an exact
     convex reconstruction equals tan(beta) at the node's normal.
     """
-    tau = tau_sharp(s)
+    if tau is None:
+        tau = tau_sharp(s)
     if tau.lam1min <= 0.0:
         raise ValueError(
             f"reconstruction needs a strictly convex field; lam1min = {tau.lam1min:.6e}"
@@ -114,11 +119,11 @@ def reconstruct(s: CapField) -> BodyGeometry:
     )
 
 
-def volume(s: CapField) -> float:
+def volume(s: CapField, tau=None) -> float:
     """Divergence-theorem volume of the reconstructed body (n = 2)."""
     g = s.grid
     x3 = surface_points(s)[: g.nbeta, :, 2]
-    det = sigma_k(tau_sharp(s), 2)
+    det = sigma_k(tau_sharp(s) if tau is None else tau, 2)
     cosb = np.cos(g.beta_cells)[:, None]
     return g.integrate(x3 * cosb * det)
 
@@ -188,7 +193,7 @@ def af_inequality_check(s1: CapField, s2: CapField, params: CapParams) -> dict:
 # -- Steiner identities -----------------------------------------------------------
 
 
-def steiner_sigma_check(s: CapField, t: float, params: CapParams) -> dict:
+def steiner_sigma_check(s: CapField, t: float, params: CapParams, tau=None) -> dict:
     """Exact binomial expansion of sigma_k under the parallel shift.
 
     Adding t ell shifts tau_sharp by t times the identity, and
@@ -200,7 +205,7 @@ def steiner_sigma_check(s: CapField, t: float, params: CapParams) -> dict:
     tau of s + t ell, which would reintroduce the O(h^2) stencil error.
     """
     k, n = params.k, params.n
-    a = tau_sharp(s)
+    a = tau_sharp(s) if tau is None else tau
     lhs = sigma_k(a + float(t) * SymEndo.identity(a.shape), k)
     rhs = np.zeros(a.shape)
     for j in range(k + 1):
@@ -218,7 +223,7 @@ def steiner_sigma_check(s: CapField, t: float, params: CapParams) -> dict:
     }
 
 
-def steiner_coefficients(s: CapField, params: CapParams) -> np.ndarray:
+def steiner_coefficients(s: CapField, params: CapParams, tau=None) -> np.ndarray:
     """Coefficients c_j with slab volume = sum_j c_j rho^{n+1-j}, j = 0..n.
 
     c_j = (1/(n+1-j)) int ell sigma_j(tau_sharp[s]) dH: the curvature-measure
@@ -227,7 +232,7 @@ def steiner_coefficients(s: CapField, params: CapParams) -> np.ndarray:
     """
     g = s.grid
     n = params.n
-    a = tau_sharp(s)
+    a = tau_sharp(s) if tau is None else tau
     lc = ell(g.theta, g.beta_cells)[:, None]
     return np.array(
         [g.integrate(lc * sigma_k(a, j)) / (n + 1.0 - j) for j in range(n + 1)]
@@ -238,7 +243,7 @@ def steiner_coefficients(s: CapField, params: CapParams) -> np.ndarray:
 STEINER_TOL = 5e-3
 
 
-def steiner_volume_check(s: CapField, rhos, params: CapParams) -> list:
+def steiner_volume_check(s: CapField, rhos, params: CapParams, tau=None) -> list:
     """Parallel-slab volume two ways: divergence theorem vs curvature measures.
 
     One record per rho in rhos.  Left side: vol(body of s + rho ell) -
@@ -250,8 +255,8 @@ def steiner_volume_check(s: CapField, rhos, params: CapParams) -> list:
     """
     if params.n != 2:
         raise ValueError("volume audits are n = 2 only")
-    base = volume(s)
-    coeff = steiner_coefficients(s, params)
+    base = volume(s, tau)
+    coeff = steiner_coefficients(s, params, tau)
     records = []
     for rho in rhos:
         lhs = volume(parallel_body(s, rho)) - base
@@ -300,7 +305,7 @@ _STATEMENTS = {
 }
 
 
-def estimates_audit(s: CapField, phi: CapField, params: CapParams) -> dict:
+def estimates_audit(s: CapField, phi: CapField, params: CapParams, tau=None) -> dict:
     """Audit the solution-independent bounds on a (claimed) solution field.
 
     Items: (a) lower bound on max s from min phi; (b) slope bound tan(theta)
@@ -313,7 +318,8 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams) -> dict:
     with empty values.
     """
     k, p = params.k, params.p
-    tau = tau_sharp(s)
+    if tau is None:
+        tau = tau_sharp(s)
     items = []
 
     def item(name, lhs, rhs, margin, ok):
@@ -337,7 +343,7 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams) -> dict:
 
     tan_t = math.tan(params.theta)
     if convex:
-        geom = reconstruct(s)
+        geom = reconstruct(s, tau)
         rhs = tan_t + SLOPE_SLACK
         item("slope_bound", geom.slope_max, rhs, rhs - geom.slope_max,
              bool(geom.slope_max <= rhs))

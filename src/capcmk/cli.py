@@ -111,10 +111,12 @@ def _stored_solution(path, cfg: RunConfig) -> CapField:
 def _solution_audit(s: CapField, phi: CapField, cfg: RunConfig) -> dict:
     """Residual recheck plus the full geometric audit battery on one field."""
     params = cfg.params
+    # one tau_sharp(s) serves the residual and every audit below
+    tau = tau_sharp(s)
     # stored fields are untrusted: a negative value under the fractional power
     # yields NaN, which correctly fails the threshold test below
     with np.errstate(invalid="ignore"):
-        fint, gbd = residual(s, params.p, phi, params)
+        fint, gbd = residual(s, params.p, phi, params, tau=tau)
     imax = float(np.max(np.abs(fint)))
     bmax = float(np.max(np.abs(gbd)))
     g = s.grid
@@ -129,9 +131,9 @@ def _solution_audit(s: CapField, phi: CapField, cfg: RunConfig) -> dict:
         "pass": bool(math.isfinite(imax) and math.isfinite(bmax)
                      and max(imax, bmax) <= threshold),
     }
-    est = estimates_audit(s, phi, params)
-    st_sigma = [steiner_sigma_check(s, t, params) for t in (0.1, 0.5, 1.0)]
-    st_volume = steiner_volume_check(s, (0.1, 0.5, 1.0), params)
+    est = estimates_audit(s, phi, params, tau=tau)
+    st_sigma = [steiner_sigma_check(s, t, params, tau=tau) for t in (0.1, 0.5, 1.0)]
+    st_volume = steiner_volume_check(s, (0.1, 0.5, 1.0), params, tau=tau)
     mandatory = (
         res["pass"]
         and est["all_passed"]

@@ -18,8 +18,11 @@ full-space matrix is singular by design and the even restriction is what makes
 the problem well-posed, matching the even solution class.  `linearize_even`
 assembles that restriction directly: a grid builds the even forms of its
 Jacobian blocks once, on its first factorization (`CapGrid.even_blocks`), and
-each Jacobian fills their shared CSC pattern entry by entry.  Both layers
-factorize with one LU policy, LU_OPTIONS: SuperLU's symmetric mode.
+each Jacobian fills their shared CSC pattern entry by entry.  Its mixed block
+2 g12 D12 is left out where it is round-off, at rotationally symmetric
+k >= 2 states (ROUNDOFF_REL), so there the restriction holds to round-off and
+its LU fills about a third less.  Both layers factorize with one LU policy,
+LU_OPTIONS: SuperLU's symmetric mode.
 `linearize` is the full-space reference, which jacobian_fd_error checks
 against central differences of the residual; it alone reads the grid's CSR
 operators (`CapGrid.ops`), while the residual applies the 1-D stencils.
@@ -262,7 +265,11 @@ def linearize_even(s: CapField, q: float, rhs: CapField, params: CapParams, tau=
     even blocks (`CapGrid.even_blocks`), entry by entry, as
     g11 D11 + 2 g12 D12 + g22 D22 - z DP + DR with the coefficients taken at
     the entry's row; no sparse product runs.  Entries that come out zero are
-    dropped, so the pattern is linearize's.
+    dropped, as in linearize.  The mixed block 2 g12 D12 is added only if
+    some entry of it exceeds ROUNDOFF_REL times the largest entry of its row
+    among the other blocks.  At a rotationally symmetric k >= 2 state g12 is
+    round-off, so the block is left out and the pattern is linearize's
+    without it; everywhere else the pattern is linearize's.
     """
     g = s.grid
     blocks = g.even_blocks()
@@ -276,14 +283,24 @@ def linearize_even(s: CapField, q: float, rhs: CapField, params: CapParams, tau=
         slot's row ring i; zero on the rim."""
         return np.vstack([coef[:, :h], np.zeros(h)])[blocks["ring"]]
 
-    data = (on_slots(grad.a11) * blocks["a11"] + on_slots(2.0 * grad.a12) * blocks["a12"]
-            + on_slots(grad.a22) * blocks["a22"] + blocks["robin"])
+    data = (on_slots(grad.a11) * blocks["a11"] + on_slots(grad.a22) * blocks["a22"]
+            + blocks["robin"])
     if q != 1.0:
         zer = (q - 1.0) * s.interior ** (q - 2.0) * rhs.interior
         data -= on_slots(zer) * blocks["pint"]
+    # g12 is exactly zero at k = 1, so the mixed block is not even formed
+    if np.any(grad.a12):
+        mixed = on_slots(2.0 * grad.a12) * blocks["a12"]
+        # slots are sorted by row ring, so each row's maximum over the other
+        # blocks reduces one run of slots
+        _, first, at = np.unique(blocks["ring"], return_index=True, return_inverse=True)
+        row_max = np.maximum.reduceat(np.abs(data), first, axis=0)[at]
+        if np.any(np.abs(mixed) > ROUNDOFF_REL * row_max):
+            data += mixed
     data = data.ravel()[blocks["order"]]
     # a block's entries stay out of the factorization where its coefficient
-    # vanishes (a12's everywhere at k = 1), as they do in linearize
+    # vanishes, as they do in linearize, and so do the mixed block's where
+    # it was left out
     keep = data != 0.0
     kept_before = np.append(0, np.cumsum(keep))
     return sp.csc_matrix((data[keep], blocks["indices"][keep], kept_before[blocks["indptr"]]),
@@ -297,6 +314,14 @@ def linearize_even(s: CapField, q: float, rhs: CapField, params: CapParams, tau=
 # factorizes faster than the default COLAMD ordering with partial pivoting.
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
               "options": {"SymmetricMode": True}}
+
+# linearize_even leaves the mixed block (2 g12 D12) out of the Jacobian when
+# none of its entries exceeds this fraction of the largest entry of its row
+# among the other blocks.  g12 vanishes at rotationally symmetric states, where
+# it is round-off after the first Newton step (at most 1.8e-12 of the row up to
+# 256x512), and dropping the block cuts the LU's fill by about a third; at any
+# other state some entry is far above it and the block is kept.
+ROUNDOFF_REL = 1e-10
 
 
 # -- damped-Newton corrector -------------------------------------------------------

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from capcmk import solver
-from capcmk.fields import CapField, CapGrid
+from capcmk.fields import CapField, CapGrid, tau_sharp
 from capcmk.geometry import CapParams, ell, ell_field, random_capillary_field
 from capcmk.solver import (
     ContinuationStall,
@@ -26,6 +26,7 @@ from capcmk.solver import (
     solve_path,
     structural_hypothesis_check,
 )
+from capcmk.symfunc import SymEndo
 from conftest import THETA, manufactured_phi, manufactured_reference
 
 
@@ -207,6 +208,55 @@ def test_the_even_lu_is_backward_stable(state):
     norm_a = float(abs(a).sum(axis=1).max())
     backward = np.max(np.abs(a @ x - b)) / (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
     assert backward <= 1e-13
+
+
+def test_the_mixed_block_is_left_out_where_it_is_roundoff():
+    """At a converged rotationally symmetric k = 2, 64x128 solve, g12 is
+    round-off: linearize_even leaves the mixed block out (its nnz is that of
+    the same call with g12 = 0), every entry of the full even restriction it
+    omits is at most solver.ROUNDOFF_REL of its row's largest, the LU fills
+    less, and it still solves the full restriction to round-off.  Turned
+    away from rotational symmetry, the state keeps the block."""
+    theta = math.pi / 4
+    grid = CapGrid(64, 128, theta)
+    params = CapParams(n=2, k=2, p=1.5, theta=theta)
+    phi = CapField(grid, np.broadcast_to(1.0 + 0.3 * (1.0 - np.cos(grid.beta_all))[:, None],
+                                         (65, 128)).copy(), even=True)
+    s, report = solve_path(phi, params)
+    assert report.converged
+    q = params.p
+
+    def without_g12(field):
+        tau = tau_sharp(field)
+        return SymEndo(tau.a11, np.zeros_like(tau.a12), tau.a22)
+
+    a = linearize_even(s, q, phi, params)
+    assert a.nnz == linearize_even(s, q, phi, params, tau=without_g12(s)).nnz
+
+    h, ntot = grid.nphi // 2, grid.n_total
+    node = np.arange(ntot)
+    even_p = sp.csr_matrix((np.ones(ntot), (node, node // grid.nphi * h + node % h)),
+                           shape=(ntot, a.shape[1]))
+    ref = (linearize(s, q, phi, params)[node % grid.nphi < h] @ even_p).tocsr()
+    row_max = abs(ref).max(axis=1).toarray().ravel()
+    omitted = (ref - ref.multiply(a != 0)).tocoo()
+    omitted.eliminate_zeros()
+    assert omitted.nnz > 0
+    assert np.all(np.abs(omitted.data) <= solver.ROUNDOFF_REL * row_max[omitted.row])
+
+    lu = splu(a, **solver.LU_OPTIONS)
+    assert lu.L.nnz + lu.U.nnz <= 200_000
+    b = np.random.default_rng(6).standard_normal(a.shape[0])
+    x = lu.solve(b)
+    norm_ref = float(abs(ref).sum(axis=1).max())
+    backward = np.max(np.abs(ref @ x - b)) / (norm_ref * np.max(np.abs(x)) + np.max(np.abs(b)))
+    assert backward <= 1e-13
+
+    bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
+    turned = CapField(grid, s.values * (1.0 + 0.01 * np.cos(2.0 * pp) * np.sin(bb) ** 2),
+                      even=True)
+    assert (linearize_even(turned, q, phi, params).nnz
+            > linearize_even(turned, q, phi, params, tau=without_g12(turned)).nnz)
 
 
 def test_continuation_hits_the_branch_point_exactly(params_k1, grid_16):
