@@ -87,12 +87,13 @@ class BodyGeometry:
     slope_max: float
 
 
-def reconstruct(s: CapField, tau=None) -> BodyGeometry:
+def reconstruct(s: CapField, tau=None, pts=None) -> BodyGeometry:
     """Reconstruct the body behind s and summarize it; refuses non-convex input.
 
     Slopes are measured on the reconstructed surface itself: the discrete
     normal cross(d_beta X, d_phi X) has slope |N'|/N_3, which for an exact
-    convex reconstruction equals tan(beta) at the node's normal.
+    convex reconstruction equals tan(beta) at the node's normal.  tau and
+    pts, if given, are tau_sharp(s) and surface_points(s).
     """
     if tau is None:
         tau = tau_sharp(s)
@@ -101,7 +102,8 @@ def reconstruct(s: CapField, tau=None) -> BodyGeometry:
             f"reconstruction needs a strictly convex field; lam1min = {tau.lam1min:.6e}"
         )
     g = s.grid
-    pts = surface_points(s)
+    if pts is None:
+        pts = surface_points(s)
     dxb = np.gradient(pts, g.beta_all, axis=0)
     dxp = (np.roll(pts, -1, axis=1) - np.roll(pts, 1, axis=1)) / (2.0 * g.dphi)
     nrm = np.cross(dxb, dxp)
@@ -119,10 +121,11 @@ def reconstruct(s: CapField, tau=None) -> BodyGeometry:
     )
 
 
-def volume(s: CapField, tau=None) -> float:
-    """Divergence-theorem volume of the reconstructed body (n = 2)."""
+def volume(s: CapField, tau=None, pts=None) -> float:
+    """Divergence-theorem volume of the reconstructed body (n = 2); tau and
+    pts, if given, are tau_sharp(s) and surface_points(s)."""
     g = s.grid
-    x3 = surface_points(s)[: g.nbeta, :, 2]
+    x3 = (surface_points(s) if pts is None else pts)[: g.nbeta, :, 2]
     det = sigma_k(tau_sharp(s) if tau is None else tau, 2)
     cosb = np.cos(g.beta_cells)[:, None]
     return g.integrate(x3 * cosb * det)
@@ -243,19 +246,20 @@ def steiner_coefficients(s: CapField, params: CapParams, tau=None) -> np.ndarray
 STEINER_TOL = 5e-3
 
 
-def steiner_volume_check(s: CapField, rhos, params: CapParams, tau=None) -> list:
+def steiner_volume_check(s: CapField, rhos, params: CapParams, tau=None, pts=None) -> list:
     """Parallel-slab volume two ways: divergence theorem vs curvature measures.
 
     One record per rho in rhos.  Left side: vol(body of s + rho ell) -
     vol(body of s).  Right side: the rho-polynomial with the
     steiner_coefficients.  vol(body of s) and the coefficients are computed
-    once for all rhos.  Both sides are second-order quadratures of the same
+    once for all rhos; tau and pts, if given, are tau_sharp(s) and
+    surface_points(s).  Both sides are second-order quadratures of the same
     smooth quantity, so they agree to the combined discretization error, not
     to roundoff, which STEINER_TOL allows for.
     """
     if params.n != 2:
         raise ValueError("volume audits are n = 2 only")
-    base = volume(s, tau)
+    base = volume(s, tau, pts=pts)
     coeff = steiner_coefficients(s, params, tau)
     records = []
     for rho in rhos:
@@ -305,7 +309,7 @@ _STATEMENTS = {
 }
 
 
-def estimates_audit(s: CapField, phi: CapField, params: CapParams, tau=None) -> dict:
+def estimates_audit(s: CapField, phi: CapField, params: CapParams, tau=None, pts=None) -> dict:
     """Audit the solution-independent bounds on a (claimed) solution field.
 
     Items: (a) lower bound on max s from min phi; (b) slope bound tan(theta)
@@ -315,7 +319,8 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams, tau=None) -> 
     explicit); (f) base inradius >= H / tan(theta).
 
     Non-convex input is flagged, not raised: geometry-dependent items fail
-    with empty values.
+    with empty values.  tau and pts, if given, are tau_sharp(s) and
+    surface_points(s).
     """
     k, p = params.k, params.p
     if tau is None:
@@ -343,7 +348,7 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams, tau=None) -> 
 
     tan_t = math.tan(params.theta)
     if convex:
-        geom = reconstruct(s, tau)
+        geom = reconstruct(s, tau, pts=pts)
         rhs = tan_t + SLOPE_SLACK
         item("slope_bound", geom.slope_max, rhs, rhs - geom.slope_max,
              bool(geom.slope_max <= rhs))

@@ -34,6 +34,7 @@ from .audit import (
     steiner_sigma_check,
     steiner_volume_check,
     mixed_volume_repeated,
+    surface_points,
 )
 from .config import ConfigError, RunConfig, load_config
 from .fields import (
@@ -131,9 +132,11 @@ def _solution_audit(s: CapField, phi: CapField, cfg: RunConfig) -> dict:
         "pass": bool(math.isfinite(imax) and math.isfinite(bmax)
                      and max(imax, bmax) <= threshold),
     }
-    est = estimates_audit(s, phi, params, tau=tau)
+    # and one surface_points(s) the reconstruction and the volume
+    pts = surface_points(s)
+    est = estimates_audit(s, phi, params, tau=tau, pts=pts)
     st_sigma = [steiner_sigma_check(s, t, params, tau=tau) for t in (0.1, 0.5, 1.0)]
-    st_volume = steiner_volume_check(s, (0.1, 0.5, 1.0), params, tau=tau)
+    st_volume = steiner_volume_check(s, (0.1, 0.5, 1.0), params, tau=tau, pts=pts)
     mandatory = (
         res["pass"]
         and est["all_passed"]

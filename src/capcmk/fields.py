@@ -23,14 +23,15 @@ Quadrature is the midpoint rule over the cell rings, w_ij = sin(beta_i)
 dbeta dphi; the boundary ring carries no quadrature weight.
 
 Each grid keeps one table of its operators (`CapGrid.terms`), each a list of
-(beta-matrix, phi-stencil) terms, and lays it out three ways: `apply`
+(beta-matrix, phi-stencil) terms, and lays it out four ways: `apply`
 evaluates an operator on a field by multiplying the small beta-matrix into
 the value array extended by ring -1 and one periodic column on each side,
 then applying the phi-stencil by slicing; `even_blocks` folds the table into
-the Newton blocks on even fields; and `ops` lays it out as 2-D CSR for the
-full-space reference `solver.linearize`.  `tau_sharp`, `robin_residual` and
-the audit's gradients use `apply`, so the solver and the audits never build
-the CSR layout.
+the Newton blocks on even fields; `modal_blocks` splits those blocks by
+azimuthal Fourier mode, for rotationally symmetric states; and `ops` lays it
+out as 2-D CSR for the full-space reference `solver.linearize`.
+`tau_sharp`, `robin_residual` and the audit's gradients use `apply`, so the
+solver and the audits never build the CSR layout.
 
 `tau_sharp` returns the curvature endomorphism as a `symfunc.SymEndo` batch,
 the one endomorphism type shared by the solver and the audits.
@@ -86,6 +87,7 @@ class CapGrid:
         self._terms = None
         self._ops = None
         self._even = None
+        self._modal = None
 
     # -- identity / sizes -------------------------------------------------
     @property
@@ -283,6 +285,51 @@ class CapGrid:
                       .astype(np.int32))
         self._even = blocks
         return self._even
+
+    def modal_blocks(self):
+        """The Newton blocks by azimuthal Fourier mode, built on the first
+        call and cached.
+
+        Where every coefficient of the even blocks is a ring function, the
+        even system is circulant in j < Nphi/2, and the real FFT over j
+        splits it into one (Nbeta + 1)-square block per mode m = 0..Nphi/4
+        (rounded down).  A term contributes its beta-matrix, folded as in
+        `even_blocks` (ring -1 onto ring 0; a one-row matrix is the rim's),
+        times the symbol sum_o w_o cos(2 pi m o / (Nphi/2)) of its
+        phi-stencil.  The stencils of a11, a22, pint and robin are symmetric
+        (w_o = w_-o), so every block is real; a12's is odd, and its block is
+        not formed.  The blocks make one block-diagonal matrix, rows and
+        columns ordered (mode, ring), stored per entry in CSC order:
+          "ring": each entry's row ring i;
+          name: each entry's weight in that block;
+          "shape", "indices", "indptr": the CSC pattern.
+        """
+        if self._modal is not None:
+            return self._modal
+        nb, h, nr = self.nbeta, self.nphi // 2, self.nbeta + 1
+        modes = np.arange(h // 2 + 1)[:, None]
+        table = self.terms()
+        parts = []
+        for name in ("a11", "a22", "pint", "robin"):
+            for bmat, weights in table[name]:
+                b = bmat.tocoo()
+                i = b.row + (nb if b.shape[0] == 1 else 0)
+                symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
+                # entry key: column (m, r) first, then row ring i, which sorts as CSC
+                parts.append((name, ((modes * nr + np.maximum(b.col - 1, 0)) * nr + i).ravel(),
+                              (symbol * b.data).ravel()))
+        keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
+        at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
+        blocks = {"ring": keys % nr}
+        for (name, _, vals), slots in zip(parts, at):
+            blocks[name] = blocks.get(name, 0.0) + np.bincount(slots, vals, keys.size)
+        cols, size = keys // nr, modes.size * nr
+        blocks.update(shape=(size, size),
+                      indices=(cols // nr * nr + blocks["ring"]).astype(np.int32),
+                      indptr=np.append(0, np.cumsum(np.bincount(cols, minlength=size)))
+                      .astype(np.int32))
+        self._modal = blocks
+        return self._modal
 
     def integrate(self, values) -> float:
         """Midpoint quadrature over the cell rings; sums to the cap area on 1."""

@@ -18,10 +18,13 @@ full-space matrix is singular by design and the even restriction is what makes
 the problem well-posed, matching the even solution class.  `linearize_even`
 assembles that restriction directly: a grid builds the even forms of its
 Jacobian blocks once, on its first factorization (`CapGrid.even_blocks`), and
-each Jacobian fills their shared CSC pattern entry by entry.  Its mixed block
-2 g12 D12 is left out where it is round-off, at rotationally symmetric
-k >= 2 states (ROUNDOFF_REL), so there the restriction holds to round-off and
-its LU fills about a third less.  Both layers factorize with one LU policy,
+each Jacobian fills their shared CSC pattern entry by entry.  At a rotationally
+symmetric state, where the iterate and the data are ring-constant to
+ROUNDOFF_REL, the restriction is circulant in phi, and newton_solve factorizes
+`linearize_modal` instead: a real FFT over phi splits it into Nphi/4 + 1
+banded ring systems (`CapGrid.modal_blocks`), factorized as one block-diagonal
+matrix whose LU fills a twentieth of the even one at 64x128.  Every other
+state gets the even LU.  Both layers factorize with one LU policy,
 LU_OPTIONS: SuperLU's symmetric mode.
 `linearize` is the full-space reference, which jacobian_fd_error checks
 against central differences of the residual; it alone reads the grid's CSR
@@ -75,6 +78,7 @@ __all__ = [
     "residual",
     "linearize",
     "linearize_even",
+    "linearize_modal",
     "newton_solve",
     "solve_path",
     "structural_hypothesis_check",
@@ -257,19 +261,15 @@ def linearize(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None)
 
 def linearize_even(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None):
     """The Jacobian of `linearize` on even fields, as the CSC matrix that
-    newton_solve factorizes.
+    newton_solve factorizes away from rotational symmetry.
 
     Rows are the nodes with j < Nphi/2 (interior rings, then the rim) and
     columns the even unknowns (i, j mod Nphi/2): linearize(...)[even rows]
-    @ even_p.  Its data array is filled on the pattern of the grid's cached
-    even blocks (`CapGrid.even_blocks`), entry by entry, as
-    g11 D11 + 2 g12 D12 + g22 D22 - z DP + DR with the coefficients taken at
-    the entry's row; no sparse product runs.  Entries that come out zero are
-    dropped, as in linearize.  The mixed block 2 g12 D12 is added only if
-    some entry of it exceeds ROUNDOFF_REL times the largest entry of its row
-    among the other blocks.  At a rotationally symmetric k >= 2 state g12 is
-    round-off, so the block is left out and the pattern is linearize's
-    without it; everywhere else the pattern is linearize's.
+    @ even_p, in pattern and in values.  Its data array is filled on the
+    pattern of the grid's cached even blocks (`CapGrid.even_blocks`), entry
+    by entry, as g11 D11 + 2 g12 D12 + g22 D22 - z DP + DR with the
+    coefficients taken at the entry's row; no sparse product runs.  Entries
+    that come out zero are dropped, as in linearize.
     """
     g = s.grid
     blocks = g.even_blocks()
@@ -290,21 +290,45 @@ def linearize_even(s: CapField, q: float, rhs: CapField, params: CapParams, tau=
         data -= on_slots(zer) * blocks["pint"]
     # g12 is exactly zero at k = 1, so the mixed block is not even formed
     if np.any(grad.a12):
-        mixed = on_slots(2.0 * grad.a12) * blocks["a12"]
-        # slots are sorted by row ring, so each row's maximum over the other
-        # blocks reduces one run of slots
-        _, first, at = np.unique(blocks["ring"], return_index=True, return_inverse=True)
-        row_max = np.maximum.reduceat(np.abs(data), first, axis=0)[at]
-        if np.any(np.abs(mixed) > ROUNDOFF_REL * row_max):
-            data += mixed
+        data += on_slots(2.0 * grad.a12) * blocks["a12"]
     data = data.ravel()[blocks["order"]]
     # a block's entries stay out of the factorization where its coefficient
-    # vanishes, as they do in linearize, and so do the mixed block's where
-    # it was left out
+    # vanishes, as they do in linearize
     keep = data != 0.0
     kept_before = np.append(0, np.cumsum(keep))
     return sp.csc_matrix((data[keep], blocks["indices"][keep], kept_before[blocks["indptr"]]),
                          shape=blocks["shape"])
+
+
+def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None):
+    """The Jacobian of `linearize_even` at a rotationally symmetric state,
+    split by azimuthal Fourier mode: the CSC matrix that newton_solve
+    factorizes there.
+
+    Rows and columns are (mode m = 0..Nphi/4, ring), one real block per
+    mode, filled on the pattern of the grid's cached modal blocks
+    (`CapGrid.modal_blocks`) as g11 D11 + g22 D22 - z DP + DR, each
+    coefficient its ring mean over j < Nphi/2.  At a state that s and rhs
+    make ring-constant, the coefficients are ring functions to round-off and
+    g12 is round-off, so the mixed block is left out.
+    """
+    g = s.grid
+    blocks = g.modal_blocks()
+    if tau is None:
+        tau = tau_sharp(s)
+    grad = sigma_k_grad(tau, params.k)
+    h = g.nphi // 2
+
+    def ring_mean(coef):
+        """An interior-ring coefficient's ring means on each entry's row ring;
+        zero on the rim."""
+        return np.append(np.mean(coef[:, :h], axis=1), 0.0)[blocks["ring"]]
+
+    data = (ring_mean(grad.a11) * blocks["a11"] + ring_mean(grad.a22) * blocks["a22"]
+            + blocks["robin"])
+    if q != 1.0:
+        data -= ring_mean((q - 1.0) * s.interior ** (q - 2.0) * rhs.interior) * blocks["pint"]
+    return sp.csc_matrix((data, blocks["indices"], blocks["indptr"]), shape=blocks["shape"])
 
 
 # The one sparse LU policy of both layers (newton_solve and rotsym's oracle):
@@ -315,13 +339,50 @@ def linearize_even(s: CapField, q: float, rhs: CapField, params: CapParams, tau=
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
               "options": {"SymmetricMode": True}}
 
-# linearize_even leaves the mixed block (2 g12 D12) out of the Jacobian when
-# none of its entries exceeds this fraction of the largest entry of its row
-# among the other blocks.  g12 vanishes at rotationally symmetric states, where
-# it is round-off after the first Newton step (at most 1.8e-12 of the row up to
-# 256x512), and dropping the block cuts the LU's fill by about a third; at any
-# other state some entry is far above it and the block is kept.
+# newton_solve factorizes the modal system where the iterate s and the data rhs
+# are ring-constant to round-off: on every node row, their spread across phi is
+# at most this fraction of the row's largest absolute value.  Rotationally
+# symmetric solves keep s within 6.9e-13 of ring-constant up to 256x512; an
+# anisotropic state or rhs is far above it and gets the even LU.
 ROUNDOFF_REL = 1e-10
+
+
+def _ring_constant(values) -> bool:
+    """Whether every row of values spreads across phi by at most ROUNDOFF_REL
+    times its largest absolute value."""
+    return bool(np.all(np.ptp(values, axis=1) <= ROUNDOFF_REL * np.max(np.abs(values), axis=1)))
+
+
+def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
+    """Factorizes the Newton system of newton_solve at s and returns
+    apply(fint, gbd), the Newton step on every node.
+
+    Where s and rhs are ring-constant (`_ring_constant`), the modal system
+    (`linearize_modal`): the step takes the real FFT over j < Nphi/2 of the
+    even rows, solves its real and imaginary parts, transforms back and
+    repeats on the columns j + Nphi/2.  Elsewhere the even system
+    (`linearize_even`): the step solves for the even unknowns and repeats
+    them on the columns j + Nphi/2.
+    """
+    g = s.grid
+    h, nr = g.nphi // 2, g.nbeta + 1
+    if _ring_constant(s.values) and _ring_constant(rhs.values):
+        lu_modal = splu(linearize_modal(s, q, rhs, params, tau=tau), **LU_OPTIONS)
+
+        def apply(fint, gbd):
+            bh = np.fft.rfft(-np.vstack([fint[:, :h], gbd[:h]]), axis=1).T.ravel()
+            xh = lu_modal.solve(np.column_stack([bh.real, bh.imag]))
+            xh = (xh[:, 0] + 1j * xh[:, 1]).reshape(-1, nr).T
+            return np.tile(np.fft.irfft(xh, n=h, axis=1), 2)
+
+        return apply
+    lu_even = splu(linearize_even(s, q, rhs, params, tau=tau), **LU_OPTIONS)
+
+    def apply(fint, gbd):
+        dh = lu_even.solve(-np.append(fint[:, :h], gbd[:h]))
+        return np.tile(dh.reshape(nr, h), 2)
+
+    return apply
 
 
 # -- damped-Newton corrector -------------------------------------------------------
@@ -437,18 +498,16 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
     """Damped Newton in the even subspace with positivity and cone guards.
 
     Runs the shared corrector `_damped_newton`, evaluating tau_sharp once per
-    point for the cone guard, the residual and the Jacobian.  The even system
-    (`linearize_even`) is factorized with SuperLU (`splu`, LU_OPTIONS), and
-    a step solves for the even unknowns, the rows j < Nphi/2, and repeats
-    them on the columns j + Nphi/2.  `lu` is the slot of a continuation
-    path, whose factorization the corrector reuses.
+    point for the cone guard, the residual and the Jacobian.  `_factorize`
+    factorizes the modal system at a rotationally symmetric state and the
+    even system elsewhere, with SuperLU (`splu`, LU_OPTIONS).  `lu` is the
+    slot of a continuation path, whose factorization the corrector reuses.
     Returns (s, info); raises NewtonFailure if the cone guard, the line search
     or the iteration budget gives out.  Accepted iterates always satisfy
     min s > 0 and lam1min > DELTA_CONE.
     """
     g = s0.grid
     s = s0 if s0.even else s0.project_even()
-    h = g.nphi // 2
 
     def cone(x):
         sx = CapField(g, x, even=True)
@@ -461,13 +520,7 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
 
     def factor(at):
         sx, tau = at
-        lu_even = splu(linearize_even(sx, q, rhs, params, tau=tau), **LU_OPTIONS)
-
-        def apply(fint, gbd):
-            dh = lu_even.solve(-np.append(fint[:, :h], gbd[:h]))
-            return np.tile(dh.reshape(g.nbeta + 1, h), 2)
-
-        return apply
+        return _factorize(sx, q, rhs, params, tau)
 
     x, info = _damped_newton(s.values, cone, evaluate, factor, sched, lu)
     return CapField(g, x, even=True), info

@@ -26,7 +26,6 @@ from capcmk.solver import (
     solve_path,
     structural_hypothesis_check,
 )
-from capcmk.symfunc import SymEndo
 from conftest import THETA, manufactured_phi, manufactured_reference
 
 
@@ -34,6 +33,25 @@ def positive_even_phi(grid, seed=7):
     bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
     vals = 1.0 + 0.2 * (1.0 - np.cos(bb)) + 0.04 * np.cos(2.0 * pp) * np.sin(bb) ** 2
     return CapField(grid, vals, even=False).project_even()
+
+
+def recording_splu(monkeypatch):
+    """Route solver's splu through a wrapper; returns the list of the shapes
+    it factorizes."""
+    shapes = []
+
+    def counting_splu(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    return shapes
+
+
+def modal_shape(grid):
+    """The shape of the modal system: Nphi/4 + 1 modes of Nbeta + 1 rings."""
+    size = (grid.nphi // 4 + 1) * (grid.nbeta + 1)
+    return size, size
 
 
 def test_phi_q_endpoints(params_k1, grid_16):
@@ -210,13 +228,77 @@ def test_the_even_lu_is_backward_stable(state):
     assert backward <= 1e-13
 
 
-def test_the_mixed_block_is_left_out_where_it_is_roundoff():
-    """At a converged rotationally symmetric k = 2, 64x128 solve, g12 is
-    round-off: linearize_even leaves the mixed block out (its nnz is that of
-    the same call with g12 = 0), every entry of the full even restriction it
-    omits is at most solver.ROUNDOFF_REL of its row's largest, the LU fills
-    less, and it still solves the full restriction to round-off.  Turned
-    away from rotational symmetry, the state keeps the block."""
+def ring_constant_problem(nbeta, nphi, k, q):
+    """A rotationally symmetric state ell (1 + 0.05 cos beta) and data on a
+    fresh grid: (s, q, rhs, params)."""
+    grid = CapGrid(nbeta, nphi, THETA)
+    params = CapParams(n=2, k=k, p=1.5, theta=THETA)
+    ring = np.broadcast_to(grid.beta_all[:, None], (nbeta + 1, nphi))
+    s = CapField(grid, ell_field(grid).values * (1.0 + 0.05 * np.cos(ring)), even=True)
+    phi = CapField(grid, 1.0 + 0.3 * (1.0 - np.cos(ring)), even=True)
+    return s, q, phi_q(phi, q, params), params
+
+
+def even_step_error(s, q, rhs, params, step, fint, gbd):
+    """(gap, backward): the step's relative gap from the linearize_even LU's
+    step for the residual (fint, gbd), and the normwise backward error of its
+    even unknowns in linearize_even's system."""
+    h = s.grid.nphi // 2
+    a = linearize_even(s, q, rhs, params)
+    b = -np.append(fint[:, :h], gbd[:h])
+    x_even = np.tile(splu(a, **solver.LU_OPTIONS).solve(b).reshape(-1, h), 2)
+    gap = np.max(np.abs(step - x_even)) / np.max(np.abs(x_even))
+    x = step[:, :h].ravel()
+    norm_a = float(abs(a).sum(axis=1).max())
+    backward = np.max(np.abs(a @ x - b)) / (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
+    return gap, backward
+
+
+@pytest.mark.parametrize("q", [1.0, 1.4])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 30), (33, 64)],
+                         ids=["8x8", "odd-half-turn", "odd-nbeta"])
+def test_the_modal_step_is_the_even_lu_step(nbeta, nphi, k, q, monkeypatch):
+    """At a ring-constant state and data, newton_solve's factorization is
+    the modal one, and its step for a residual that has every azimuthal mode
+    is the step of the even LU: equal to 1e-12, and with a backward error at
+    round-off in linearize_even's system.  16x30 has an odd Nphi/2 and 33x64
+    an odd Nbeta."""
+    s, q, rhs, params = ring_constant_problem(nbeta, nphi, k, q)
+    shapes = recording_splu(monkeypatch)
+    apply = solver._factorize(s, q, rhs, params, tau_sharp(s))
+    assert shapes == [modal_shape(s.grid)]
+    rng = np.random.default_rng(3)
+    fint, gbd = rng.standard_normal((nbeta, nphi)), rng.standard_normal(nphi)
+    step = apply(fint, gbd)
+    assert np.array_equal(step[:, :nphi // 2], step[:, nphi // 2:])
+    gap, backward = even_step_error(s, q, rhs, params, step, fint, gbd)
+    assert gap <= 1e-12
+    assert backward <= 1e-13
+    assert s.grid.modal_blocks() is s.grid.modal_blocks()
+
+
+def test_the_modal_system_is_factorized_only_at_ring_constant_states(monkeypatch):
+    """Ring-constant state and data get the modal system, of (Nphi/4 + 1)
+    blocks of Nbeta + 1 rings; the state turned by 1 + 0.01 cos 2phi
+    sin^2 beta, or anisotropic data, get the even system."""
+    s, q, rhs, params = ring_constant_problem(16, 32, 2, 1.4)
+    grid = s.grid
+    bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
+    turn = 1.0 + 0.01 * np.cos(2.0 * pp) * np.sin(bb) ** 2
+    turned = CapField(grid, s.values * turn, even=True)
+    aniso = CapField(grid, rhs.values * turn, even=True)
+    shapes = recording_splu(monkeypatch)
+    for state, data in ((s, rhs), (turned, rhs), (s, aniso)):
+        solver._factorize(state, q, data, params, tau_sharp(state))
+    even = (17 * 16, 17 * 16)
+    assert shapes == [modal_shape(grid), even, even]
+
+
+def test_the_modal_lu_fills_a_tenth_of_the_even_lu():
+    """At a converged rotationally symmetric k = 2, 64x128 solve, the modal
+    LU fills under a tenth of the even LU, and its step solves the even
+    system (mixed block included) to round-off."""
     theta = math.pi / 4
     grid = CapGrid(64, 128, theta)
     params = CapParams(n=2, k=2, p=1.5, theta=theta)
@@ -226,37 +308,18 @@ def test_the_mixed_block_is_left_out_where_it_is_roundoff():
     assert report.converged
     q = params.p
 
-    def without_g12(field):
-        tau = tau_sharp(field)
-        return SymEndo(tau.a11, np.zeros_like(tau.a12), tau.a22)
+    def fill(a):
+        lu = splu(a, **solver.LU_OPTIONS)
+        return lu.L.nnz + lu.U.nnz
 
-    a = linearize_even(s, q, phi, params)
-    assert a.nnz == linearize_even(s, q, phi, params, tau=without_g12(s)).nnz
-
-    h, ntot = grid.nphi // 2, grid.n_total
-    node = np.arange(ntot)
-    even_p = sp.csr_matrix((np.ones(ntot), (node, node // grid.nphi * h + node % h)),
-                           shape=(ntot, a.shape[1]))
-    ref = (linearize(s, q, phi, params)[node % grid.nphi < h] @ even_p).tocsr()
-    row_max = abs(ref).max(axis=1).toarray().ravel()
-    omitted = (ref - ref.multiply(a != 0)).tocoo()
-    omitted.eliminate_zeros()
-    assert omitted.nnz > 0
-    assert np.all(np.abs(omitted.data) <= solver.ROUNDOFF_REL * row_max[omitted.row])
-
-    lu = splu(a, **solver.LU_OPTIONS)
-    assert lu.L.nnz + lu.U.nnz <= 200_000
-    b = np.random.default_rng(6).standard_normal(a.shape[0])
-    x = lu.solve(b)
-    norm_ref = float(abs(ref).sum(axis=1).max())
-    backward = np.max(np.abs(ref @ x - b)) / (norm_ref * np.max(np.abs(x)) + np.max(np.abs(b)))
+    modal, even = solver.linearize_modal(s, q, phi, params), linearize_even(s, q, phi, params)
+    assert fill(modal) < 0.1 * fill(even)
+    rng = np.random.default_rng(6)
+    fint, gbd = rng.standard_normal((64, 128)), rng.standard_normal(128)
+    step = solver._factorize(s, q, phi, params, tau_sharp(s))(fint, gbd)
+    gap, backward = even_step_error(s, q, phi, params, step, fint, gbd)
+    assert gap <= 1e-12
     assert backward <= 1e-13
-
-    bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
-    turned = CapField(grid, s.values * (1.0 + 0.01 * np.cos(2.0 * pp) * np.sin(bb) ** 2),
-                      even=True)
-    assert (linearize_even(turned, q, phi, params).nnz
-            > linearize_even(turned, q, phi, params, tau=without_g12(turned)).nnz)
 
 
 def test_continuation_hits_the_branch_point_exactly(params_k1, grid_16):
@@ -362,13 +425,7 @@ def test_corrector_reports_a_singular_jacobian():
 
 def test_linear_path_factorizes_once(params_k1, grid_32, monkeypatch):
     """k = 1 and q = 1 make the operator linear for t <= 1/2: one LU serves the path."""
-    calls = []
-
-    def counting_splu(a, *args, **kwargs):
-        calls.append(a.shape)
-        return splu(a, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "splu", counting_splu)
+    calls = recording_splu(monkeypatch)
     _, report = solver._continuation(positive_even_phi(grid_32), params_k1, Schedule(), None)
     assert report.converged and report.t_steps[:3] == [0.0, 0.25, 0.5]
     assert report.factorizations[:3] == [1, 0, 0]
@@ -454,13 +511,7 @@ def test_grid_sequencing_stops_at_the_coarsest_grid():
 def test_sequenced_solve_matches_the_plain_continuation(params, monkeypatch):
     grid = CapGrid(64, 128, THETA)
     phi = positive_even_phi(grid)
-    shapes = []
-
-    def counting_splu(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return splu(a, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "splu", counting_splu)
+    shapes = recording_splu(monkeypatch)
     s, report = solve_path(phi, params)
     finest = shapes[-1]
     assert finest[0] == 64 * 64 + 64  # the even system: half the columns of each ring
@@ -478,19 +529,14 @@ def test_sequenced_solve_matches_the_plain_continuation(params, monkeypatch):
 
 def test_a_grid_that_does_not_halve_is_sequenced(params_k1, monkeypatch):
     grid = CapGrid(127, 256, THETA)
-    shapes = []
-
-    def counting_splu(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return splu(a, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "splu", counting_splu)
+    shapes = recording_splu(monkeypatch)
     vals = 1.0 + 0.2 * (1.0 - np.cos(grid.beta_all))
     phi = CapField(grid, np.broadcast_to(vals[:, None], (128, 256)).copy(), even=True)
     _, report = solve_path(phi, params_k1)
     assert report.converged
     assert report.grids == ["63x128"] * (len(report.t_steps) - 1) + ["127x256"]
-    assert shapes.count((128 * 128, 128 * 128)) == 1  # the even system on 127x256
+    # rotationally symmetric data: the modal system on 127x256, 65 modes of 128 rings
+    assert shapes.count(modal_shape(grid)) == 1
 
 
 def test_a_failed_finer_corrector_stalls_with_the_coarse_path(params_k1, monkeypatch):
