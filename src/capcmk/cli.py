@@ -132,7 +132,7 @@ def _solution_audit(s: CapField, phi: CapField, cfg: RunConfig) -> dict:
         "pass": bool(math.isfinite(imax) and math.isfinite(bmax)
                      and max(imax, bmax) <= threshold),
     }
-    # and one surface_points(s) the reconstruction and the volume
+    # one surface_points(s) serves the reconstruction and the base volume
     pts = surface_points(s)
     est = estimates_audit(s, phi, params, tau=tau, pts=pts)
     st_sigma = [steiner_sigma_check(s, t, params, tau=tau) for t in (0.1, 0.5, 1.0)]

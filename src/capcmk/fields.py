@@ -64,6 +64,17 @@ def fd_weights(offsets, order):
     return np.linalg.solve(a, e)
 
 
+def _accumulate(parts):
+    """Sum (name, keys, values) parts per name over their unique keys:
+    returns the sorted unique keys and, for each name, its sums on them."""
+    keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
+    at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
+    sums = {}
+    for (name, _, vals), slots in zip(parts, at):
+        sums[name] = sums.get(name, 0.0) + np.bincount(slots, vals, keys.size)
+    return keys, sums
+
+
 class CapGrid:
     """Structured (beta, phi) grid on the cap with cached stencil operators."""
 
@@ -238,6 +249,19 @@ class CapGrid:
         return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(terms[0][0].shape[0] * np_, self.n_total))
 
+    def _folded(self, names):
+        """The terms of operators `names` folded onto even fields, one
+        (name, i, r, phi-stencil, w) per term: w holds the beta-matrix's
+        weights from ring r to row ring i, one per stored entry.  On even
+        fields the half-turn is the identity, so ring -1 adds onto ring 0; a
+        one-row beta-matrix is the rim ring's."""
+        table = self.terms()
+        for name in names:
+            for bmat, weights in table[name]:
+                b = bmat.tocoo()
+                yield (name, b.row + (self.nbeta if b.shape[0] == 1 else 0),
+                       np.maximum(b.col - 1, 0), weights, b.data)
+
     def even_blocks(self):
         """The Newton blocks on even fields, built on the first call and cached.
 
@@ -245,9 +269,8 @@ class CapGrid:
         robin (rim row), for the stacked system over the (Nbeta + 1) Nphi/2
         even unknowns: rows are the nodes with j < Nphi/2, interior rings
         then the rim, and columns the unknowns (i, j mod Nphi/2).  Each is
-        folded from the terms of `terms`: on even fields the half-turn is
-        the identity, so ring -1 adds onto ring 0, and a phi-stencil's
-        offsets fold mod Nphi/2.  A block's weight from ring r at azimuthal
+        folded from its terms by `_folded`, and a phi-stencil's offsets fold
+        mod Nphi/2.  A block's weight from ring r at azimuthal
         offset o to row ring i is the same on every column j, so the blocks
         are stored per slot, one slot for each (i, r, o) that any block has:
           "ring": each slot's row ring i;
@@ -258,23 +281,15 @@ class CapGrid:
         """
         if self._even is not None:
             return self._even
-        nb, h, nr = self.nbeta, self.nphi // 2, self.nbeta + 1
-        table = self.terms()
+        h, nr = self.nphi // 2, self.nbeta + 1
         # slot key (i nr + r) 3 + o + 1; the offsets are -1, 0 and 1, distinct
         # mod Nphi/2 >= 4, so distinct slots never share an entry
-        parts = []
-        for name in ("a11", "a12", "a22", "pint", "robin"):
-            for bmat, weights in table[name]:
-                b = bmat.tocoo()
-                # a one-row beta-matrix is the rim ring's
-                i = b.row + (nb if b.shape[0] == 1 else 0)
-                for o, w in weights.items():
-                    parts.append((name, (i * nr + np.maximum(b.col - 1, 0)) * 3 + o + 1, b.data * w))
-        keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
-        at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
-        blocks = {"ring": keys // (3 * nr)}
-        for (name, _, vals), slots in zip(parts, at):
-            blocks[name] = blocks.get(name, 0.0) + np.bincount(slots, vals, keys.size)[:, None]
+        keys, blocks = _accumulate([(name, (i * nr + r) * 3 + o + 1, b * w)
+                                    for name, i, r, weights, b
+                                    in self._folded(("a11", "a12", "a22", "pint", "robin"))
+                                    for o, w in weights.items()])
+        blocks = {name: vals[:, None] for name, vals in blocks.items()}
+        blocks["ring"] = keys // (3 * nr)
         # entry (k, j): row (i_k, j), column (r_k, (j + o_k) mod Nphi/2)
         j = np.arange(h)
         rows = (blocks["ring"][:, None] * h + j).astype(np.int32).ravel()
@@ -293,9 +308,8 @@ class CapGrid:
         Where every coefficient of the even blocks is a ring function, the
         even system is circulant in j < Nphi/2, and the real FFT over j
         splits it into one (Nbeta + 1)-square block per mode m = 0..Nphi/4
-        (rounded down).  A term contributes its beta-matrix, folded as in
-        `even_blocks` (ring -1 onto ring 0; a one-row matrix is the rim's),
-        times the symbol sum_o w_o cos(2 pi m o / (Nphi/2)) of its
+        (rounded down).  A term contributes its beta-matrix, folded by
+        `_folded` as for `even_blocks`, times the symbol sum_o w_o cos(2 pi m o / (Nphi/2)) of its
         phi-stencil.  The stencils of a11, a22, pint and robin are symmetric
         (w_o = w_-o), so every block is real; a12's is odd, and its block is
         not formed.  The blocks make one block-diagonal matrix, rows and
@@ -306,23 +320,15 @@ class CapGrid:
         """
         if self._modal is not None:
             return self._modal
-        nb, h, nr = self.nbeta, self.nphi // 2, self.nbeta + 1
+        h, nr = self.nphi // 2, self.nbeta + 1
         modes = np.arange(h // 2 + 1)[:, None]
-        table = self.terms()
-        parts = []
-        for name in ("a11", "a22", "pint", "robin"):
-            for bmat, weights in table[name]:
-                b = bmat.tocoo()
-                i = b.row + (nb if b.shape[0] == 1 else 0)
-                symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
-                # entry key: column (m, r) first, then row ring i, which sorts as CSC
-                parts.append((name, ((modes * nr + np.maximum(b.col - 1, 0)) * nr + i).ravel(),
-                              (symbol * b.data).ravel()))
-        keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
-        at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
-        blocks = {"ring": keys % nr}
-        for (name, _, vals), slots in zip(parts, at):
-            blocks[name] = blocks.get(name, 0.0) + np.bincount(slots, vals, keys.size)
+        # entry key: column (m, r) first, then row ring i, which sorts as CSC
+        keys, blocks = _accumulate([
+            (name, ((modes * nr + r) * nr + i).ravel(),
+             (sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items()) * b)
+             .ravel())
+            for name, i, r, weights, b in self._folded(("a11", "a22", "pint", "robin"))])
+        blocks["ring"] = keys % nr
         cols, size = keys // nr, modes.size * nr
         blocks.update(shape=(size, size),
                       indices=(cols // nr * nr + blocks["ring"]).astype(np.int32),

@@ -23,9 +23,10 @@ symmetric state, where the iterate and the data are ring-constant to
 ROUNDOFF_REL, the restriction is circulant in phi, and newton_solve factorizes
 `linearize_modal` instead: a real FFT over phi splits it into Nphi/4 + 1
 banded ring systems (`CapGrid.modal_blocks`), factorized as one block-diagonal
-matrix whose LU fills a twentieth of the even one at 64x128.  Every other
-state gets the even LU.  Both layers factorize with one LU policy,
-LU_OPTIONS: SuperLU's symmetric mode.
+matrix whose LU fills a twentieth of the even one at 64x128.  That includes
+the t = 0 corrector of an anisotropic solve's continuation fallback, whose
+data are still constant; every other state gets the even LU.  Both layers
+factorize with one LU policy, LU_OPTIONS: SuperLU's symmetric mode.
 `linearize` is the full-space reference, which jacobian_fd_error checks
 against central differences of the residual; it alone reads the grid's CSR
 operators (`CapGrid.ops`), while the residual applies the 1-D stencils.
