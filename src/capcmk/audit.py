@@ -374,9 +374,10 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams, tau=None, pts
     return {"items": items, "all_passed": bool(all(gated))}
 
 
-def save_embedding(s: CapField, path):
-    """Point-cloud CSV (beta, phi, X1, X2, X3), row-major over the node grid."""
+def save_embedding(s: CapField, path, pts=None):
+    """Point-cloud CSV (beta, phi, X1, X2, X3), row-major over the node grid;
+    pts, if given, is surface_points(s)."""
     g = s.grid
-    bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
-    rows = np.column_stack([bb.ravel(), pp.ravel(), surface_points(s).reshape(-1, 3)])
-    write_csv(path, ["beta,phi,x1,x2,x3"], rows)
+    if pts is None:
+        pts = surface_points(s)
+    write_csv(path, ["beta,phi,x1,x2,x3"], pts.reshape(-1, 3), lead=(g.beta_all, g.phi))

@@ -109,8 +109,10 @@ def _stored_solution(path, cfg: RunConfig) -> CapField:
     return s
 
 
-def _solution_audit(s: CapField, phi: CapField, cfg: RunConfig) -> dict:
-    """Residual recheck plus the full geometric audit battery on one field."""
+def _solution_audit(s: CapField, phi: CapField, cfg: RunConfig, pts) -> dict:
+    """Residual recheck plus the full geometric audit battery on one field;
+    pts is surface_points(s), which serves the reconstruction and the base
+    volume (and, in solve, the embedding)."""
     params = cfg.params
     # one tau_sharp(s) serves the residual and every audit below
     tau = tau_sharp(s)
@@ -132,8 +134,6 @@ def _solution_audit(s: CapField, phi: CapField, cfg: RunConfig) -> dict:
         "pass": bool(math.isfinite(imax) and math.isfinite(bmax)
                      and max(imax, bmax) <= threshold),
     }
-    # one surface_points(s) serves the reconstruction and the base volume
-    pts = surface_points(s)
     est = estimates_audit(s, phi, params, tau=tau, pts=pts)
     st_sigma = [steiner_sigma_check(s, t, params, tau=tau) for t in (0.1, 0.5, 1.0)]
     st_volume = steiner_volume_check(s, (0.1, 0.5, 1.0), params, tau=tau, pts=pts)
@@ -185,9 +185,10 @@ def _solve_and_write(cfg: RunConfig, phi: CapField, out: Path):
     """Solve for phi and write report.json into out; on convergence also
     solution.csv and audit.json.
 
-    Returns (s, SolveReport, audit).  A ContinuationStall propagates after
-    its partial report.json is written; a ValueError from solve_path (an
-    invalid problem) propagates with nothing written.
+    Returns (s, SolveReport, audit, surface_points(s)).  A
+    ContinuationStall propagates after its partial report.json is written; a
+    ValueError from solve_path (an invalid problem) propagates with nothing
+    written.
     """
     report = {
         "problem": asdict(cfg.params),
@@ -198,11 +199,12 @@ def _solve_and_write(cfg: RunConfig, phi: CapField, out: Path):
     ref = cfg.manufactured_reference(phi.grid)
     if ref is not None:
         report["manufactured_sup_error"] = float(np.max(np.abs(s.values - ref.values)))
-    audit = _solution_audit(s, phi, cfg)
+    pts = surface_points(s)
+    audit = _solution_audit(s, phi, cfg, pts)
     save_field(s, out / "solution.csv")
     _write_json(report, out / "report.json")
     _write_json(audit, out / "audit.json")
-    return s, rep, audit
+    return s, rep, audit, pts
 
 
 # -- commands ------------------------------------------------------------------
@@ -214,8 +216,8 @@ def cmd_solve(args) -> int:
     out = _outdir(args)
     _say(args, f"solve: n={cfg.params.n} k={cfg.params.k} p={cfg.params.p:g} "
                f"theta={cfg.params.theta:.6g} grid={cfg.nbeta}x{cfg.nphi}")
-    s, rep, audit = _solve_and_write(cfg, phi, out)
-    save_embedding(s, out / "embedding.csv")
+    s, rep, audit, pts = _solve_and_write(cfg, phi, out)
+    save_embedding(s, out / "embedding.csv", pts=pts)
     fallback = f" (direct Newton failed: {rep.direct_failure})" if rep.direct_failure else ""
     _say(args, f"converged by {rep.method}{fallback} on {' -> '.join(dict.fromkeys(rep.grids))} "
                f"in {len(rep.t_steps)} steps ({sum(rep.newton_iters)} Newton steps, "
@@ -232,7 +234,7 @@ def cmd_verify(args) -> int:
                           f"{cfg.params.n}; use oracle")
     s = _stored_solution(args.solution, cfg)
     phi = cfg.phi_field(s.grid)
-    audit = _solution_audit(s, phi, cfg)
+    audit = _solution_audit(s, phi, cfg, surface_points(s))
     out = _outdir(args)
     _write_json(audit, out / "audit.json")
     ok = audit["mandatory_pass"]
@@ -277,7 +279,7 @@ def _sweep_member(cfg: RunConfig, name: str, p: float, theta: float, out: Path) 
         phi = mcfg.phi_field(grid)
         mdir = out / name
         mdir.mkdir(parents=True, exist_ok=True)
-        s, rep, audit = _solve_and_write(mcfg, phi, mdir)
+        s, rep, audit, _ = _solve_and_write(mcfg, phi, mdir)
     except _FAILURES as exc:
         rec.update(exit=_exit_code(exc), error=(
             f"stalled at t = {exc.t:.6f}: {exc.report.failure}"

@@ -461,13 +461,50 @@ def boundary_tau_identity_residual(s: CapField) -> float:
 _MAGIC = "# capcmk field v1"
 
 
-def write_csv(path, header, rows):
+# values per block of rows in write_csv: bounds the text and the Python floats
+# held at once, so writing a large file costs no more memory than a small one
+_BLOCK_VALUES = 1 << 14
+
+
+def _block_rows(ncol: int) -> int:
+    return max(1, _BLOCK_VALUES // ncol)
+
+
+def write_csv(path, header, rows, lead=None):
     """Write the `header` lines, then one line per row of the 2-D float array
-    `rows`, each value as %.17g so that it parses back bit-exactly."""
-    fmt = ",".join(["%.17g"] * rows.shape[1])
-    lines = list(header) + [fmt % tuple(r) for r in rows.tolist()]
+    `rows`, each value as %.17g so that it parses back bit-exactly.
+
+    `lead = (a, b)`, two 1-D float arrays, puts the tensor-product grid a x b
+    in front of the values: row i * len(b) + j begins a[i], b[j].  The file
+    is the one written for column_stack([A.ravel(), B.ravel(), rows]) with
+    A, B = meshgrid(a, b, indexing="ij"), but formats each grid value once.
+
+    Rows are written a block at a time (one ring a[i] of len(b) rows with
+    `lead`), each block with one format string, one `%` and one write, so
+    neither the file's text nor all of its values are ever held at once.
+    """
+    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(h + "\n" for h in header))
+        if lead is None:
+            step = _block_rows(rows.shape[1])
+            for i in range(0, rows.shape[0], step):
+                block = rows[i:i + step]
+                fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+        else:
+            a, b = lead
+            n = len(b)
+            # ring i's format is a[i]'s text joined into these pieces; %.17g of
+            # a float holds no "%", but literal text is escaped all the same
+            pieces = [""] + ["," + _literal(v) + "," + row_fmt for v in b.tolist()]
+            for i, v in enumerate(a.tolist()):
+                ring = rows[i * n:(i + 1) * n]
+                fh.write(_literal(v).join(pieces) % tuple(ring.ravel().tolist()))
+
+
+def _literal(v: float) -> str:
+    """v as %.17g, escaped for use inside a %-format string."""
+    return ("%.17g" % v).replace("%", "%%")
 
 
 def save_field(s: CapField, path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,3 +319,33 @@ def test_save_embedding_format(tmp_path, grid_16):
     assert np.all(got[:, :, 0] == grid_16.beta_all[:, None])
     assert np.all(got[:, :, 1] == grid_16.phi[None, :])
     assert np.array_equal(got[:, :, 2:], surface_points(s))
+
+
+def test_save_embedding_bytes_match_the_meshgrid_rows(tmp_path):
+    # the file as written before the ring-at-a-time writer: meshgrid (beta,
+    # phi) columns stacked in front of the points, one line per row
+    g = CapGrid(9, 30, THETA)
+    s = random_capillary_field(g, np.random.default_rng(9))
+    pts = surface_points(s)
+    bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
+    rows = np.column_stack([bb.ravel(), pp.ravel(), pts.reshape(-1, 3)])
+    want = "\n".join(["beta,phi,x1,x2,x3"]
+                     + ["%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(r) for r in rows.tolist()])
+    path = tmp_path / "embedding.csv"
+    save_embedding(s, path)
+    assert path.read_bytes() == (want + "\n").encode()
+    save_embedding(s, path, pts=pts)
+    assert path.read_bytes() == (want + "\n").encode()
+
+
+def test_save_embedding_streams(tmp_path):
+    # the whole file's text and Python floats come to 13.8 MB at 128x256;
+    # one ring at a time keeps the peak near surface_points' own arrays
+    s = random_capillary_field(CapGrid(128, 256, THETA), np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        save_embedding(s, tmp_path / "embedding.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from capcmk import audit
+from capcmk import audit, fields
 from capcmk.fields import (
     CapField,
     CapGrid,
@@ -13,6 +13,7 @@ from capcmk.fields import (
     robin_residual,
     save_field,
     tau_sharp,
+    write_csv,
 )
 from capcmk.geometry import (
     ell_field,
@@ -284,6 +285,51 @@ def test_field_serialization_round_trip_is_bit_exact(tmp_path):
     assert back.grid == g
     assert back.even == s.even
     assert np.array_equal(back.values, s.values)
+
+
+def _reference_csv(header, rows):
+    """The CSV text as one join over per-row lines: the reference that the
+    block writer must match byte for byte."""
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    return "\n".join(list(header) + [fmt % tuple(r) for r in rows.tolist()]) + "\n"
+
+
+# signed zero, the least subnormal, the largest double, a non-terminating
+# binary fraction, exact integers and the non-finite values
+EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1.0 / 3.0, 0.0, 7.0, -12.0,
+               2.0**53, math.inf, -math.inf, math.nan]
+
+
+def _values(rng, n):
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n).astype(float)
+    m = min(n, len(EDGE_VALUES))
+    vals[:m] = EDGE_VALUES[:m]
+    vals[n - m:] = EDGE_VALUES[len(EDGE_VALUES) - m:]
+    return vals
+
+
+@pytest.mark.parametrize("ncol", [1, 3, 5, 256])
+def test_write_csv_bytes_match_the_per_row_reference(tmp_path, ncol):
+    rng = np.random.default_rng(ncol)
+    b = fields._block_rows(ncol)
+    header = ["# head", "a,b"]
+    path = tmp_path / "rows.csv"
+    for nrow in (1, b - 1, b, b + 1, 2 * b + 3):
+        rows = _values(rng, nrow * ncol).reshape(nrow, ncol)
+        write_csv(path, header, rows)
+        assert path.read_bytes() == _reference_csv(header, rows).encode(), nrow
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (3, 7), (10, 30)])
+def test_write_csv_lead_matches_the_meshgrid_columns(tmp_path, na, nb):
+    rng = np.random.default_rng(na * nb)
+    a, b = _values(rng, na), _values(rng, nb)
+    rows = _values(rng, na * nb * 3).reshape(na * nb, 3)
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    path = tmp_path / "lead.csv"
+    write_csv(path, ["a,b,x,y,z"], rows, lead=(a, b))
+    want = _reference_csv(["a,b,x,y,z"], np.column_stack([aa.ravel(), bb.ravel(), rows]))
+    assert path.read_bytes() == want.encode()
 
 
 def test_load_field_rejects_malformed_files(tmp_path):
