@@ -39,6 +39,7 @@ the one endomorphism type shared by the solver and the audits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -514,20 +515,65 @@ def save_field(s: CapField, path):
                      f"{g.nbeta},{g.nphi},{g.theta:.17g},{int(s.even)}"], s.values)
 
 
+def _data_line(fh):
+    """The next line of fh with its `#` comment and outer whitespace removed
+    that is not then empty; None at the end of the file."""
+    for ln in iter(fh.readline, ""):
+        text = ln.split("#", 1)[0].strip()
+        if text:
+            return text
+    return None
+
+
+def _header(path, head: str):
+    """(nbeta, nphi, theta, even) from the header line `nbeta,nphi,theta,even`."""
+    parts = head.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"{path}: malformed header {head!r}")
+    try:
+        nbeta, nphi, theta, even = int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3])
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed header {head!r}: {exc}") from exc
+    if even not in (0, 1):
+        raise ValueError(f"{path}: the header's even flag must be 0 or 1, got {parts[3].strip()!r}")
+    return nbeta, nphi, theta, bool(even)
+
+
 def load_field(path) -> CapField:
+    """Read a field file as written by `save_field`.
+
+    Everything after a `#` is a comment, and empty lines are skipped.  The
+    first other line is the header `nbeta,nphi,theta,even` (even is 0 or 1);
+    exactly nbeta + 1 rows of nphi comma-separated values follow.  The header
+    is read here, the value rows in one `np.loadtxt` pass at C level, whose
+    string-to-double conversion is the correctly rounded one behind `float()`,
+    so every value parses back bit-exactly.  A malformed file raises
+    ValueError naming `path`.
+    """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: empty field file")
-    head = lines[0].split(",")
-    if len(head) != 4:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    nbeta, nphi, theta, even = int(head[0]), int(head[1]), float(head[2]), bool(int(head[3]))
-    grid = CapGrid(nbeta, nphi, theta)
-    body = lines[1:]
-    if len(body) != nbeta + 1:
-        raise ValueError(f"{path}: expected {nbeta + 1} value rows, found {len(body)}")
-    values = np.array([[float(v) for v in ln.split(",")] for ln in body])
+        head = _data_line(fh)
+        if head is None:
+            raise ValueError(f"{path}: empty field file")
+        nbeta, nphi, theta, even = _header(path, head)
+        # loadtxt warns on a body without data, so the first value row is
+        # read here and handed back in front of the rest (no seek: the file
+        # may be a pipe)
+        first = _data_line(fh)
+        if first is None:
+            raise ValueError(f"{path}: no value rows after the header")
+        try:
+            values = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments="#",
+                                dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed value rows: {exc}") from exc
+    if len(values) != nbeta + 1:
+        raise ValueError(f"{path}: expected {nbeta + 1} value rows, found {len(values)}")
     if values.shape != (nbeta + 1, nphi):
         raise ValueError(f"{path}: value block shape {values.shape} != {(nbeta + 1, nphi)}")
+    # the grid comes after the rows are counted, so an absurd header grid
+    # fails on the count instead of allocating the grid's arrays
+    try:
+        grid = CapGrid(nbeta, nphi, theta)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return CapField(grid, values, even=even)

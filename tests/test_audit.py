@@ -19,7 +19,7 @@ from capcmk.audit import (
     surface_points,
     volume,
 )
-from capcmk.fields import CapField, CapGrid
+from capcmk.fields import CapField, CapGrid, load_field, save_field
 from capcmk.geometry import CapParams, ell_field, random_capillary_field
 
 from conftest import THETA
@@ -349,3 +349,18 @@ def test_save_embedding_streams(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_load_field_streams(tmp_path):
+    # one float() per value built 129 lists of 256 Python floats, 2.2 MB at
+    # 128x256; the C-level parse holds little beyond the values and the grid
+    s = random_capillary_field(CapGrid(128, 256, THETA), np.random.default_rng(6))
+    save_field(s, tmp_path / "solution.csv")
+    tracemalloc.start()
+    try:
+        back = load_field(tmp_path / "solution.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, s.values)
+    assert peak <= 2**20

@@ -357,6 +357,18 @@ def test_verify_writes_strict_json_for_corrupted_input(solved_cli, tmp_path):
     assert not audit["residual"]["pass"]
 
 
+def test_verify_names_a_truncated_solution(solved_cli, tmp_path, capsys):
+    _, cfg, out = solved_cli
+    bad = tmp_path / "short.csv"
+    bad.write_text("".join((out / "solution.csv").read_text().splitlines(keepends=True)[:-3]))
+    code = cli_main(["verify", "--config", cfg, "--solution", str(bad),
+                     "--out", str(tmp_path / "v"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"verify: {bad}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_audits_on_the_solutions_grid(solved_cli, tmp_path):
     # the config's grid keys (32x64) are not the stored solution's (16x32)
     _, cfg, out = solved_cli

@@ -1,4 +1,7 @@
 import math
+import os
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -276,6 +279,14 @@ def test_boundary_tau_identity_decays_under_refinement():
         assert rf < rc
 
 
+def _reference_load(path):
+    """The value rows as one float() per value reads them: the reference that
+    load_field's C-level parse must match bit for bit."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
 def test_field_serialization_round_trip_is_bit_exact(tmp_path):
     g = CapGrid(16, 32, THETA)
     s = random_capillary_field(g, np.random.default_rng(4))
@@ -285,6 +296,20 @@ def test_field_serialization_round_trip_is_bit_exact(tmp_path):
     assert back.grid == g
     assert back.even == s.even
     assert np.array_equal(back.values, s.values)
+    # the edge values with both signs, and random bit patterns: NaN payloads
+    # and signs do not survive %.17g, so every value is held to the per-value
+    # parse and each non-NaN value to what was written
+    edges = np.resize(EDGE_VALUES + [-v for v in EDGE_VALUES], (g.nbeta + 1, g.nphi))
+    big = CapGrid(128, 256, THETA)
+    bits = np.random.default_rng(5).integers(0, 2**64, (big.nbeta + 1, big.nphi),
+                                             dtype=np.uint64)
+    for f in (CapField(g, edges), CapField(big, bits.view(np.float64), even=True)):
+        save_field(f, path)
+        back = load_field(path)
+        assert back.grid == f.grid and back.even == f.even
+        assert back.values.tobytes() == _reference_load(path).tobytes()
+        keep = ~np.isnan(f.values)
+        assert back.values[keep].tobytes() == f.values[keep].tobytes()
 
 
 def _reference_csv(header, rows):
@@ -332,19 +357,63 @@ def test_write_csv_lead_matches_the_meshgrid_columns(tmp_path, na, nb):
     assert path.read_bytes() == want.encode()
 
 
+@pytest.mark.filterwarnings("error")
 def test_load_field_rejects_malformed_files(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("# nothing\n")
-    with pytest.raises(ValueError):
-        load_field(empty)
-    bad_header = tmp_path / "bad.csv"
-    bad_header.write_text("1,2\n")
-    with pytest.raises(ValueError):
-        load_field(bad_header)
     g = CapGrid(16, 32, THETA)
-    truncated = tmp_path / "short.csv"
-    save_field(ell_field(g), truncated)
-    lines = truncated.read_text().splitlines()
-    truncated.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ValueError):
-        load_field(truncated)
+    good = tmp_path / "good.csv"
+    save_field(ell_field(g), good)
+    comments, head, *rows = good.read_text().splitlines(keepends=True)[1:]
+    rows_8 = [",".join(["1"] * 8) + "\n"] * 5
+    cases = {
+        "empty": ["# nothing\n"],
+        "arity": ["1,2\n"],
+        "nbeta": ["x" + head[head.index(","):]] + rows,
+        "theta": [head.replace(head.split(",")[2], "pi/3")] + rows,
+        "coarse": ["4,8,0.8,1\n"] + rows_8,
+        "odd": ["16,31,0.8,1\n"] + [",".join(["1"] * 31) + "\n"] * 17,
+        "flag": [head[:head.rindex(",")] + ",7\n"] + rows,
+        "header_only": [comments, head, "# no rows\n", "\n"],
+        "truncated": [comments, head] + rows[:-2],
+        "columns": [head] + [r[:r.rindex(",")] + "\n" for r in rows],
+    }
+    for name, lines in cases.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_field(path)
+    # errors inside the value block carry numpy's row and column
+    mid = len(rows) // 2
+    bad_rows = {
+        "ragged": rows[mid][:rows[mid].rindex(",")] + "\n",
+        "token": "abc" + rows[mid][rows[mid].index(","):],
+        "trailing_comma": rows[mid].rstrip("\n") + ",\n",
+    }
+    for name, row in bad_rows.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join([head] + rows[:mid] + [row] + rows[mid + 1:]))
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+            load_field(path)
+        assert isinstance(err.value.__cause__, ValueError), name
+        assert str(err.value.__cause__) in str(err.value), name
+        assert "row" in str(err.value), name
+    # comments and empty lines anywhere are skipped
+    path = tmp_path / "commented.csv"
+    path.write_text("".join(["\n", comments, "\n", head, "# rows\n"] + rows[:3] + ["\n"]
+                            + rows[3:] + ["# end\n"]))
+    assert load_field(path).values.tobytes() == load_field(good).values.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_field_reads_a_pipe(tmp_path):
+    # the reader never seeks, so a named pipe (or a shell's <(...)) works
+    g = CapGrid(16, 32, THETA)
+    save_field(ell_field(g), tmp_path / "field.csv")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, daemon=True,
+                              args=((tmp_path / "field.csv").read_bytes(),))
+    writer.start()
+    back = load_field(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.values.tobytes() == load_field(tmp_path / "field.csv").values.tobytes()
