@@ -23,15 +23,15 @@ Quadrature is the midpoint rule over the cell rings, w_ij = sin(beta_i)
 dbeta dphi; the boundary ring carries no quadrature weight.
 
 Each grid keeps one table of its operators (`CapGrid.terms`), each a list of
-(beta-matrix, phi-stencil) terms, and lays it out four ways: `apply`
+(beta-matrix, phi-stencil) terms, and lays it out three ways: `apply`
 evaluates an operator on a field by multiplying the small beta-matrix into
 the value array extended by ring -1 and one periodic column on each side,
-then applying the phi-stencil by slicing; `even_blocks` folds the table into
-the Newton blocks on even fields; `modal_blocks` splits those blocks by
-azimuthal Fourier mode, for rotationally symmetric states; and `ops` lays it
-out as 2-D CSR for the full-space reference `solver.linearize`.
-`tau_sharp`, `robin_residual` and the audit's gradients use `apply`, so the
-solver and the audits never build the CSR layout.
+then applying the phi-stencil by slicing; `modal_blocks` folds the table into
+the Newton blocks on even fields and splits them by azimuthal Fourier mode,
+for the solver's one factorization; and `ops` lays it out as 2-D CSR for the
+full-space reference `solver.linearize`.  `tau_sharp`, `robin_residual` and
+the audit's gradients use `apply`, so the solver (its Jacobian action
+included) and the audits never build the CSR layout.
 
 `tau_sharp` returns the curvature endomorphism as a `symfunc.SymEndo` batch,
 the one endomorphism type shared by the solver and the audits.
@@ -39,8 +39,8 @@ the one endomorphism type shared by the solver and the audits.
 
 from __future__ import annotations
 
-import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,17 +65,6 @@ def fd_weights(offsets, order):
     return np.linalg.solve(a, e)
 
 
-def _accumulate(parts):
-    """Sum (name, keys, values) parts per name over their unique keys:
-    returns the sorted unique keys and, for each name, its sums on them."""
-    keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
-    at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
-    sums = {}
-    for (name, _, vals), slots in zip(parts, at):
-        sums[name] = sums.get(name, 0.0) + np.bincount(slots, vals, keys.size)
-    return keys, sums
-
-
 class CapGrid:
     """Structured (beta, phi) grid on the cap with cached stencil operators."""
 
@@ -98,7 +87,6 @@ class CapGrid:
         self.weights = np.sin(self.beta_cells)[:, None] * self.dbeta * self.dphi * np.ones((1, self.nphi))
         self._terms = None
         self._ops = None
-        self._even = None
         self._modal = None
 
     # -- identity / sizes -------------------------------------------------
@@ -164,8 +152,8 @@ class CapGrid:
         orthonormal-frame components of tau_sharp, pint the interior rings,
         robin the rim's d/dbeta - cot(theta), and dbeta/dphi the gradient on
         every ring, the rim included.  `apply` evaluates the terms on a field,
-        `even_blocks` folds them onto the even subspace, and `ops` lays them
-        out as CSR for `solver.linearize`.
+        `modal_blocks` folds them onto the even subspace by Fourier mode, and
+        `ops` lays them out as CSR for `solver.linearize`.
         """
         if self._terms is not None:
             return self._terms
@@ -250,71 +238,21 @@ class CapGrid:
         return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(terms[0][0].shape[0] * np_, self.n_total))
 
-    def _folded(self, names):
-        """The terms of operators `names` folded onto even fields, one
-        (name, i, r, phi-stencil, w) per term: w holds the beta-matrix's
-        weights from ring r to row ring i, one per stored entry.  On even
-        fields the half-turn is the identity, so ring -1 adds onto ring 0; a
-        one-row beta-matrix is the rim ring's."""
-        table = self.terms()
-        for name in names:
-            for bmat, weights in table[name]:
-                b = bmat.tocoo()
-                yield (name, b.row + (self.nbeta if b.shape[0] == 1 else 0),
-                       np.maximum(b.col - 1, 0), weights, b.data)
-
-    def even_blocks(self):
-        """The Newton blocks on even fields, built on the first call and cached.
-
-        The even-subspace forms of a11, a12, a22, pint (interior rows) and
-        robin (rim row), for the stacked system over the (Nbeta + 1) Nphi/2
-        even unknowns: rows are the nodes with j < Nphi/2, interior rings
-        then the rim, and columns the unknowns (i, j mod Nphi/2).  Each is
-        folded from its terms by `_folded`, and a phi-stencil's offsets fold
-        mod Nphi/2.  A block's weight from ring r at azimuthal
-        offset o to row ring i is the same on every column j, so the blocks
-        are stored per slot, one slot for each (i, r, o) that any block has:
-          "ring": each slot's row ring i;
-          name: each slot's weight in that block, as a column;
-          "shape", "indices", "indptr": the CSC pattern of all the blocks;
-          "order": for each stored entry, its index in the slots x (j <
-              Nphi/2) array, whose entry (k, j) is row (i_k, j).
-        """
-        if self._even is not None:
-            return self._even
-        h, nr = self.nphi // 2, self.nbeta + 1
-        # slot key (i nr + r) 3 + o + 1; the offsets are -1, 0 and 1, distinct
-        # mod Nphi/2 >= 4, so distinct slots never share an entry
-        keys, blocks = _accumulate([(name, (i * nr + r) * 3 + o + 1, b * w)
-                                    for name, i, r, weights, b
-                                    in self._folded(("a11", "a12", "a22", "pint", "robin"))
-                                    for o, w in weights.items()])
-        blocks = {name: vals[:, None] for name, vals in blocks.items()}
-        blocks["ring"] = keys // (3 * nr)
-        # entry (k, j): row (i_k, j), column (r_k, (j + o_k) mod Nphi/2)
-        j = np.arange(h)
-        rows = (blocks["ring"][:, None] * h + j).astype(np.int32).ravel()
-        cols = (keys[:, None] // 3 % nr * h + (j + keys[:, None] % 3 - 1) % h).ravel()
-        order = np.lexsort((rows, cols))
-        blocks.update(shape=(nr * h, nr * h), indices=rows[order], order=order.astype(np.int32),
-                      indptr=np.append(0, np.cumsum(np.bincount(cols, minlength=nr * h)))
-                      .astype(np.int32))
-        self._even = blocks
-        return self._even
-
     def modal_blocks(self):
-        """The Newton blocks by azimuthal Fourier mode, built on the first
-        call and cached.
+        """The Newton blocks on even fields by azimuthal Fourier mode, built on
+        the first call and cached.
 
-        Where every coefficient of the even blocks is a ring function, the
-        even system is circulant in j < Nphi/2, and the real FFT over j
-        splits it into one (Nbeta + 1)-square block per mode m = 0..Nphi/4
-        (rounded down).  A term contributes its beta-matrix, folded by
-        `_folded` as for `even_blocks`, times the symbol sum_o w_o cos(2 pi m o / (Nphi/2)) of its
-        phi-stencil.  The stencils of a11, a22, pint and robin are symmetric
-        (w_o = w_-o), so every block is real; a12's is odd, and its block is
-        not formed.  The blocks make one block-diagonal matrix, rows and
-        columns ordered (mode, ring), stored per entry in CSC order:
+        Where every coefficient of the Newton system is a ring function, its
+        restriction to even fields is circulant in j < Nphi/2, and the real
+        FFT over j splits it into one (Nbeta + 1)-square block per mode
+        m = 0..Nphi/4 (rounded down).  A term contributes its beta-matrix,
+        folded onto even fields (there the half-turn is the identity, so ring
+        -1 adds onto ring 0; a one-row beta-matrix is the rim ring's), times
+        the symbol sum_o w_o cos(2 pi m o / (Nphi/2)) of its phi-stencil.  The
+        stencils of a11, a22, pint and robin are symmetric (w_o = w_-o), so
+        every block is real; a12's is odd, and its block is not formed.  The
+        blocks make one block-diagonal matrix, rows and columns ordered (mode,
+        ring), stored per entry in CSC order:
           "ring": each entry's row ring i;
           name: each entry's weight in that block;
           "shape", "indices", "indptr": the CSC pattern.
@@ -323,12 +261,20 @@ class CapGrid:
             return self._modal
         h, nr = self.nphi // 2, self.nbeta + 1
         modes = np.arange(h // 2 + 1)[:, None]
-        # entry key: column (m, r) first, then row ring i, which sorts as CSC
-        keys, blocks = _accumulate([
-            (name, ((modes * nr + r) * nr + i).ravel(),
-             (sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items()) * b)
-             .ravel())
-            for name, i, r, weights, b in self._folded(("a11", "a22", "pint", "robin"))])
+        parts = []
+        for name in ("a11", "a22", "pint", "robin"):
+            for bmat, weights in self.terms()[name]:
+                b = bmat.tocoo()
+                i, r = b.row + (self.nbeta if b.shape[0] == 1 else 0), np.maximum(b.col - 1, 0)
+                symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
+                # entry key: column (m, r) first, then row ring i, which sorts as CSC
+                parts.append((name, ((modes * nr + r) * nr + i).ravel(), (symbol * b.data).ravel()))
+        # sum each block over the entries' unique keys
+        keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
+        at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
+        blocks = {}
+        for (name, _, vals), slots in zip(parts, at):
+            blocks[name] = blocks.get(name, 0.0) + np.bincount(slots, vals, keys.size)
         blocks["ring"] = keys % nr
         cols, size = keys // nr, modes.size * nr
         blocks.update(shape=(size, size),
@@ -515,13 +461,14 @@ def save_field(s: CapField, path):
                      f"{g.nbeta},{g.nphi},{g.theta:.17g},{int(s.even)}"], s.values)
 
 
-def _data_line(fh):
-    """The next line of fh with its `#` comment and outer whitespace removed
-    that is not then empty; None at the end of the file."""
-    for ln in iter(fh.readline, ""):
+def _data_line(lines):
+    """(line number, text) of the next of the numbered `lines` whose text,
+    with its `#` comment and outer whitespace removed, is not then empty;
+    None at the end of the file."""
+    for number, ln in lines:
         text = ln.split("#", 1)[0].strip()
         if text:
-            return text
+            return number, text
     return None
 
 
@@ -548,28 +495,45 @@ def load_field(path) -> CapField:
     is read here, the value rows in one `np.loadtxt` pass at C level, whose
     string-to-double conversion is the correctly rounded one behind `float()`,
     so every value parses back bit-exactly.  A malformed file raises
-    ValueError naming `path`.
+    ValueError naming `path`, and for a bad value row its 1-based line number
+    in the file.
     """
     with open(path) as fh:
-        head = _data_line(fh)
+        lines = enumerate(fh, 1)
+        head = _data_line(lines)
         if head is None:
             raise ValueError(f"{path}: empty field file")
-        nbeta, nphi, theta, even = _header(path, head)
+        nbeta, nphi, theta, even = _header(path, head[1])
         # loadtxt warns on a body without data, so the first value row is
         # read here and handed back in front of the rest (no seek: the file
         # may be a pipe)
-        first = _data_line(fh)
+        first = _data_line(lines)
         if first is None:
             raise ValueError(f"{path}: no value rows after the header")
+        # loadtxt holds every row to the first row's count, so that one is
+        # checked against the header here
+        number, text = first
+        count = text.count(",") + 1
+        if count != nphi:
+            raise ValueError(f"{path}: line {number}: expected {nphi} values, found {count}")
+
+        def rows():
+            # loadtxt takes one line at a time and raises on the line it
+            # parses, so `number` ends on the bad one
+            nonlocal number
+            yield text
+            for number, row in lines:
+                yield row
+
         try:
-            values = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments="#",
-                                dtype=np.float64, ndmin=2)
+            values = np.loadtxt(rows(), delimiter=",", comments="#", dtype=np.float64, ndmin=2)
         except ValueError as exc:
-            raise ValueError(f"{path}: malformed value rows: {exc}") from exc
+            # numpy counts rows of the value block alone, so its row number
+            # gives way to the file's line number
+            why = re.sub(r" at row \d+|; use `usecols`.*", "", str(exc))
+            raise ValueError(f"{path}: line {number}: malformed value row: {why}") from exc
     if len(values) != nbeta + 1:
         raise ValueError(f"{path}: expected {nbeta + 1} value rows, found {len(values)}")
-    if values.shape != (nbeta + 1, nphi):
-        raise ValueError(f"{path}: value block shape {values.shape} != {(nbeta + 1, nphi)}")
     # the grid comes after the rows are counted, so an absurd header grid
     # fails on the count instead of allocating the grid's arrays
     try:

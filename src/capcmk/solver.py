@@ -15,17 +15,17 @@ with the Robin rows d_beta v - cot(theta) v, and are solved restricted to the
 even subspace: at q = 1 the odd horizontal-translation fields <a, zeta> are an
 exact kernel of the pair (they are capillary and tau[<a, zeta>] = 0), so the
 full-space matrix is singular by design and the even restriction is what makes
-the problem well-posed, matching the even solution class.  `linearize_even`
-assembles that restriction directly: a grid builds the even forms of its
-Jacobian blocks once, on its first factorization (`CapGrid.even_blocks`), and
-each Jacobian fills their shared CSC pattern entry by entry.  At a rotationally
-symmetric state, where the iterate and the data are ring-constant to
-ROUNDOFF_REL, the restriction is circulant in phi, and newton_solve factorizes
-`linearize_modal` instead: a real FFT over phi splits it into Nphi/4 + 1
-banded ring systems (`CapGrid.modal_blocks`), factorized as one block-diagonal
-matrix whose LU fills a twentieth of the even one at 64x128.  That includes
-the t = 0 corrector of an anisotropic solve's continuation fallback, whose
-data are still constant; every other state gets the even LU.  Both layers
+the problem well-posed, matching the even solution class.  The one matrix
+newton_solve factorizes is `linearize_modal`: a real FFT over phi splits the
+restriction, with every coefficient replaced by its ring mean, into Nphi/4 + 1
+banded ring systems (`CapGrid.modal_blocks`), factorized as one
+block-diagonal LU.  At a rotationally symmetric state, where the iterate and
+the data are ring-constant to ROUNDOFF_REL, the restriction is circulant in
+phi and the modal solve is the Newton step; that includes the t = 0 corrector
+of an anisotropic solve's continuation fallback, whose data are still
+constant.  Every other state gets a Newton-Krylov step: GMRES on the
+restriction's action (`_jacobian_action`, evaluated by `tau_sharp` and
+`robin_residual`), right-preconditioned by the modal solve.  Both layers
 factorize with one LU policy, LU_OPTIONS: SuperLU's symmetric mode.
 `linearize` is the full-space reference, which jacobian_fd_error checks
 against central differences of the residual; it alone reads the grid's CSR
@@ -63,7 +63,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .fields import CapField, CapGrid, robin_residual, tau_sharp
 from .geometry import CapParams, ell_field
@@ -78,7 +78,6 @@ __all__ = [
     "homotopy_rhs",
     "residual",
     "linearize",
-    "linearize_even",
     "linearize_modal",
     "newton_solve",
     "solve_path",
@@ -237,18 +236,15 @@ def residual(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None):
     return fint, robin_residual(s)
 
 
-def linearize(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None):
+def linearize(s: CapField, q: float, rhs: CapField, params: CapParams):
     """Stacked sparse Jacobian [interior rows; Robin rows] of the residual pair.
 
     Interior: sigma_k^{ij}(tau_sharp[s]) (tau_sharp[v])_{ij} - (q-1) s^{q-2} rhs v,
     assembled from the same operators that evaluate the residual, so the matrix
     is the exact derivative of the discrete map.
     """
-    g = s.grid
-    ops = g.ops()
-    if tau is None:
-        tau = tau_sharp(s)
-    grad = sigma_k_grad(tau, params.k)
+    ops = s.grid.ops()
+    grad = sigma_k_grad(tau_sharp(s), params.k)
     jint = (
         sp.diags(grad.a11.ravel()) @ ops["a11"]
         + sp.diags(2.0 * grad.a12.ravel()) @ ops["a12"]
@@ -260,58 +256,39 @@ def linearize(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None)
     return sp.vstack([jint, ops["robin"]], format="csr")
 
 
-def linearize_even(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None):
-    """The Jacobian of `linearize` on even fields, as the CSC matrix that
-    newton_solve factorizes away from rotational symmetry.
-
-    Rows are the nodes with j < Nphi/2 (interior rings, then the rim) and
-    columns the even unknowns (i, j mod Nphi/2): linearize(...)[even rows]
-    @ even_p, in pattern and in values.  Its data array is filled on the
-    pattern of the grid's cached even blocks (`CapGrid.even_blocks`), entry
-    by entry, as g11 D11 + 2 g12 D12 + g22 D22 - z DP + DR with the
-    coefficients taken at the entry's row; no sparse product runs.  Entries
-    that come out zero are dropped, as in linearize.
+def _jacobian_action(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
+    """x -> the Jacobian of the residual pair at s times the even field v that
+    x tiles over phi, on the nodes j < Nphi/2; x and the result are row-major
+    over (ring, j < Nphi/2).  That is linearize's restriction to even fields,
+    applied without a matrix: the interior rows are g11 a11 + 2 g12 a12 +
+    g22 a22 - z v with (a11, a12, a22) = tau_sharp(v) and g = sigma_k_grad(tau),
+    and the rim row is robin_residual(v).
     """
     g = s.grid
-    blocks = g.even_blocks()
-    if tau is None:
-        tau = tau_sharp(s)
+    h, nr = g.nphi // 2, g.nbeta + 1
     grad = sigma_k_grad(tau, params.k)
-    h = g.nphi // 2
+    z = (q - 1.0) * s.interior ** (q - 2.0) * rhs.interior if q != 1.0 else 0.0
 
-    def on_slots(coef):
-        """An interior-ring coefficient on the rows (i, j < Nphi/2) of each
-        slot's row ring i; zero on the rim."""
-        return np.vstack([coef[:, :h], np.zeros(h)])[blocks["ring"]]
+    def action(x):
+        v = CapField(g, np.tile(x.reshape(nr, h), 2), even=True)
+        a = tau_sharp(v)
+        jint = grad.a11 * a.a11 + 2.0 * grad.a12 * a.a12 + grad.a22 * a.a22 - z * v.interior
+        return np.append(jint[:, :h], robin_residual(v)[:h])
 
-    data = (on_slots(grad.a11) * blocks["a11"] + on_slots(grad.a22) * blocks["a22"]
-            + blocks["robin"])
-    if q != 1.0:
-        zer = (q - 1.0) * s.interior ** (q - 2.0) * rhs.interior
-        data -= on_slots(zer) * blocks["pint"]
-    # g12 is exactly zero at k = 1, so the mixed block is not even formed
-    if np.any(grad.a12):
-        data += on_slots(2.0 * grad.a12) * blocks["a12"]
-    data = data.ravel()[blocks["order"]]
-    # a block's entries stay out of the factorization where its coefficient
-    # vanishes, as they do in linearize
-    keep = data != 0.0
-    kept_before = np.append(0, np.cumsum(keep))
-    return sp.csc_matrix((data[keep], blocks["indices"][keep], kept_before[blocks["indptr"]]),
-                         shape=blocks["shape"])
+    return action
 
 
 def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None):
-    """The Jacobian of `linearize_even` at a rotationally symmetric state,
-    split by azimuthal Fourier mode: the CSC matrix that newton_solve
-    factorizes there.
+    """The Jacobian of `_jacobian_action` with every coefficient replaced by
+    its ring mean, split by azimuthal Fourier mode: the one CSC matrix that
+    newton_solve factorizes.  At a state that s and rhs make ring-constant it
+    is that Jacobian to round-off; elsewhere its solve preconditions GMRES.
 
     Rows and columns are (mode m = 0..Nphi/4, ring), one real block per
     mode, filled on the pattern of the grid's cached modal blocks
     (`CapGrid.modal_blocks`) as g11 D11 + g22 D22 - z DP + DR, each
-    coefficient its ring mean over j < Nphi/2.  At a state that s and rhs
-    make ring-constant, the coefficients are ring functions to round-off and
-    g12 is round-off, so the mixed block is left out.
+    coefficient its ring mean over j < Nphi/2.  The mixed block is left out:
+    g12 is round-off at a ring-constant state.
     """
     g = s.grid
     blocks = g.modal_blocks()
@@ -340,12 +317,21 @@ def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
               "options": {"SymmetricMode": True}}
 
-# newton_solve factorizes the modal system where the iterate s and the data rhs
-# are ring-constant to round-off: on every node row, their spread across phi is
-# at most this fraction of the row's largest absolute value.  Rotationally
+# The modal solve is the Newton step where the iterate s and the data rhs are
+# ring-constant to round-off: on every node row, their spread across phi is at
+# most this fraction of the row's largest absolute value.  Rotationally
 # symmetric solves keep s within 6.9e-13 of ring-constant up to 256x512; an
-# anisotropic state or rhs is far above it and gets the even LU.
+# anisotropic state or rhs is far above it and gets the Krylov step.
 ROUNDOFF_REL = 1e-10
+
+# GMRES's relative residual for the Krylov step, a fixed forcing term: on the
+# 32x64 stress family, 1e-10 took more inner iterations and no fewer Newton
+# steps than this
+KRYLOV_RTOL = 1e-6
+# GMRES's inner iterations, in one cycle (maxiter = 1): the modal
+# preconditioner needs 1-12 on that family and 4-7 at 256x512, and a step that
+# misses KRYLOV_RTOL is still judged by the line search
+KRYLOV_RESTART = 60
 
 
 def _ring_constant(values) -> bool:
@@ -355,33 +341,40 @@ def _ring_constant(values) -> bool:
 
 
 def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
-    """Factorizes the Newton system of newton_solve at s and returns
-    apply(fint, gbd), the Newton step on every node.
+    """Factorizes the modal system (`linearize_modal`) at s and returns
+    apply(fint, gbd), the Newton step at s on every node.
 
-    Where s and rhs are ring-constant (`_ring_constant`), the modal system
-    (`linearize_modal`): the step takes the real FFT over j < Nphi/2 of the
-    even rows, solves its real and imaginary parts, transforms back and
-    repeats on the columns j + Nphi/2.  Elsewhere the even system
-    (`linearize_even`): the step solves for the even unknowns and repeats
-    them on the columns j + Nphi/2.
+    The modal solve takes the real FFT over j < Nphi/2 of the even rows,
+    solves its real and imaginary parts and transforms back.  Where s and rhs
+    are ring-constant (`_ring_constant`), it is the step.  Elsewhere the step
+    is GMRES on the even system's action at s (`_jacobian_action`),
+    right-preconditioned by the modal solve, to KRYLOV_RTOL; an unconverged
+    GMRES gives its last iterate.  Either way the step solves for the even
+    unknowns and repeats them on the columns j + Nphi/2.
     """
     g = s.grid
     h, nr = g.nphi // 2, g.nbeta + 1
-    if _ring_constant(s.values) and _ring_constant(rhs.values):
-        lu_modal = splu(linearize_modal(s, q, rhs, params, tau=tau), **LU_OPTIONS)
+    lu = splu(linearize_modal(s, q, rhs, params, tau=tau), **LU_OPTIONS)
 
+    def modal_solve(b):
+        bh = np.fft.rfft(b.reshape(nr, h), axis=1).T.ravel()
+        xh = lu.solve(np.column_stack([bh.real, bh.imag]))
+        xh = (xh[:, 0] + 1j * xh[:, 1]).reshape(-1, nr).T
+        return np.fft.irfft(xh, n=h, axis=1)
+
+    if _ring_constant(s.values) and _ring_constant(rhs.values):
         def apply(fint, gbd):
-            bh = np.fft.rfft(-np.vstack([fint[:, :h], gbd[:h]]), axis=1).T.ravel()
-            xh = lu_modal.solve(np.column_stack([bh.real, bh.imag]))
-            xh = (xh[:, 0] + 1j * xh[:, 1]).reshape(-1, nr).T
-            return np.tile(np.fft.irfft(xh, n=h, axis=1), 2)
+            return np.tile(modal_solve(-np.vstack([fint[:, :h], gbd[:h]])), 2)
 
         return apply
-    lu_even = splu(linearize_even(s, q, rhs, params, tau=tau), **LU_OPTIONS)
+    action = _jacobian_action(s, q, rhs, params, tau)
+    preconditioned = LinearOperator((nr * h, nr * h), dtype=float,
+                                    matvec=lambda y: action(modal_solve(y).ravel()))
 
     def apply(fint, gbd):
-        dh = lu_even.solve(-np.append(fint[:, :h], gbd[:h]))
-        return np.tile(dh.reshape(nr, h), 2)
+        y, _ = gmres(preconditioned, -np.append(fint[:, :h], gbd[:h]), rtol=KRYLOV_RTOL,
+                     restart=KRYLOV_RESTART, maxiter=1)
+        return np.tile(modal_solve(y), 2)
 
     return apply
 
@@ -500,9 +493,10 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
 
     Runs the shared corrector `_damped_newton`, evaluating tau_sharp once per
     point for the cone guard, the residual and the Jacobian.  `_factorize`
-    factorizes the modal system at a rotationally symmetric state and the
-    even system elsewhere, with SuperLU (`splu`, LU_OPTIONS).  `lu` is the
-    slot of a continuation path, whose factorization the corrector reuses.
+    factorizes the modal system with SuperLU (`splu`, LU_OPTIONS), whose
+    solve is the step at a rotationally symmetric state and the GMRES
+    preconditioner elsewhere.  `lu` is the slot of a continuation path, whose
+    factorization the corrector reuses.
     Returns (s, info); raises NewtonFailure if the cone guard, the line search
     or the iteration budget gives out.  Accepted iterates always satisfy
     min s > 0 and lam1min > DELTA_CONE.
@@ -745,7 +739,7 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
     while phis:
         level = phis.pop()
         # rebinding s frees the coarser solution, and with it the coarser
-        # grid's cached terms and even blocks, before this grid factorizes
+        # grid's cached terms and modal blocks, before this grid factorizes
         s = _interpolate(s, level.grid)
         q, rhs = homotopy_rhs(1.0, level, params)
         try:

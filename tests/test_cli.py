@@ -396,15 +396,14 @@ def test_oracle_solves_the_reduction(tmp_path):
     assert "cross_check_gap" not in report
 
 
-def test_verify_and_oracle_never_build_the_even_blocks(solved_cli, tmp_path, monkeypatch):
+def test_verify_and_oracle_never_build_the_modal_blocks(solved_cli, tmp_path, monkeypatch):
     """The read side factorizes no 2-D Newton system, so it never pays for the
-    even or modal blocks that a grid's first factorization builds."""
+    modal blocks that a grid's first factorization builds."""
     _, _, out2d = solved_cli
 
     def refused(grid):
         raise AssertionError(f"Newton blocks built for {grid!r}")
 
-    monkeypatch.setattr(CapGrid, "even_blocks", refused)
     monkeypatch.setattr(CapGrid, "modal_blocks", refused)
     cfg = write_cfg(tmp_path, SOLVE_CFG + "oracle.cells = 64\n")
     for command in ("verify", "oracle"):

@@ -381,26 +381,47 @@ def test_load_field_rejects_malformed_files(tmp_path):
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_field(path)
-    # errors inside the value block carry numpy's row and column
+    # errors inside the value block name the file's line and carry numpy's
+    # reason; the header is line 1 here
     mid = len(rows) // 2
     bad_rows = {
-        "ragged": rows[mid][:rows[mid].rindex(",")] + "\n",
-        "token": "abc" + rows[mid][rows[mid].index(","):],
-        "trailing_comma": rows[mid].rstrip("\n") + ",\n",
+        "ragged": (rows[mid][:rows[mid].rindex(",")] + "\n", "number of columns changed"),
+        "token": ("abc" + rows[mid][rows[mid].index(","):], "could not convert string 'abc'"),
+        "trailing_comma": (rows[mid].rstrip("\n") + ",\n", "number of columns changed"),
     }
-    for name, row in bad_rows.items():
+    for name, (row, why) in bad_rows.items():
         path = tmp_path / f"{name}.csv"
         path.write_text("".join([head] + rows[:mid] + [row] + rows[mid + 1:]))
         with pytest.raises(ValueError, match=re.escape(str(path))) as err:
             load_field(path)
         assert isinstance(err.value.__cause__, ValueError), name
-        assert str(err.value.__cause__) in str(err.value), name
-        assert "row" in str(err.value), name
+        assert f": line {mid + 2}: " in str(err.value) and why in str(err.value), name
     # comments and empty lines anywhere are skipped
     path = tmp_path / "commented.csv"
     path.write_text("".join(["\n", comments, "\n", head, "# rows\n"] + rows[:3] + ["\n"]
                             + rows[3:] + ["# end\n"]))
     assert load_field(path).values.tobytes() == load_field(good).values.tobytes()
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_load_field_names_the_file_line_of_a_bad_value_row(tmp_path, where):
+    """A bad token and a short row are reported at their 1-based line of the
+    file, comments and empty lines counted: in a 16x32 file from save_field
+    (3 header lines) with a comment and an empty line added among the rows,
+    the bad row sits on line 12 (ring 7), and also on the first and last
+    value lines."""
+    g = CapGrid(16, 32, THETA)
+    save_field(ell_field(g), tmp_path / "good.csv")
+    lines = (tmp_path / "good.csv").read_text().splitlines(keepends=True)
+    lines[5:5] = ["# ring 2 follows\n", "\n"]
+    number = {"first": 4, "middle": 12, "last": len(lines)}[where]
+    row = lines[number - 1]
+    for name, bad in (("token", "1,abc" + row[row.index(",", row.index(",") + 1):]),
+                      ("short", row[:row.rindex(",")] + "\n")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(lines[:number - 1] + [bad] + lines[number:]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {number}: ")):
+            load_field(path)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import gmres, splu
 
 from capcmk import solver
 from capcmk.fields import CapField, CapGrid, tau_sharp
@@ -18,7 +18,6 @@ from capcmk.solver import (
     homotopy_values,
     jacobian_fd_error,
     linearize,
-    linearize_even,
     newton_solve,
     phi_q,
     residual,
@@ -26,6 +25,7 @@ from capcmk.solver import (
     solve_path,
     structural_hypothesis_check,
 )
+from capcmk.symfunc import sigma_k_grad
 from conftest import THETA, manufactured_phi, manufactured_reference
 
 
@@ -173,59 +173,38 @@ def test_jacobian_matches_finite_differences(params_k1, grid_16):
         assert jacobian_fd_error(s, q, rhs, params_k1, v) < 1e-5
 
 
+def restricted_jacobian(s, q, rhs, params):
+    """The full-space reference linearize(...) restricted to even fields: its
+    rows with j < Nphi/2, times even_p = I (x) [I; I], as CSC over the even
+    unknowns (i, j < Nphi/2), row-major."""
+    grid = s.grid
+    h, ntot = grid.nphi // 2, grid.n_total
+    node = np.arange(ntot)
+    even_p = sp.csr_matrix((np.ones(ntot), (node, node // grid.nphi * h + node % h)),
+                           shape=(ntot, (grid.nbeta + 1) * h))
+    return (linearize(s, q, rhs, params)[node % grid.nphi < h] @ even_p).tocsc()
+
+
 @pytest.mark.parametrize("q", [1.0, 1.4])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 30), (33, 64)],
                          ids=["8x8", "odd-half-turn", "odd-nbeta"])
-def test_even_jacobian_is_the_restricted_full_jacobian(nbeta, nphi, k, q):
-    """The Jacobian newton_solve factorizes, filled from the grid's even
-    blocks, is linearize's restricted to even fields: its rows with
-    j < Nphi/2, times even_p = I (x) [I; I], in pattern and in values.  The
-    pole rows fold ring -1 onto ring 0; 16x30 has an odd Nphi/2 and 33x64 an
-    odd Nbeta."""
+def test_the_jacobian_action_is_the_restricted_full_jacobian(nbeta, nphi, k, q):
+    """The matrix-free action that the Krylov step solves with is
+    linearize's Jacobian restricted to even fields, column by column: every
+    entry within 1e-14 of its row's largest.  The pole rows fold ring -1
+    onto ring 0; 16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
     grid = CapGrid(nbeta, nphi, THETA)
     params = CapParams(n=2, k=k, p=1.5, theta=THETA)
     bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
     wobble = 1.0 + 0.2 * np.cos(2.0 * pp) * np.sin(bb) ** 2 + 0.05 * np.cos(bb)
     s = CapField(grid, wobble * ell_field(grid).values, even=True)
     rhs = phi_q(positive_even_phi(grid), q, params)
-    h, ntot = nphi // 2, grid.n_total
-    node = np.arange(ntot)
-    even_p = sp.csr_matrix((np.ones(ntot), (node, node // nphi * h + node % h)),
-                           shape=(ntot, (nbeta + 1) * h))
-    ref = (linearize(s, q, rhs, params)[node % nphi < h] @ even_p).tocsc()
-    jac = linearize_even(s, q, rhs, params)
-    assert jac.shape == ref.shape
-    assert set(zip(*jac.tocoo().coords)) == set(zip(*ref.tocoo().coords))
-    gap = abs(jac - ref).tocoo()
-    assert np.all(gap.data <= 1e-14 * np.abs(np.asarray(ref[gap.row, gap.col]).ravel()))
-    assert grid.even_blocks() is grid.even_blocks()
-
-
-@pytest.mark.parametrize("state", ["converged", "perturbed"])
-def test_the_even_lu_is_backward_stable(state):
-    """SuperLU in symmetric mode with diagonal pivots (solver.LU_OPTIONS)
-    solves the even Newton system of a k = 2, 64x128 solve with a normwise
-    backward error at roundoff, at the solution and at a perturbed
-    capillary state."""
-    theta = math.pi / 4
-    grid = CapGrid(64, 128, theta)
-    params = CapParams(n=2, k=2, p=1.5, theta=theta)
-    phi = CapField(grid, np.broadcast_to(1.0 + 0.3 * (1.0 - np.cos(grid.beta_all))[:, None],
-                                         (65, 128)).copy(), even=True)
-    if state == "converged":
-        s, report = solve_path(phi, params)
-        assert report.converged
-        q, rhs = params.p, phi
-    else:
-        s = random_capillary_field(grid, np.random.default_rng(5))
-        q, rhs = 1.3, phi_q(phi, 1.3, params)
-    a = linearize_even(s, q, rhs, params)
-    b = np.random.default_rng(6).standard_normal(a.shape[0])
-    x = splu(a, **solver.LU_OPTIONS).solve(b)
-    norm_a = float(abs(a).sum(axis=1).max())
-    backward = np.max(np.abs(a @ x - b)) / (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
-    assert backward <= 1e-13
+    ref = restricted_jacobian(s, q, rhs, params).toarray()
+    action = solver._jacobian_action(s, q, rhs, params, tau_sharp(s))
+    got = np.column_stack([action(e) for e in np.eye(ref.shape[1])])
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.max(np.abs(ref), axis=1, keepdims=True))
 
 
 def ring_constant_problem(nbeta, nphi, k, q):
@@ -239,49 +218,95 @@ def ring_constant_problem(nbeta, nphi, k, q):
     return s, q, phi_q(phi, q, params), params
 
 
-def even_step_error(s, q, rhs, params, step, fint, gbd):
-    """(gap, backward): the step's relative gap from the linearize_even LU's
-    step for the residual (fint, gbd), and the normwise backward error of its
-    even unknowns in linearize_even's system."""
+def step_error(s, q, rhs, params, step, fint, gbd):
+    """(gap, backward, relative): for the step's even unknowns in the
+    restricted linearize system A x = b of the residual (fint, gbd), the
+    relative gap from a sparse direct solve, the normwise backward error and
+    the relative residual ||A x - b|| / ||b|| (2-norms)."""
     h = s.grid.nphi // 2
-    a = linearize_even(s, q, rhs, params)
+    a = restricted_jacobian(s, q, rhs, params)
     b = -np.append(fint[:, :h], gbd[:h])
-    x_even = np.tile(splu(a, **solver.LU_OPTIONS).solve(b).reshape(-1, h), 2)
-    gap = np.max(np.abs(step - x_even)) / np.max(np.abs(x_even))
+    x_direct = np.tile(splu(a).solve(b).reshape(-1, h), 2)
+    gap = np.max(np.abs(step - x_direct)) / np.max(np.abs(x_direct))
     x = step[:, :h].ravel()
     norm_a = float(abs(a).sum(axis=1).max())
     backward = np.max(np.abs(a @ x - b)) / (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
-    return gap, backward
+    return gap, backward, np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+
+
+def random_residual(grid, seed):
+    """(fint, gbd): a standard normal residual, which has every azimuthal mode."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((grid.nbeta, grid.nphi)), rng.standard_normal(grid.nphi)
+
+
+def recording_gmres(monkeypatch):
+    """Route solver's gmres through a wrapper; returns the list of its calls."""
+    calls = []
+
+    def counting_gmres(*args, **kwargs):
+        calls.append(None)
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "gmres", counting_gmres)
+    return calls
 
 
 @pytest.mark.parametrize("q", [1.0, 1.4])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 30), (33, 64)],
                          ids=["8x8", "odd-half-turn", "odd-nbeta"])
-def test_the_modal_step_is_the_even_lu_step(nbeta, nphi, k, q, monkeypatch):
-    """At a ring-constant state and data, newton_solve's factorization is
-    the modal one, and its step for a residual that has every azimuthal mode
-    is the step of the even LU: equal to 1e-12, and with a backward error at
-    round-off in linearize_even's system.  16x30 has an odd Nphi/2 and 33x64
-    an odd Nbeta."""
+def test_the_modal_step_is_the_direct_step(nbeta, nphi, k, q, monkeypatch):
+    """At a ring-constant state and data, newton_solve's step is the modal
+    solve, with no Krylov iteration, and for a residual that has every
+    azimuthal mode it is a sparse direct solve's step of the restricted
+    linearize system: equal to 1e-12, and with a backward error at
+    round-off.  16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
     s, q, rhs, params = ring_constant_problem(nbeta, nphi, k, q)
-    shapes = recording_splu(monkeypatch)
+    shapes, krylov = recording_splu(monkeypatch), recording_gmres(monkeypatch)
     apply = solver._factorize(s, q, rhs, params, tau_sharp(s))
-    assert shapes == [modal_shape(s.grid)]
-    rng = np.random.default_rng(3)
-    fint, gbd = rng.standard_normal((nbeta, nphi)), rng.standard_normal(nphi)
+    fint, gbd = random_residual(s.grid, 3)
     step = apply(fint, gbd)
+    assert shapes == [modal_shape(s.grid)] and krylov == []
     assert np.array_equal(step[:, :nphi // 2], step[:, nphi // 2:])
-    gap, backward = even_step_error(s, q, rhs, params, step, fint, gbd)
+    gap, backward, _ = step_error(s, q, rhs, params, step, fint, gbd)
     assert gap <= 1e-12
     assert backward <= 1e-13
     assert s.grid.modal_blocks() is s.grid.modal_blocks()
 
 
-def test_the_modal_system_is_factorized_only_at_ring_constant_states(monkeypatch):
-    """Ring-constant state and data get the modal system, of (Nphi/4 + 1)
-    blocks of Nbeta + 1 rings; the state turned by 1 + 0.01 cos 2phi
-    sin^2 beta, or anisotropic data, get the even system."""
+@pytest.mark.parametrize("state", ["converged", "perturbed"])
+def test_the_krylov_step_solves_the_restricted_system(state, monkeypatch):
+    """Off rotational symmetry, k = 2 (g12 != 0), 64x128, at a converged
+    anisotropic solution and at a random capillary state: the step is GMRES,
+    preconditioned by the one factorization, the modal LU, and solves the
+    restricted linearize system to a relative residual of at most 1e-6."""
+    theta = math.pi / 4
+    grid = CapGrid(64, 128, theta)
+    params = CapParams(n=2, k=2, p=1.5, theta=theta)
+    phi = positive_even_phi(grid)
+    if state == "converged":
+        s, report = solve_path(phi, params)
+        assert report.converged
+        q, rhs = params.p, phi
+    else:
+        s = random_capillary_field(grid, np.random.default_rng(5))
+        q, rhs = 1.3, phi_q(phi, 1.3, params)
+    assert np.max(np.abs(sigma_k_grad(tau_sharp(s), 2).a12)) > 1e-3
+    shapes, krylov = recording_splu(monkeypatch), recording_gmres(monkeypatch)
+    fint, gbd = random_residual(grid, 6)
+    step = solver._factorize(s, q, rhs, params, tau_sharp(s))(fint, gbd)
+    assert shapes == [modal_shape(grid)] and len(krylov) == 1
+    assert np.array_equal(step[:, :64], step[:, 64:])
+    *_, relative = step_error(s, q, rhs, params, step, fint, gbd)
+    assert relative <= 1e-6
+
+
+def test_every_state_factorizes_the_modal_system(monkeypatch):
+    """Ring-constant state and data, the state turned by 1 + 0.01 cos 2phi
+    sin^2 beta, and anisotropic data all factorize the modal system, of
+    (Nphi/4 + 1) blocks of Nbeta + 1 rings; only the ring-constant one takes
+    its step without GMRES."""
     s, q, rhs, params = ring_constant_problem(16, 32, 2, 1.4)
     grid = s.grid
     bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
@@ -289,16 +314,21 @@ def test_the_modal_system_is_factorized_only_at_ring_constant_states(monkeypatch
     turned = CapField(grid, s.values * turn, even=True)
     aniso = CapField(grid, rhs.values * turn, even=True)
     shapes = recording_splu(monkeypatch)
+    fint, gbd = random_residual(grid, 4)
+    krylov_calls = []
     for state, data in ((s, rhs), (turned, rhs), (s, aniso)):
-        solver._factorize(state, q, data, params, tau_sharp(state))
-    even = (17 * 16, 17 * 16)
-    assert shapes == [modal_shape(grid), even, even]
+        krylov = recording_gmres(monkeypatch)
+        solver._factorize(state, q, data, params, tau_sharp(state))(fint, gbd)
+        krylov_calls.append(len(krylov))
+    assert shapes == [modal_shape(grid)] * 3
+    assert krylov_calls == [0, 1, 1]
 
 
-def test_the_modal_lu_fills_a_tenth_of_the_even_lu():
+def test_the_modal_lu_fills_a_tenth_of_the_2d_lu():
     """At a converged rotationally symmetric k = 2, 64x128 solve, the modal
-    LU fills under a tenth of the even LU, and its step solves the even
-    system (mixed block included) to round-off."""
+    LU fills under a tenth of the LU of the restricted linearize system, with
+    the same LU_OPTIONS, and its step solves that system (mixed block
+    included) to round-off."""
     theta = math.pi / 4
     grid = CapGrid(64, 128, theta)
     params = CapParams(n=2, k=2, p=1.5, theta=theta)
@@ -312,12 +342,11 @@ def test_the_modal_lu_fills_a_tenth_of_the_even_lu():
         lu = splu(a, **solver.LU_OPTIONS)
         return lu.L.nnz + lu.U.nnz
 
-    modal, even = solver.linearize_modal(s, q, phi, params), linearize_even(s, q, phi, params)
-    assert fill(modal) < 0.1 * fill(even)
-    rng = np.random.default_rng(6)
-    fint, gbd = rng.standard_normal((64, 128)), rng.standard_normal(128)
+    modal, full = solver.linearize_modal(s, q, phi, params), restricted_jacobian(s, q, phi, params)
+    assert fill(modal) < 0.1 * fill(full)
+    fint, gbd = random_residual(grid, 6)
     step = solver._factorize(s, q, phi, params, tau_sharp(s))(fint, gbd)
-    gap, backward = even_step_error(s, q, phi, params, step, fint, gbd)
+    gap, backward, _ = step_error(s, q, phi, params, step, fint, gbd)
     assert gap <= 1e-12
     assert backward <= 1e-13
 
@@ -513,9 +542,9 @@ def test_sequenced_solve_matches_the_plain_continuation(params, monkeypatch):
     phi = positive_even_phi(grid)
     shapes = recording_splu(monkeypatch)
     s, report = solve_path(phi, params)
-    finest = shapes[-1]
-    assert finest[0] == 64 * 64 + 64  # the even system: half the columns of each ring
-    assert shapes.count(finest) == 1
+    # anisotropic data: every factorization is of a modal system, one on 64x128
+    assert set(shapes) == {modal_shape(CapGrid(32, 64, THETA)), modal_shape(grid)}
+    assert shapes.count(modal_shape(grid)) == 1
     assert report.converged and report.failure is None
     steps = len(report.t_steps)
     assert report.grids == ["32x64"] * (steps - 1) + ["64x128"]
@@ -615,20 +644,20 @@ def stress_phi(grid, c1, a, m):
 
 @pytest.mark.parametrize(
     "p, theta, c1, a, m",
-    [(2.741427201672021, 1.4460953524619666, 2.0699231805423883, 0.5433911629569121, 6),
+    [(2.829590260953613, 1.2246247152639276, 3.474977992818206, 0.49920688930535606, 4),
      (2.847297540026552, 1.4592424005334272, 2.486071153915271, 0.7161900852056505, 4)],
     ids=["roundoff-floor", "line-search"])
 def test_a_real_direct_failure_runs_the_plain_continuation(p, theta, c1, a, m):
-    """Two of 6000 seeded random cases at 32x64, k = 2 (seeds 3997 and 731),
+    """Two of 6000 seeded random cases at 32x64, k = 2 (seeds 5845 and 731),
     where the direct attempt fails and the continuation converges.
 
     In the first, the direct attempt's line search fails on the roundoff
-    floor (res = 1.233e-9, just above tol_solve), so another rounding of the
-    residual or the Jacobian, on another platform or from another evaluation
-    order, may let it converge; its continuation ends on a solution
-    (relative residual 1.0e-11).  In the second the direct attempt fails at
-    res = 3.7e-8, and the continuation ends on a collapsed field (relative
-    residual 15).
+    floor (res = 1.226e-9, just above tol_solve), so another rounding of the
+    residual or the Newton step, on another platform or from another
+    evaluation order, may let it converge; its continuation ends on a
+    collapsed field (relative residual 2.3).  In the second the direct
+    attempt fails at res = 5.1e-8, and the continuation ends on a collapsed
+    field (relative residual 15).
     """
     params = CapParams(n=2, k=2, p=p, theta=theta)
     phi = stress_phi(CapGrid(32, 64, theta), c1, a, m)
