@@ -35,6 +35,12 @@ included) and the audits never build the CSR layout.
 
 `tau_sharp` returns the curvature endomorphism as a `symfunc.SymEndo` batch,
 the one endomorphism type shared by the solver and the audits.
+
+Every CSV goes through `write_csv`, and field files are read by
+`load_field`, each value as %.17g text.  Every ring of an even field holds
+one half of its values twice, so both format and parse each such ring once
+per half and copy the other, which halves the text-to-double conversions
+that bound them; the files' bytes do not change.
 """
 
 from __future__ import annotations
@@ -267,20 +273,22 @@ class CapGrid:
                 b = bmat.tocoo()
                 i, r = b.row + (self.nbeta if b.shape[0] == 1 else 0), np.maximum(b.col - 1, 0)
                 symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
-                # entry key: column (m, r) first, then row ring i, which sorts as CSC
-                parts.append((name, ((modes * nr + r) * nr + i).ravel(), (symbol * b.data).ravel()))
-        # sum each block over the entries' unique keys
+                # entry key: column ring r first, then row ring i, which sorts as CSC
+                parts.append((name, r * nr + i, symbol * b.data))
+        # every mode's block has the same pattern: one block's unique keys
         keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
         at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
+        nnz, size = keys.size, modes.size * nr
         blocks = {}
         for (name, _, vals), slots in zip(parts, at):
-            blocks[name] = blocks.get(name, 0.0) + np.bincount(slots, vals, keys.size)
-        blocks["ring"] = keys % nr
-        cols, size = keys // nr, modes.size * nr
-        blocks.update(shape=(size, size),
-                      indices=(cols // nr * nr + blocks["ring"]).astype(np.int32),
-                      indptr=np.append(0, np.cumsum(np.bincount(cols, minlength=size)))
-                      .astype(np.int32))
+            # entry e of mode m fills slot m * nnz + slots[e], summed in entry order
+            blocks[name] = blocks.get(name, 0.0) + np.bincount(
+                (modes * nnz + slots).ravel(), vals.ravel(), modes.size * nnz)
+        ring = keys % nr
+        blocks.update(ring=np.tile(ring, modes.size), shape=(size, size),
+                      indices=(modes * nr + ring).ravel().astype(np.int32),
+                      indptr=np.append(0, np.cumsum(np.tile(np.bincount(keys // nr, minlength=nr),
+                                                            modes.size))).astype(np.int32))
         self._modal = blocks
         return self._modal
 
@@ -429,15 +437,26 @@ def write_csv(path, header, rows, lead=None):
     Rows are written a block at a time (one ring a[i] of len(b) rows with
     `lead`), each block with one format string, one `%` and one write, so
     neither the file's text nor all of its values are ever held at once.
+    Without `lead`, a block whose rows each hold one half twice, bitwise
+    (`_halves_repeat`; every ring of an even field does), has only the
+    first halves formatted, and each line's text is written twice,
+    comma-joined: the same bytes from half the conversions.
     """
-    row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    ncol = rows.shape[1]
+    row_fmt = ",".join(["%.17g"] * ncol) + "\n"
+    half = ncol // 2
+    half_fmt = ",".join(["%.17g"] * half) + "\n"
     with open(path, "w") as fh:
         fh.write("".join(h + "\n" for h in header))
         if lead is None:
-            step = _block_rows(rows.shape[1])
+            step = _block_rows(ncol)
             for i in range(0, rows.shape[0], step):
                 block = rows[i:i + step]
-                fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+                if _halves_repeat(block):
+                    text = half_fmt * len(block) % tuple(block[:, :half].ravel().tolist())
+                    fh.write("".join([ln + "," + ln + "\n" for ln in text.splitlines()]))
+                else:
+                    fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
         else:
             a, b = lead
             n = len(b)
@@ -447,6 +466,17 @@ def write_csv(path, header, rows, lead=None):
             for i, v in enumerate(a.tolist()):
                 ring = rows[i * n:(i + 1) * n]
                 fh.write(_literal(v).join(pieces) % tuple(ring.ravel().tolist()))
+
+
+def _halves_repeat(block) -> bool:
+    """Whether the float64 rows of `block` have an even width and each row's
+    second half is a bitwise copy of its first.  The bits are compared, not
+    the values, so -0.0 and 0.0, or two NaN payloads, are never copies."""
+    h = block.shape[1] // 2
+    if h == 0 or block.shape[1] % 2:
+        return False
+    bits = block.view(np.uint64)
+    return bool(np.array_equal(bits[:, :h], bits[:, h:]))
 
 
 def _literal(v: float) -> str:
@@ -472,6 +502,12 @@ def _data_line(lines):
     return None
 
 
+def _repeats(row: str, half: int) -> bool:
+    """Whether the row text is `L,L`, with L holding `half` values."""
+    m = len(row) // 2
+    return row[m:m + 1] == "," and row[:m] == row[m + 1:] and row.count(",", 0, m) == half - 1
+
+
 def _header(path, head: str):
     """(nbeta, nphi, theta, even) from the header line `nbeta,nphi,theta,even`."""
     parts = head.split(",")
@@ -492,11 +528,19 @@ def load_field(path) -> CapField:
     Everything after a `#` is a comment, and empty lines are skipped.  The
     first other line is the header `nbeta,nphi,theta,even` (even is 0 or 1);
     exactly nbeta + 1 rows of nphi comma-separated values follow.  The header
-    is read here, the value rows in one `np.loadtxt` pass at C level, whose
+    is read here, the value rows by `np.loadtxt` at C level, whose
     string-to-double conversion is the correctly rounded one behind `float()`,
     so every value parses back bit-exactly.  A malformed file raises
     ValueError naming `path`, and for a bad value row its 1-based line number
     in the file.
+
+    Every ring of an even field written by `save_field` reads `L,L`, L
+    holding nphi/2 values.  While the rows do, loadtxt parses L alone, and
+    the halves are tiled back: half the tokens, and identical text gives
+    identical doubles.  From the first row that does not repeat on (from
+    the first row, in a file that is not even), the rows are parsed whole
+    in a second pass, behind the first row, which sets the column count, so
+    a bad row meets the same checks and reasons as in a one-pass parse.
     """
     with open(path) as fh:
         lines = enumerate(fh, 1)
@@ -516,22 +560,48 @@ def load_field(path) -> CapField:
         count = text.count(",") + 1
         if count != nphi:
             raise ValueError(f"{path}: line {number}: expected {nphi} values, found {count}")
+        half = nphi // 2
+
+        def halves():
+            # L alone for each row `L,L`, up to the first other row, where
+            # `row` stops (None at the end of the file)
+            nonlocal number, row
+            while _repeats(row, half):
+                yield row[:len(row) // 2]
+                line = _data_line(lines)
+                if line is None:
+                    row = None
+                    return
+                number, row = line
 
         def rows():
             # loadtxt takes one line at a time and raises on the line it
-            # parses, so `number` ends on the bad one
+            # parses, so `number` ends on the bad one; after halves, the
+            # first row goes in front of `row` to set the column count
             nonlocal number
             yield text
-            for number, row in lines:
+            if parts:
                 yield row
+            for number, ln in lines:
+                # loadtxt would read a line of blanks, or of blanks and a
+                # comment, as a row of one empty value
+                if not ln[:1].isspace() or ln.split("#", 1)[0].strip():
+                    yield ln
 
+        row, parts = text, []
         try:
-            values = np.loadtxt(rows(), delimiter=",", comments="#", dtype=np.float64, ndmin=2)
+            if _repeats(text, half):
+                tops = np.loadtxt(halves(), delimiter=",", dtype=np.float64, ndmin=2)
+                parts.append(np.hstack([tops, tops]))
+            if row is not None:
+                rest = np.loadtxt(rows(), delimiter=",", comments="#", dtype=np.float64, ndmin=2)
+                parts.append(rest[1:] if parts else rest)
         except ValueError as exc:
             # numpy counts rows of the value block alone, so its row number
             # gives way to the file's line number
             why = re.sub(r" at row \d+|; use `usecols`.*", "", str(exc))
             raise ValueError(f"{path}: line {number}: malformed value row: {why}") from exc
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
     if len(values) != nbeta + 1:
         raise ValueError(f"{path}: expected {nbeta + 1} value rows, found {len(values)}")
     # the grid comes after the rows are counted, so an absurd header grid

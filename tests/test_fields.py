@@ -5,8 +5,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from capcmk import audit, fields
+from capcmk import CapParams, audit, fields, solve_path
 from capcmk.fields import (
     CapField,
     CapGrid,
@@ -248,6 +249,46 @@ def test_stencil_application_matches_the_csr_layout(nbeta, nphi):
             assert np.all(np.abs(value.ravel() - ref) <= 1e-13 * scale), name
 
 
+def _modal_blocks_by_global_sort(g):
+    """The modal blocks built by one np.unique over the keys of every mode's
+    entries, (mode, column ring, row ring): the reference construction."""
+    h, nr = g.nphi // 2, g.nbeta + 1
+    modes = np.arange(h // 2 + 1)[:, None]
+    parts = []
+    for name in ("a11", "a22", "pint", "robin"):
+        for bmat, weights in g.terms()[name]:
+            b = bmat.tocoo()
+            i, r = b.row + (g.nbeta if b.shape[0] == 1 else 0), np.maximum(b.col - 1, 0)
+            symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
+            parts.append((name, ((modes * nr + r) * nr + i).ravel(), (symbol * b.data).ravel()))
+    keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
+    at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
+    blocks = {}
+    for (name, _, vals), slots in zip(parts, at):
+        blocks[name] = blocks.get(name, 0.0) + np.bincount(slots, vals, keys.size)
+    cols, size = keys // nr, modes.size * nr
+    blocks.update(ring=keys % nr, shape=(size, size),
+                  indices=(cols // nr * nr + keys % nr).astype(np.int32),
+                  indptr=np.append(0, np.cumsum(np.bincount(cols, minlength=size))).astype(np.int32))
+    return blocks
+
+
+@pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 30), (33, 66), (128, 256)],
+                         ids=["8x8", "odd-half-turn", "odd-nbeta", "128x256"])
+def test_modal_blocks_match_the_global_sort(nbeta, nphi):
+    """Each mode's block has one pattern, so modal_blocks sorts one block's
+    keys and fills every mode from it: every weight, summed in the same
+    order, and the CSC pattern are bitwise those of one sort over all
+    modes' keys."""
+    g = CapGrid(nbeta, nphi, THETA)
+    got, want = g.modal_blocks(), _modal_blocks_by_global_sort(g)
+    assert got["shape"] == want["shape"]
+    assert np.array_equal(got["ring"], want["ring"])
+    for name in ("a11", "a22", "pint", "robin", "indices", "indptr"):
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
 def test_tau_eigenvalues_and_convexity_flag():
     g = CapGrid(16, 32, THETA)
     tau = tau_sharp(ell_field(g))
@@ -357,6 +398,72 @@ def test_write_csv_lead_matches_the_meshgrid_columns(tmp_path, na, nb):
     assert path.read_bytes() == want.encode()
 
 
+def _bits(rng, n, nan):
+    """n doubles as random bit patterns, each with even odds of being swapped
+    for an edge value, a subnormal, a signed zero or an infinity; NaNs of
+    both signs and many payloads among them if `nan`, else none (a NaN row
+    is never a copy by value, which would hide a writer comparing values)."""
+    pool = np.array([v for v in EDGE_VALUES + [-v for v in EDGE_VALUES] + [2.5e-320, -1e-310]
+                     if nan or not math.isnan(v)])
+    vals = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    if not nan:
+        vals[np.isnan(vals)] = -0.0
+    swap = rng.random(n) < 0.5
+    vals[swap] = rng.choice(pool, int(swap.sum()))
+    return vals
+
+
+def _rows(rng, nrow, ncol, kinds, nan):
+    """nrow x ncol rows, each of a kind drawn from `kinds`: "copy" (the
+    halves are bitwise copies), "flip" (a copy with one bit of the second
+    half flipped), "mirror" (a copy whose second half swaps each zero's
+    sign and flips each NaN's last bit) or "free" (random)."""
+    rows = _bits(rng, nrow * ncol, nan).reshape(nrow, ncol)
+    h = ncol // 2
+    if ncol % 2:
+        return rows
+    kind = rng.choice(kinds, nrow)
+    bits = rows.view(np.uint64)
+    bits[kind != "free", h:] = bits[kind != "free", :h]
+    flip = np.flatnonzero(kind == "flip")
+    bits[flip, h + rng.integers(h, size=flip.size)] ^= (
+        np.uint64(1) << rng.integers(64, size=flip.size).astype(np.uint64))
+    mirror = rows[kind == "mirror", h:]
+    mirror[mirror == 0.0] *= -1.0
+    mirror.view(np.uint64)[np.isnan(mirror)] ^= np.uint64(1)
+    rows[kind == "mirror", h:] = mirror
+    return rows
+
+
+@given(ncol=strategies.sampled_from([1, 3, 8, 9, 16, 256]),
+       blocks=strategies.sampled_from([(0, 9), (1, -1), (1, 0), (1, 1), (2, 3)]),
+       kinds=strategies.sampled_from([("copy",), ("copy", "flip"), ("copy", "mirror"),
+                                      ("copy", "flip", "mirror", "free"), ("free",)]),
+       nan=strategies.booleans(), seed=strategies.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_write_csv_and_load_field_match_the_per_value_references(tmp_path_factory, ncol, blocks,
+                                                                   kinds, nan, seed):
+    """write_csv's bytes are the per-row reference's and load_field's values
+    are the per-value parse's, bit for bit, whether the rows' halves are
+    copies (written and parsed once per half) or not.  `blocks` = (b, e)
+    puts b writer blocks and e rows in the file (9 rows for b = 0), so a
+    block boundary falls next to its end.  A field file needs an even
+    Nphi >= 8, so odd widths only check the writer."""
+    rng = np.random.default_rng(seed)
+    nrow = blocks[0] * fields._block_rows(ncol) + blocks[1]
+    rows = _rows(rng, nrow, ncol, kinds, nan)
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    header = ["# head", "a,b"]
+    write_csv(path, header, rows)
+    assert path.read_bytes() == _reference_csv(header, rows).encode()
+    if ncol % 2 == 0 and ncol >= 8:
+        save_field(CapField(CapGrid(nrow - 1, ncol, THETA), rows), path)
+        back = load_field(path).values
+        assert back.tobytes() == _reference_load(path).tobytes()
+        keep = ~np.isnan(rows)
+        assert back[keep].tobytes() == rows[keep].tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 def test_load_field_rejects_malformed_files(tmp_path):
     g = CapGrid(16, 32, THETA)
@@ -438,3 +545,82 @@ def test_load_field_reads_a_pipe(tmp_path):
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert back.values.tobytes() == load_field(tmp_path / "field.csv").values.tobytes()
+
+
+def test_load_field_reads_edited_even_files_as_the_reference(tmp_path):
+    """An even file read by halves matches the per-value parse after edits
+    that a text editor or another writer may make: a later ring that does not
+    repeat, a comment after a repeating row, CRLF line ends with trailing
+    spaces, and empty and comment lines between the rows."""
+    g = CapGrid(16, 32, THETA)
+    vals = np.array(smooth_even_field(g).project_even().values)
+    vals[5, 3] = -0.0
+    path = tmp_path / "even.csv"
+    save_field(CapField(g, vals, even=True), path)
+    head, rows = path.read_text().splitlines()[:3], path.read_text().splitlines()[3:]
+    assert all(r[:len(r) // 2] == r[len(r) // 2 + 1:] for r in rows[:5] + rows[6:])
+    want = _reference_load(path).tobytes()
+    cases = {
+        "later_ring": head + rows,
+        "comment": head + [rows[0] + " # the pole ring"] + [r + "#" for r in rows[1:]],
+        "crlf": [r + "  \r" for r in head + rows],
+        "between": head + [x for r in rows for x in (r, "", "# next ring", "   ")],
+    }
+    for name, lines in cases.items():
+        edited = tmp_path / f"{name}.csv"
+        edited.write_bytes(("\n".join(lines) + "\n").encode())
+        assert load_field(edited).values.tobytes() == want, name
+
+
+def test_a_bad_repeating_row_reads_as_in_a_one_pass_parse(tmp_path):
+    """A bad token in both halves of a repeating row fails while the halves
+    are parsed, and in only the first half it fails in the whole-row pass:
+    both name the file line and give numpy's reason with the token's column
+    in the full row."""
+    g = CapGrid(16, 32, THETA)
+    save_field(ell_field(g), tmp_path / "good.csv")
+    lines = (tmp_path / "good.csv").read_text().splitlines(keepends=True)
+    row = lines[8].rstrip("\n").split(",")
+    errors = []
+    for name, cols in (("both", (2, 18)), ("first", (2,))):
+        bad = [("abc" if j in cols else v) for j, v in enumerate(row)]
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(lines[:8] + [",".join(bad) + "\n"] + lines[9:]))
+        with pytest.raises(ValueError) as err:
+            load_field(path)
+        errors.append(str(err.value).replace(str(path), "FILE"))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("FILE: line 9: malformed value row: could not convert string 'abc'")
+    assert "column 3" in errors[0]
+
+
+def test_load_field_parses_even_files_by_halves(tmp_path, monkeypatch):
+    """np.loadtxt parses L alone while the rows are `L,L`, and the rest whole:
+    it sees Nphi/2 columns for a solver-written 128x256 file, whose rings all
+    repeat their halves; Nphi/2 and then Nphi for an anisotropic phi file,
+    whose pole rings repeat (sin^2 beta damps the cos 2 phi term below their
+    last bit) and whose later rings differ at phi and phi + pi in their last
+    bits; and Nphi alone for a file whose first ring does not repeat."""
+    g = CapGrid(128, 256, math.pi / 4)
+    params = CapParams(n=2, k=1, p=1.5, theta=g.theta)
+    base = 1.0 + 0.3 * (1.0 - np.cos(g.beta_all))[:, None]
+    s, report = solve_path(CapField(g, np.broadcast_to(base, (129, 256)).copy(), even=True), params)
+    assert report.converged
+    bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
+    aniso = CapField(g, base + 0.03 * np.cos(2.0 * pp) * np.sin(bb) ** 2, even=True)
+    rough = CapField(g, base + 0.03 * np.cos(pp))
+    loadtxt, columns = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        out = loadtxt(*args, **kwargs)
+        columns.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(fields.np, "loadtxt", spy)
+    for f, want in ((s, [128]), (aniso, [128, 256]), (rough, [256])):
+        path = tmp_path / "field.csv"
+        save_field(f, path)
+        columns.clear()
+        back = load_field(path)
+        assert columns == want
+        assert back.values.tobytes() == f.values.tobytes()
