@@ -63,12 +63,21 @@ def _gradient_all_rows(s: CapField):
 
 
 def surface_points(s: CapField) -> np.ndarray:
-    """Embedding points X per node, shape (Nbeta + 1, Nphi, 3)."""
+    """Embedding points X per node, shape (Nbeta + 1, Nphi, 3).
+
+    The phi tables hold cos and sin of the first half-turn, then their
+    negations, so on a bitwise-even field, whose gradients are bitwise even
+    too, the points at phi + pi are exactly (-x1, -x2, x3) of those at phi:
+    IEEE rounding commutes with negation.  `save_embedding` formats such a
+    ring once per half.
+    """
     g = s.grid
     sb, sp_ = _gradient_all_rows(s)
     beta = g.beta_all[:, None]
     sinb, cosb = np.sin(beta), np.cos(beta)
-    sinp, cosp = np.sin(g.phi)[None, :], np.cos(g.phi)[None, :]
+    half = g.phi[:g.nphi // 2]
+    cosp = np.concatenate([np.cos(half), -np.cos(half)])[None, :]
+    sinp = np.concatenate([np.sin(half), -np.sin(half)])[None, :]
     v = s.values
     azim = sp_ / sinb
     x1 = v * sinb * cosp + sb * cosb * cosp - azim * sinp

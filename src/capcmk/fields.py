@@ -40,7 +40,11 @@ Every CSV goes through `write_csv`, and field files are read by
 `load_field`, each value as %.17g text.  Every ring of an even field holds
 one half of its values twice, so both format and parse each such ring once
 per half and copy the other, which halves the text-to-double conversions
-that bound them; the files' bytes do not change.
+that bound them; the files' bytes do not change.  The surface of an even
+field is symmetric under the half-turn about the x3 axis: its points at
+phi >= pi are exactly (-x1, -x2, x3) of those at phi - pi
+(`audit.surface_points`), so the embedding formats each ring's first half
+and writes the second from the same text, the signs of x1 and x2 toggled.
 """
 
 from __future__ import annotations
@@ -440,7 +444,13 @@ def write_csv(path, header, rows, lead=None):
     Without `lead`, a block whose rows each hold one half twice, bitwise
     (`_halves_repeat`; every ring of an even field does), has only the
     first halves formatted, and each line's text is written twice,
-    comma-joined: the same bytes from half the conversions.
+    comma-joined: the same bytes from half the conversions.  With `lead`,
+    a ring whose second half of rows is the first turned half about the
+    last axis, bitwise (`_half_turned`; every ring of an even field's
+    `surface_points` is), has only its first half formatted; the second
+    half's text is that text with the leading "-" of every value but the
+    last toggled, which for -0.0, infinities and subnormals is the text of
+    the negated double too.
     """
     ncol = rows.shape[1]
     row_fmt = ",".join(["%.17g"] * ncol) + "\n"
@@ -460,12 +470,40 @@ def write_csv(path, header, rows, lead=None):
         else:
             a, b = lead
             n = len(b)
-            # ring i's format is a[i]'s text joined into these pieces; %.17g of
-            # a float holds no "%", but literal text is escaped all the same
-            pieces = [""] + ["," + _literal(v) + "," + row_fmt for v in b.tolist()]
+            h = n // 2
+            # the %.17g text of a float holds no "%", so a's and b's texts
+            # go into format strings as they are: ring i's format is a[i]'s
+            # text joined into these pieces
+            btext = ["%.17g" % v for v in b.tolist()]
+            pieces = [""] + ["," + t + "," + row_fmt for t in btext]
+            # a turned ring's first half is formatted with b's texts left as
+            # "%s" and a "~" in front of each value whose sign turns, then
+            # completed once per half by a second "%"
+            turn_fmt = ",%%s," + "~%.17g," * (ncol - 1) + "%.17g\n"
             for i, v in enumerate(a.tolist()):
                 ring = rows[i * n:(i + 1) * n]
-                fh.write(_literal(v).join(pieces) % tuple(ring.ravel().tolist()))
+                if _half_turned(ring):
+                    text = ("%.17g" % v + turn_fmt) * h % tuple(ring[:h].ravel().tolist())
+                    fh.write(text.replace("~", "") % tuple(btext[:h]))
+                    fh.write(text.replace("~-", "").replace("~", "-") % tuple(btext[h:]))
+                else:
+                    fh.write(("%.17g" % v).join(pieces) % tuple(ring.ravel().tolist()))
+
+
+def _half_turned(ring) -> bool:
+    """Whether the float64 rows of `ring`, read as points, come in an even
+    count and the second half is the first turned half about the last axis,
+    bitwise: row j + n/2 is row j with the sign bit of every column but the
+    last flipped.  The bits are compared, not the values, so 0.0 is never
+    the turn of 0.0; and a NaN in a flipped column never counts, since %.17g
+    writes "nan" for either sign."""
+    h = len(ring) // 2
+    if h == 0 or len(ring) % 2:
+        return False
+    bits = ring.view(np.uint64)
+    flip = np.zeros(ring.shape[1], np.uint64)
+    flip[:-1] = 1 << 63
+    return bool(np.array_equal(bits[h:], bits[:h] ^ flip)) and not np.isnan(ring[:h, :-1]).any()
 
 
 def _halves_repeat(block) -> bool:
@@ -477,11 +515,6 @@ def _halves_repeat(block) -> bool:
         return False
     bits = block.view(np.uint64)
     return bool(np.array_equal(bits[:, :h], bits[:, h:]))
-
-
-def _literal(v: float) -> str:
-    """v as %.17g, escaped for use inside a %-format string."""
-    return ("%.17g" % v).replace("%", "%%")
 
 
 def save_field(s: CapField, path):

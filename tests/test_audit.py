@@ -62,6 +62,22 @@ def test_surface_points_of_the_model_cap(grid_32):
     assert np.max(radii) - np.min(radii) < 1e-12  # the rim is a circle
 
 
+@pytest.mark.parametrize("shape", [None, (9, 30), (128, 256)],
+                         ids=["solved_32x64", "random_9x30", "random_128x256"])
+def test_surface_points_of_an_even_field_are_an_exact_half_turn(request, shape):
+    # the points at phi + pi are (-x1, -x2, x3) of those at phi, bit for bit,
+    # for the solver's fields and random ones, each bitwise even
+    if shape is None:
+        s = request.getfixturevalue("solved_32")[0]
+    else:
+        s = random_capillary_field(CapGrid(*shape, THETA), np.random.default_rng(shape[0]))
+    h = s.grid.nphi // 2
+    assert s.values[:, h:].tobytes() == s.values[:, :h].tobytes()
+    pts = surface_points(s)
+    assert pts[:, h:, :2].tobytes() == (-pts[:, :h, :2]).tobytes()
+    assert pts[:, h:, 2].tobytes() == pts[:, :h, 2].tobytes()
+
+
 def test_reconstruct_model_geometry(grid_32):
     geo = reconstruct(ell_field(grid_32))
     assert abs(geo.height - (1.0 - math.cos(THETA))) < 1e-3

@@ -464,6 +464,77 @@ def test_write_csv_and_load_field_match_the_per_value_references(tmp_path_factor
         assert back[keep].tobytes() == rows[keep].tobytes()
 
 
+def _rings(rng, na, nb, kinds, nan):
+    """na rings of nb points (x1, x2, x3) from `_bits`, each of a kind drawn
+    from `kinds`: "turn" (the second half is the first turned half about the
+    x3 axis, bitwise: x1 and x2 with the sign bit flipped, x3 copied),
+    "flip" (a turn with one bit of one second-half value flipped), "zero" (a
+    turn with one zero whose turn has the wrong sign bit, so the halves
+    agree by value only), "nan" or "x3nan" (a turn with one NaN of either
+    sign and a random payload in x1 or x2, or in x3, turned like any other
+    value) or "free" (random)."""
+    pts = _bits(rng, na * nb * 3, nan).reshape(na, nb, 3)
+    h = nb // 2
+    kind = rng.choice(kinds, na)
+    if nb % 2:
+        return pts.reshape(-1, 3)
+    bits = pts.view(np.uint64)
+    turn = np.array([1 << 63, 1 << 63, 0], dtype=np.uint64)
+    for i in np.flatnonzero(kind != "free"):
+        j = rng.integers(h)
+        c = 2 if kind[i] == "x3nan" else rng.integers(2 if kind[i] == "nan" else 3)
+        if kind[i] == "zero":
+            pts[i, j, c] = rng.choice([0.0, -0.0])
+        elif kind[i] in ("nan", "x3nan"):
+            bits[i, j, c] = rng.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF, dtype=np.uint64)
+            bits[i, j, c] |= np.uint64(rng.integers(2)) << np.uint64(63)
+        bits[i, h:] = bits[i, :h] ^ turn
+        if kind[i] == "zero":
+            bits[i, h + j, c] ^= np.uint64(1 << 63)
+        elif kind[i] == "flip":
+            bits[i, h + j, c] ^= np.uint64(1) << np.uint64(rng.integers(64))
+    return pts.reshape(-1, 3)
+
+
+@given(na=strategies.sampled_from([1, 3, 7]),
+       nb=strategies.sampled_from([1, 2, 3, 8, 9, 30, 256]),
+       kinds=strategies.sampled_from([("turn",), ("turn", "flip"), ("turn", "zero"),
+                                      ("turn", "nan", "x3nan"),
+                                      ("turn", "flip", "zero", "nan", "x3nan", "free"),
+                                      ("free",)]),
+       nan=strategies.booleans(), seed=strategies.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_write_csv_lead_formats_half_turned_rings_once(tmp_path_factory, na, nb, kinds, nan,
+                                                        seed):
+    """write_csv with `lead` writes the meshgrid columns' per-row reference,
+    byte for byte, whether its rings are exact half-turns (formatted once per
+    half) or not; and exactly the rings that are exact half-turns, bitwise,
+    with no NaN in x1 or x2, take the half path.  An odd len(b) never does."""
+    rng = np.random.default_rng(seed)
+    a, b = _values(rng, na), _values(rng, nb)
+    pts = _rings(rng, na, nb, kinds, nan)
+    h = nb // 2
+    want_half = []
+    for ring in pts.reshape(na, nb, 3):
+        turned = np.concatenate([-ring[:h, :2], ring[:h, 2:]], axis=1)
+        want_half.append(nb % 2 == 0 and ring[h:].tobytes() == turned.tobytes()
+                         and not np.isnan(ring[:, :2]).any())
+    calls, half_turned = [], fields._half_turned
+
+    def counted(ring):
+        calls.append(half_turned(ring))
+        return calls[-1]
+
+    path = tmp_path_factory.mktemp("csv") / "lead.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_half_turned", counted)
+        write_csv(path, ["a,b,x,y,z"], pts, lead=(a, b))
+    assert calls == want_half
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    want = _reference_csv(["a,b,x,y,z"], np.column_stack([aa.ravel(), bb.ravel(), pts]))
+    assert path.read_bytes() == want.encode()
+
+
 @pytest.mark.filterwarnings("error")
 def test_load_field_rejects_malformed_files(tmp_path):
     g = CapGrid(16, 32, THETA)
