@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CapField, tau_sharp, write_csv
+from .fields import CapField, even_half, tau_sharp, write_csv
 from .geometry import CapParams, ell, ell_field
 from .symfunc import SymEndo, polarize_qk, sigma_k
 
@@ -55,35 +55,45 @@ __all__ = [
 ]
 
 
-def _gradient_all_rows(s: CapField):
-    """(d_beta s, d_phi s) on every node row, including the rim ring."""
+def _evaluated(s: CapField):
+    """(w, extended w, d_beta w, sin beta, cos beta) on every ring, where w
+    is `even_half(s.values)` or, if that is None, all of s.values."""
     g = s.grid
-    x = g.extend(s.values)
-    return g.apply("dbeta", x), g.apply("dphi", x)
+    half = even_half(s.values)
+    w = s.values if half is None else half
+    x = g.extend(w)
+    beta = g.beta_all[:, None]
+    return w, x, g.apply("dbeta", x), np.sin(beta), np.cos(beta)
 
 
 def surface_points(s: CapField) -> np.ndarray:
     """Embedding points X per node, shape (Nbeta + 1, Nphi, 3).
 
     The phi tables hold cos and sin of the first half-turn, then their
-    negations, so on a bitwise-even field, whose gradients are bitwise even
-    too, the points at phi + pi are exactly (-x1, -x2, x3) of those at phi:
-    IEEE rounding commutes with negation.  `save_embedding` formats such a
-    ring once per half.
+    negations.  A field whose halves are equal bit for bit is evaluated on
+    the first half: the products at phi + pi are then the exact negations of
+    those at phi (IEEE rounding commutes with negation), and the second half
+    sums them as the full width does, so every bit is the full evaluation's.
+    Those points are (-x1, -x2, x3) of the points at phi, except that an x1
+    or x2 that cancels to zero is +0.0 in both halves; `save_embedding`
+    formats each exactly turned ring once per half.
     """
     g = s.grid
-    sb, sp_ = _gradient_all_rows(s)
-    beta = g.beta_all[:, None]
-    sinb, cosb = np.sin(beta), np.cos(beta)
-    half = g.phi[:g.nphi // 2]
-    cosp = np.concatenate([np.cos(half), -np.cos(half)])[None, :]
-    sinp = np.concatenate([np.sin(half), -np.sin(half)])[None, :]
-    v = s.values
-    azim = sp_ / sinb
-    x1 = v * sinb * cosp + sb * cosb * cosp - azim * sinp
-    x2 = v * sinb * sinp + sb * cosb * sinp + azim * cosp
-    x3 = v * cosb - sb * sinb
-    return np.stack([x1, x2, x3], axis=-1)
+    w, x, sb, sinb, cosb = _evaluated(s)
+    n, h = w.shape[1], g.nphi // 2
+    c, sn = np.cos(g.phi[:h]), np.sin(g.phi[:h])
+    if n > h:
+        c, sn = np.concatenate([c, -c]), np.concatenate([sn, -sn])
+    a, b, azim = w * sinb, sb * cosb, g.apply("dphi", x) / sinb
+    pts = np.empty((g.nbeta + 1, g.nphi, 3))
+    pts[:, :n, 0] = a * c + b * c - azim * sn
+    pts[:, :n, 1] = a * sn + b * sn + azim * c
+    pts[:, :n, 2] = w * cosb - sb * sinb
+    if n == h:
+        pts[:, h:, 0] = -(a * c) - b * c + azim * sn
+        pts[:, h:, 1] = -(a * sn) - b * sn - azim * c
+        pts[:, h:, 2] = pts[:, :h, 2]
+    return pts
 
 
 @dataclass
@@ -102,7 +112,9 @@ def reconstruct(s: CapField, tau=None, pts=None) -> BodyGeometry:
     Slopes are measured on the reconstructed surface itself: the discrete
     normal cross(d_beta X, d_phi X) has slope |N'|/N_3, which for an exact
     convex reconstruction equals tan(beta) at the node's normal.  tau and
-    pts, if given, are tau_sharp(s) and surface_points(s).
+    pts, if given, are tau_sharp(s) and surface_points(s).  On a field whose
+    halves are equal bit for bit, normals and slopes are taken on the first
+    half of the nodes, with every summary's bits as at full width.
     """
     if tau is None:
         tau = tau_sharp(s)
@@ -113,13 +125,18 @@ def reconstruct(s: CapField, tau=None, pts=None) -> BodyGeometry:
     g = s.grid
     if pts is None:
         pts = surface_points(s)
-    dxb = np.gradient(pts, g.beta_all, axis=0)
-    dxp = (np.roll(pts, -1, axis=1) - np.roll(pts, 1, axis=1)) / (2.0 * g.dphi)
+    # each summary is a max or min of a quantity the half-turn leaves
+    # unchanged; the first half's end columns read neighbours in the second
+    n = g.nphi if even_half(s.values) is None else g.nphi // 2
+    j = np.arange(n)
+    dxb = np.gradient(pts[:, :n], g.beta_all, axis=0)
+    dxp = (pts[:, (j + 1) % g.nphi] - pts[:, j - 1]) / (2.0 * g.dphi)
     nrm = np.cross(dxb, dxp)
     horiz = np.hypot(nrm[..., 0], nrm[..., 1])
     slopes = np.divide(
         horiz, nrm[..., 2], out=np.full(horiz.shape, np.inf), where=nrm[..., 2] > 0.0
     )
+    pts = pts[:, :n]
     rim = pts[-1]
     radii = np.hypot(rim[:, 0], rim[:, 1])
     return BodyGeometry(
@@ -132,9 +149,17 @@ def reconstruct(s: CapField, tau=None, pts=None) -> BodyGeometry:
 
 def volume(s: CapField, tau=None, pts=None) -> float:
     """Divergence-theorem volume of the reconstructed body (n = 2); tau and
-    pts, if given, are tau_sharp(s) and surface_points(s)."""
+    pts, if given, are tau_sharp(s) and surface_points(s).  Without pts only
+    x3 = s cos(beta) - d_beta s sin(beta) is evaluated, on the first half of
+    a field whose halves are equal bit for bit; the integral is over the
+    full grid either way."""
     g = s.grid
-    x3 = (surface_points(s) if pts is None else pts)[: g.nbeta, :, 2]
+    if pts is None:
+        w, _, sb, sinb, cosb = _evaluated(s)
+        x3 = np.tile(w * cosb - sb * sinb, (1, g.nphi // w.shape[1]))
+    else:
+        x3 = pts[..., 2]
+    x3 = x3[: g.nbeta]
     det = sigma_k(tau_sharp(s) if tau is None else tau, 2)
     cosb = np.cos(g.beta_cells)[:, None]
     return g.integrate(x3 * cosb * det)

@@ -42,9 +42,15 @@ one half of its values twice, so both format and parse each such ring once
 per half and copy the other, which halves the text-to-double conversions
 that bound them; the files' bytes do not change.  The surface of an even
 field is symmetric under the half-turn about the x3 axis: its points at
-phi >= pi are exactly (-x1, -x2, x3) of those at phi - pi
-(`audit.surface_points`), so the embedding formats each ring's first half
-and writes the second from the same text, the signs of x1 and x2 toggled.
+phi >= pi are (-x1, -x2, x3) of those at phi - pi (`audit.surface_points`;
+exactly, but for an x1 or x2 that cancels to zero), so the embedding
+formats each exactly turned ring's first half and writes the second from
+the same text, the signs of x1 and x2 toggled.
+
+Even fields are also evaluated on half the nodes: `tau_sharp` and the
+audit's geometry evaluate a field whose two halves are equal bit for bit
+(`even_half`; the bits decide, not the `even` flag) on its first Nphi/2
+columns, with the same bits as at full width.
 """
 
 from __future__ import annotations
@@ -187,13 +193,19 @@ class CapGrid:
         return self._terms
 
     def extend(self, values) -> np.ndarray:
-        """The (Nbeta + 2) x (Nphi + 2) array that `apply` reads: ring -1,
-        which is ring 0 turned by the half-turn phi -> phi + pi, above the
-        value rings, and one periodic column on each side."""
-        h = self.nphi // 2
-        ext = np.empty((self.nbeta + 2, self.nphi + 2))
-        ext[0, 1:h + 1] = values[0, h:]
-        ext[0, h + 1:-1] = values[0, :h]
+        """The (Nbeta + 2) x (n + 2) array that `apply` reads: ring -1, which
+        is ring 0 turned by the half-turn phi -> phi + pi, above the value
+        rings, and one periodic column on each side.  `values` has n = Nphi
+        columns, or n = Nphi/2, the first half of an even field, whose ring
+        -1 is ring 0 itself and whose columns wrap with period Nphi/2."""
+        n = values.shape[1]
+        if n not in (self.nphi, self.nphi // 2):
+            raise ValueError(f"{self!r} evaluates {self.nphi} or {self.nphi // 2} columns, got {n}")
+        ext = np.empty((self.nbeta + 2, n + 2))
+        # the turn shifts a full ring by Nphi/2 columns and a half ring by none
+        k = self.nphi // 2 % n
+        ext[0, 1:n - k + 1] = values[0, k:]
+        ext[0, n - k + 1:-1] = values[0, :k]
         ext[1:, 1:-1] = values
         ext[:, 0] = ext[:, -2]
         ext[:, -1] = ext[:, 1]
@@ -203,13 +215,15 @@ class CapGrid:
         """Operator `name` of `terms` on the extended array x (`extend`): each
         term's beta-matrix times the array, then its phi-stencil by slicing.
         Terms whose phi-stencil annihilates ring constants read y instead,
-        when it is given.  Returns one row per row of the beta-matrices."""
+        when it is given.  Returns one row per row of the beta-matrices and
+        one column per value column of x."""
         terms = self.terms()[name]
-        out = np.zeros((terms[0][0].shape[0], self.nphi))
+        n = x.shape[1] - 2
+        out = np.zeros((terms[0][0].shape[0], n))
         for bmat, weights in terms:
             rb = bmat @ (x if y is None or sum(weights.values()) != 0.0 else y)
             for o, w in weights.items():
-                out += w * rb[:, 1 + o:1 + o + self.nphi]
+                out += w * rb[:, 1 + o:1 + o + n]
         return out
 
     def ops(self):
@@ -375,11 +389,28 @@ def tau_sharp(s: CapField) -> SymEndo:
     operator while keeping the pole-ring 1/sin(beta) weights from amplifying
     the cancellation noise of near-constant rings; without it the residual
     cannot be driven below a few 1e-9 on fine grids.
+
+    A field whose two halves are equal bit for bit (`even_half`) is
+    evaluated on its first half and the components tiled back; with the
+    full rows' means, every bit is the full evaluation's.
     """
-    g = s.grid
-    x = g.extend(s.values)
-    y = x - np.mean(x[:, 1:-1], axis=1, keepdims=True)
-    return SymEndo(g.apply("a11", x), g.apply("a12", x, y), g.apply("a22", x, y))
+    g, v = s.grid, s.values
+    half = even_half(v)
+    if half is None:
+        x = g.extend(v)
+        y = x - np.mean(x[:, 1:-1], axis=1, keepdims=True)
+    else:
+        # ring -1 takes ring 0's mean; a half row's can differ in the last bit
+        x, m = g.extend(half), np.mean(v, axis=1, keepdims=True)
+        y = x - np.concatenate([m[:1], m])
+    a = [g.apply("a11", x), g.apply("a12", x, y), g.apply("a22", x, y)]
+    return SymEndo(*(a if half is None else [np.concatenate([c, c], axis=1) for c in a]))
+
+
+def even_half(values):
+    """The first half of the columns of `values` when the second half is a
+    bitwise copy of it (`_halves_repeat`), else None."""
+    return values[:, :values.shape[1] // 2] if _halves_repeat(values) else None
 
 
 def robin_residual(s: CapField) -> np.ndarray:

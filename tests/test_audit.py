@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from capcmk import audit
+from capcmk import audit, cli
 from capcmk.audit import (
+    BodyGeometry,
     af_inequality_check,
     estimates_audit,
     mixed_volume,
@@ -19,8 +20,10 @@ from capcmk.audit import (
     surface_points,
     volume,
 )
-from capcmk.fields import CapField, CapGrid, load_field, save_field
+from capcmk.config import load_config
+from capcmk.fields import CapField, CapGrid, load_field, save_field, tau_sharp
 from capcmk.geometry import CapParams, ell_field, random_capillary_field
+from capcmk.symfunc import SymEndo, sigma_k
 
 from conftest import THETA
 
@@ -367,6 +370,23 @@ def test_save_embedding_streams(tmp_path):
     assert peak <= 4 * 2**20
 
 
+def test_the_solution_audit_evaluates_even_fields_on_half_the_nodes(tmp_path):
+    # tau_sharp, reconstruct and the three parallel bodies' volumes work on
+    # the first half of a bitwise-even field: 5.54 MB at full width
+    (tmp_path / "run.cfg").write_text("n = 2\nk = 1\np = 1.5\ntheta = pi/3\n"
+                                      "phi.kind = rotsym_expr\nphi.coeffs = 1, 0.3\n")
+    cfg = load_config(tmp_path / "run.cfg")
+    s = random_capillary_field(CapGrid(128, 256, THETA), np.random.default_rng(5))
+    phi, pts = cfg.phi_field(s.grid), surface_points(s)
+    tracemalloc.start()
+    try:
+        cli._solution_audit(s, phi, cfg, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
+
+
 def test_load_field_streams(tmp_path):
     # one float() per value built 129 lists of 256 Python floats, 2.2 MB at
     # 128x256; the C-level parse holds little beyond the values and the grid
@@ -380,3 +400,161 @@ def test_load_field_streams(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.values, s.values)
     assert peak <= 2**20
+
+
+# -- half-width evaluation of even fields -------------------------------------------
+#
+# The references below evaluate every node at full width, as the library did
+# before it evaluated even fields on their first half; the library must give
+# their bits exactly.  They extend through `full_extend`, which a spy on
+# CapGrid.extend does not see.
+
+full_extend = CapGrid.extend
+
+
+def full_tau(s):
+    g = s.grid
+    x = full_extend(g, s.values)
+    y = x - np.mean(x[:, 1:-1], axis=1, keepdims=True)
+    return SymEndo(g.apply("a11", x), g.apply("a12", x, y), g.apply("a22", x, y))
+
+
+def full_points(s):
+    g = s.grid
+    x = full_extend(g, s.values)
+    sb, sp_ = g.apply("dbeta", x), g.apply("dphi", x)
+    beta = g.beta_all[:, None]
+    sinb, cosb = np.sin(beta), np.cos(beta)
+    half = g.phi[:g.nphi // 2]
+    cosp = np.concatenate([np.cos(half), -np.cos(half)])[None, :]
+    sinp = np.concatenate([np.sin(half), -np.sin(half)])[None, :]
+    v = s.values
+    azim = sp_ / sinb
+    x1 = v * sinb * cosp + sb * cosb * cosp - azim * sinp
+    x2 = v * sinb * sinp + sb * cosb * sinp + azim * cosp
+    x3 = v * cosb - sb * sinb
+    return np.stack([x1, x2, x3], axis=-1)
+
+
+def full_geometry(g, pts):
+    dxb = np.gradient(pts, g.beta_all, axis=0)
+    dxp = (np.roll(pts, -1, axis=1) - np.roll(pts, 1, axis=1)) / (2.0 * g.dphi)
+    nrm = np.cross(dxb, dxp)
+    horiz = np.hypot(nrm[..., 0], nrm[..., 1])
+    slopes = np.divide(horiz, nrm[..., 2], out=np.full(horiz.shape, np.inf),
+                       where=nrm[..., 2] > 0.0)
+    rim = pts[-1]
+    return BodyGeometry(height=float(np.max(pts[..., 2])),
+                        r_in=float(np.min(np.hypot(rim[:, 0], rim[:, 1]))),
+                        rim_planarity=float(np.max(np.abs(rim[:, 2]))),
+                        slope_max=float(np.max(slopes)))
+
+
+def full_volume(s, tau, pts):
+    g = s.grid
+    return g.integrate(pts[:g.nbeta, :, 2] * np.cos(g.beta_cells)[:, None] * sigma_k(tau, 2))
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def assert_full_width_bits(s, geometry=True):
+    """tau_sharp, surface_points and, for a convex field, reconstruct and
+    volume (with and without pts) give the full-width references' bits."""
+    tau, ref_tau = tau_sharp(s), full_tau(s)
+    for name in ("a11", "a12", "a22"):
+        assert same_bits(getattr(tau, name), getattr(ref_tau, name)), name
+    pts, ref_pts = surface_points(s), full_points(s)
+    assert same_bits(pts, ref_pts)
+    if geometry:
+        want = full_geometry(s.grid, ref_pts)
+        for got in (reconstruct(s), reconstruct(s, tau, pts=pts)):
+            for name in ("height", "r_in", "rim_planarity", "slope_max"):
+                assert same_bits(getattr(got, name), getattr(want, name)), name
+        want = full_volume(s, ref_tau, ref_pts)
+        assert same_bits(volume(s), want)
+        assert same_bits(volume(s, tau, pts=pts), want)
+
+
+def falling_field(grid):
+    # a ring-constant field that falls toward the rim: at phi = 0 the terms of
+    # x2 are +0.0 and -0.0, whose sum is +0.0 at phi = pi too, not -0.0
+    vals = 2.0 - 0.5 * (1.0 - np.cos(grid.beta_all))
+    return CapField(grid, np.repeat(vals[:, None], grid.nphi, axis=1), even=True)
+
+
+HALF_GRIDS = [(8, 8), (9, 30), (33, 66), (64, 128), (128, 256)]
+
+
+@pytest.mark.parametrize("shape", HALF_GRIDS, ids=[f"{a}x{b}" for a, b in HALF_GRIDS])
+@pytest.mark.parametrize("kind", ["random", "ell", "falling"])
+def test_even_fields_evaluated_on_half_the_nodes_keep_every_bit(shape, kind):
+    g = CapGrid(*shape, THETA)
+    s = {"random": lambda: random_capillary_field(g, np.random.default_rng(shape[0])),
+         "ell": lambda: ell_field(g), "falling": lambda: falling_field(g)}[kind]()
+    h = g.nphi // 2
+    assert same_bits(s.values[:, h:], s.values[:, :h])
+    assert_full_width_bits(s)
+    if kind == "falling":
+        # the points at phi + pi are not all exact turns of those at phi
+        pts = surface_points(s)
+        assert not same_bits(pts[:, h:, :2], -pts[:, :h, :2])
+
+
+def test_a_solved_field_evaluated_on_half_the_nodes_keeps_every_bit(solved_32):
+    assert_full_width_bits(solved_32[0])
+
+
+def extend_widths(monkeypatch):
+    """The column counts of every array CapGrid.extend is handed from now on."""
+    widths, real = [], CapGrid.extend
+
+    def spy(self, values):
+        widths.append(values.shape[1])
+        return real(self, values)
+
+    monkeypatch.setattr(CapGrid, "extend", spy)
+    return widths
+
+
+@pytest.mark.parametrize("change", [None, "value", "zero-sign", "odd"])
+def test_the_bits_decide_the_half_path_not_the_flag(change, monkeypatch):
+    # every field is flagged even; only the bitwise-even one is evaluated on
+    # its first half, the others (one value one ulp off its turn, +0.0 facing
+    # -0.0, a field odd under the half-turn) at full width
+    g = CapGrid(33, 66, THETA)
+    v = random_capillary_field(g, np.random.default_rng(4)).values
+    if change == "value":
+        v[5, 40] = np.nextafter(v[5, 40], np.inf)
+    elif change == "zero-sign":
+        v[5, 7], v[5, 7 + 33] = 0.0, -0.0
+    elif change == "odd":
+        v = 1.0 + 0.1 * np.sin(g.beta_all)[:, None] * np.cos(g.phi)[None, :]
+    s = CapField(g, v, even=True)
+    widths = extend_widths(monkeypatch)
+    # the zero makes the field non-convex, which reconstruct refuses
+    assert_full_width_bits(s, geometry=change != "zero-sign")
+    assert widths and set(widths) == {33 if change is None else 66}
+
+
+def test_verify_evaluates_a_file_whose_halves_differ_at_full_width(tmp_path, monkeypatch):
+    # a stored solution flagged even whose halves differ in one value is
+    # audited at full width and fails; the file as solved takes the half path
+    (tmp_path / "run.cfg").write_text("n = 2\nk = 1\np = 1.5\ntheta = pi/3\n"
+                                      "grid.nbeta = 16\ngrid.nphi = 32\n"
+                                      "phi.kind = cap_manufactured\nphi.r = 1.3\n")
+    argv = ["--config", str(tmp_path / "run.cfg"), "--quiet"]
+    assert cli.main(["solve", *argv, "--out", str(tmp_path / "out")]) == 0
+    s = load_field(tmp_path / "out" / "solution.csv")
+    assert s.even
+    s.values[8, 19] += 0.5
+    save_field(s, tmp_path / "uneven.csv")
+    widths = extend_widths(monkeypatch)
+    assert cli.main(["verify", *argv, "--solution", str(tmp_path / "out" / "solution.csv"),
+                     "--out", str(tmp_path / "v0")]) == 0
+    assert 16 in widths
+    widths.clear()
+    assert cli.main(["verify", *argv, "--solution", str(tmp_path / "uneven.csv"),
+                     "--out", str(tmp_path / "v1")]) == 3
+    assert widths and set(widths) == {32}

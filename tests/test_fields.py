@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from capcmk import CapParams, audit, fields, solve_path
+from capcmk import CapParams, fields, solve_path
 from capcmk.fields import (
     CapField,
     CapGrid,
@@ -240,7 +240,8 @@ def test_stencil_application_matches_the_csr_layout(nbeta, nphi):
     ops = dict(g.ops(), dbeta=g.csr("dbeta"), dphi=g.csr("dphi"))
     for s in fields:
         tau = tau_sharp(s)
-        sb, sphi = audit._gradient_all_rows(s)
+        x = g.extend(s.values)
+        sb, sphi = g.apply("dbeta", x), g.apply("dphi", x)
         got = {"a11": tau.a11, "a12": tau.a12, "a22": tau.a22, "robin": robin_residual(s),
                "dbeta": sb, "dphi": sphi}
         for name, value in got.items():
@@ -695,3 +696,12 @@ def test_load_field_parses_even_files_by_halves(tmp_path, monkeypatch):
         back = load_field(path)
         assert columns == want
         assert back.values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 5, 6, 7, 9, 10, 16])
+def test_extend_takes_a_full_or_a_half_width_only(width):
+    g = CapGrid(8, 8, THETA)
+    with pytest.raises(ValueError, match="8 or 4 columns"):
+        g.extend(np.ones((9, width)))
+    assert g.extend(np.ones((9, 8))).shape == (10, 10)
+    assert g.extend(np.ones((9, 4))).shape == (10, 6)
