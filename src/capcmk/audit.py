@@ -22,9 +22,11 @@ Every audit is read-only and returns a plain record {name, statement, lhs,
 rhs, margin, pass} (or a small dict of such), never an exception, except for
 reconstruction itself which refuses non-convex input.
 
-The audits of one field s take an optional `tau`, tau_sharp(s) already
-evaluated by the caller, so that a battery evaluates it once; without it they
-evaluate it themselves.
+The audits of one field s take `tau`, tau_sharp(s), and `pts`,
+surface_points(s), evaluated once by the caller for the whole battery.
+Only `volume`, which the Steiner check also runs on parallel bodies, and
+the exported `steiner_sigma_check` and `estimates_audit` evaluate them
+when they are not given.
 """
 
 from __future__ import annotations
@@ -106,25 +108,21 @@ class BodyGeometry:
     slope_max: float
 
 
-def reconstruct(s: CapField, tau=None, pts=None) -> BodyGeometry:
+def reconstruct(s: CapField, tau, pts) -> BodyGeometry:
     """Reconstruct the body behind s and summarize it; refuses non-convex input.
 
     Slopes are measured on the reconstructed surface itself: the discrete
     normal cross(d_beta X, d_phi X) has slope |N'|/N_3, which for an exact
     convex reconstruction equals tan(beta) at the node's normal.  tau and
-    pts, if given, are tau_sharp(s) and surface_points(s).  On a field whose
-    halves are equal bit for bit, normals and slopes are taken on the first
-    half of the nodes, with every summary's bits as at full width.
+    pts are tau_sharp(s) and surface_points(s).  On a field whose halves
+    are equal bit for bit, normals and slopes are taken on the first half of
+    the nodes, with every summary's bits as at full width.
     """
-    if tau is None:
-        tau = tau_sharp(s)
     if tau.lam1min <= 0.0:
         raise ValueError(
             f"reconstruction needs a strictly convex field; lam1min = {tau.lam1min:.6e}"
         )
     g = s.grid
-    if pts is None:
-        pts = surface_points(s)
     # each summary is a max or min of a quantity the half-turn leaves
     # unchanged; the first half's end columns read neighbours in the second
     n = g.nphi if even_half(s.values) is None else g.nphi // 2
@@ -260,19 +258,18 @@ def steiner_sigma_check(s: CapField, t: float, params: CapParams, tau=None) -> d
     }
 
 
-def steiner_coefficients(s: CapField, params: CapParams, tau=None) -> np.ndarray:
+def steiner_coefficients(s: CapField, params: CapParams, tau) -> np.ndarray:
     """Coefficients c_j with slab volume = sum_j c_j rho^{n+1-j}, j = 0..n.
 
     c_j = (1/(n+1-j)) int ell sigma_j(tau_sharp[s]) dH: the curvature-measure
     form of the slab volume after the change of variables to the cap, where
-    the weight (1 - cos(theta) <nu, e_3>) becomes ell.
+    the weight (1 - cos(theta) <nu, e_3>) becomes ell; tau is tau_sharp(s).
     """
     g = s.grid
     n = params.n
-    a = tau_sharp(s) if tau is None else tau
     lc = ell(g.theta, g.beta_cells)[:, None]
     return np.array(
-        [g.integrate(lc * sigma_k(a, j)) / (n + 1.0 - j) for j in range(n + 1)]
+        [g.integrate(lc * sigma_k(tau, j)) / (n + 1.0 - j) for j in range(n + 1)]
     )
 
 
@@ -280,20 +277,20 @@ def steiner_coefficients(s: CapField, params: CapParams, tau=None) -> np.ndarray
 STEINER_TOL = 5e-3
 
 
-def steiner_volume_check(s: CapField, rhos, params: CapParams, tau=None, pts=None) -> list:
+def steiner_volume_check(s: CapField, rhos, params: CapParams, tau, pts) -> list:
     """Parallel-slab volume two ways: divergence theorem vs curvature measures.
 
     One record per rho in rhos.  Left side: vol(body of s + rho ell) -
     vol(body of s).  Right side: the rho-polynomial with the
     steiner_coefficients.  vol(body of s) and the coefficients are computed
-    once for all rhos; tau and pts, if given, are tau_sharp(s) and
-    surface_points(s).  Both sides are second-order quadratures of the same
-    smooth quantity, so they agree to the combined discretization error, not
-    to roundoff, which STEINER_TOL allows for.
+    once for all rhos; tau and pts are tau_sharp(s) and surface_points(s).
+    Both sides are second-order quadratures of the same smooth quantity, so
+    they agree to the combined discretization error, not to roundoff, which
+    STEINER_TOL allows for.
     """
     if params.n != 2:
         raise ValueError("volume audits are n = 2 only")
-    base = volume(s, tau, pts=pts)
+    base = volume(s, tau, pts)
     coeff = steiner_coefficients(s, params, tau)
     records = []
     for rho in rhos:
@@ -354,7 +351,7 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams, tau=None, pts
 
     Non-convex input is flagged, not raised: geometry-dependent items fail
     with empty values.  tau and pts, if given, are tau_sharp(s) and
-    surface_points(s).
+    surface_points(s); pts is evaluated only for convex input.
     """
     k, p = params.k, params.p
     if tau is None:
@@ -382,7 +379,7 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams, tau=None, pts
 
     tan_t = math.tan(params.theta)
     if convex:
-        geom = reconstruct(s, tau, pts=pts)
+        geom = reconstruct(s, tau, surface_points(s) if pts is None else pts)
         rhs = tan_t + SLOPE_SLACK
         item("slope_bound", geom.slope_max, rhs, rhs - geom.slope_max,
              bool(geom.slope_max <= rhs))
@@ -408,10 +405,8 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams, tau=None, pts
     return {"items": items, "all_passed": bool(all(gated))}
 
 
-def save_embedding(s: CapField, path, pts=None):
+def save_embedding(s: CapField, path, pts):
     """Point-cloud CSV (beta, phi, X1, X2, X3), row-major over the node grid;
-    pts, if given, is surface_points(s)."""
+    pts is surface_points(s)."""
     g = s.grid
-    if pts is None:
-        pts = surface_points(s)
     write_csv(path, ["beta,phi,x1,x2,x3"], pts.reshape(-1, 3), lead=(g.beta_all, g.phi))

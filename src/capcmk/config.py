@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .fields import CapField, CapGrid, load_field
-from .geometry import CapParams, ell
+from .geometry import CapParams, ell, ell_field
 from .solver import Schedule
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -190,10 +190,7 @@ class RunConfig:
         """Exact solution r ell when phi.kind is cap_manufactured, else None."""
         if self.phi["kind"] != "cap_manufactured":
             return None
-        values = self.phi["r"] * np.broadcast_to(
-            ell(self.params.theta, grid.beta_all)[:, None], (grid.nbeta + 1, grid.nphi)
-        ).copy()
-        return CapField(grid, values, even=True)
+        return self.phi["r"] * ell_field(grid)
 
 
 def load_config(path) -> RunConfig:

@@ -105,11 +105,7 @@ class CapGrid:
         self._ops = None
         self._modal = None
 
-    # -- identity / sizes -------------------------------------------------
-    @property
-    def n_total(self) -> int:
-        return (self.nbeta + 1) * self.nphi
-
+    # -- identity ---------------------------------------------------------
     def __eq__(self, other):
         return (
             isinstance(other, CapGrid)
@@ -237,30 +233,22 @@ class CapGrid:
     def csr(self, name):
         """Operator `name` of `terms` as a sparse matrix on the full value
         vector (row-major over (Nbeta+1) x Nphi nodes), one row per node of
-        the beta-matrices' rings.  A term's entry from beta-matrix column c
-        (ring c - 1) at phi-offset o reads node j + o of that ring; ring -1
-        is ring 0 turned by the half-turn phi -> phi + pi."""
-        np_, h = self.nphi, self.nphi // 2
-        # int32 indices, which scipy keeps as they are: it stores int32 below
-        # 2^31 nodes, and a grid that large would need over 100 GB for ops()
-        js = np.arange(np_, dtype=np.int32)
-        terms = self.terms()[name]
-        rows, cols, vals = [], [], []
-        for bmat, phi_weights in terms:
-            b = bmat.tocoo()
-            ri, rc = b.row.astype(np.int32), b.col.astype(np.int32)
-            off = np.array(list(phi_weights), dtype=np.int32)[:, None]
-            w = np.array(list(phi_weights.values()))[:, None]
-            # phase[t, o, j]: the azimuthal index of node j + o within its
-            # ring, turned by the half-turn (t = 1) for ring -1
-            phase = (js + off + np.array([0, h], dtype=np.int32)[:, None, None]) % np_
-            shape = (ri.size, off.size, np_)
-            rows.append(np.broadcast_to(ri[:, None, None] * np_ + js, shape).ravel())
-            cols.append((np.maximum(rc - 1, 0)[:, None, None] * np_
-                         + phase[(rc == 0).astype(int)]).ravel())
-            vals.append(np.broadcast_to(b.data[:, None, None] * w, shape).ravel())
-        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(terms[0][0].shape[0] * np_, self.n_total))
+        the beta-matrices' rings.  A term with beta-matrix B and phi-stencil
+        Phi = sum_o w_o S^o, S the periodic one-column shift, is
+        kron(B[:, 1:], Phi) + kron([B[:, :1] | 0], Phi T): column 0 of B is
+        ring -1, which is ring 0 turned by T, the shift by Nphi/2."""
+        n = self.nphi
+        eye = sp.identity(n, format="csr")
+
+        def shift(o):
+            return eye[(np.arange(n) + o) % n]
+
+        out = 0
+        for bmat, weights in self.terms()[name]:
+            phi = sum(w * shift(o) for o, w in weights.items())
+            ring0 = sp.hstack([bmat[:, :1], sp.csr_matrix((bmat.shape[0], self.nbeta))])
+            out = out + sp.kron(bmat[:, 1:], phi) + sp.kron(ring0, phi @ shift(n // 2))
+        return out.tocsr()
 
     def modal_blocks(self):
         """The Newton blocks on even fields by azimuthal Fourier mode, built on
@@ -456,10 +444,6 @@ _MAGIC = "# capcmk field v1"
 _BLOCK_VALUES = 1 << 14
 
 
-def _block_rows(ncol: int) -> int:
-    return max(1, _BLOCK_VALUES // ncol)
-
-
 def write_csv(path, header, rows, lead=None):
     """Write the `header` lines, then one line per row of the 2-D float array
     `rows`, each value as %.17g so that it parses back bit-exactly.
@@ -490,7 +474,7 @@ def write_csv(path, header, rows, lead=None):
     with open(path, "w") as fh:
         fh.write("".join(h + "\n" for h in header))
         if lead is None:
-            step = _block_rows(ncol)
+            step = max(1, _BLOCK_VALUES // ncol)
             for i in range(0, rows.shape[0], step):
                 block = rows[i:i + step]
                 if _halves_repeat(block):

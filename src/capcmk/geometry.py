@@ -105,9 +105,7 @@ class NeumannFactor:
     def _rho(self, m, beta):
         ct, st = math.cos(self.theta), math.sin(self.theta)
         if m == 0:
-            # radial profile (1 - cos beta)(1 + a (cos beta - cos theta)),
-            # a = cot(theta)... derivative sin(b)(1+a(cos b - ct)) - (1-cos b) a sin b;
-            # at theta: sin(t)(1) - (1-ct) a sin(t) = 0  =>  a = 1/(1-ct).
+            # the profile's derivative at theta is sin(theta) (1 - a (1 - cos theta)) = 0
             a = 1.0 / (1.0 - ct)
             return (1.0 - np.cos(beta)) * (1.0 + a * (np.cos(beta) - ct))
         a = 2.0 * m * ct / st**2

@@ -41,8 +41,11 @@ full-step Armijo test (then at the same iterate, with the full line search).
 
 `newton_first` is the one driver of both layers: one corrector at t = 1 from
 the mean-scaled model function `model_scale(phi) ell`, and only if that fails
-the continuation from t = 0, exactly as it runs alone.  The report's `method`
-says which one produced the solution.
+the continuation from t = 0 (`run_continuation`), exactly as it runs alone.
+The report's `method` says which one produced the solution.  Both drivers
+take the layer's corrector as one callback, newton_fn(s, q, rhs, lu), and
+the homotopy data as rhs_fn(t); `solve_path` defines them once and runs the
+continuation alone from a given s0.
 
 `solve_path` sequences grids: it halves Nbeta and Nphi, rounding down (Nphi
 to an even number), while the coarser grid keeps COARSE_MIN_NBETA = 32 rings,
@@ -278,11 +281,12 @@ def _jacobian_action(s: CapField, q: float, rhs: CapField, params: CapParams, ta
     return action
 
 
-def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None):
+def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
     """The Jacobian of `_jacobian_action` with every coefficient replaced by
     its ring mean, split by azimuthal Fourier mode: the one CSC matrix that
-    newton_solve factorizes.  At a state that s and rhs make ring-constant it
-    is that Jacobian to round-off; elsewhere its solve preconditions GMRES.
+    newton_solve factorizes; tau is tau_sharp(s).  At a state that s and rhs
+    make ring-constant it is that Jacobian to round-off; elsewhere its solve
+    preconditions GMRES.
 
     Rows and columns are (mode m = 0..Nphi/4, ring), one real block per
     mode, filled on the pattern of the grid's cached modal blocks
@@ -292,8 +296,6 @@ def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau
     """
     g = s.grid
     blocks = g.modal_blocks()
-    if tau is None:
-        tau = tau_sharp(s)
     grad = sigma_k_grad(tau, params.k)
     h = g.nphi // 2
 
@@ -354,7 +356,7 @@ def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
     """
     g = s.grid
     h, nr = g.nphi // 2, g.nbeta + 1
-    lu = splu(linearize_modal(s, q, rhs, params, tau=tau), **LU_OPTIONS)
+    lu = splu(linearize_modal(s, q, rhs, params, tau), **LU_OPTIONS)
 
     def modal_solve(b):
         bh = np.fft.rfft(b.reshape(nr, h), axis=1).T.ravel()
@@ -389,9 +391,10 @@ REFACTOR_RATIO = 0.1
 class _LUSlot:
     """The one factorization a continuation path reuses (see _damped_newton).
 
-    solve_path and solve_rotsym each hold their own slot, so solves that run
-    concurrently share no state.  `apply` is None or the callable that the
-    corrector's `factor` callback returned.
+    Each slot is made for one corrector run or path (newton_first's direct
+    attempt, run_continuation's path, a finer grid's corrector), so solves
+    that run concurrently share no state.  `apply` is None or the callable
+    that the corrector's `factor` callback returned.
     """
 
     __slots__ = ("apply",)
@@ -527,7 +530,8 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
 def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, *, grid, report=None):
     """Adaptive predictor-corrector walk of t from 0 to 1.
 
-    newton_fn(s, q, rhs) -> (s, info) raising NewtonFailure; rhs_fn(t) -> (q, rhs);
+    newton_fn(s, q, rhs, lu) -> (s, info) runs the layer's corrector with
+    the path's one _LUSlot lu and raises NewtonFailure; rhs_fn(t) -> (q, rhs);
     grid is the label the report records for every step; report, if given,
     is the empty SolveReport to fill.
     The previous solution is the predictor; dt starts at DT_MAX, shrinks by
@@ -538,9 +542,10 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, *, grid, report
     underflows sched.dt_min.
     """
     report = SolveReport() if report is None else report
+    lu = _LUSlot()
     q, rhs = rhs_fn(0.0)
     try:
-        s, info = newton_fn(s_init, q, rhs)
+        s, info = newton_fn(s_init, q, rhs, lu)
     except NewtonFailure as exc:
         raise ContinuationStall(0.0, None, report, exc) from exc
     report.record(0.0, info, grid)
@@ -552,7 +557,7 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, *, grid, report
             t_next = 0.5
         q, rhs = rhs_fn(t_next)
         try:
-            s_new, info = newton_fn(s, q, rhs)
+            s_new, info = newton_fn(s, q, rhs, lu)
         except NewtonFailure as exc:
             dt *= SHRINK
             if dt < sched.dt_min:
@@ -584,16 +589,15 @@ def newton_first(newton_fn, rhs_fn, phi_values, model, params: CapParams, sched:
                  *, grid):
     """One damped-Newton solve at t = 1, with the continuation as its fallback.
 
-    newton_fn(s, q, rhs, lu) -> (s, info) runs the layer's corrector with the
-    _LUSlot lu and raises NewtonFailure; rhs_fn(t) -> (q, rhs) is the
-    homotopy data; phi_values is phi on the layer's nodes and model the
+    newton_fn and rhs_fn are run_continuation's: the layer's corrector and
+    the homotopy data; phi_values is phi on the layer's nodes and model the
     model function ell on them (anything a float scales); grid labels the
     report's steps.
 
     The direct attempt solves at q = p, H = phi from model_scale(phi) ell.
     Only if it raises NewtonFailure does run_continuation walk t from 0 to 1,
-    from C(n,k)^{-1/k} ell with an empty LU slot, which is the solve the
-    continuation alone makes; its report keeps the direct failure.
+    from C(n,k)^{-1/k} ell, which is the solve the continuation alone
+    makes; its report keeps the direct failure.
     Returns (s, SolveReport); raises ContinuationStall if the fallback stalls.
     """
     q, rhs = rhs_fn(1.0)
@@ -603,10 +607,8 @@ def newton_first(newton_fn, rhs_fn, phi_values, model, params: CapParams, sched:
             raise NewtonFailure(f"model scale {c:.3e} is outside the float range")
         s, info = newton_fn(c * model, q, rhs, _LUSlot())
     except NewtonFailure as exc:
-        lu = _LUSlot()
-        return run_continuation(lambda s, q, rhs: newton_fn(s, q, rhs, lu), rhs_fn,
-                                params.cnk ** (-1.0 / params.k) * model, sched, grid=grid,
-                                report=SolveReport(direct_failure=str(exc)))
+        return run_continuation(newton_fn, rhs_fn, params.cnk ** (-1.0 / params.k) * model,
+                                sched, grid=grid, report=SolveReport(direct_failure=str(exc)))
     report = SolveReport(method="newton", converged=True)
     report.record(1.0, info, grid)
     return s, report
@@ -616,23 +618,6 @@ def relative_residual(fint, sk) -> float:
     """||F_int|| / ||sigma_k(tau_sharp[s])||, max norms: the interior residual
     in the units of the equation (report-only)."""
     return float(np.max(np.abs(fint)) / np.max(np.abs(sk)))
-
-
-def _continuation(phi: CapField, params: CapParams, sched: Schedule, s0: CapField | None):
-    """run_continuation on phi's own grid, from s0 or the scaled model function,
-    with one LU slot for the whole path: solve_path's path from a given s0."""
-    grid = phi.grid
-    if s0 is None:
-        s0 = params.cnk ** (-1.0 / params.k) * ell_field(grid)
-    lu = _LUSlot()
-
-    def newton_fn(s, q, rhs):
-        return newton_solve(s, q, rhs, params, sched, lu)
-
-    def rhs_fn(t):
-        return homotopy_rhs(t, phi, params)
-
-    return run_continuation(newton_fn, rhs_fn, s0, sched, grid=_label(grid))
 
 
 # -- grid sequencing -----------------------------------------------------------------
@@ -729,13 +714,19 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
         if s0 is not None:
             s0 = _interpolate(s0, coarse)
     coarsest = phis.pop()
+
+    def newton_fn(s, q, rhs, lu):
+        return newton_solve(s, q, rhs, params, sched, lu)
+
+    def rhs_fn(t):
+        return homotopy_rhs(t, coarsest, params)
+
+    label = _label(coarsest.grid)
     if s0 is None:
-        s, report = newton_first(
-            lambda s, q, rhs, lu: newton_solve(s, q, rhs, params, sched, lu),
-            lambda t: homotopy_rhs(t, coarsest, params), coarsest.values,
-            ell_field(coarsest.grid), params, sched, grid=_label(coarsest.grid))
+        s, report = newton_first(newton_fn, rhs_fn, coarsest.values, ell_field(coarsest.grid),
+                                 params, sched, grid=label)
     else:
-        s, report = _continuation(coarsest, params, sched, s0)
+        s, report = run_continuation(newton_fn, rhs_fn, s0, sched, grid=label)
     while phis:
         level = phis.pop()
         # rebinding s frees the coarser solution, and with it the coarser

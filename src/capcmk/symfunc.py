@@ -40,7 +40,7 @@ class SymEndo:
         self._eig = None
 
     @classmethod
-    def identity(cls, shape=()):
+    def identity(cls, shape):
         one = np.ones(shape)
         return cls(one, np.zeros(shape), one.copy())
 

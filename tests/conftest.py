@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from capcmk import CapField, CapGrid, CapParams, ell, ell_field, solve_path
+from capcmk import CapField, CapGrid, CapParams, ell, ell_field, solve_path, solver
 
 THETA = math.pi / 3
 
@@ -18,6 +18,18 @@ def manufactured_phi(grid, params, r):
 def manufactured_reference(grid, params, r):
     lv = ell(params.theta, grid.beta_all)[:, None]
     return CapField(grid, np.broadcast_to(r * lv, (grid.nbeta + 1, grid.nphi)).copy(), even=True)
+
+
+def plain_continuation(phi, params, sched, s0=None):
+    """The continuation alone on phi's grid, from s0 or C(n,k)^(-1/k) ell:
+    `solver.run_continuation` with `newton_solve` as its corrector, the
+    reference for solve_path's fallback and for its path from a given s0."""
+    if s0 is None:
+        s0 = params.cnk ** (-1.0 / params.k) * ell_field(phi.grid)
+    return solver.run_continuation(
+        lambda s, q, rhs, lu: solver.newton_solve(s, q, rhs, params, sched, lu),
+        lambda t: solver.homotopy_rhs(t, phi, params), s0, sched,
+        grid=f"{phi.grid.nbeta}x{phi.grid.nphi}")
 
 
 @pytest.fixture(scope="session")

@@ -82,7 +82,8 @@ def test_surface_points_of_an_even_field_are_an_exact_half_turn(request, shape):
 
 
 def test_reconstruct_model_geometry(grid_32):
-    geo = reconstruct(ell_field(grid_32))
+    s = ell_field(grid_32)
+    geo = reconstruct(s, tau_sharp(s), surface_points(s))
     assert abs(geo.height - (1.0 - math.cos(THETA))) < 1e-3
     assert abs(geo.r_in - math.sin(THETA)) < 5e-4
     assert geo.rim_planarity < 1e-3
@@ -91,7 +92,8 @@ def test_reconstruct_model_geometry(grid_32):
 
 def test_reconstruct_rejects_nonconvex(grid_16):
     with pytest.raises(ValueError, match="convex"):
-        reconstruct(rough_field(grid_16))
+        s = rough_field(grid_16)
+        reconstruct(s, tau_sharp(s), surface_points(s))
 
 
 # -- volumes ----------------------------------------------------------------------
@@ -235,7 +237,8 @@ def test_steiner_sigma_identity_is_exact(solved_32, params_k1):
 
 
 def test_steiner_coefficients_of_the_model(grid_32, params_k1):
-    coeff = steiner_coefficients(ell_field(grid_32), params_k1)
+    model = ell_field(grid_32)
+    coeff = steiner_coefficients(model, params_k1, tau_sharp(model))
     c = math.cos(THETA)
     m = math.pi * (1.0 - c) ** 2 * (2.0 + c)
     # sigma_j(id) = C(2,j) cancels the 1/(n+1-j) weights down to (m/3, m, m)
@@ -247,12 +250,13 @@ def test_steiner_coefficients_of_the_model(grid_32, params_k1):
 
 def test_steiner_volume_check_passes_on_solutions(solved_32, params_k1):
     s, _, _ = solved_32
-    records = steiner_volume_check(s, (0.1, 0.5, 1.0), params_k1)
+    records = steiner_volume_check(s, (0.1, 0.5, 1.0), params_k1, tau_sharp(s), surface_points(s))
     assert [rec["rho"] for rec in records] == [0.1, 0.5, 1.0]
     for rec in records:
         assert rec["pass"], rec
     with pytest.raises(ValueError, match="n = 2"):
-        steiner_volume_check(s, (0.5,), CapParams(n=3, k=2, p=2.0, theta=THETA))
+        steiner_volume_check(s, (0.5,), CapParams(n=3, k=2, p=2.0, theta=THETA), tau_sharp(s),
+                             surface_points(s))
 
 
 def test_parallel_volume_polynomial_matches_coefficients(grid_32, params_k1):
@@ -264,7 +268,7 @@ def test_parallel_volume_polynomial_matches_coefficients(grid_32, params_k1):
     v0 = volume(s)
     dvol = np.array([volume(parallel_body(s, r)) - v0 for r in rhos])
     fit = np.polyfit(rhos, dvol, 3)
-    coeff = steiner_coefficients(s, params_k1)
+    coeff = steiner_coefficients(s, params_k1, tau_sharp(s))
     for got, want in zip(fit[:3], coeff):
         assert abs(got - want) / abs(want) < 5e-3
     assert abs(fit[3]) < 1e-12
@@ -323,7 +327,8 @@ def test_skipped_items_state_the_convex_bound(solved_32, grid_16, params_k1):
 
 def test_save_embedding_format(tmp_path, grid_16):
     path = tmp_path / "embedding.csv"
-    save_embedding(ell_field(grid_16), path)
+    model = ell_field(grid_16)
+    save_embedding(model, path, surface_points(model))
     lines = path.read_text().splitlines()
     assert lines[0] == "beta,phi,x1,x2,x3"
     assert len(lines) == 1 + (grid_16.nbeta + 1) * grid_16.nphi
@@ -331,7 +336,7 @@ def test_save_embedding_format(tmp_path, grid_16):
     assert max(rim_x3) < 1e-3
     # every value parses back bit-exactly, row-major over (beta, phi)
     s = random_capillary_field(grid_16, np.random.default_rng(8))
-    save_embedding(s, path)
+    save_embedding(s, path, surface_points(s))
     got = np.array([[float(v) for v in ln.split(",")]
                     for ln in path.read_text().splitlines()[1:]])
     got = got.reshape(grid_16.nbeta + 1, grid_16.nphi, 5)
@@ -351,7 +356,7 @@ def test_save_embedding_bytes_match_the_meshgrid_rows(tmp_path):
     want = "\n".join(["beta,phi,x1,x2,x3"]
                      + ["%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(r) for r in rows.tolist()])
     path = tmp_path / "embedding.csv"
-    save_embedding(s, path)
+    save_embedding(s, path, surface_points(s))
     assert path.read_bytes() == (want + "\n").encode()
     save_embedding(s, path, pts=pts)
     assert path.read_bytes() == (want + "\n").encode()
@@ -363,7 +368,7 @@ def test_save_embedding_streams(tmp_path):
     s = random_capillary_field(CapGrid(128, 256, THETA), np.random.default_rng(5))
     tracemalloc.start()
     try:
-        save_embedding(s, tmp_path / "embedding.csv")
+        save_embedding(s, tmp_path / "embedding.csv", surface_points(s))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -469,7 +474,7 @@ def assert_full_width_bits(s, geometry=True):
     assert same_bits(pts, ref_pts)
     if geometry:
         want = full_geometry(s.grid, ref_pts)
-        for got in (reconstruct(s), reconstruct(s, tau, pts=pts)):
+        for got in (reconstruct(s, tau_sharp(s), surface_points(s)), reconstruct(s, tau, pts=pts)):
             for name in ("height", "r_in", "rim_planarity", "slope_max"):
                 assert same_bits(getattr(got, name), getattr(want, name)), name
         want = full_volume(s, ref_tau, ref_pts)

@@ -16,6 +16,7 @@ from capcmk.fields import CapGrid, load_field, save_field, tau_sharp
 from capcmk.geometry import ell, ell_field
 from capcmk.solver import Schedule, residual
 from capcmk.symfunc import sigma_k
+from conftest import plain_continuation
 
 BASE = """\
 n = 2
@@ -266,7 +267,7 @@ def test_a_fallback_solve_writes_the_plain_continuation(solved_cli, tmp_path, mo
     assert report["method"] == "continuation" and report["direct_failure"] == why
     assert report["factorizations"][0] == 1  # k = 1: the path's t = 0 problem is linear
     conf = load_config(cfg)
-    plain, _ = solver._continuation(conf.phi_field(conf.grid()), conf.params, conf.schedule, None)
+    plain, _ = plain_continuation(conf.phi_field(conf.grid()), conf.params, conf.schedule)
     save_field(plain, tmp_path / "plain.csv")
     assert (out / "solution.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 

@@ -378,7 +378,7 @@ def _values(rng, n):
 @pytest.mark.parametrize("ncol", [1, 3, 5, 256])
 def test_write_csv_bytes_match_the_per_row_reference(tmp_path, ncol):
     rng = np.random.default_rng(ncol)
-    b = fields._block_rows(ncol)
+    b = max(1, fields._BLOCK_VALUES // ncol)
     header = ["# head", "a,b"]
     path = tmp_path / "rows.csv"
     for nrow in (1, b - 1, b, b + 1, 2 * b + 3):
@@ -451,7 +451,7 @@ def test_write_csv_and_load_field_match_the_per_value_references(tmp_path_factor
     block boundary falls next to its end.  A field file needs an even
     Nphi >= 8, so odd widths only check the writer."""
     rng = np.random.default_rng(seed)
-    nrow = blocks[0] * fields._block_rows(ncol) + blocks[1]
+    nrow = blocks[0] * max(1, fields._BLOCK_VALUES // ncol) + blocks[1]
     rows = _rows(rng, nrow, ncol, kinds, nan)
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     header = ["# head", "a,b"]

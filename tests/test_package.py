@@ -1,5 +1,6 @@
 """Package-level guards: no dead library code (module-level defs, methods,
-properties and dataclass fields), and a top-level API that resolves."""
+properties, dataclass fields and parameter defaults), and a top-level API
+that resolves."""
 
 import ast
 from pathlib import Path
@@ -106,6 +107,54 @@ def unread_fields():
     return sorted(unread)
 
 
+def unomitted_defaults():
+    """Parameter defaults that every package call of their def's name
+    passes, so that only tests run them.
+
+    Scope: module-level defs and methods that are neither in `capcmk.__all__`
+    nor members of a class in it (exported signatures keep their defaults
+    for library users).  A call passes a parameter by keyword, or by
+    position before any `*args`; a method's first parameter is bound,
+    unless it is a staticmethod.  Calls are matched by name alone, and defs
+    that no package call names are skipped, so the walk errs toward calling
+    code live.
+    """
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PKG.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(getattr(n.func, "id", None) or n.func.attr, []).append(n)
+    exported = set(capcmk.__all__)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [(f"{module}.{node.name}", node, 0)
+            for module, tree in trees.items()
+            for node in tree.body if isinstance(node, funcs) and node.name not in exported]
+    defs += [(f"{module}.{cls.name}.{node.name}", node,
+              0 if any("staticmethod" in ast.unparse(d) for d in node.decorator_list) else 1)
+             for module, tree in trees.items()
+             for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name not in exported
+             for node in cls.body if isinstance(node, funcs)]
+
+    def passes(call, arg, index):
+        given = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                     len(call.args))
+        return any(k.arg == arg for k in call.keywords) or (index is not None and index < given)
+
+    unomitted = []
+    for name, node, bound in defs:
+        a = node.args
+        positional = (a.posonlyargs + a.args)[bound:]
+        first = len(positional) - len(a.defaults)
+        defaulted = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+        defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        sites = calls.get(node.name, [])
+        unomitted += [f"{name}({arg})" for arg, index in defaulted
+                      if sites and all(passes(call, arg, index) for call in sites)]
+    return sorted(unomitted)
+
+
 def test_every_library_def_is_reachable_from_the_cli():
     assert unreachable_defs() == []
 
@@ -116,6 +165,10 @@ def test_every_method_and_property_is_read_by_the_package():
 
 def test_every_dataclass_field_is_read_by_the_package():
     assert unread_fields() == []
+
+
+def test_every_parameter_default_is_left_out_by_a_package_call():
+    assert unomitted_defaults() == []
 
 
 def test_every_exported_name_resolves():

@@ -26,7 +26,7 @@ from capcmk.solver import (
     structural_hypothesis_check,
 )
 from capcmk.symfunc import sigma_k_grad
-from conftest import THETA, manufactured_phi, manufactured_reference
+from conftest import THETA, manufactured_phi, manufactured_reference, plain_continuation
 
 
 def positive_even_phi(grid, seed=7):
@@ -178,7 +178,7 @@ def restricted_jacobian(s, q, rhs, params):
     rows with j < Nphi/2, times even_p = I (x) [I; I], as CSC over the even
     unknowns (i, j < Nphi/2), row-major."""
     grid = s.grid
-    h, ntot = grid.nphi // 2, grid.n_total
+    h, ntot = grid.nphi // 2, (grid.nbeta + 1) * grid.nphi
     node = np.arange(ntot)
     even_p = sp.csr_matrix((np.ones(ntot), (node, node // grid.nphi * h + node % h)),
                            shape=(ntot, (grid.nbeta + 1) * h))
@@ -342,7 +342,8 @@ def test_the_modal_lu_fills_a_tenth_of_the_2d_lu():
         lu = splu(a, **solver.LU_OPTIONS)
         return lu.L.nnz + lu.U.nnz
 
-    modal, full = solver.linearize_modal(s, q, phi, params), restricted_jacobian(s, q, phi, params)
+    modal = solver.linearize_modal(s, q, phi, params, tau_sharp(s))
+    full = restricted_jacobian(s, q, phi, params)
     assert fill(modal) < 0.1 * fill(full)
     fint, gbd = random_residual(grid, 6)
     step = solver._factorize(s, q, phi, params, tau_sharp(s))(fint, gbd)
@@ -353,7 +354,7 @@ def test_the_modal_lu_fills_a_tenth_of_the_2d_lu():
 
 def test_continuation_hits_the_branch_point_exactly(params_k1, grid_16):
     phi = positive_even_phi(grid_16)
-    s, report = solver._continuation(phi, params_k1, Schedule(), None)
+    s, report = plain_continuation(phi, params_k1, Schedule())
     assert report.converged and report.method == "continuation"
     assert 0.5 in report.t_steps
     assert report.t_steps[0] == 0.0 and report.t_steps[-1] == 1.0
@@ -364,7 +365,7 @@ def test_continuation_hits_the_branch_point_exactly(params_k1, grid_16):
 def test_continuation_stall_carries_the_partial_report(first_failure, t_steps):
     calls = {"n": 0}
 
-    def newton_fn(s, q, rhs):
+    def newton_fn(s, q, rhs, lu):
         calls["n"] += 1
         if calls["n"] < first_failure:
             return s, {"iters": 1, "factorizations": 1, "res_norm": 0.0,
@@ -455,7 +456,7 @@ def test_corrector_reports_a_singular_jacobian():
 def test_linear_path_factorizes_once(params_k1, grid_32, monkeypatch):
     """k = 1 and q = 1 make the operator linear for t <= 1/2: one LU serves the path."""
     calls = recording_splu(monkeypatch)
-    _, report = solver._continuation(positive_even_phi(grid_32), params_k1, Schedule(), None)
+    _, report = plain_continuation(positive_even_phi(grid_32), params_k1, Schedule())
     assert report.converged and report.t_steps[:3] == [0.0, 0.25, 0.5]
     assert report.factorizations[:3] == [1, 0, 0]
     assert len(calls) == sum(report.factorizations)
@@ -551,7 +552,7 @@ def test_sequenced_solve_matches_the_plain_continuation(params, monkeypatch):
     assert report.t_steps[-2:] == [1.0, 1.0]
     assert report.factorizations[-1] == 1
 
-    plain, plain_report = solver._continuation(phi, params, Schedule(), None)
+    plain, plain_report = plain_continuation(phi, params, Schedule())
     assert plain_report.grids == ["64x128"] * len(plain_report.t_steps)
     assert np.max(np.abs(s.values - plain.values)) <= 1e-8
 
@@ -625,10 +626,25 @@ def test_a_forced_direct_failure_runs_the_plain_continuation(params_k1, grid_32,
     monkeypatch.setattr(solver, "newton_solve", failing_first)
     s, report = solve_path(phi, params_k1)
     monkeypatch.undo()
-    plain, plain_report = solver._continuation(phi, params_k1, Schedule(), None)
+    plain, plain_report = plain_continuation(phi, params_k1, Schedule())
     assert qs[:2] == [params_k1.p, 1.0]  # the direct attempt at t = 1, then the path's t = 0
     assert report.converged and report.method == "continuation"
     assert report.direct_failure == "forced" and report.failure is None
+    assert np.array_equal(s.values, plain.values)
+    assert report.t_steps == plain_report.t_steps
+    assert report.factorizations == plain_report.factorizations
+
+
+def test_a_given_start_runs_the_plain_continuation(params_k1, grid_32):
+    """From a given s0, on a grid too coarse to sequence, solve_path runs the
+    continuation alone from s0: the field and the LU counts of the plain
+    continuation from the same start, bit for bit."""
+    phi = positive_even_phi(grid_32)
+    s0 = 0.9 * params_k1.cnk ** (-1.0 / params_k1.k) * ell_field(grid_32)
+    s, report = solve_path(phi, params_k1, s0=s0)
+    plain, plain_report = plain_continuation(phi, params_k1, Schedule(), s0)
+    assert report.converged and report.method == "continuation"
+    assert report.direct_failure is None and report.grids == ["32x64"] * len(report.t_steps)
     assert np.array_equal(s.values, plain.values)
     assert report.t_steps == plain_report.t_steps
     assert report.factorizations == plain_report.factorizations
@@ -662,7 +678,7 @@ def test_a_real_direct_failure_runs_the_plain_continuation(p, theta, c1, a, m):
     params = CapParams(n=2, k=2, p=p, theta=theta)
     phi = stress_phi(CapGrid(32, 64, theta), c1, a, m)
     s, report = solve_path(phi, params)
-    plain, plain_report = solver._continuation(phi, params, Schedule(), None)
+    plain, plain_report = plain_continuation(phi, params, Schedule())
     assert report.converged and report.method == "continuation"
     assert report.direct_failure.startswith("line search failed")
     assert np.array_equal(s.values, plain.values)
