@@ -27,6 +27,12 @@ surface_points(s), evaluated once by the caller for the whole battery.
 Only `volume`, which the Steiner check also runs on parallel bodies, and
 the exported `steiner_sigma_check` and `estimates_audit` evaluate them
 when they are not given.
+
+A field with a bitwise period (`fields.repeat_unit`) is evaluated on it,
+with every bit as at full width: its surface points, and the x3 of the
+Steiner check's parallel bodies, on the first column where every ring is
+constant (a rotationally symmetric solution) or on the first half of an
+even field; normals and slopes on the first half either way.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CapField, even_half, tau_sharp, write_csv
+from .fields import CapField, repeat_unit, tau_sharp, write_csv
 from .geometry import CapParams, ell, ell_field
 from .symfunc import SymEndo, polarize_qk, sigma_k
 
@@ -59,10 +65,11 @@ __all__ = [
 
 def _evaluated(s: CapField):
     """(w, extended w, d_beta w, sin beta, cos beta) on every ring, where w
-    is `even_half(s.values)` or, if that is None, all of s.values."""
+    is `repeat_unit(s.values)`, one column or a half, or, if that is None,
+    all of s.values."""
     g = s.grid
-    half = even_half(s.values)
-    w = s.values if half is None else half
+    unit = repeat_unit(s.values)
+    w = s.values if unit is None else unit
     x = g.extend(w)
     beta = g.beta_all[:, None]
     return w, x, g.apply("dbeta", x), np.sin(beta), np.cos(beta)
@@ -78,11 +85,15 @@ def surface_points(s: CapField) -> np.ndarray:
     sums them as the full width does, so every bit is the full evaluation's.
     Those points are (-x1, -x2, x3) of the points at phi, except that an x1
     or x2 that cancels to zero is +0.0 in both halves; `save_embedding`
-    formats each exactly turned ring once per half.
+    formats each exactly turned ring once per half.  A field whose every
+    ring is constant is evaluated on one column, whose a, b, azim and x3
+    the first half's phi tables broadcast over (x3 is then constant on each
+    ring), with the same bits again.
     """
     g = s.grid
     w, x, sb, sinb, cosb = _evaluated(s)
-    n, h = w.shape[1], g.nphi // 2
+    h = g.nphi // 2
+    n = g.nphi if w.shape[1] == g.nphi else h
     c, sn = np.cos(g.phi[:h]), np.sin(g.phi[:h])
     if n > h:
         c, sn = np.concatenate([c, -c]), np.concatenate([sn, -sn])
@@ -116,7 +127,8 @@ def reconstruct(s: CapField, tau, pts) -> BodyGeometry:
     convex reconstruction equals tan(beta) at the node's normal.  tau and
     pts are tau_sharp(s) and surface_points(s).  On a field whose halves
     are equal bit for bit, normals and slopes are taken on the first half of
-    the nodes, with every summary's bits as at full width.
+    the nodes, with every summary's bits as at full width; a field whose
+    every ring is constant keeps that half, since x1 and x2 vary with phi.
     """
     if tau.lam1min <= 0.0:
         raise ValueError(
@@ -125,7 +137,7 @@ def reconstruct(s: CapField, tau, pts) -> BodyGeometry:
     g = s.grid
     # each summary is a max or min of a quantity the half-turn leaves
     # unchanged; the first half's end columns read neighbours in the second
-    n = g.nphi if even_half(s.values) is None else g.nphi // 2
+    n = g.nphi if repeat_unit(s.values) is None else g.nphi // 2
     j = np.arange(n)
     dxb = np.gradient(pts[:, :n], g.beta_all, axis=0)
     dxp = (pts[:, (j + 1) % g.nphi] - pts[:, j - 1]) / (2.0 * g.dphi)
@@ -148,13 +160,16 @@ def reconstruct(s: CapField, tau, pts) -> BodyGeometry:
 def volume(s: CapField, tau=None, pts=None) -> float:
     """Divergence-theorem volume of the reconstructed body (n = 2); tau and
     pts, if given, are tau_sharp(s) and surface_points(s).  Without pts only
-    x3 = s cos(beta) - d_beta s sin(beta) is evaluated, on the first half of
-    a field whose halves are equal bit for bit; the integral is over the
+    x3 = s cos(beta) - d_beta s sin(beta) is evaluated, on the bitwise
+    period of a field that has one (`repeat_unit`): one column, which the
+    integrand broadcasts, or the first half, tiled; the integral is over the
     full grid either way."""
     g = s.grid
     if pts is None:
         w, _, sb, sinb, cosb = _evaluated(s)
-        x3 = np.tile(w * cosb - sb * sinb, (1, g.nphi // w.shape[1]))
+        x3 = w * cosb - sb * sinb
+        if x3.shape[1] > 1:
+            x3 = np.tile(x3, (1, g.nphi // w.shape[1]))
     else:
         x3 = pts[..., 2]
     x3 = x3[: g.nbeta]

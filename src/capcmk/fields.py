@@ -37,20 +37,23 @@ included) and the audits never build the CSR layout.
 the one endomorphism type shared by the solver and the audits.
 
 Every CSV goes through `write_csv`, and field files are read by
-`load_field`, each value as %.17g text.  Every ring of an even field holds
-one half of its values twice, so both format and parse each such ring once
-per half and copy the other, which halves the text-to-double conversions
-that bound them; the files' bytes do not change.  The surface of an even
-field is symmetric under the half-turn about the x3 axis: its points at
-phi >= pi are (-x1, -x2, x3) of those at phi - pi (`audit.surface_points`;
-exactly, but for an x1 or x2 that cancels to zero), so the embedding
-formats each exactly turned ring's first half and writes the second from
-the same text, the signs of x1 and x2 toggled.
+`load_field`, each value as %.17g text.  A ring of an even field holds one
+half of its values twice, and a ring of a rotationally symmetric one (every
+ring the solver returns for ring-constant data) one value Nphi times; both
+format and parse each such ring once per half, or once, and copy the rest,
+which cuts the text-to-double conversions that bound them; the files' bytes
+do not change.  The surface of an even field is symmetric under the
+half-turn about the x3 axis: its points at phi >= pi are (-x1, -x2, x3) of
+those at phi - pi (`audit.surface_points`; exactly, but for an x1 or x2 that
+cancels to zero), so the embedding formats each exactly turned ring's first
+half and writes the second from the same text, the signs of x1 and x2
+toggled, with an x3 that is constant on the ring formatted once.
 
-Even fields are also evaluated on half the nodes: `tau_sharp` and the
-audit's geometry evaluate a field whose two halves are equal bit for bit
-(`even_half`; the bits decide, not the `even` flag) on its first Nphi/2
-columns, with the same bits as at full width.
+Such fields are also evaluated on fewer nodes: `tau_sharp` and the audit's
+geometry evaluate a field by its bitwise period (`repeat_unit`; the bits
+decide, not the `even` flag), its first column when every ring is constant
+and its first Nphi/2 columns when the two halves are equal, with the same
+bits as at full width.
 """
 
 from __future__ import annotations
@@ -192,13 +195,16 @@ class CapGrid:
         """The (Nbeta + 2) x (n + 2) array that `apply` reads: ring -1, which
         is ring 0 turned by the half-turn phi -> phi + pi, above the value
         rings, and one periodic column on each side.  `values` has n = Nphi
-        columns, or n = Nphi/2, the first half of an even field, whose ring
-        -1 is ring 0 itself and whose columns wrap with period Nphi/2."""
+        columns; or n = Nphi/2, the first half of an even field, or n = 1,
+        the first column of a field whose every ring is constant: a field
+        whose ring -1 is ring 0 itself and whose columns wrap with period n
+        (`repeat_unit`)."""
         n = values.shape[1]
-        if n not in (self.nphi, self.nphi // 2):
-            raise ValueError(f"{self!r} evaluates {self.nphi} or {self.nphi // 2} columns, got {n}")
+        if n not in (self.nphi, self.nphi // 2, 1):
+            raise ValueError(
+                f"{self!r} evaluates {self.nphi}, {self.nphi // 2} or 1 columns, got {n}")
         ext = np.empty((self.nbeta + 2, n + 2))
-        # the turn shifts a full ring by Nphi/2 columns and a half ring by none
+        # the turn shifts a full ring by Nphi/2 columns and a unit by none
         k = self.nphi // 2 % n
         ext[0, 1:n - k + 1] = values[0, k:]
         ext[0, n - k + 1:-1] = values[0, :k]
@@ -378,27 +384,42 @@ def tau_sharp(s: CapField) -> SymEndo:
     the cancellation noise of near-constant rings; without it the residual
     cannot be driven below a few 1e-9 on fine grids.
 
-    A field whose two halves are equal bit for bit (`even_half`) is
-    evaluated on its first half and the components tiled back; with the
-    full rows' means, every bit is the full evaluation's.
+    A field with a bitwise period (`repeat_unit`) is evaluated on its first
+    column, where every ring is constant, or its first half; with the full
+    rows' means, every bit is the full evaluation's.  The components of one
+    column come back as read-only full-width views of it, those of a half
+    tiled.
     """
     g, v = s.grid, s.values
-    half = even_half(v)
-    if half is None:
+    unit = repeat_unit(v)
+    if unit is None:
         x = g.extend(v)
         y = x - np.mean(x[:, 1:-1], axis=1, keepdims=True)
     else:
-        # ring -1 takes ring 0's mean; a half row's can differ in the last bit
-        x, m = g.extend(half), np.mean(v, axis=1, keepdims=True)
+        # ring -1 takes ring 0's mean; a unit's own can differ in the last bit
+        x, m = g.extend(unit), np.mean(v, axis=1, keepdims=True)
         y = x - np.concatenate([m[:1], m])
     a = [g.apply("a11", x), g.apply("a12", x, y), g.apply("a22", x, y)]
-    return SymEndo(*(a if half is None else [np.concatenate([c, c], axis=1) for c in a]))
+    if unit is not None:
+        shape = (g.nbeta, g.nphi)
+        a = [np.broadcast_to(c, shape) if c.shape[1] == 1 else np.concatenate([c, c], axis=1)
+             for c in a]
+    return SymEndo(*a)
 
 
-def even_half(values):
-    """The first half of the columns of `values` when the second half is a
-    bitwise copy of it (`_halves_repeat`), else None."""
-    return values[:, :values.shape[1] // 2] if _halves_repeat(values) else None
+def repeat_unit(values):
+    """The bitwise period of the rows of `values`, as their first columns:
+    the first column when every row holds one value, bit for bit; else the
+    first half when each row's second half is a bitwise copy of its first;
+    else None.  The bits are compared, not the values, so -0.0 and 0.0, or
+    two NaN payloads, never repeat each other."""
+    h = values.shape[1] // 2
+    if h == 0 or values.shape[1] % 2:
+        return None
+    bits = values.view(np.uint64)
+    if not np.array_equal(bits[:, :h], bits[:, h:]):
+        return None
+    return values[:, :1] if (bits[:, :h] == bits[:, :1]).all() else values[:, :h]
 
 
 def robin_residual(s: CapField) -> np.ndarray:
@@ -456,32 +477,37 @@ def write_csv(path, header, rows, lead=None):
     Rows are written a block at a time (one ring a[i] of len(b) rows with
     `lead`), each block with one format string, one `%` and one write, so
     neither the file's text nor all of its values are ever held at once.
-    Without `lead`, a block whose rows each hold one half twice, bitwise
-    (`_halves_repeat`; every ring of an even field does), has only the
-    first halves formatted, and each line's text is written twice,
-    comma-joined: the same bytes from half the conversions.  With `lead`,
-    a ring whose second half of rows is the first turned half about the
-    last axis, bitwise (`_half_turned`; every ring of an even field's
-    `surface_points` is), has only its first half formatted; the second
-    half's text is that text with the leading "-" of every value but the
-    last toggled, which for -0.0, infinities and subnormals is the text of
-    the negated double too.
+    Without `lead`, a block whose rows have a bitwise period (`repeat_unit`;
+    every ring of an even field does, and every ring of a rotationally
+    symmetric one holds one value) has only that unit of each row
+    formatted, and each line's text is written as often as the unit
+    repeats, comma-joined: the same bytes from a half or one in ncol of the
+    conversions.  With `lead`, a ring whose second half of rows is the first
+    turned half about the last axis, bitwise (`_half_turned`; every ring of
+    an even field's `surface_points` is), has only its first half
+    formatted; the second half's text is that text with the leading "-" of
+    every value but the last toggled, which for -0.0, infinities and
+    subnormals is the text of the negated double too.  Where the last
+    column holds one value on such a ring, bitwise (x3 on a rotationally
+    symmetric field's ring), its text goes into the ring's format once.
     """
     ncol = rows.shape[1]
     row_fmt = ",".join(["%.17g"] * ncol) + "\n"
-    half = ncol // 2
-    half_fmt = ",".join(["%.17g"] * half) + "\n"
     with open(path, "w") as fh:
         fh.write("".join(h + "\n" for h in header))
         if lead is None:
             step = max(1, _BLOCK_VALUES // ncol)
             for i in range(0, rows.shape[0], step):
                 block = rows[i:i + step]
-                if _halves_repeat(block):
-                    text = half_fmt * len(block) % tuple(block[:, :half].ravel().tolist())
-                    fh.write("".join([ln + "," + ln + "\n" for ln in text.splitlines()]))
-                else:
+                unit = repeat_unit(block)
+                if unit is None:
                     fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+                else:
+                    width = unit.shape[1]
+                    text = (",".join(["%.17g"] * width) + "\n") * len(block) % tuple(
+                        unit.ravel().tolist())
+                    fh.write("".join([",".join([ln] * (ncol // width)) + "\n"
+                                      for ln in text.splitlines()]))
         else:
             a, b = lead
             n = len(b)
@@ -494,11 +520,16 @@ def write_csv(path, header, rows, lead=None):
             # a turned ring's first half is formatted with b's texts left as
             # "%s" and a "~" in front of each value whose sign turns, then
             # completed once per half by a second "%"
-            turn_fmt = ",%%s," + "~%.17g," * (ncol - 1) + "%.17g\n"
+            turn_fmt = ",%%s," + "~%.17g," * (ncol - 1)
             for i, v in enumerate(a.tolist()):
                 ring = rows[i * n:(i + 1) * n]
                 if _half_turned(ring):
-                    text = ("%.17g" % v + turn_fmt) * h % tuple(ring[:h].ravel().tolist())
+                    last = ring[:h, -1].view(np.uint64)
+                    if (last == last[0]).all():
+                        fmt, vals = turn_fmt + "%.17g\n" % float(ring[0, -1]), ring[:h, :-1]
+                    else:
+                        fmt, vals = turn_fmt + "%.17g\n", ring[:h]
+                    text = ("%.17g" % v + fmt) * h % tuple(vals.ravel().tolist())
                     fh.write(text.replace("~", "") % tuple(btext[:h]))
                     fh.write(text.replace("~-", "").replace("~", "-") % tuple(btext[h:]))
                 else:
@@ -521,17 +552,6 @@ def _half_turned(ring) -> bool:
     return bool(np.array_equal(bits[h:], bits[:h] ^ flip)) and not np.isnan(ring[:h, :-1]).any()
 
 
-def _halves_repeat(block) -> bool:
-    """Whether the float64 rows of `block` have an even width and each row's
-    second half is a bitwise copy of its first.  The bits are compared, not
-    the values, so -0.0 and 0.0, or two NaN payloads, are never copies."""
-    h = block.shape[1] // 2
-    if h == 0 or block.shape[1] % 2:
-        return False
-    bits = block.view(np.uint64)
-    return bool(np.array_equal(bits[:, :h], bits[:, h:]))
-
-
 def save_field(s: CapField, path):
     """Write a field as CSV: header (Nbeta, Nphi, theta, even), then node rows."""
     g = s.grid
@@ -544,16 +564,19 @@ def _data_line(lines):
     with its `#` comment and outer whitespace removed, is not then empty;
     None at the end of the file."""
     for number, ln in lines:
-        text = ln.split("#", 1)[0].strip()
+        text = (ln.split("#", 1)[0] if "#" in ln else ln).strip()
         if text:
             return number, text
     return None
 
 
-def _repeats(row: str, half: int) -> bool:
-    """Whether the row text is `L,L`, with L holding `half` values."""
-    m = len(row) // 2
-    return row[m:m + 1] == "," and row[:m] == row[m + 1:] and row.count(",", 0, m) == half - 1
+def _repeats(row: str, nphi: int, width: int) -> bool:
+    """Whether the row text is `L,L,...,L`, nphi / width copies of L, with L
+    holding `width` values."""
+    reps = nphi // width
+    m = len(row) // reps
+    return (m > 0 and row[m:m + 1] == "," and row.count(",", 0, m) == width - 1
+            and row == row[:m + 1] * (reps - 1) + row[:m])
 
 
 def _header(path, head: str):
@@ -582,13 +605,15 @@ def load_field(path) -> CapField:
     ValueError naming `path`, and for a bad value row its 1-based line number
     in the file.
 
-    Every ring of an even field written by `save_field` reads `L,L`, L
-    holding nphi/2 values.  While the rows do, loadtxt parses L alone, and
-    the halves are tiled back: half the tokens, and identical text gives
-    identical doubles.  From the first row that does not repeat on (from
-    the first row, in a file that is not even), the rows are parsed whole
-    in a second pass, behind the first row, which sets the column count, so
-    a bad row meets the same checks and reasons as in a one-pass parse.
+    A ring written by `save_field` reads `L,L,...,L` when it has a bitwise
+    period (`repeat_unit`): L holds its one value if the ring is constant,
+    nphi/2 values if the field is even.  The rows pass through a one-way
+    cascade of periods, 1, then nphi/2, then nphi: while the rows repeat
+    the current period's L, loadtxt parses L alone, and the units are tiled
+    back (identical text gives identical doubles); from the first row that
+    does not, the next period takes over.  The whole rows are parsed behind
+    the first row, which sets the column count, so a bad row meets the same
+    checks and reasons as in a one-pass parse.
     """
     with open(path) as fh:
         lines = enumerate(fh, 1)
@@ -608,14 +633,13 @@ def load_field(path) -> CapField:
         count = text.count(",") + 1
         if count != nphi:
             raise ValueError(f"{path}: line {number}: expected {nphi} values, found {count}")
-        half = nphi // 2
 
-        def halves():
-            # L alone for each row `L,L`, up to the first other row, where
-            # `row` stops (None at the end of the file)
+        def units(width):
+            # L alone for each row that repeats it, from `row` up to the
+            # first other row, where `row` stops (None at the end of the file)
             nonlocal number, row
-            while _repeats(row, half):
-                yield row[:len(row) // 2]
+            while _repeats(row, nphi, width):
+                yield row[:len(row) // (nphi // width)]
                 line = _data_line(lines)
                 if line is None:
                     row = None
@@ -624,7 +648,7 @@ def load_field(path) -> CapField:
 
         def rows():
             # loadtxt takes one line at a time and raises on the line it
-            # parses, so `number` ends on the bad one; after halves, the
+            # parses, so `number` ends on the bad one; after the units, the
             # first row goes in front of `row` to set the column count
             nonlocal number
             yield text
@@ -638,9 +662,10 @@ def load_field(path) -> CapField:
 
         row, parts = text, []
         try:
-            if _repeats(text, half):
-                tops = np.loadtxt(halves(), delimiter=",", dtype=np.float64, ndmin=2)
-                parts.append(np.hstack([tops, tops]))
+            for width in (1, nphi // 2):
+                if row is not None and _repeats(row, nphi, width):
+                    unit = np.loadtxt(units(width), delimiter=",", dtype=np.float64, ndmin=2)
+                    parts.append(np.tile(unit, nphi // width))
             if row is not None:
                 rest = np.loadtxt(rows(), delimiter=",", comments="#", dtype=np.float64, ndmin=2)
                 parts.append(rest[1:] if parts else rest)

@@ -53,10 +53,14 @@ so any grid of 64 rings or more runs `newton_first` on one of 32-63 rings.
 Each finer grid runs one Newton corrector at t = 1 from the fourth-order
 interpolation of the coarser solution (an interpolated solution lies inside
 the finer grid's quadratic convergence region, so one corrector replaces the
-path).  The report names every step's grid.  Every failure to converge, of
-the continuation at t = 0 or later or of a finer grid's corrector, leaves the
-solve as one ContinuationStall carrying the partial report and the failure's
-message.
+path).  The interpolation maps a ring that holds one value, bit for bit, to
+that exact value, and a ring-constant residual has a ring-constant modal
+step, so a solve whose data are ring-constant stays exactly ring-constant on
+every grid, and the fields layer evaluates, writes and reads each of its
+rings as one value (`fields.repeat_unit`).  The report names every step's
+grid.  Every failure to converge, of the continuation at t = 0 or later or
+of a finer grid's corrector, leaves the solve as one ContinuationStall
+carrying the partial report and the failure's message.
 """
 
 from __future__ import annotations
@@ -322,8 +326,9 @@ LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
 # The modal solve is the Newton step where the iterate s and the data rhs are
 # ring-constant to round-off: on every node row, their spread across phi is at
 # most this fraction of the row's largest absolute value.  Rotationally
-# symmetric solves keep s within 6.9e-13 of ring-constant up to 256x512; an
-# anisotropic state or rhs is far above it and gets the Krylov step.
+# symmetric solves keep s exactly ring-constant, bit for bit, on every grid
+# when their data are (every phi.kind but `file`, and a ring-constant file);
+# an anisotropic state or rhs is far above the bound and gets the Krylov step.
 ROUNDOFF_REL = 1e-10
 
 # GMRES's relative residual for the Krylov step, a fixed forcing term: on the
@@ -666,6 +671,11 @@ def _interpolate(f: CapField, grid: CapGrid) -> CapField:
     pole, where the chart identity s(-beta, phi) = s(beta, phi + pi) gives
     their values), the rings and the rim; the rim ring is interpolated in phi
     only.  The result is projected onto the even subspace.
+
+    A ring whose values are bitwise equal is interpolated in phi to that
+    exact value: the Lagrange weights need not sum to exactly 1 in floating
+    point.  The beta weights and the projection keep such rings constant, so
+    a ring-constant field comes back exactly ring-constant, on any grid.
     """
     g = f.grid
     # column j of `grid` lies t columns right of column `left` of f's grid
@@ -674,6 +684,9 @@ def _interpolate(f: CapField, grid: CapGrid) -> CapField:
     cols = (left[:, None] + np.arange(-1, 3)) % g.nphi
     # phi first: the beta matrix then acts from the left and its product is row-major
     in_phi = (_lagrange(np.arange(-1.0, 3.0) - t[:, None], cols, g.nphi) @ f.values.T).T
+    bits = f.values.view(np.uint64)
+    flat = (bits == bits[:, :1]).all(axis=1)
+    in_phi[flat] = f.values[flat, :1]
     nodes = np.concatenate([-g.beta_cells[1::-1], g.beta_all])
     ext = np.vstack([np.roll(in_phi[1::-1], grid.nphi // 2, axis=1), in_phi])
     rows = np.clip(np.searchsorted(nodes, grid.beta_cells) - 2, 0, nodes.size - 4)

@@ -23,6 +23,7 @@ from capcmk.audit import (
 from capcmk.config import load_config
 from capcmk.fields import CapField, CapGrid, load_field, save_field, tau_sharp
 from capcmk.geometry import CapParams, ell_field, random_capillary_field
+from capcmk.solver import solve_path
 from capcmk.symfunc import SymEndo, sigma_k
 
 from conftest import THETA
@@ -545,7 +546,8 @@ def test_the_bits_decide_the_half_path_not_the_flag(change, monkeypatch):
 
 def test_verify_evaluates_a_file_whose_halves_differ_at_full_width(tmp_path, monkeypatch):
     # a stored solution flagged even whose halves differ in one value is
-    # audited at full width and fails; the file as solved takes the half path
+    # audited at full width and fails; the file as solved, whose every ring
+    # is constant, takes the one-column path
     (tmp_path / "run.cfg").write_text("n = 2\nk = 1\np = 1.5\ntheta = pi/3\n"
                                       "grid.nbeta = 16\ngrid.nphi = 32\n"
                                       "phi.kind = cap_manufactured\nphi.r = 1.3\n")
@@ -558,8 +560,90 @@ def test_verify_evaluates_a_file_whose_halves_differ_at_full_width(tmp_path, mon
     widths = extend_widths(monkeypatch)
     assert cli.main(["verify", *argv, "--solution", str(tmp_path / "out" / "solution.csv"),
                      "--out", str(tmp_path / "v0")]) == 0
-    assert 16 in widths
+    assert 1 in widths
     widths.clear()
     assert cli.main(["verify", *argv, "--solution", str(tmp_path / "uneven.csv"),
                      "--out", str(tmp_path / "v1")]) == 3
     assert widths and set(widths) == {32}
+
+
+# -- one-column evaluation of ring-constant fields -----------------------------------
+
+
+def ring_constant(grid, seed):
+    """A convex field whose every ring holds one value, bit for bit: the
+    model function times 1 + c (1 - cos beta), c drawn from [0.1, 0.5]."""
+    c = np.random.default_rng(seed).uniform(0.1, 0.5)
+    rings = ell_field(grid).values[:, 0] * (1.0 + c * (1.0 - np.cos(grid.beta_all)))
+    return CapField(grid, np.repeat(rings[:, None], grid.nphi, axis=1), even=True)
+
+
+@pytest.mark.parametrize("shape", HALF_GRIDS + [(64, 130)],
+                         ids=[f"{a}x{b}" for a, b in HALF_GRIDS + [(64, 130)]])
+@pytest.mark.parametrize("kind", ["ring-constant", "ell", "falling"])
+def test_ring_constant_fields_evaluated_on_one_column_keep_every_bit(shape, kind, monkeypatch):
+    """tau_sharp, surface_points and volume evaluate a field whose every ring
+    is constant on its first column, reconstruct on the first half, and all
+    give the full-width references' bits; tau_sharp's components are
+    read-only full-width views of that column."""
+    g = CapGrid(*shape, THETA)
+    s = {"ring-constant": lambda: ring_constant(g, shape[0]), "ell": lambda: ell_field(g),
+         "falling": lambda: falling_field(g)}[kind]()
+    widths = extend_widths(monkeypatch)
+    assert_full_width_bits(s)
+    assert widths and set(widths) == {1}
+    tau = tau_sharp(s)
+    for c in (tau.a11, tau.a12, tau.a22):
+        assert c.shape == (g.nbeta, g.nphi) and c.strides[1] == 0 and not c.flags.writeable
+    x3 = surface_points(s)[..., 2]
+    assert same_bits(x3, np.repeat(x3[:, :1], g.nphi, axis=1))
+
+
+def test_solved_rotationally_symmetric_fields_keep_every_bit(monkeypatch):
+    """The solver's output for rotationally symmetric data is evaluated on
+    one column, with the full-width bits, at k = 1 and k = 2."""
+    g = CapGrid(64, 128, THETA)
+    vals = 1.0 + 0.3 * (1.0 - np.cos(g.beta_all))
+    phi = CapField(g, np.repeat(vals[:, None], g.nphi, axis=1), even=True)
+    for k, p in ((1, 1.5), (2, 2.0)):
+        s, report = solve_path(phi, CapParams(n=2, k=k, p=p, theta=THETA))
+        assert report.converged
+        widths = extend_widths(monkeypatch)
+        assert_full_width_bits(s)
+        assert set(widths) == {1}
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("change", ["value", "zero-sign", "nan-payload"])
+def test_the_bits_decide_the_one_column_path(change, monkeypatch):
+    # a ring one ulp off, a ring of +0.0 and -0.0, or of two NaN payloads, in
+    # both halves alike: the field is evaluated on its first half
+    g = CapGrid(33, 66, THETA)
+    v = ring_constant(g, 2).values
+    if change == "zero-sign":
+        v[5] = 0.0
+    elif change == "nan-payload":
+        v[5] = np.nan
+    v[5].view(np.uint64)[[7, 40]] ^= np.uint64(1 << 63 if change == "zero-sign" else 1)
+    s = CapField(g, v, even=True)
+    widths = extend_widths(monkeypatch)
+    if change == "nan-payload":
+        # the half path negates a NaN's sign bit at phi >= pi
+        tau_sharp(s), surface_points(s), volume(s)
+    else:
+        assert_full_width_bits(s, geometry=change == "value")
+    assert widths and set(widths) == {33}
+
+
+def test_load_field_streams_ring_constant_fields(tmp_path):
+    # parsed one value per ring, and tiled once
+    s = ring_constant(CapGrid(128, 256, THETA), 6)
+    save_field(s, tmp_path / "solution.csv")
+    tracemalloc.start()
+    try:
+        back = load_field(tmp_path / "solution.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == s.values.tobytes()
+    assert peak <= 2**20

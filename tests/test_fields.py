@@ -666,13 +666,27 @@ def test_a_bad_repeating_row_reads_as_in_a_one_pass_parse(tmp_path):
     assert "column 3" in errors[0]
 
 
+def loadtxt_widths(monkeypatch):
+    """The column count of every array np.loadtxt returns from now on."""
+    loadtxt, widths = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        out = loadtxt(*args, **kwargs)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(fields.np, "loadtxt", spy)
+    return widths
+
+
 def test_load_field_parses_even_files_by_halves(tmp_path, monkeypatch):
-    """np.loadtxt parses L alone while the rows are `L,L`, and the rest whole:
-    it sees Nphi/2 columns for a solver-written 128x256 file, whose rings all
-    repeat their halves; Nphi/2 and then Nphi for an anisotropic phi file,
-    whose pole rings repeat (sin^2 beta damps the cos 2 phi term below their
-    last bit) and whose later rings differ at phi and phi + pi in their last
-    bits; and Nphi alone for a file whose first ring does not repeat."""
+    """np.loadtxt parses L alone while the rows are `L,L,...,L`, and the rest
+    whole: it sees 1 column for a solver-written 128x256 file, whose rings
+    are all constant (L holds one value); Nphi/2 and then Nphi for an
+    anisotropic phi file, whose pole rings repeat (sin^2 beta damps the
+    cos 2 phi term below their last bit) and whose later rings differ at phi
+    and phi + pi in their last bits; and Nphi alone for a file whose first
+    ring does not repeat."""
     g = CapGrid(128, 256, math.pi / 4)
     params = CapParams(n=2, k=1, p=1.5, theta=g.theta)
     base = 1.0 + 0.3 * (1.0 - np.cos(g.beta_all))[:, None]
@@ -681,15 +695,8 @@ def test_load_field_parses_even_files_by_halves(tmp_path, monkeypatch):
     bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
     aniso = CapField(g, base + 0.03 * np.cos(2.0 * pp) * np.sin(bb) ** 2, even=True)
     rough = CapField(g, base + 0.03 * np.cos(pp))
-    loadtxt, columns = np.loadtxt, []
-
-    def spy(*args, **kwargs):
-        out = loadtxt(*args, **kwargs)
-        columns.append(out.shape[1])
-        return out
-
-    monkeypatch.setattr(fields.np, "loadtxt", spy)
-    for f, want in ((s, [128]), (aniso, [128, 256]), (rough, [256])):
+    columns = loadtxt_widths(monkeypatch)
+    for f, want in ((s, [1]), (aniso, [128, 256]), (rough, [256])):
         path = tmp_path / "field.csv"
         save_field(f, path)
         columns.clear()
@@ -700,8 +707,155 @@ def test_load_field_parses_even_files_by_halves(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("width", [0, 1, 3, 5, 6, 7, 9, 10, 16])
 def test_extend_takes_a_full_or_a_half_width_only(width):
+    # or one column, the bitwise period of a field whose every ring is constant
     g = CapGrid(8, 8, THETA)
-    with pytest.raises(ValueError, match="8 or 4 columns"):
-        g.extend(np.ones((9, width)))
+    if width == 1:
+        assert g.extend(np.ones((9, 1))).shape == (10, 3)
+    else:
+        with pytest.raises(ValueError, match="8, 4 or 1 columns"):
+            g.extend(np.ones((9, width)))
     assert g.extend(np.ones((9, 8))).shape == (10, 10)
     assert g.extend(np.ones((9, 4))).shape == (10, 6)
+
+
+# -- rings with one value ---------------------------------------------------------
+
+
+def _constant_rows(rng, nrow, ncol, kinds, nan):
+    """nrow x ncol rows from `_bits`, each of a kind drawn from `kinds`:
+    "const" (every value the row's first, bit for bit), "zeros" (+0.0 and
+    -0.0 mixed at random), "nans" (one NaN payload throughout; with `nan`,
+    one value's payload differs), "ulp" (a constant row with one value one
+    ulp off) or "free" (random)."""
+    rows = _bits(rng, nrow * ncol, nan).reshape(nrow, ncol)
+    bits = rows.view(np.uint64)
+    for i, kind in enumerate(rng.choice(kinds, nrow)):
+        if kind == "free":
+            continue
+        bits[i] = bits[i, 0]
+        j = rng.integers(ncol)
+        if kind == "zeros":
+            rows[i] = rng.choice([0.0, -0.0], ncol)
+        elif kind == "nans":
+            bits[i] = rng.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF, dtype=np.uint64)
+            if nan:
+                bits[i, j] ^= np.uint64(1)
+        elif kind == "ulp":
+            bits[i, j] ^= np.uint64(1)
+    return rows
+
+
+@given(ncol=strategies.sampled_from([1, 2, 3, 8, 9, 16, 256]),
+       blocks=strategies.sampled_from([(0, 9), (1, -1), (1, 1), (2, 3)]),
+       kinds=strategies.sampled_from([("const",), ("const", "zeros"), ("const", "nans"),
+                                      ("const", "ulp"),
+                                      ("const", "zeros", "nans", "ulp", "free")]),
+       nan=strategies.booleans(), seed=strategies.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_constant_rows_are_written_and_parsed_as_the_references(tmp_path_factory, ncol, blocks,
+                                                                kinds, nan, seed):
+    """Rows that hold one value, bitwise, are formatted and parsed once per
+    row: write_csv's bytes are still the per-row reference's and
+    load_field's values the per-value parse's, whether every row of a block
+    is constant (one conversion per row), a row of signed zeros or NaN
+    payloads breaks the block's period, or a value one ulp off does."""
+    rng = np.random.default_rng(seed)
+    nrow = blocks[0] * max(1, fields._BLOCK_VALUES // ncol) + blocks[1]
+    rows = _constant_rows(rng, nrow, ncol, kinds, nan)
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    header = ["# head", "a,b"]
+    write_csv(path, header, rows)
+    assert path.read_bytes() == _reference_csv(header, rows).encode()
+    if ncol % 2 == 0 and ncol >= 8:
+        save_field(CapField(CapGrid(nrow - 1, ncol, THETA), rows), path)
+        back = load_field(path).values
+        assert back.tobytes() == _reference_load(path).tobytes()
+        keep = ~np.isnan(rows)
+        assert back[keep].tobytes() == rows[keep].tobytes()
+
+
+@given(na=strategies.sampled_from([1, 3, 7]), nb=strategies.sampled_from([2, 8, 30, 256]),
+       kinds=strategies.sampled_from([("x3",), ("x3", "x3zeros", "x3nan", "x3ulp", "free")]),
+       seed=strategies.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=25, deadline=None)
+def test_write_csv_lead_bakes_a_constant_x3_into_the_ring(tmp_path_factory, na, nb, kinds, seed):
+    """Half-turned rings whose x3 is one value, bitwise, write that value's
+    text into the ring's format once; the bytes are the meshgrid columns'
+    per-row reference whether x3 is one double on the ring ("x3"), +0.0 and
+    -0.0 mixed ("x3zeros"), one NaN payload or two ("x3nan"), a value with
+    one ulp-off pair ("x3ulp"), or random ("free")."""
+    rng = np.random.default_rng(seed)
+    a, b = _values(rng, na), _values(rng, nb)
+    pts = _rings(rng, na, nb, ("turn",), False).reshape(na, nb, 3)
+    h = nb // 2
+    for i, kind in enumerate(rng.choice(kinds, na)):
+        x3 = pts[i, :h, 2].view(np.uint64)
+        if kind != "free":
+            x3[:] = x3[0]
+        j = rng.integers(h)
+        if kind == "x3zeros":
+            pts[i, :h, 2] = rng.choice([0.0, -0.0], h)
+        elif kind == "x3nan":
+            x3[:] = rng.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF, dtype=np.uint64)
+            x3[j] ^= np.uint64(rng.integers(2))
+        elif kind == "x3ulp":
+            x3[j] ^= np.uint64(1)
+        pts[i, h:, 2] = pts[i, :h, 2]
+    pts = pts.reshape(-1, 3)
+    path = tmp_path_factory.mktemp("csv") / "lead.csv"
+    write_csv(path, ["a,b,x,y,z"], pts, lead=(a, b))
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    want = _reference_csv(["a,b,x,y,z"], np.column_stack([aa.ravel(), bb.ravel(), pts]))
+    assert path.read_bytes() == want.encode()
+
+
+def test_load_field_cascades_from_one_value_to_halves_to_whole_rows(tmp_path, monkeypatch):
+    """The periods only grow: a file whose first rings are constant, the next
+    even and the rest neither parses at 1, then Nphi/2, then Nphi columns,
+    and a constant or even ring after the switch is parsed at the current
+    width; every value is the per-value parse's."""
+    g = CapGrid(16, 32, THETA)
+    bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
+    vals = 1.0 + bb * (1.0 + 0.1 * np.cos(2.0 * pp) + 1e-3 * np.cos(pp))
+    vals[:9, 16:] = vals[:9, :16]
+    vals[:4] = vals[:4, :1]
+    vals[6], vals[12], vals[14, 16:] = 2.0, 3.0, vals[14, :16]
+    path = tmp_path / "mixed.csv"
+    save_field(CapField(g, vals), path)
+    widths = loadtxt_widths(monkeypatch)
+    back = load_field(path)
+    assert widths == [1, 16, 32]
+    assert back.values.tobytes() == vals.tobytes() == _reference_load(path).tobytes()
+    # ring 1 not even, or ring 0 even but not constant: the constant rings 2
+    # and 3 come after the switch
+    for ring, other, want in ((1, 10, [1, 32]), (0, 5, [16, 32])):
+        edited = vals.copy()
+        edited[ring] = vals[other]
+        widths.clear()
+        save_field(CapField(g, edited), path)
+        assert load_field(path).values.tobytes() == _reference_load(path).tobytes()
+        assert widths == want
+
+
+def test_a_bad_constant_row_reads_as_in_a_one_pass_parse(tmp_path):
+    """A bad token in every value of a row fails while the rows are parsed a
+    value at a time, and a bad first value alone in the whole-row pass: both
+    name the file line and give numpy's reason at column 1; a bad third
+    value names column 3."""
+    g = CapGrid(16, 32, THETA)
+    save_field(ell_field(g), tmp_path / "good.csv")
+    lines = (tmp_path / "good.csv").read_text().splitlines(keepends=True)
+    row = lines[8].rstrip("\n").split(",")
+    assert len(set(row)) == 1
+    errors = []
+    for name, cols in (("every", range(32)), ("first", (0,)), ("third", (2,))):
+        bad = [("abc" if j in cols else v) for j, v in enumerate(row)]
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(lines[:8] + [",".join(bad) + "\n"] + lines[9:]))
+        with pytest.raises(ValueError) as err:
+            load_field(path)
+        errors.append(str(err.value).replace(str(path), "FILE"))
+    assert errors[0] == errors[1]
+    for error, column in zip(errors[1:], ("column 1.", "column 3.")):
+        assert error.startswith("FILE: line 9: malformed value row: could not convert string 'abc'")
+        assert error.endswith(column)

@@ -307,3 +307,21 @@ def test_save_profile_writes_all_columns(tmp_path):
     assert np.array_equal(got[:64], np.column_stack(cells))
     assert got[64, 0] == prof.grid.theta and got[64, 1] == prof.s[-1]
     assert all(math.isfinite(v) for v in got[64])
+
+
+def test_the_gap_sees_a_field_that_is_not_rotationally_symmetric():
+    """cross_check_gap compares every node with the oracle, not the ring
+    means: a k = 2 64x128 solution plus 0.2 max s cos 2 phi sin^2 beta has
+    the solution's ring means to round-off, and its gap is at least the
+    size of that perturbation."""
+    params = CapParams(n=2, k=2, p=2.0, theta=THETA4)
+    g = CapGrid(64, 128, THETA4)
+    s, report = solve_path(rotsym_field(g, 0.3), params)
+    prof, _ = solve_rotsym(lambda b: 1.0 + 0.3 * (1.0 - np.cos(b)), params, n_cells=512)
+    assert report.converged and cross_check_gap(prof, s) <= 1e-4
+    bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
+    bump = 0.2 * float(np.max(s.values)) * np.cos(2.0 * pp) * np.sin(bb) ** 2
+    bent = CapField(g, s.values + bump, even=True)
+    interp = np.interp(g.beta_all, prof.grid.beta_all, prof.s)
+    assert np.max(np.abs(np.mean(bent.values, axis=1) - interp)) <= 1e-4
+    assert cross_check_gap(prof, bent) >= float(np.max(np.abs(bump))) > 1e-2

@@ -518,6 +518,57 @@ def test_interpolation_is_fourth_order(src, dst):
     assert errs[0] / errs[1] >= 8.0 and errs[1] / errs[2] >= 8.0
 
 
+def ring_constant_field(grid, seed):
+    """A field whose rings each hold one random value, bit for bit."""
+    rings = 1.0 + np.random.default_rng(seed).random(grid.nbeta + 1)
+    return CapField(grid, np.repeat(rings[:, None], grid.nphi, axis=1), even=True)
+
+
+def assert_ring_constant(values):
+    bits = np.asarray(values).view(np.uint64)
+    assert (bits == bits[:, :1]).all()
+
+
+@pytest.mark.parametrize("dst", [(32, 128), (32, 24), (32, 66)],
+                         ids=["finer", "coarser", "not-nested"])
+def test_interpolation_keeps_each_constant_ring_exactly(grid_32, dst):
+    """Across grids with the same rings, each ring of a ring-constant field
+    comes back as its exact value on every column, though the Lagrange
+    weights at a column between two of the source's need not sum to
+    exactly 1; across grids with other rings, still exactly ring-constant."""
+    f = ring_constant_field(grid_32, 3)
+    moved = solver._interpolate(f, CapGrid(*dst, THETA))
+    assert moved.values.tobytes() == np.repeat(f.values[:, :1], dst[1], axis=1).tobytes()
+    for nbeta, nphi in ((64, 128), (16, 32), (63, 130)):
+        assert_ring_constant(solver._interpolate(f, CapGrid(nbeta, nphi, THETA)).values)
+
+
+@pytest.mark.parametrize("k, shape", [(1, (64, 128)), (2, (64, 128)), (1, (64, 130))],
+                         ids=["k1", "k2", "k1-64x130"])
+def test_rotationally_symmetric_ladders_stay_ring_constant(k, shape, monkeypatch):
+    """On rotationally symmetric data every grid of the ladder, the iterates
+    of each corrector included, is bitwise ring-constant; on 64x130 the
+    interpolation runs at columns a fraction 64/65 of the way between two of
+    the 32x64 grid's."""
+    grid = CapGrid(*shape, THETA)
+    vals = 1.0 + 0.3 * (1.0 - np.cos(grid.beta_all))
+    phi = CapField(grid, np.repeat(vals[:, None], grid.nphi, axis=1), even=True)
+    seen, real = [], solver.newton_solve
+
+    def spy(s0, *args):
+        seen.append(s0.values)
+        s, info = real(s0, *args)
+        seen.append(s.values)
+        return s, info
+
+    monkeypatch.setattr(solver, "newton_solve", spy)
+    s, report = solve_path(phi, CapParams(n=2, k=k, p=1.5 if k == 1 else 2.0, theta=THETA))
+    assert report.converged and report.grids[-2:] == ["32x64", f"{shape[0]}x{shape[1]}"]
+    assert len(seen) >= 4
+    for values in seen + [s.values]:
+        assert_ring_constant(values)
+
+
 def test_grid_sequencing_stops_at_the_coarsest_grid():
     def chain(nbeta, nphi):
         shapes = [(nbeta, nphi)]
