@@ -80,32 +80,30 @@ def surface_points(s: CapField) -> np.ndarray:
 
     The phi tables hold cos and sin of the first half-turn, then their
     negations.  A field whose halves are equal bit for bit is evaluated on
-    the first half: the products at phi + pi are then the exact negations of
-    those at phi (IEEE rounding commutes with negation), and the second half
-    sums them as the full width does, so every bit is the full evaluation's.
-    Those points are (-x1, -x2, x3) of the points at phi, except that an x1
-    or x2 that cancels to zero is +0.0 in both halves; `save_embedding`
-    formats each exactly turned ring once per half.  A field whose every
-    ring is constant is evaluated on one column, whose a, b, azim and x3
-    the first half's phi tables broadcast over (x3 is then constant on each
-    ring), with the same bits again.
+    the first half: each half of the points is then the one formula on that
+    half's tables, the full width's operations on the same operands, so
+    every bit is the full evaluation's.  The points at phi + pi are
+    (-x1, -x2, x3) of the points at phi, except that an x1 or x2 that
+    cancels to zero is +0.0 in both halves; `save_embedding` formats each
+    exactly turned ring once per half.  A field whose every ring is constant
+    is evaluated on one column, whose a, b, azim and x3 the half tables
+    broadcast over (x3 is then constant on each ring), with the same bits
+    again.
     """
     g = s.grid
     w, x, sb, sinb, cosb = _evaluated(s)
     h = g.nphi // 2
     n = g.nphi if w.shape[1] == g.nphi else h
     c, sn = np.cos(g.phi[:h]), np.sin(g.phi[:h])
-    if n > h:
-        c, sn = np.concatenate([c, -c]), np.concatenate([sn, -sn])
+    c, sn = np.concatenate([c, -c]), np.concatenate([sn, -sn])
     a, b, azim = w * sinb, sb * cosb, g.apply("dphi", x) / sinb
+    x3 = w * cosb - sb * sinb
     pts = np.empty((g.nbeta + 1, g.nphi, 3))
-    pts[:, :n, 0] = a * c + b * c - azim * sn
-    pts[:, :n, 1] = a * sn + b * sn + azim * c
-    pts[:, :n, 2] = w * cosb - sb * sinb
-    if n == h:
-        pts[:, h:, 0] = -(a * c) - b * c + azim * sn
-        pts[:, h:, 1] = -(a * sn) - b * sn - azim * c
-        pts[:, h:, 2] = pts[:, :h, 2]
+    for j in range(0, g.nphi, n):
+        cj, sj = c[j:j + n], sn[j:j + n]
+        pts[:, j:j + n, 0] = a * cj + b * cj - azim * sj
+        pts[:, j:j + n, 1] = a * sj + b * sj + azim * cj
+        pts[:, j:j + n, 2] = x3
     return pts
 
 

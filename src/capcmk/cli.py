@@ -387,7 +387,7 @@ def cmd_selftest(args) -> int:
     rhs = phi_q(CapField(coarse, np.full((33, 64), 1.2), even=True), q, params)
     v = CapField(coarse, rng.standard_normal((33, 64)))
     jerr = jacobian_fd_error(random_capillary_field(coarse, rng), q, rhs, params, v)
-    checks.append(("assembled Jacobian matches finite differences", jerr, jerr <= 1e-5))
+    checks.append(("Jacobian action matches finite differences", jerr, jerr <= 1e-5))
 
     failed = [c for c in checks if not c[2]]
     for name, value, ok in checks:

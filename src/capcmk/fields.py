@@ -22,16 +22,15 @@ order), and the boundary ring itself carries the one-sided Robin derivative.
 Quadrature is the midpoint rule over the cell rings, w_ij = sin(beta_i)
 dbeta dphi; the boundary ring carries no quadrature weight.
 
-Each grid keeps one table of its operators (`CapGrid.terms`), each a list of
-(beta-matrix, phi-stencil) terms, and lays it out three ways: `apply`
+Each grid keeps one table of its operators (`CapGrid.ops`), each a list of
+(beta-matrix, phi-stencil) terms, and lays it out two ways: `apply`
 evaluates an operator on a field by multiplying the small beta-matrix into
 the value array extended by ring -1 and one periodic column on each side,
-then applying the phi-stencil by slicing; `modal_blocks` folds the table into
-the Newton blocks on even fields and splits them by azimuthal Fourier mode,
-for the solver's one factorization; and `ops` lays it out as 2-D CSR for the
-full-space reference `solver.linearize`.  `tau_sharp`, `robin_residual` and
-the audit's gradients use `apply`, so the solver (its Jacobian action
-included) and the audits never build the CSR layout.
+then applying the phi-stencil by slicing; and `modal_blocks` folds the table
+into the Newton blocks on even fields and splits them by azimuthal Fourier
+mode, for the solver's one factorization.  `tau_sharp`, `robin_residual` and
+the audit's gradients use `apply`, and so does the solver's Jacobian action
+(`solver.linearize`).
 
 `tau_sharp` returns the curvature endomorphism as a `symfunc.SymEndo` batch,
 the one endomorphism type shared by the solver and the audits.
@@ -104,7 +103,6 @@ class CapGrid:
         self.phi = np.arange(self.nphi) * self.dphi
         # midpoint-rule weights over the cell rings (boundary ring: no mass)
         self.weights = np.sin(self.beta_cells)[:, None] * self.dbeta * self.dphi * np.ones((1, self.nphi))
-        self._terms = None
         self._ops = None
         self._modal = None
 
@@ -125,7 +123,7 @@ class CapGrid:
 
     # -- stencil operators -------------------------------------------------
     def _stencils(self):
-        """The 1-D stencils that `terms` combines into the grid's operators.
+        """The 1-D stencils that `ops` combines into the grid's operators.
 
         Beta-matrices have one row per output ring and one column per ring
         -1..Nbeta (column c is ring c - 1): d/dbeta and d^2/dbeta^2 with
@@ -156,7 +154,7 @@ class CapGrid:
             "w2": {1: 1.0 / dp**2, 0: -2.0 / dp**2, -1: 1.0 / dp**2},
         }
 
-    def terms(self):
+    def ops(self):
         """Every operator as a list of (beta-matrix, phi-stencil) terms, built
         once per grid.
 
@@ -167,11 +165,10 @@ class CapGrid:
         orthonormal-frame components of tau_sharp, pint the interior rings,
         robin the rim's d/dbeta - cot(theta), and dbeta/dphi the gradient on
         every ring, the rim included.  `apply` evaluates the terms on a field,
-        `modal_blocks` folds them onto the even subspace by Fourier mode, and
-        `ops` lays them out as CSR for `solver.linearize`.
+        and `modal_blocks` folds them onto the even subspace by Fourier mode.
         """
-        if self._terms is not None:
-            return self._terms
+        if self._ops is not None:
+            return self._ops
         st = self._stencils()
         nb = self.nbeta
         sinb = np.sin(self.beta_cells)[:, None]
@@ -187,9 +184,9 @@ class CapGrid:
             "dbeta": [(np.vstack([d1, st["dbd"]]), one)],
             "dphi": [(np.eye(nb + 1, nb + 2, 1), st["w1"])],
         }
-        self._terms = {name: [(sp.csr_matrix(bmat), weights) for bmat, weights in terms]
-                       for name, terms in table.items()}
-        return self._terms
+        self._ops = {name: [(sp.csr_matrix(bmat), weights) for bmat, weights in terms]
+                     for name, terms in table.items()}
+        return self._ops
 
     def extend(self, values) -> np.ndarray:
         """The (Nbeta + 2) x (n + 2) array that `apply` reads: ring -1, which
@@ -214,12 +211,12 @@ class CapGrid:
         return ext
 
     def apply(self, name, x, y=None) -> np.ndarray:
-        """Operator `name` of `terms` on the extended array x (`extend`): each
+        """Operator `name` of `ops` on the extended array x (`extend`): each
         term's beta-matrix times the array, then its phi-stencil by slicing.
         Terms whose phi-stencil annihilates ring constants read y instead,
         when it is given.  Returns one row per row of the beta-matrices and
         one column per value column of x."""
-        terms = self.terms()[name]
+        terms = self.ops()[name]
         n = x.shape[1] - 2
         out = np.zeros((terms[0][0].shape[0], n))
         for bmat, weights in terms:
@@ -227,34 +224,6 @@ class CapGrid:
             for o, w in weights.items():
                 out += w * rb[:, 1 + o:1 + o + n]
         return out
-
-    def ops(self):
-        """The terms of a11, a12, a22, pint and robin laid out as CSR (`csr`),
-        built on the first call and cached: the full-space operators of
-        `solver.linearize`."""
-        if self._ops is None:
-            self._ops = {name: self.csr(name) for name in ("a11", "a12", "a22", "pint", "robin")}
-        return self._ops
-
-    def csr(self, name):
-        """Operator `name` of `terms` as a sparse matrix on the full value
-        vector (row-major over (Nbeta+1) x Nphi nodes), one row per node of
-        the beta-matrices' rings.  A term with beta-matrix B and phi-stencil
-        Phi = sum_o w_o S^o, S the periodic one-column shift, is
-        kron(B[:, 1:], Phi) + kron([B[:, :1] | 0], Phi T): column 0 of B is
-        ring -1, which is ring 0 turned by T, the shift by Nphi/2."""
-        n = self.nphi
-        eye = sp.identity(n, format="csr")
-
-        def shift(o):
-            return eye[(np.arange(n) + o) % n]
-
-        out = 0
-        for bmat, weights in self.terms()[name]:
-            phi = sum(w * shift(o) for o, w in weights.items())
-            ring0 = sp.hstack([bmat[:, :1], sp.csr_matrix((bmat.shape[0], self.nbeta))])
-            out = out + sp.kron(bmat[:, 1:], phi) + sp.kron(ring0, phi @ shift(n // 2))
-        return out.tocsr()
 
     def modal_blocks(self):
         """The Newton blocks on even fields by azimuthal Fourier mode, built on
@@ -281,7 +250,7 @@ class CapGrid:
         modes = np.arange(h // 2 + 1)[:, None]
         parts = []
         for name in ("a11", "a22", "pint", "robin"):
-            for bmat, weights in self.terms()[name]:
+            for bmat, weights in self.ops()[name]:
                 b = bmat.tocoo()
                 i, r = b.row + (self.nbeta if b.shape[0] == 1 else 0), np.maximum(b.col - 1, 0)
                 symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
@@ -375,9 +344,8 @@ def tau_sharp(s: CapField) -> SymEndo:
     frame makes the endomorphism a plain symmetric 2x2, so its eigenvalues are
     the principal curvature radii and its `lam1min` is the convexity margin.
 
-    Each component is evaluated by stencil application (`CapGrid.apply`),
-    not through the CSR layout `CapGrid.ops`, which only `solver.linearize`
-    reads.  The azimuthal-stencil parts act on the field minus its per-ring mean.
+    Each component is evaluated by stencil application (`CapGrid.apply`).
+    The azimuthal-stencil parts act on the field minus its per-ring mean.
     Those stencils annihilate ring constants exactly (the row sums telescope
     to exact zero in floating point), so this evaluates the same discrete
     operator while keeping the pole-ring 1/sin(beta) weights from amplifying

@@ -24,12 +24,11 @@ the data are ring-constant to ROUNDOFF_REL, the restriction is circulant in
 phi and the modal solve is the Newton step; that includes the t = 0 corrector
 of an anisotropic solve's continuation fallback, whose data are still
 constant.  Every other state gets a Newton-Krylov step: GMRES on the
-restriction's action (`_jacobian_action`, evaluated by `tau_sharp` and
-`robin_residual`), right-preconditioned by the modal solve.  Both layers
-factorize with one LU policy, LU_OPTIONS: SuperLU's symmetric mode.
-`linearize` is the full-space reference, which jacobian_fd_error checks
-against central differences of the residual; it alone reads the grid's CSR
-operators (`CapGrid.ops`), while the residual applies the 1-D stencils.
+restriction's action (`linearize`, evaluated by `tau_sharp` and
+`robin_residual`), right-preconditioned by the modal solve.  That action is
+the one Jacobian of the package: jacobian_fd_error checks it, at full width,
+against central differences of the residual.  Both layers factorize with one
+LU policy, LU_OPTIONS: SuperLU's symmetric mode.
 
 `_damped_newton` is the one damped-Newton corrector: `newton_solve` and the
 1-D oracle in `rotsym` both run it, with their own residual, cone margin and
@@ -243,54 +242,40 @@ def residual(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None):
     return fint, robin_residual(s)
 
 
-def linearize(s: CapField, q: float, rhs: CapField, params: CapParams):
-    """Stacked sparse Jacobian [interior rows; Robin rows] of the residual pair.
+def linearize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
+    """x -> the Jacobian of the residual pair at s times the field v that x
+    gives, applied without a matrix; tau is tau_sharp(s).
 
-    Interior: sigma_k^{ij}(tau_sharp[s]) (tau_sharp[v])_{ij} - (q-1) s^{q-2} rhs v,
-    assembled from the same operators that evaluate the residual, so the matrix
-    is the exact derivative of the discrete map.
-    """
-    ops = s.grid.ops()
-    grad = sigma_k_grad(tau_sharp(s), params.k)
-    jint = (
-        sp.diags(grad.a11.ravel()) @ ops["a11"]
-        + sp.diags(2.0 * grad.a12.ravel()) @ ops["a12"]
-        + sp.diags(grad.a22.ravel()) @ ops["a22"]
-    )
-    if q != 1.0:
-        zer = (q - 1.0) * s.interior ** (q - 2.0) * rhs.interior
-        jint = jint - sp.diags(zer.ravel()) @ ops["pint"]
-    return sp.vstack([jint, ops["robin"]], format="csr")
-
-
-def _jacobian_action(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
-    """x -> the Jacobian of the residual pair at s times the even field v that
-    x tiles over phi, on the nodes j < Nphi/2; x and the result are row-major
-    over (ring, j < Nphi/2).  That is linearize's restriction to even fields,
-    applied without a matrix: the interior rows are g11 a11 + 2 g12 a12 +
-    g22 a22 - z v with (a11, a12, a22) = tau_sharp(v) and g = sigma_k_grad(tau),
-    and the rim row is robin_residual(v).
+    The interior rows are g11 a11 + 2 g12 a12 + g22 a22 - z v, with
+    (a11, a12, a22) = tau_sharp(v), g = sigma_k_grad(tau) and
+    z = (q-1) s^{q-2} rhs, and the rim row is robin_residual(v): the exact
+    derivative of the discrete map, evaluated by the operators that evaluate
+    the residual.  The width comes from x.size: x holds Nphi values per ring,
+    v itself, or Nphi/2, the first half of the even field v that it tiles
+    over phi.  x and the result are row-major over (ring, column) on those
+    columns, the interior rings first, then the rim.
     """
     g = s.grid
-    h, nr = g.nphi // 2, g.nbeta + 1
+    nr = g.nbeta + 1
     grad = sigma_k_grad(tau, params.k)
     z = (q - 1.0) * s.interior ** (q - 2.0) * rhs.interior if q != 1.0 else 0.0
 
     def action(x):
-        v = CapField(g, np.tile(x.reshape(nr, h), 2), even=True)
+        n = x.size // nr
+        v = CapField(g, np.tile(x.reshape(nr, n), g.nphi // n))
         a = tau_sharp(v)
         jint = grad.a11 * a.a11 + 2.0 * grad.a12 * a.a12 + grad.a22 * a.a22 - z * v.interior
-        return np.append(jint[:, :h], robin_residual(v)[:h])
+        return np.append(jint[:, :n], robin_residual(v)[:n])
 
     return action
 
 
 def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
-    """The Jacobian of `_jacobian_action` with every coefficient replaced by
-    its ring mean, split by azimuthal Fourier mode: the one CSC matrix that
-    newton_solve factorizes; tau is tau_sharp(s).  At a state that s and rhs
-    make ring-constant it is that Jacobian to round-off; elsewhere its solve
-    preconditions GMRES.
+    """The Jacobian of `linearize` on even fields with every coefficient
+    replaced by its ring mean, split by azimuthal Fourier mode: the one CSC
+    matrix that newton_solve factorizes; tau is tau_sharp(s).  At a state
+    that s and rhs make ring-constant it is that Jacobian to round-off;
+    elsewhere its solve preconditions GMRES.
 
     Rows and columns are (mode m = 0..Nphi/4, ring), one real block per
     mode, filled on the pattern of the grid's cached modal blocks
@@ -354,7 +339,7 @@ def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
     The modal solve takes the real FFT over j < Nphi/2 of the even rows,
     solves its real and imaginary parts and transforms back.  Where s and rhs
     are ring-constant (`_ring_constant`), it is the step.  Elsewhere the step
-    is GMRES on the even system's action at s (`_jacobian_action`),
+    is GMRES on the even system's action at s (`linearize` on half rows),
     right-preconditioned by the modal solve, to KRYLOV_RTOL; an unconverged
     GMRES gives its last iterate.  Either way the step solves for the even
     unknowns and repeats them on the columns j + Nphi/2.
@@ -374,7 +359,7 @@ def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
             return np.tile(modal_solve(-np.vstack([fint[:, :h], gbd[:h]])), 2)
 
         return apply
-    action = _jacobian_action(s, q, rhs, params, tau)
+    action = linearize(s, q, rhs, params, tau)
     preconditioned = LinearOperator((nr * h, nr * h), dtype=float,
                                     matvec=lambda y: action(modal_solve(y).ravel()))
 
@@ -784,10 +769,10 @@ def structural_hypothesis_check(phi: CapField, params: CapParams) -> dict:
 
 def jacobian_fd_error(s: CapField, q: float, rhs: CapField, params: CapParams,
                       v: CapField) -> float:
-    """Relative gap between the assembled Jacobian action and central differences."""
+    """Relative gap between the Jacobian action the solver applies
+    (`linearize`, at full width) and central differences."""
     eps = 1e-6
-    jac = linearize(s, q, rhs, params)
-    jv = jac @ v.flat
+    jv = linearize(s, q, rhs, params, tau_sharp(s))(v.flat)
     fp, gp = residual(CapField(s.grid, s.values + eps * v.values), q, rhs, params)
     fm, gm = residual(CapField(s.grid, s.values - eps * v.values), q, rhs, params)
     fd = (np.concatenate([fp.ravel(), gp]) - np.concatenate([fm.ravel(), gm])) / (2.0 * eps)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from capcmk import CapField, CapGrid, CapParams, ell, ell_field, solve_path, solver
+from capcmk.fields import tau_sharp
+from capcmk.symfunc import sigma_k_grad
 
 THETA = math.pi / 3
 
@@ -30,6 +33,46 @@ def plain_continuation(phi, params, sched, s0=None):
         lambda s, q, rhs, lu: solver.newton_solve(s, q, rhs, params, sched, lu),
         lambda t: solver.homotopy_rhs(t, phi, params), s0, sched,
         grid=f"{phi.grid.nbeta}x{phi.grid.nphi}")
+
+
+def csr(grid, name):
+    """Operator `name` of `grid.ops()` as a sparse matrix on the full value
+    vector (row-major over (Nbeta+1) x Nphi nodes), one row per node of the
+    beta-matrices' rings; laid out by Kronecker products, independently of
+    `CapGrid.apply`.  A term with beta-matrix B and phi-stencil
+    Phi = sum_o w_o S^o, S the periodic one-column shift, is
+    kron(B[:, 1:], Phi) + kron([B[:, :1] | 0], Phi T): column 0 of B is
+    ring -1, which is ring 0 turned by T, the shift by Nphi/2."""
+    n = grid.nphi
+    eye = sp.identity(n, format="csr")
+
+    def shift(o):
+        return eye[(np.arange(n) + o) % n]
+
+    out = 0
+    for bmat, weights in grid.ops()[name]:
+        phi = sum(w * shift(o) for o, w in weights.items())
+        ring0 = sp.hstack([bmat[:, :1], sp.csr_matrix((bmat.shape[0], grid.nbeta))])
+        out = out + sp.kron(bmat[:, 1:], phi) + sp.kron(ring0, phi @ shift(n // 2))
+    return out.tocsr()
+
+
+def full_jacobian(s, q, rhs, params):
+    """The assembled Jacobian [interior rows; Robin rows] of the residual
+    pair on the full value vector: sigma_k^{ij}(tau_sharp[s]) (tau_sharp[v])_{ij}
+    - (q-1) s^{q-2} rhs v over the `csr` layout, and the Robin rows; the
+    reference for `solver.linearize`'s matrix-free action."""
+    g = s.grid
+    grad = sigma_k_grad(tau_sharp(s), params.k)
+    jint = (
+        sp.diags(grad.a11.ravel()) @ csr(g, "a11")
+        + sp.diags(2.0 * grad.a12.ravel()) @ csr(g, "a12")
+        + sp.diags(grad.a22.ravel()) @ csr(g, "a22")
+    )
+    if q != 1.0:
+        zer = (q - 1.0) * s.interior ** (q - 2.0) * rhs.interior
+        jint = jint - sp.diags(zer.ravel()) @ csr(g, "pint")
+    return sp.vstack([jint, csr(g, "robin")], format="csr")
 
 
 @pytest.fixture(scope="session")

@@ -412,29 +412,6 @@ def test_verify_and_oracle_never_build_the_modal_blocks(solved_cli, tmp_path, mo
                          "--out", str(tmp_path / command), "--quiet"]) == 0
 
 
-def test_the_cli_paths_never_lay_out_the_csr_operators(tmp_path, monkeypatch):
-    """solve, verify, oracle --solution and a sweep member evaluate tau_sharp,
-    the Robin rows and the audit gradients by stencil application, so none
-    of them builds `CapGrid.ops`, the CSR layout that only the full-space
-    reference `linearize` reads."""
-
-    def refused(grid):
-        raise AssertionError(f"ops() built for {grid!r}")
-
-    monkeypatch.setattr(CapGrid, "ops", refused)
-    cfg = write_cfg(tmp_path, SOLVE_CFG.replace("nbeta = 16\ngrid.nphi = 32", "nbeta = 32\ngrid.nphi = 64")
-                    + "oracle.cells = 64\n")
-    out = tmp_path / "solve"
-    assert cli_main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert read_report(out)["grid"] == {"nbeta": 32, "nphi": 64}
-    for command in ("verify", "oracle"):
-        assert cli_main([command, "--config", cfg, "--solution", str(out / "solution.csv"),
-                         "--out", str(tmp_path / command), "--quiet"]) == 0
-    conf = load_config(write_cfg(tmp_path, SWEEP_CFG, name="sweep.cfg"))
-    point = conf.sweep_points()[0]
-    assert cli._sweep_member(conf, *point, tmp_path / "sweep")["exit"] == 0
-
-
 def test_oracle_cross_checks_a_solution(solved_cli, tmp_path):
     _, _, out2d = solved_cli
     cfg = write_cfg(tmp_path, SOLVE_CFG + "oracle.cells = 128\n")

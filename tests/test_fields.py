@@ -26,6 +26,7 @@ from capcmk.geometry import (
     random_neumann_factor,
 )
 from capcmk.symfunc import SymEndo
+from conftest import csr
 
 THETA = math.pi / 3
 
@@ -229,15 +230,16 @@ def test_tau_matches_covariant_hessian_components():
                          ids=["8x8", "odd-half-turn", "odd-nbeta", "128x256"])
 def test_stencil_application_matches_the_csr_layout(nbeta, nphi):
     """tau_sharp, robin_residual and the audit gradients, which apply the
-    grid's terms to the extended value array, agree with the CSR layout of
-    the same terms (`ops`, `csr`) to roundoff.  The field sin(beta) cos(phi)
-    is odd under the half-turn, so reading ring -1 as ring 0 without the turn
-    would fail; 16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
+    grid's `ops` to the extended value array, agree with the CSR layout of
+    the same terms (conftest's `csr`, built by Kronecker products) to
+    roundoff.  The field sin(beta) cos(phi) is odd under the half-turn, so
+    reading ring -1 as ring 0 without the turn would fail; 16x30 has an odd
+    Nphi/2 and 33x64 an odd Nbeta."""
     g = CapGrid(nbeta, nphi, THETA)
     bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
     fields = [random_capillary_field(g, np.random.default_rng(seed)) for seed in (8, 9)]
     fields.append(CapField(g, np.sin(bb) * np.cos(pp)))
-    ops = dict(g.ops(), dbeta=g.csr("dbeta"), dphi=g.csr("dphi"))
+    ops = {name: csr(g, name) for name in ("a11", "a12", "a22", "robin", "dbeta", "dphi")}
     for s in fields:
         tau = tau_sharp(s)
         x = g.extend(s.values)
@@ -257,7 +259,7 @@ def _modal_blocks_by_global_sort(g):
     modes = np.arange(h // 2 + 1)[:, None]
     parts = []
     for name in ("a11", "a22", "pint", "robin"):
-        for bmat, weights in g.terms()[name]:
+        for bmat, weights in g.ops()[name]:
             b = bmat.tocoo()
             i, r = b.row + (g.nbeta if b.shape[0] == 1 else 0), np.maximum(b.col - 1, 0)
             symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())

@@ -1,13 +1,17 @@
 """Package-level guards: no dead library code (module-level defs, methods,
-properties, dataclass fields and parameter defaults), and a top-level API
-that resolves."""
+properties, dataclass fields and parameter defaults), a top-level API that
+resolves, and every name the benchmark's tracer wraps."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import capcmk
 
 PKG = Path(capcmk.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _module_defs():
@@ -175,3 +179,15 @@ def test_every_exported_name_resolves():
     missing = [name for name in capcmk.__all__ if not hasattr(capcmk, name)]
     assert missing == []
     assert len(set(capcmk.__all__)) == len(capcmk.__all__)
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    """perfbench/tracing.py looks up the capcmk functions and the CapGrid
+    method it wraps by name (`solver.linearize`, `CapGrid.ops`, ...), so a
+    rename would break only a traced benchmark run.  Its install() patches
+    the modules, so it runs in a fresh process, which must exit 0."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(PERFBENCH), str(PKG.parent)]))
+    done = subprocess.run([sys.executable, "-c", "import tracing; tracing.Recorder(0).install()"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

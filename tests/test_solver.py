@@ -26,7 +26,8 @@ from capcmk.solver import (
     structural_hypothesis_check,
 )
 from capcmk.symfunc import sigma_k_grad
-from conftest import THETA, manufactured_phi, manufactured_reference, plain_continuation
+from conftest import (THETA, full_jacobian, manufactured_phi, manufactured_reference,
+                      plain_continuation)
 
 
 def positive_even_phi(grid, seed=7):
@@ -154,10 +155,10 @@ def test_translation_fields_are_a_discrete_near_kernel(params_k1):
         w = CapField(g, np.sin(bb) ** 2 * np.cos(2.0 * pp), even=True)
         ones = CapField(g, np.ones_like(bb), even=True)
         s0 = params_k1.cnk ** (-1.0) * ell_field(g)
-        jac = linearize(s0, 1.0, ones, params_k1)
+        action = linearize(s0, 1.0, ones, params_k1, tau_sharp(s0))
         norms[nbeta] = (
-            float(np.max(np.abs(jac @ v.flat))),
-            float(np.max(np.abs(jac @ w.flat))),
+            float(np.max(np.abs(action(v.flat)))),
+            float(np.max(np.abs(action(w.flat)))),
         )
     assert norms[16][0] / norms[32][0] > 1.7
     assert norms[32][0] < 0.05 * norms[32][1]
@@ -174,7 +175,7 @@ def test_jacobian_matches_finite_differences(params_k1, grid_16):
 
 
 def restricted_jacobian(s, q, rhs, params):
-    """The full-space reference linearize(...) restricted to even fields: its
+    """The assembled Jacobian `full_jacobian` restricted to even fields: its
     rows with j < Nphi/2, times even_p = I (x) [I; I], as CSC over the even
     unknowns (i, j < Nphi/2), row-major."""
     grid = s.grid
@@ -182,29 +183,36 @@ def restricted_jacobian(s, q, rhs, params):
     node = np.arange(ntot)
     even_p = sp.csr_matrix((np.ones(ntot), (node, node // grid.nphi * h + node % h)),
                            shape=(ntot, (grid.nbeta + 1) * h))
-    return (linearize(s, q, rhs, params)[node % grid.nphi < h] @ even_p).tocsc()
+    return (full_jacobian(s, q, rhs, params)[node % grid.nphi < h] @ even_p).tocsc()
 
 
+@pytest.mark.parametrize("width", ["full", "half"])
 @pytest.mark.parametrize("q", [1.0, 1.4])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 30), (33, 64)],
                          ids=["8x8", "odd-half-turn", "odd-nbeta"])
-def test_the_jacobian_action_is_the_restricted_full_jacobian(nbeta, nphi, k, q):
-    """The matrix-free action that the Krylov step solves with is
-    linearize's Jacobian restricted to even fields, column by column: every
-    entry within 1e-14 of its row's largest.  The pole rows fold ring -1
-    onto ring 0; 16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
+def test_the_jacobian_action_is_the_restricted_full_jacobian(nbeta, nphi, k, q, width):
+    """The matrix-free action `linearize` is the assembled Jacobian
+    (`full_jacobian`) column by column: on Nphi columns the whole matrix,
+    on Nphi/2 the Krylov step's restriction to even fields; every entry
+    within 1e-14 of its row's largest.  The pole rows fold ring -1 onto
+    ring 0 at half width; 16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
     grid = CapGrid(nbeta, nphi, THETA)
     params = CapParams(n=2, k=k, p=1.5, theta=THETA)
     bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
     wobble = 1.0 + 0.2 * np.cos(2.0 * pp) * np.sin(bb) ** 2 + 0.05 * np.cos(bb)
     s = CapField(grid, wobble * ell_field(grid).values, even=True)
     rhs = phi_q(positive_even_phi(grid), q, params)
-    ref = restricted_jacobian(s, q, rhs, params).toarray()
-    action = solver._jacobian_action(s, q, rhs, params, tau_sharp(s))
-    got = np.column_stack([action(e) for e in np.eye(ref.shape[1])])
-    assert got.shape == ref.shape
-    assert np.all(np.abs(got - ref) <= 1e-14 * np.max(np.abs(ref), axis=1, keepdims=True))
+    ref = (full_jacobian if width == "full" else restricted_jacobian)(s, q, rhs, params).tocsc()
+    scale = 1e-14 * abs(ref).max(axis=1).toarray().ravel()
+    action = linearize(s, q, rhs, params, tau_sharp(s))
+    e = np.zeros(ref.shape[1])
+    for j in range(ref.shape[1]):
+        e[j] = 1.0
+        col = action(e)
+        e[j] = 0.0
+        assert col.shape == (ref.shape[0],)
+        assert np.all(np.abs(col - ref[:, [j]].toarray().ravel()) <= scale), j
 
 
 def ring_constant_problem(nbeta, nphi, k, q):
@@ -220,7 +228,7 @@ def ring_constant_problem(nbeta, nphi, k, q):
 
 def step_error(s, q, rhs, params, step, fint, gbd):
     """(gap, backward, relative): for the step's even unknowns in the
-    restricted linearize system A x = b of the residual (fint, gbd), the
+    restricted Jacobian system A x = b of the residual (fint, gbd), the
     relative gap from a sparse direct solve, the normwise backward error and
     the relative residual ||A x - b|| / ||b|| (2-norms)."""
     h = s.grid.nphi // 2
@@ -260,7 +268,7 @@ def test_the_modal_step_is_the_direct_step(nbeta, nphi, k, q, monkeypatch):
     """At a ring-constant state and data, newton_solve's step is the modal
     solve, with no Krylov iteration, and for a residual that has every
     azimuthal mode it is a sparse direct solve's step of the restricted
-    linearize system: equal to 1e-12, and with a backward error at
+    Jacobian system: equal to 1e-12, and with a backward error at
     round-off.  16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
     s, q, rhs, params = ring_constant_problem(nbeta, nphi, k, q)
     shapes, krylov = recording_splu(monkeypatch), recording_gmres(monkeypatch)
@@ -280,7 +288,7 @@ def test_the_krylov_step_solves_the_restricted_system(state, monkeypatch):
     """Off rotational symmetry, k = 2 (g12 != 0), 64x128, at a converged
     anisotropic solution and at a random capillary state: the step is GMRES,
     preconditioned by the one factorization, the modal LU, and solves the
-    restricted linearize system to a relative residual of at most 1e-6."""
+    restricted Jacobian system to a relative residual of at most 1e-6."""
     theta = math.pi / 4
     grid = CapGrid(64, 128, theta)
     params = CapParams(n=2, k=2, p=1.5, theta=theta)
@@ -326,7 +334,7 @@ def test_every_state_factorizes_the_modal_system(monkeypatch):
 
 def test_the_modal_lu_fills_a_tenth_of_the_2d_lu():
     """At a converged rotationally symmetric k = 2, 64x128 solve, the modal
-    LU fills under a tenth of the LU of the restricted linearize system, with
+    LU fills under a tenth of the LU of the restricted Jacobian system, with
     the same LU_OPTIONS, and its step solves that system (mixed block
     included) to round-off."""
     theta = math.pi / 4
