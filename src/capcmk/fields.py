@@ -558,6 +558,8 @@ def _header(path, head: str):
         raise ValueError(f"{path}: malformed header {head!r}: {exc}") from exc
     if even not in (0, 1):
         raise ValueError(f"{path}: the header's even flag must be 0 or 1, got {parts[3].strip()!r}")
+    if nphi < 2 or nphi % 2:
+        raise ValueError(f"{path}: the header's nphi must be even and at least 2, got {nphi}")
     return nbeta, nphi, theta, bool(even)
 
 
@@ -565,7 +567,8 @@ def load_field(path) -> CapField:
     """Read a field file as written by `save_field`.
 
     Everything after a `#` is a comment, and empty lines are skipped.  The
-    first other line is the header `nbeta,nphi,theta,even` (even is 0 or 1);
+    first other line is the header `nbeta,nphi,theta,even` (nphi even and at
+    least 2, even 0 or 1);
     exactly nbeta + 1 rows of nphi comma-separated values follow.  The header
     is read here, the value rows by `np.loadtxt` at C level, whose
     string-to-double conversion is the correctly rounded one behind `float()`,

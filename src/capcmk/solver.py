@@ -19,12 +19,13 @@ the problem well-posed, matching the even solution class.  The one matrix
 newton_solve factorizes is `linearize_modal`: a real FFT over phi splits the
 restriction, with every coefficient replaced by its ring mean, into Nphi/4 + 1
 banded ring systems (`CapGrid.modal_blocks`), factorized as one
-block-diagonal LU.  At a rotationally symmetric state, where the iterate and
-the data are ring-constant to ROUNDOFF_REL, the restriction is circulant in
-phi and the modal solve is the Newton step; that includes the t = 0 corrector
-of an anisotropic solve's continuation fallback, whose data are still
-constant.  Every other state gets a Newton-Krylov step: GMRES on the
-restriction's action (`linearize`, evaluated by `tau_sharp` and
+block-diagonal LU.  At a rotationally symmetric state, where every ring of
+the iterate and of the data holds one value, bit for bit (the bitwise period
+`fields.repeat_unit` is one column, as the fields layer tests it), the
+restriction is circulant in phi and the modal solve is the Newton step; that
+includes the t = 0 corrector of an anisotropic solve's continuation fallback,
+whose data are still constant.  Every other state gets a Newton-Krylov step:
+GMRES on the restriction's action (`linearize`, evaluated by `tau_sharp` and
 `robin_residual`), right-preconditioned by the modal solve.  That action is
 the one Jacobian of the package: jacobian_fd_error checks it, at full width,
 against central differences of the residual.  Both layers factorize with one
@@ -45,6 +46,9 @@ The report's `method` says which one produced the solution.  Both drivers
 take the layer's corrector as one callback, newton_fn(s, q, rhs, lu), and
 the homotopy data as rhs_fn(t); `solve_path` defines them once and runs the
 continuation alone from a given s0.
+
+No branch reads a field's `even` flag: `newton_solve` projects its start and
+`solve_path` its phi, which keeps every bit of a field whose halves are equal.
 
 `solve_path` sequences grids: it halves Nbeta and Nphi, rounding down (Nphi
 to an even number), while the coarser grid keeps COARSE_MIN_NBETA = 32 rings,
@@ -71,7 +75,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .fields import CapField, CapGrid, robin_residual, tau_sharp
+from .fields import CapField, CapGrid, repeat_unit, robin_residual, tau_sharp
 from .geometry import CapParams, ell_field
 from .symfunc import sigma_k, sigma_k_grad
 
@@ -308,14 +312,6 @@ def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
               "options": {"SymmetricMode": True}}
 
-# The modal solve is the Newton step where the iterate s and the data rhs are
-# ring-constant to round-off: on every node row, their spread across phi is at
-# most this fraction of the row's largest absolute value.  Rotationally
-# symmetric solves keep s exactly ring-constant, bit for bit, on every grid
-# when their data are (every phi.kind but `file`, and a ring-constant file);
-# an anisotropic state or rhs is far above the bound and gets the Krylov step.
-ROUNDOFF_REL = 1e-10
-
 # GMRES's relative residual for the Krylov step, a fixed forcing term: on the
 # 32x64 stress family, 1e-10 took more inner iterations and no fewer Newton
 # steps than this
@@ -326,23 +322,18 @@ KRYLOV_RTOL = 1e-6
 KRYLOV_RESTART = 60
 
 
-def _ring_constant(values) -> bool:
-    """Whether every row of values spreads across phi by at most ROUNDOFF_REL
-    times its largest absolute value."""
-    return bool(np.all(np.ptp(values, axis=1) <= ROUNDOFF_REL * np.max(np.abs(values), axis=1)))
-
-
 def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
     """Factorizes the modal system (`linearize_modal`) at s and returns
     apply(fint, gbd), the Newton step at s on every node.
 
     The modal solve takes the real FFT over j < Nphi/2 of the even rows,
-    solves its real and imaginary parts and transforms back.  Where s and rhs
-    are ring-constant (`_ring_constant`), it is the step.  Elsewhere the step
-    is GMRES on the even system's action at s (`linearize` on half rows),
-    right-preconditioned by the modal solve, to KRYLOV_RTOL; an unconverged
-    GMRES gives its last iterate.  Either way the step solves for the even
-    unknowns and repeats them on the columns j + Nphi/2.
+    solves its real and imaginary parts and transforms back.  Where every
+    ring of s and of rhs holds one value, bit for bit (`repeat_unit` is one
+    column), it is the step.  Elsewhere the step is GMRES on the even
+    system's action at s (`linearize` on half rows), right-preconditioned by
+    the modal solve, to KRYLOV_RTOL; an unconverged GMRES gives its last
+    iterate.  Either way the step solves for the even unknowns and repeats
+    them on the columns j + Nphi/2.
     """
     g = s.grid
     h, nr = g.nphi // 2, g.nbeta + 1
@@ -354,7 +345,8 @@ def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
         xh = (xh[:, 0] + 1j * xh[:, 1]).reshape(-1, nr).T
         return np.fft.irfft(xh, n=h, axis=1)
 
-    if _ring_constant(s.values) and _ring_constant(rhs.values):
+    units = [repeat_unit(f.values) for f in (s, rhs)]
+    if all(u is not None and u.shape[1] == 1 for u in units):
         def apply(fint, gbd):
             return np.tile(modal_solve(-np.vstack([fint[:, :h], gbd[:h]])), 2)
 
@@ -495,7 +487,7 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
     min s > 0 and lam1min > DELTA_CONE.
     """
     g = s0.grid
-    s = s0 if s0.even else s0.project_even()
+    s = s0.project_even()
 
     def cone(x):
         sx = CapField(g, x, even=True)
@@ -700,11 +692,13 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
     if params.n != 2:
         raise ValueError("full-field solves are restricted to n = 2; use the rotsym oracle")
     sched = sched or Schedule()
-    if not (np.all(np.isfinite(phi.values)) and np.min(phi.values) > 0.0):
+    with np.errstate(over="ignore"):
+        even = phi.project_even()  # inf where phi >= 2^1023
+    if not (np.all(np.isfinite(even.values)) and np.min(phi.values) > 0.0):
         raise ValueError("phi must be finite and strictly positive")
     if not phi.is_even(tol=1e-12 * max(1.0, float(np.max(np.abs(phi.values))))):
         raise ValueError("phi must be even (invariant under phi -> phi + pi)")
-    phi = phi if phi.even else phi.project_even()
+    phi = even
 
     phis = [phi]  # finest first
     while (coarse := _coarser(phis[-1].grid)) is not None:

@@ -26,7 +26,9 @@ def manufactured_reference(grid, params, r):
 def plain_continuation(phi, params, sched, s0=None):
     """The continuation alone on phi's grid, from s0 or C(n,k)^(-1/k) ell:
     `solver.run_continuation` with `newton_solve` as its corrector, the
-    reference for solve_path's fallback and for its path from a given s0."""
+    reference for solve_path's fallback and for its path from a given s0.
+    Like solve_path, it solves for the even projection of phi."""
+    phi = phi.project_even()
     if s0 is None:
         s0 = params.cnk ** (-1.0 / params.k) * ell_field(phi.grid)
     return solver.run_continuation(

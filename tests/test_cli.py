@@ -370,6 +370,19 @@ def test_verify_names_a_truncated_solution(solved_cli, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_names_a_solution_with_one_column(solved_cli, tmp_path, capsys):
+    """A header nphi of 1 is refused as the header is read, not by a
+    division by zero in the row parser."""
+    _, cfg, _ = solved_cli
+    bad = tmp_path / "narrow.csv"
+    bad.write_text("16,1,1.0471975511965976,1\n" + "1\n" * 17)
+    code = cli_main(["verify", "--config", cfg, "--solution", str(bad),
+                     "--out", str(tmp_path / "v"), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"verify: {bad}: ") and err.count("\n") == 1 and "nphi" in err
+
+
 def test_verify_audits_on_the_solutions_grid(solved_cli, tmp_path):
     # the config's grid keys (32x64) are not the stored solution's (16x32)
     _, cfg, out = solved_cli

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
+from hypothesis.extra import numpy as hnp
 
 from capcmk import CapParams, fields, solve_path
 from capcmk.fields import (
@@ -164,6 +165,22 @@ def test_project_even_is_idempotent_and_exact():
     twice = once.project_even()
     assert once.is_even(tol=0.0)
     assert np.array_equal(once.values, twice.values)
+
+
+@given(shape=strategies.sampled_from([(8, 8), (9, 30)]), data=strategies.data())
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_project_even_keeps_the_bits_of_an_even_field(shape, data):
+    """0.5 (v + v) is v, bit for bit, wherever 2v does not overflow: ±0,
+    subnormals and every |v| < 2^1023, so projecting an even field is free."""
+    nbeta, nphi = shape
+    big = np.nextafter(2.0**1023, 0.0)
+    values = strategies.one_of(
+        strategies.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, big, -big]),
+        strategies.floats(-big, big, allow_subnormal=True))
+    half = data.draw(hnp.arrays(np.float64, (nbeta + 1, nphi // 2), elements=values))
+    full = np.hstack([half, half])
+    f = CapField(CapGrid(nbeta, nphi, THETA), full)
+    assert f.project_even().values.tobytes() == full.tobytes()
 
 
 def test_tau_of_model_function_is_identity_to_h2():
@@ -552,6 +569,11 @@ def test_load_field_rejects_malformed_files(tmp_path):
         "theta": [head.replace(head.split(",")[2], "pi/3")] + rows,
         "coarse": ["4,8,0.8,1\n"] + rows_8,
         "odd": ["16,31,0.8,1\n"] + [",".join(["1"] * 31) + "\n"] * 17,
+        # nphi = 1 has no half-row period, and the half-rows of nphi = 9 are
+        # 4 values that tile to 8
+        "one_column": ["1,1,0.8,1\n", "1\n", "1\n"],
+        "odd_halves": ["16,9,0.8,1\n", ",".join(["1"] * 9) + "\n"]
+                      + ["1,2,3,4,1,2,3,4\n"] * 16,
         "flag": [head[:head.rindex(",")] + ",7\n"] + rows,
         "header_only": [comments, head, "# no rows\n", "\n"],
         "truncated": [comments, head] + rows[:-2],

@@ -312,24 +312,29 @@ def test_the_krylov_step_solves_the_restricted_system(state, monkeypatch):
 
 def test_every_state_factorizes_the_modal_system(monkeypatch):
     """Ring-constant state and data, the state turned by 1 + 0.01 cos 2phi
-    sin^2 beta, and anisotropic data all factorize the modal system, of
-    (Nphi/4 + 1) blocks of Nbeta + 1 rings; only the ring-constant one takes
-    its step without GMRES."""
+    sin^2 beta, anisotropic data, and a state or data that is ring-constant
+    to 1e-12 but not bit for bit all factorize the modal system, of
+    (Nphi/4 + 1) blocks of Nbeta + 1 rings; only the one that is
+    ring-constant bit for bit takes its step without GMRES."""
     s, q, rhs, params = ring_constant_problem(16, 32, 2, 1.4)
     grid = s.grid
     bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
     turn = 1.0 + 0.01 * np.cos(2.0 * pp) * np.sin(bb) ** 2
     turned = CapField(grid, s.values * turn, even=True)
     aniso = CapField(grid, rhs.values * turn, even=True)
+    near = 1.0 + 4e-13 * np.cos(2.0 * pp)
+    near_s, near_rhs = CapField(grid, s.values * near), CapField(grid, rhs.values * near)
+    for f in (near_s, near_rhs):
+        assert np.all(np.ptp(f.values, axis=1) <= 1e-12 * np.max(f.values, axis=1))
     shapes = recording_splu(monkeypatch)
     fint, gbd = random_residual(grid, 4)
     krylov_calls = []
-    for state, data in ((s, rhs), (turned, rhs), (s, aniso)):
+    for state, data in ((s, rhs), (turned, rhs), (s, aniso), (near_s, rhs), (s, near_rhs)):
         krylov = recording_gmres(monkeypatch)
         solver._factorize(state, q, data, params, tau_sharp(state))(fint, gbd)
         krylov_calls.append(len(krylov))
-    assert shapes == [modal_shape(grid)] * 3
-    assert krylov_calls == [0, 1, 1]
+    assert shapes == [modal_shape(grid)] * 5
+    assert krylov_calls == [0, 1, 1, 1, 1]
 
 
 def test_the_modal_lu_fills_a_tenth_of_the_2d_lu():
@@ -717,6 +722,21 @@ def stress_phi(grid, c1, a, m):
                     even=True)
 
 
+def test_solve_path_projects_data_flagged_even(params_k1):
+    """Data flagged even whose cos(2 phi) halves differ in their last bits
+    solve, bit for bit, as their projection: the finest grid's corrector
+    and the coarse path both see the even phi."""
+    phi = stress_phi(CapGrid(64, 128, THETA), 0.3, 0.05, 2)
+    upper, lower = phi.values[:, 64:], phi.values[:, :64]
+    assert not np.array_equal(upper, lower)
+    assert np.all(np.abs(upper - lower) <= np.spacing(np.maximum(upper, lower)))
+    s, report = solve_path(phi, params_k1)
+    ref, ref_report = solve_path(phi.project_even(), params_k1)
+    assert report.converged and report.grids == ["32x64", "64x128"]
+    assert s.values.tobytes() == ref.values.tobytes()
+    assert report.to_dict() == ref_report.to_dict()
+
+
 @pytest.mark.parametrize(
     "p, theta, c1, a, m",
     [(2.829590260953613, 1.2246247152639276, 3.474977992818206, 0.49920688930535606, 4),
@@ -770,6 +790,10 @@ def test_solve_path_validates_inputs(params_k1, grid_16):
     odd = CapField(grid_16, 1.0 + 0.3 * np.cos(pp) * np.sin(bb))
     with pytest.raises(ValueError):
         solve_path(odd, params_k1)
+    # even data of 2^1023 projects to inf, which is refused, not solved
+    huge = CapField(grid_16, np.full((17, 32), 2.0**1023), even=True)
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        solve_path(huge, params_k1)
 
 
 def test_solve_path_report_invariants(solved_32, params_k1):
