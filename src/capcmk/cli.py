@@ -300,7 +300,8 @@ def _sweep_member(cfg: RunConfig, name: str, p: float, theta: float, out: Path) 
 
 
 def _sweep_job(job: tuple) -> dict:
-    """_sweep_member(*job); a module-level function, so the pool can pickle it."""
+    """_sweep_member(*job), looked up per call: the pool pickles what it maps by
+    name, and the benchmark tracer replaces `_sweep_member` with a local closure."""
     return _sweep_member(*job)
 
 

@@ -521,10 +521,12 @@ def _half_turned(ring) -> bool:
 
 
 def save_field(s: CapField, path):
-    """Write a field as CSV: header (Nbeta, Nphi, theta, even), then node rows."""
+    """Write a field as CSV: header (Nbeta, Nphi, theta, even), then node rows;
+    even is 1 where the two halves of every ring are equal, bit for bit."""
     g = s.grid
+    even = int(repeat_unit(s.values) is not None)
     write_csv(path, [_MAGIC, "# nbeta,nphi,theta,even",
-                     f"{g.nbeta},{g.nphi},{g.theta:.17g},{int(s.even)}"], s.values)
+                     f"{g.nbeta},{g.nphi},{g.theta:.17g},{even}"], s.values)
 
 
 def _data_line(lines):

@@ -24,12 +24,12 @@ the iterate and of the data holds one value, bit for bit (the bitwise period
 `fields.repeat_unit` is one column, as the fields layer tests it), the
 restriction is circulant in phi and the modal solve is the Newton step; that
 includes the t = 0 corrector of an anisotropic solve's continuation fallback,
-whose data are still constant.  Every other state gets a Newton-Krylov step:
-GMRES on the restriction's action (`linearize`, evaluated by `tau_sharp` and
-`robin_residual`), right-preconditioned by the modal solve.  That action is
-the one Jacobian of the package: jacobian_fd_error checks it, at full width,
-against central differences of the residual.  Both layers factorize with one
-LU policy, LU_OPTIONS: SuperLU's symmetric mode.
+whose data are still constant.  Every other state refines the modal step by
+defect correction on the restriction's action (`linearize`, evaluated by
+`tau_sharp` and `robin_residual`), summed by numpy on one thread.  That action
+is the one Jacobian of the package: jacobian_fd_error checks it, at full
+width, against central differences of the residual.  Both layers factorize
+with one LU policy, LU_OPTIONS: SuperLU's symmetric mode.
 
 `_damped_newton` is the one damped-Newton corrector: `newton_solve` and the
 1-D oracle in `rotsym` both run it, with their own residual, cone margin and
@@ -73,7 +73,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from .fields import CapField, CapGrid, repeat_unit, robin_residual, tau_sharp
 from .geometry import CapParams, ell_field
@@ -279,7 +279,7 @@ def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau
     replaced by its ring mean, split by azimuthal Fourier mode: the one CSC
     matrix that newton_solve factorizes; tau is tau_sharp(s).  At a state
     that s and rhs make ring-constant it is that Jacobian to round-off;
-    elsewhere its solve preconditions GMRES.
+    elsewhere its solve preconditions the defect correction.
 
     Rows and columns are (mode m = 0..Nphi/4, ring), one real block per
     mode, filled on the pattern of the grid's cached modal blocks
@@ -312,28 +312,25 @@ def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau
 LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
               "options": {"SymmetricMode": True}}
 
-# GMRES's relative residual for the Krylov step, a fixed forcing term: on the
-# 32x64 stress family, 1e-10 took more inner iterations and no fewer Newton
-# steps than this
-KRYLOV_RTOL = 1e-6
-# GMRES's inner iterations, in one cycle (maxiter = 1): the modal
-# preconditioner needs 1-12 on that family and 4-7 at 256x512, and a step that
-# misses KRYLOV_RTOL is still judged by the line search
-KRYLOV_RESTART = 60
+# The defect correction stops at ||b - J x|| <= CORRECTION_RTOL ||b|| (2-norms),
+# a fixed forcing term, or after CORRECTION_SWEEPS sweeps (the stress family
+# needs at most 17); a step short of the stop is still judged by the line search
+CORRECTION_RTOL = 1e-6
+CORRECTION_SWEEPS = 60
 
 
 def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
     """Factorizes the modal system (`linearize_modal`) at s and returns
     apply(fint, gbd), the Newton step at s on every node.
 
-    The modal solve takes the real FFT over j < Nphi/2 of the even rows,
-    solves its real and imaginary parts and transforms back.  Where every
-    ring of s and of rhs holds one value, bit for bit (`repeat_unit` is one
-    column), it is the step.  Elsewhere the step is GMRES on the even
-    system's action at s (`linearize` on half rows), right-preconditioned by
-    the modal solve, to KRYLOV_RTOL; an unconverged GMRES gives its last
-    iterate.  Either way the step solves for the even unknowns and repeats
-    them on the columns j + Nphi/2.
+    The modal solve M^-1 takes the real FFT over j < Nphi/2 of the even rows,
+    solves its real and imaginary parts and transforms back; x = M^-1 b is the
+    step where every ring of s and of rhs holds one value, bit for bit
+    (`repeat_unit` is one column).  Elsewhere defect correction refines it on
+    the even system's action J at s (`linearize` on half rows), by
+    x += M^-1 (b - J x) until the stop above.  Its sums are numpy's, on one
+    thread, so the step's bits do not depend on the BLAS thread count.  The
+    step solves for the even unknowns and repeats them on j + Nphi/2.
     """
     g = s.grid
     h, nr = g.nphi // 2, g.nbeta + 1
@@ -343,22 +340,22 @@ def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
         bh = np.fft.rfft(b.reshape(nr, h), axis=1).T.ravel()
         xh = lu.solve(np.column_stack([bh.real, bh.imag]))
         xh = (xh[:, 0] + 1j * xh[:, 1]).reshape(-1, nr).T
-        return np.fft.irfft(xh, n=h, axis=1)
+        return np.fft.irfft(xh, n=h, axis=1).ravel()
 
     units = [repeat_unit(f.values) for f in (s, rhs)]
-    if all(u is not None and u.shape[1] == 1 for u in units):
-        def apply(fint, gbd):
-            return np.tile(modal_solve(-np.vstack([fint[:, :h], gbd[:h]])), 2)
-
-        return apply
-    action = linearize(s, q, rhs, params, tau)
-    preconditioned = LinearOperator((nr * h, nr * h), dtype=float,
-                                    matvec=lambda y: action(modal_solve(y).ravel()))
+    rotsym = all(u is not None and u.shape[1] == 1 for u in units)
+    action = None if rotsym else linearize(s, q, rhs, params, tau)
 
     def apply(fint, gbd):
-        y, _ = gmres(preconditioned, -np.append(fint[:, :h], gbd[:h]), rtol=KRYLOV_RTOL,
-                     restart=KRYLOV_RESTART, maxiter=1)
-        return np.tile(modal_solve(y), 2)
+        b = -np.append(fint[:, :h], gbd[:h])
+        x = modal_solve(b)
+        stop = CORRECTION_RTOL**2 * np.sum(b * b)
+        for _ in range(0 if rotsym else CORRECTION_SWEEPS):
+            r = b - action(x)
+            if np.sum(r * r) <= stop:
+                break
+            x += modal_solve(r)
+        return np.tile(x.reshape(nr, h), 2)
 
     return apply
 
@@ -479,9 +476,9 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
     Runs the shared corrector `_damped_newton`, evaluating tau_sharp once per
     point for the cone guard, the residual and the Jacobian.  `_factorize`
     factorizes the modal system with SuperLU (`splu`, LU_OPTIONS), whose
-    solve is the step at a rotationally symmetric state and the GMRES
-    preconditioner elsewhere.  `lu` is the slot of a continuation path, whose
-    factorization the corrector reuses.
+    solve is the step at a rotationally symmetric state and the defect
+    correction's preconditioner elsewhere.  `lu` is the slot of a
+    continuation path, whose factorization the corrector reuses.
     Returns (s, info); raises NewtonFailure if the cone guard, the line search
     or the iteration budget gives out.  Accepted iterates always satisfy
     min s > 0 and lam1min > DELTA_CONE.

@@ -15,6 +15,7 @@ from capcmk.fields import (
     boundary_tau_identity_residual,
     fd_weights,
     load_field,
+    repeat_unit,
     robin_residual,
     save_field,
     tau_sharp,
@@ -340,6 +341,24 @@ def test_boundary_tau_identity_decays_under_refinement():
         assert rf < rc
 
 
+def test_the_even_column_records_the_bits(tmp_path):
+    """The header's even column says whether every ring's two halves are
+    equal bit for bit, whatever the field's `even` label: data labelled even
+    whose cos 2phi halves differ in their last bits write 0, and equal
+    halves labelled not even write 1."""
+    g = CapGrid(16, 32, THETA)
+    bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
+    aniso = 1.0 + 2.0 * (1.0 - np.cos(bb)) + 0.3 * np.cos(2.0 * pp) * np.sin(bb) ** 2
+    assert repeat_unit(aniso) is None
+    halves = np.tile(aniso[:, :16], 2)
+    for values, label, want in ((aniso, True, "0"), (halves, False, "1")):
+        path = tmp_path / "field.csv"
+        save_field(CapField(g, values, even=label), path)
+        header = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][0]
+        assert header.split(",")[-1] == want
+        assert load_field(path).even is (want == "1")
+
+
 def _reference_load(path):
     """The value rows as one float() per value reads them: the reference that
     load_field's C-level parse must match bit for bit."""
@@ -355,7 +374,7 @@ def test_field_serialization_round_trip_is_bit_exact(tmp_path):
     save_field(s, path)
     back = load_field(path)
     assert back.grid == g
-    assert back.even == s.even
+    assert back.even == (repeat_unit(s.values) is not None)
     assert np.array_equal(back.values, s.values)
     # the edge values with both signs, and random bit patterns: NaN payloads
     # and signs do not survive %.17g, so every value is held to the per-value
@@ -367,7 +386,7 @@ def test_field_serialization_round_trip_is_bit_exact(tmp_path):
     for f in (CapField(g, edges), CapField(big, bits.view(np.float64), even=True)):
         save_field(f, path)
         back = load_field(path)
-        assert back.grid == f.grid and back.even == f.even
+        assert back.grid == f.grid and back.even == (repeat_unit(f.values) is not None)
         assert back.values.tobytes() == _reference_load(path).tobytes()
         keep = ~np.isnan(f.values)
         assert back.values[keep].tobytes() == f.values[keep].tobytes()

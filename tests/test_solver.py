@@ -1,11 +1,13 @@
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import gmres, splu
+from scipy.sparse.linalg import splu
 
 from capcmk import solver
 from capcmk.fields import CapField, CapGrid, tau_sharp
@@ -194,7 +196,7 @@ def restricted_jacobian(s, q, rhs, params):
 def test_the_jacobian_action_is_the_restricted_full_jacobian(nbeta, nphi, k, q, width):
     """The matrix-free action `linearize` is the assembled Jacobian
     (`full_jacobian`) column by column: on Nphi columns the whole matrix,
-    on Nphi/2 the Krylov step's restriction to even fields; every entry
+    on Nphi/2 the defect correction's restriction to even fields; every entry
     within 1e-14 of its row's largest.  The pole rows fold ring -1 onto
     ring 0 at half width; 16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
     grid = CapGrid(nbeta, nphi, THETA)
@@ -248,16 +250,25 @@ def random_residual(grid, seed):
     return rng.standard_normal((grid.nbeta, grid.nphi)), rng.standard_normal(grid.nphi)
 
 
-def recording_gmres(monkeypatch):
-    """Route solver's gmres through a wrapper; returns the list of its calls."""
-    calls = []
+def recording_linearize(monkeypatch):
+    """Route solver's linearize through a wrapper; returns a list with, for
+    each Jacobian action built, the number of times it was applied (once per
+    residual the defect correction checks)."""
+    builds = []
 
-    def counting_gmres(*args, **kwargs):
-        calls.append(None)
-        return gmres(*args, **kwargs)
+    def counting_linearize(*args, **kwargs):
+        action = linearize(*args, **kwargs)
+        builds.append(0)
+        slot = len(builds) - 1
 
-    monkeypatch.setattr(solver, "gmres", counting_gmres)
-    return calls
+        def counted(x):
+            builds[slot] += 1
+            return action(x)
+
+        return counted
+
+    monkeypatch.setattr(solver, "linearize", counting_linearize)
+    return builds
 
 
 @pytest.mark.parametrize("q", [1.0, 1.4])
@@ -266,16 +277,16 @@ def recording_gmres(monkeypatch):
                          ids=["8x8", "odd-half-turn", "odd-nbeta"])
 def test_the_modal_step_is_the_direct_step(nbeta, nphi, k, q, monkeypatch):
     """At a ring-constant state and data, newton_solve's step is the modal
-    solve, with no Krylov iteration, and for a residual that has every
+    solve, with no defect correction, and for a residual that has every
     azimuthal mode it is a sparse direct solve's step of the restricted
     Jacobian system: equal to 1e-12, and with a backward error at
     round-off.  16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
     s, q, rhs, params = ring_constant_problem(nbeta, nphi, k, q)
-    shapes, krylov = recording_splu(monkeypatch), recording_gmres(monkeypatch)
+    shapes, applied = recording_splu(monkeypatch), recording_linearize(monkeypatch)
     apply = solver._factorize(s, q, rhs, params, tau_sharp(s))
     fint, gbd = random_residual(s.grid, 3)
     step = apply(fint, gbd)
-    assert shapes == [modal_shape(s.grid)] and krylov == []
+    assert shapes == [modal_shape(s.grid)] and applied == []
     assert np.array_equal(step[:, :nphi // 2], step[:, nphi // 2:])
     gap, backward, _ = step_error(s, q, rhs, params, step, fint, gbd)
     assert gap <= 1e-12
@@ -284,11 +295,12 @@ def test_the_modal_step_is_the_direct_step(nbeta, nphi, k, q, monkeypatch):
 
 
 @pytest.mark.parametrize("state", ["converged", "perturbed"])
-def test_the_krylov_step_solves_the_restricted_system(state, monkeypatch):
+def test_the_corrected_step_solves_the_restricted_system(state, monkeypatch):
     """Off rotational symmetry, k = 2 (g12 != 0), 64x128, at a converged
-    anisotropic solution and at a random capillary state: the step is GMRES,
-    preconditioned by the one factorization, the modal LU, and solves the
-    restricted Jacobian system to a relative residual of at most 1e-6."""
+    anisotropic solution and at a random capillary state: the step is defect
+    correction, preconditioned by the one factorization, the modal LU, and
+    solves the restricted Jacobian system to a relative residual of at most
+    1e-6 before the sweep cap."""
     theta = math.pi / 4
     grid = CapGrid(64, 128, theta)
     params = CapParams(n=2, k=2, p=1.5, theta=theta)
@@ -301,13 +313,50 @@ def test_the_krylov_step_solves_the_restricted_system(state, monkeypatch):
         s = random_capillary_field(grid, np.random.default_rng(5))
         q, rhs = 1.3, phi_q(phi, 1.3, params)
     assert np.max(np.abs(sigma_k_grad(tau_sharp(s), 2).a12)) > 1e-3
-    shapes, krylov = recording_splu(monkeypatch), recording_gmres(monkeypatch)
+    shapes, applied = recording_splu(monkeypatch), recording_linearize(monkeypatch)
     fint, gbd = random_residual(grid, 6)
     step = solver._factorize(s, q, rhs, params, tau_sharp(s))(fint, gbd)
-    assert shapes == [modal_shape(grid)] and len(krylov) == 1
+    assert shapes == [modal_shape(grid)] and len(applied) == 1
+    assert 1 < applied[0] < solver.CORRECTION_SWEEPS
     assert np.array_equal(step[:, :64], step[:, 64:])
     *_, relative = step_error(s, q, rhs, params, step, fint, gbd)
     assert relative <= 1e-6
+
+
+# An anisotropic k = 2 solve at 128x256 that prints its solution's bytes as hex
+ANISO_SOLVE = """
+import math, sys
+import numpy as np
+from capcmk import CapField, CapGrid, CapParams, solve_path
+from capcmk.solver import Schedule
+g = CapGrid(128, 256, math.pi / 4)
+bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
+phi = CapField(g, 1.0 + 2.0 * (1.0 - np.cos(bb)) + np.cos(2.0 * pp) * np.sin(bb) ** 2, even=True)
+s, report = solve_path(phi, CapParams(n=2, k=2, p=2.0, theta=math.pi / 4),
+                       Schedule(tol_solve=1e-7))
+assert report.converged
+sys.stdout.write(s.values.tobytes().hex())
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one BLAS thread")
+def test_anisotropic_solves_do_not_depend_on_the_blas_thread_count():
+    """The same anisotropic solve, with 1 and with 2 BLAS threads, in fresh
+    processes, returns the same solution bytes: the defect correction sums
+    with numpy, on one thread, where a BLAS dot product splits its sum by
+    thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solver.__file__)))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", ANISO_SOLVE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        out.append(done.stdout)
+    assert len(out[0]) == 2 * 8 * 129 * 256
+    assert out[0] == out[1]
 
 
 def test_every_state_factorizes_the_modal_system(monkeypatch):
@@ -315,7 +364,7 @@ def test_every_state_factorizes_the_modal_system(monkeypatch):
     sin^2 beta, anisotropic data, and a state or data that is ring-constant
     to 1e-12 but not bit for bit all factorize the modal system, of
     (Nphi/4 + 1) blocks of Nbeta + 1 rings; only the one that is
-    ring-constant bit for bit takes its step without GMRES."""
+    ring-constant bit for bit takes its step without defect correction."""
     s, q, rhs, params = ring_constant_problem(16, 32, 2, 1.4)
     grid = s.grid
     bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
@@ -328,13 +377,13 @@ def test_every_state_factorizes_the_modal_system(monkeypatch):
         assert np.all(np.ptp(f.values, axis=1) <= 1e-12 * np.max(f.values, axis=1))
     shapes = recording_splu(monkeypatch)
     fint, gbd = random_residual(grid, 4)
-    krylov_calls = []
+    corrections = []
     for state, data in ((s, rhs), (turned, rhs), (s, aniso), (near_s, rhs), (s, near_rhs)):
-        krylov = recording_gmres(monkeypatch)
+        built = recording_linearize(monkeypatch)
         solver._factorize(state, q, data, params, tau_sharp(state))(fint, gbd)
-        krylov_calls.append(len(krylov))
+        corrections.append(len(built))
     assert shapes == [modal_shape(grid)] * 5
-    assert krylov_calls == [0, 1, 1, 1, 1]
+    assert corrections == [0, 1, 1, 1, 1]
 
 
 def test_the_modal_lu_fills_a_tenth_of_the_2d_lu():
