@@ -251,9 +251,11 @@ def steiner_sigma_check(s: CapField, t: float, params: CapParams, tau=None) -> d
     is a polynomial identity, so the two sides agree to roundoff; the shift is
     applied in exact endomorphism algebra rather than through the discrete
     tau of s + t ell, which would reintroduce the O(h^2) stencil error.
+    Both sides are elementwise in tau and reported by their maxima, so a
+    batch that repeats one column (`SymEndo.unit`) is checked on it.
     """
     k, n = params.k, params.n
-    a = tau_sharp(s) if tau is None else tau
+    a = (tau_sharp(s) if tau is None else tau).unit()
     lhs = sigma_k(a + float(t) * SymEndo.identity(a.shape), k)
     rhs = np.zeros(a.shape)
     for j in range(k + 1):

@@ -104,7 +104,7 @@ class CapGrid:
         # midpoint-rule weights over the cell rings (boundary ring: no mass)
         self.weights = np.sin(self.beta_cells)[:, None] * self.dbeta * self.dphi * np.ones((1, self.nphi))
         self._ops = None
-        self._modal = None
+        self._modal = {}
 
     # -- identity ---------------------------------------------------------
     def __eq__(self, other):
@@ -225,9 +225,9 @@ class CapGrid:
                 out += w * rb[:, 1 + o:1 + o + n]
         return out
 
-    def modal_blocks(self):
+    def modal_blocks(self, mode0):
         """The Newton blocks on even fields by azimuthal Fourier mode, built on
-        the first call and cached.
+        the first call and cached: every mode's, or with mode0 only mode 0's.
 
         Where every coefficient of the Newton system is a ring function, its
         restriction to even fields is circulant in j < Nphi/2, and the real
@@ -237,17 +237,19 @@ class CapGrid:
         -1 adds onto ring 0; a one-row beta-matrix is the rim ring's), times
         the symbol sum_o w_o cos(2 pi m o / (Nphi/2)) of its phi-stencil.  The
         stencils of a11, a22, pint and robin are symmetric (w_o = w_-o), so
-        every block is real; a12's is odd, and its block is not formed.  The
-        blocks make one block-diagonal matrix, rows and columns ordered (mode,
-        ring), stored per entry in CSC order:
+        every block is real; a12's is odd, and its block is not formed.  A
+        ring-constant right side excites mode 0 alone, whose symbol is the
+        weight sum: mode0 builds that block, with the bits it has among all.
+        The blocks make one block-diagonal matrix, rows and columns ordered
+        (mode, ring), stored per entry in CSC order:
           "ring": each entry's row ring i;
           name: each entry's weight in that block;
           "shape", "indices", "indptr": the CSC pattern.
         """
-        if self._modal is not None:
-            return self._modal
+        if mode0 in self._modal:
+            return self._modal[mode0]
         h, nr = self.nphi // 2, self.nbeta + 1
-        modes = np.arange(h // 2 + 1)[:, None]
+        modes = np.arange(1 if mode0 else h // 2 + 1)[:, None]
         parts = []
         for name in ("a11", "a22", "pint", "robin"):
             for bmat, weights in self.ops()[name]:
@@ -270,8 +272,8 @@ class CapGrid:
                       indices=(modes * nr + ring).ravel().astype(np.int32),
                       indptr=np.append(0, np.cumsum(np.tile(np.bincount(keys // nr, minlength=nr),
                                                             modes.size))).astype(np.int32))
-        self._modal = blocks
-        return self._modal
+        self._modal[mode0] = blocks
+        return blocks
 
     def integrate(self, values) -> float:
         """Midpoint quadrature over the cell rings; sums to the cap area on 1."""

@@ -22,9 +22,13 @@ banded ring systems (`CapGrid.modal_blocks`), factorized as one
 block-diagonal LU.  At a rotationally symmetric state, where every ring of
 the iterate and of the data holds one value, bit for bit (the bitwise period
 `fields.repeat_unit` is one column, as the fields layer tests it), the
-restriction is circulant in phi and the modal solve is the Newton step; that
-includes the t = 0 corrector of an anisotropic solve's continuation fallback,
-whose data are still constant.  Every other state refines the modal step by
+restriction is circulant in phi and the modal solve is the Newton step.  A
+ring-constant residual then excites mode 0 alone, so where the whole path's
+data are ring-constant (`solve_path` tells newton_solve), the LU holds the
+one (Nbeta + 1)-square mode-0 block and the step is one ring vector.  The
+t = 0 corrector of an anisotropic solve's continuation fallback also runs at
+constant data, but its LU serves the anisotropic steps after it, so it keeps
+every mode.  Every other state refines the modal step by
 defect correction on the restriction's action (`linearize`, evaluated by
 `tau_sharp` and `robin_residual`), summed by numpy on one thread.  That action
 is the one Jacobian of the package: jacobian_fd_error checks it, at full
@@ -57,7 +61,7 @@ Each finer grid runs one Newton corrector at t = 1 from the fourth-order
 interpolation of the coarser solution (an interpolated solution lies inside
 the finer grid's quadratic convergence region, so one corrector replaces the
 path).  The interpolation maps a ring that holds one value, bit for bit, to
-that exact value, and a ring-constant residual has a ring-constant modal
+that exact value, and a ring-constant residual has a ring-constant mode-0
 step, so a solve whose data are ring-constant stays exactly ring-constant on
 every grid, and the fields layer evaluates, writes and reads each of its
 rings as one value (`fields.repeat_unit`).  The report names every step's
@@ -274,12 +278,14 @@ def linearize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
     return action
 
 
-def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
+def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau, mode0):
     """The Jacobian of `linearize` on even fields with every coefficient
     replaced by its ring mean, split by azimuthal Fourier mode: the one CSC
     matrix that newton_solve factorizes; tau is tau_sharp(s).  At a state
     that s and rhs make ring-constant it is that Jacobian to round-off;
-    elsewhere its solve preconditions the defect correction.
+    elsewhere its solve preconditions the defect correction.  With mode0,
+    at such a state, it is the mode-0 block alone, whose ring means are the
+    coefficients' first column.
 
     Rows and columns are (mode m = 0..Nphi/4, ring), one real block per
     mode, filled on the pattern of the grid's cached modal blocks
@@ -288,19 +294,20 @@ def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau
     g12 is round-off at a ring-constant state.
     """
     g = s.grid
-    blocks = g.modal_blocks()
+    blocks = g.modal_blocks(mode0)
     grad = sigma_k_grad(tau, params.k)
-    h = g.nphi // 2
+    cols = slice(0, 1 if mode0 else g.nphi // 2)
 
     def ring_mean(coef):
         """An interior-ring coefficient's ring means on each entry's row ring;
         zero on the rim."""
-        return np.append(np.mean(coef[:, :h], axis=1), 0.0)[blocks["ring"]]
+        return np.append(np.mean(coef[:, cols], axis=1), 0.0)[blocks["ring"]]
 
     data = (ring_mean(grad.a11) * blocks["a11"] + ring_mean(grad.a22) * blocks["a22"]
             + blocks["robin"])
     if q != 1.0:
-        data -= ring_mean((q - 1.0) * s.interior ** (q - 2.0) * rhs.interior) * blocks["pint"]
+        z = (q - 1.0) * s.interior[:, cols] ** (q - 2.0) * rhs.interior[:, cols]
+        data -= ring_mean(z) * blocks["pint"]
     return sp.csc_matrix((data, blocks["indices"], blocks["indptr"]), shape=blocks["shape"])
 
 
@@ -319,22 +326,43 @@ CORRECTION_RTOL = 1e-6
 CORRECTION_SWEEPS = 60
 
 
-def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
+def _ring_constant(values) -> bool:
+    """Every row of values holds one value, bit for bit: `repeat_unit` is
+    one column."""
+    unit = repeat_unit(values)
+    return unit is not None and unit.shape[1] == 1
+
+
+def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau, ring_data):
     """Factorizes the modal system (`linearize_modal`) at s and returns
     apply(fint, gbd), the Newton step at s on every node.
 
-    The modal solve M^-1 takes the real FFT over j < Nphi/2 of the even rows,
-    solves its real and imaginary parts and transforms back; x = M^-1 b is the
-    step where every ring of s and of rhs holds one value, bit for bit
-    (`repeat_unit` is one column).  Elsewhere defect correction refines it on
-    the even system's action J at s (`linearize` on half rows), by
-    x += M^-1 (b - J x) until the stop above.  Its sums are numpy's, on one
-    thread, so the step's bits do not depend on the BLAS thread count.  The
-    step solves for the even unknowns and repeats them on j + Nphi/2.
+    Where every ring of s and of rhs holds one value, bit for bit, the modal
+    solve is the step.  If ring_data also says that every right side of the
+    path is ring-constant, every step this LU takes has mode 0 alone: the LU
+    holds the mode-0 block, and the step solves the residual's first column
+    as one ring vector and repeats it over phi, with no FFT.  Otherwise the
+    LU holds every mode (the continuation fallback's t = 0 LU serves the
+    anisotropic steps after it), and the modal solve M^-1 takes the real FFT
+    over j < Nphi/2 of the even rows, solves its real and imaginary parts
+    and transforms back.  x = M^-1 b is the step at a ring-constant state;
+    elsewhere defect correction refines it on the even system's action J at
+    s (`linearize` on half rows), by x += M^-1 (b - J x) until the stop
+    above.  Its sums are numpy's, on one thread, so the step's bits do not
+    depend on the BLAS thread count.  The step solves for the even unknowns
+    and repeats them on j + Nphi/2.
     """
     g = s.grid
     h, nr = g.nphi // 2, g.nbeta + 1
-    lu = splu(linearize_modal(s, q, rhs, params, tau), **LU_OPTIONS)
+    rotsym = _ring_constant(s.values) and _ring_constant(rhs.values)
+    mode0 = rotsym and ring_data
+    lu = splu(linearize_modal(s, q, rhs, params, tau, mode0), **LU_OPTIONS)
+    if mode0:
+        def ring_step(fint, gbd):
+            x = lu.solve(-np.append(fint[:, 0], gbd[0]))
+            return np.broadcast_to(x[:, None], (nr, g.nphi))
+
+        return ring_step
 
     def modal_solve(b):
         bh = np.fft.rfft(b.reshape(nr, h), axis=1).T.ravel()
@@ -342,8 +370,6 @@ def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
         xh = (xh[:, 0] + 1j * xh[:, 1]).reshape(-1, nr).T
         return np.fft.irfft(xh, n=h, axis=1).ravel()
 
-    units = [repeat_unit(f.values) for f in (s, rhs)]
-    rotsym = all(u is not None and u.shape[1] == 1 for u in units)
     action = None if rotsym else linearize(s, q, rhs, params, tau)
 
     def apply(fint, gbd):
@@ -470,7 +496,7 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
 
 
 def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched: Schedule,
-                 lu: _LUSlot):
+                 lu: _LUSlot, ring_data: bool):
     """Damped Newton in the even subspace with positivity and cone guards.
 
     Runs the shared corrector `_damped_newton`, evaluating tau_sharp once per
@@ -478,7 +504,10 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
     factorizes the modal system with SuperLU (`splu`, LU_OPTIONS), whose
     solve is the step at a rotationally symmetric state and the defect
     correction's preconditioner elsewhere.  `lu` is the slot of a
-    continuation path, whose factorization the corrector reuses.
+    continuation path, whose factorization the corrector reuses, and
+    ring_data says whether every right side of that path is ring-constant,
+    bit for bit; only then may a rotationally symmetric state's LU hold mode
+    0 alone.
     Returns (s, info); raises NewtonFailure if the cone guard, the line search
     or the iteration budget gives out.  Accepted iterates always satisfy
     min s > 0 and lam1min > DELTA_CONE.
@@ -497,7 +526,7 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
 
     def factor(at):
         sx, tau = at
-        return _factorize(sx, q, rhs, params, tau)
+        return _factorize(sx, q, rhs, params, tau, ring_data)
 
     x, info = _damped_newton(s.values, cone, evaluate, factor, sched, lu)
     return CapField(g, x, even=True), info
@@ -703,9 +732,11 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
         if s0 is not None:
             s0 = _interpolate(s0, coarse)
     coarsest = phis.pop()
+    # the homotopy data are pointwise functions of phi: ring-constant with it
+    ring_data = _ring_constant(phi.values)
 
     def newton_fn(s, q, rhs, lu):
-        return newton_solve(s, q, rhs, params, sched, lu)
+        return newton_solve(s, q, rhs, params, sched, lu, ring_data)
 
     def rhs_fn(t):
         return homotopy_rhs(t, coarsest, params)
@@ -723,7 +754,7 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
         s = _interpolate(s, level.grid)
         q, rhs = homotopy_rhs(1.0, level, params)
         try:
-            s, info = newton_solve(s, q, rhs, params, sched, _LUSlot())
+            s, info = newton_solve(s, q, rhs, params, sched, _LUSlot(), ring_data)
         except NewtonFailure as exc:
             failure = NewtonFailure(f"corrector on {_label(level.grid)}: {exc}")
             raise ContinuationStall(1.0, None, report, failure) from exc

@@ -27,12 +27,15 @@ def plain_continuation(phi, params, sched, s0=None):
     """The continuation alone on phi's grid, from s0 or C(n,k)^(-1/k) ell:
     `solver.run_continuation` with `newton_solve` as its corrector, the
     reference for solve_path's fallback and for its path from a given s0.
-    Like solve_path, it solves for the even projection of phi."""
+    Like solve_path, it solves for the even projection of phi, and lets a
+    rotationally symmetric state's LU hold mode 0 alone where phi is
+    ring-constant."""
     phi = phi.project_even()
     if s0 is None:
         s0 = params.cnk ** (-1.0 / params.k) * ell_field(phi.grid)
+    ring_data = solver._ring_constant(phi.values)
     return solver.run_continuation(
-        lambda s, q, rhs, lu: solver.newton_solve(s, q, rhs, params, sched, lu),
+        lambda s, q, rhs, lu: solver.newton_solve(s, q, rhs, params, sched, lu, ring_data),
         lambda t: solver.homotopy_rhs(t, phi, params), s0, sched,
         grid=f"{phi.grid.nbeta}x{phi.grid.nphi}")
 

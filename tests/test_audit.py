@@ -237,6 +237,22 @@ def test_steiner_sigma_identity_is_exact(solved_32, params_k1):
         assert rec["margin"] <= 1e-9
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_steiner_sigma_check_of_a_ring_constant_field_is_its_column(grid_32, k):
+    """tau_sharp of a ring-constant field repeats one column; the Steiner
+    sigma check runs on that column (`SymEndo.unit`) and reports every bit
+    that the same tau held in contiguous arrays gives."""
+    params = CapParams(n=2, k=k, p=1.5, theta=THETA)
+    ring = 1.0 + 0.1 * np.cos(grid_32.beta_all)[:, None]
+    s = CapField(grid_32, ell_field(grid_32).values * ring, even=True)
+    tau = tau_sharp(s)
+    full = SymEndo(*(np.array(c) for c in (tau.a11, tau.a12, tau.a22)))
+    assert tau.unit().shape == (grid_32.nbeta, 1) and full.unit() is full
+    for t in (0.1, 0.5, 1.0):
+        assert (steiner_sigma_check(s, t, params, tau=tau)
+                == steiner_sigma_check(s, t, params, tau=full))
+
+
 def test_steiner_coefficients_of_the_model(grid_32, params_k1):
     model = ell_field(grid_32)
     coeff = steiner_coefficients(model, params_k1, tau_sharp(model))

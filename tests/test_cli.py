@@ -415,7 +415,7 @@ def test_verify_and_oracle_never_build_the_modal_blocks(solved_cli, tmp_path, mo
     modal blocks that a grid's first factorization builds."""
     _, _, out2d = solved_cli
 
-    def refused(grid):
+    def refused(grid, mode0):
         raise AssertionError(f"Newton blocks built for {grid!r}")
 
     monkeypatch.setattr(CapGrid, "modal_blocks", refused)

@@ -300,14 +300,22 @@ def test_modal_blocks_match_the_global_sort(nbeta, nphi):
     """Each mode's block has one pattern, so modal_blocks sorts one block's
     keys and fills every mode from it: every weight, summed in the same
     order, and the CSC pattern are bitwise those of one sort over all
-    modes' keys."""
+    modes' keys.  The mode-0 block built alone is bitwise the first block."""
     g = CapGrid(nbeta, nphi, THETA)
-    got, want = g.modal_blocks(), _modal_blocks_by_global_sort(g)
+    got, want = g.modal_blocks(False), _modal_blocks_by_global_sort(g)
     assert got["shape"] == want["shape"]
     assert np.array_equal(got["ring"], want["ring"])
     for name in ("a11", "a22", "pint", "robin", "indices", "indptr"):
         assert got[name].dtype == want[name].dtype, name
         assert got[name].tobytes() == want[name].tobytes(), name
+    mode0, nr = g.modal_blocks(True), nbeta + 1
+    nnz = mode0["ring"].size
+    assert mode0["shape"] == (nr, nr) and nnz == want["ring"].size // (nphi // 4 + 1)
+    assert np.array_equal(mode0["ring"], want["ring"][:nnz])
+    for name, first in (("a11", nnz), ("a22", nnz), ("pint", nnz), ("robin", nnz),
+                        ("indices", nnz), ("indptr", nr + 1)):
+        assert mode0[name].dtype == want[name].dtype, name
+        assert mode0[name].tobytes() == want[name][:first].tobytes(), name
 
 
 def test_tau_eigenvalues_and_convexity_flag():

@@ -117,7 +117,7 @@ def test_residual_vanishes_on_manufactured_solution_to_h2(params_k1):
 def test_newton_converges_at_the_constant_problem(params_k1, grid_16):
     ones = CapField(grid_16, np.ones((17, 32)), even=True)
     start = params_k1.cnk ** (-1.0) * ell_field(grid_16)
-    s, info = newton_solve(start, 1.0, ones, params_k1, Schedule(), solver._LUSlot())
+    s, info = newton_solve(start, 1.0, ones, params_k1, Schedule(), solver._LUSlot(), True)
     assert info["res_norm"] <= 1e-9
     assert info["lam1min"] > 0.0
     assert s.is_even(tol=0.0)
@@ -132,14 +132,15 @@ def test_newton_failure_outside_the_cone(params_k1, grid_16):
         even=True,
     )
     with pytest.raises(NewtonFailure, match="cone"):
-        newton_solve(rough, 1.0, ones, params_k1, Schedule(), solver._LUSlot())
+        newton_solve(rough, 1.0, ones, params_k1, Schedule(), solver._LUSlot(), True)
 
 
 def test_newton_failure_on_exhausted_budget(params_k1, grid_16):
     ones = CapField(grid_16, np.ones((17, 32)), even=True)
     start = 5.0 * ell_field(grid_16)
     with pytest.raises(NewtonFailure, match="0 iterations"):
-        newton_solve(start, 1.0, ones, params_k1, Schedule(newton_max=0), solver._LUSlot())
+        newton_solve(start, 1.0, ones, params_k1, Schedule(newton_max=0), solver._LUSlot(),
+                     True)
 
 
 def test_translation_fields_are_a_discrete_near_kernel(params_k1):
@@ -276,14 +277,16 @@ def recording_linearize(monkeypatch):
 @pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 30), (33, 64)],
                          ids=["8x8", "odd-half-turn", "odd-nbeta"])
 def test_the_modal_step_is_the_direct_step(nbeta, nphi, k, q, monkeypatch):
-    """At a ring-constant state and data, newton_solve's step is the modal
-    solve, with no defect correction, and for a residual that has every
-    azimuthal mode it is a sparse direct solve's step of the restricted
-    Jacobian system: equal to 1e-12, and with a backward error at
-    round-off.  16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
+    """At a ring-constant state and data on a path whose data are not all
+    ring-constant (the continuation fallback's t = 0, whose LU later steps
+    reuse), newton_solve's step is the all-mode modal solve, with no defect
+    correction, and for a residual that has every azimuthal mode it is a
+    sparse direct solve's step of the restricted Jacobian system: equal to
+    1e-12, and with a backward error at round-off.  16x30 has an odd Nphi/2
+    and 33x64 an odd Nbeta."""
     s, q, rhs, params = ring_constant_problem(nbeta, nphi, k, q)
     shapes, applied = recording_splu(monkeypatch), recording_linearize(monkeypatch)
-    apply = solver._factorize(s, q, rhs, params, tau_sharp(s))
+    apply = solver._factorize(s, q, rhs, params, tau_sharp(s), False)
     fint, gbd = random_residual(s.grid, 3)
     step = apply(fint, gbd)
     assert shapes == [modal_shape(s.grid)] and applied == []
@@ -291,7 +294,29 @@ def test_the_modal_step_is_the_direct_step(nbeta, nphi, k, q, monkeypatch):
     gap, backward, _ = step_error(s, q, rhs, params, step, fint, gbd)
     assert gap <= 1e-12
     assert backward <= 1e-13
-    assert s.grid.modal_blocks() is s.grid.modal_blocks()
+    assert s.grid.modal_blocks(False) is s.grid.modal_blocks(False)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.4])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("nbeta, nphi", [(16, 30), (33, 64)], ids=["odd-half-turn", "odd-nbeta"])
+def test_the_mode0_step_is_the_modal_step(nbeta, nphi, k, q, monkeypatch):
+    """Where the path's data are ring-constant, a ring-constant state
+    factorizes the (Nbeta + 1)-square mode-0 block alone, and on a
+    ring-constant residual its step, ring-constant bit for bit, is the
+    all-mode modal step to 1e-12 relative.  16x30 has an odd Nphi/2 and
+    33x64 an odd Nbeta."""
+    s, q, rhs, params = ring_constant_problem(nbeta, nphi, k, q)
+    shapes, applied = recording_splu(monkeypatch), recording_linearize(monkeypatch)
+    rng = np.random.default_rng(8)
+    fint = np.repeat(rng.standard_normal((nbeta, 1)), nphi, axis=1)
+    gbd = np.full(nphi, rng.standard_normal())
+    steps = [solver._factorize(s, q, rhs, params, tau_sharp(s), ring_data)(fint, gbd)
+             for ring_data in (True, False)]
+    assert shapes == [(nbeta + 1, nbeta + 1), modal_shape(s.grid)] and applied == []
+    assert_ring_constant(steps[0])
+    assert np.max(np.abs(steps[0] - steps[1])) <= 1e-12 * np.max(np.abs(steps[1]))
+    assert s.grid.modal_blocks(True)["shape"] == (nbeta + 1, nbeta + 1)
 
 
 @pytest.mark.parametrize("state", ["converged", "perturbed"])
@@ -315,7 +340,7 @@ def test_the_corrected_step_solves_the_restricted_system(state, monkeypatch):
     assert np.max(np.abs(sigma_k_grad(tau_sharp(s), 2).a12)) > 1e-3
     shapes, applied = recording_splu(monkeypatch), recording_linearize(monkeypatch)
     fint, gbd = random_residual(grid, 6)
-    step = solver._factorize(s, q, rhs, params, tau_sharp(s))(fint, gbd)
+    step = solver._factorize(s, q, rhs, params, tau_sharp(s), False)(fint, gbd)
     assert shapes == [modal_shape(grid)] and len(applied) == 1
     assert 1 < applied[0] < solver.CORRECTION_SWEEPS
     assert np.array_equal(step[:, :64], step[:, 64:])
@@ -363,8 +388,10 @@ def test_every_state_factorizes_the_modal_system(monkeypatch):
     """Ring-constant state and data, the state turned by 1 + 0.01 cos 2phi
     sin^2 beta, anisotropic data, and a state or data that is ring-constant
     to 1e-12 but not bit for bit all factorize the modal system, of
-    (Nphi/4 + 1) blocks of Nbeta + 1 rings; only the one that is
-    ring-constant bit for bit takes its step without defect correction."""
+    (Nphi/4 + 1) blocks of Nbeta + 1 rings, except that the one that is
+    ring-constant bit for bit factorizes mode 0 alone where the path's data
+    are ring-constant.  Only that one takes its step without defect
+    correction."""
     s, q, rhs, params = ring_constant_problem(16, 32, 2, 1.4)
     grid = s.grid
     bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
@@ -375,15 +402,15 @@ def test_every_state_factorizes_the_modal_system(monkeypatch):
     near_s, near_rhs = CapField(grid, s.values * near), CapField(grid, rhs.values * near)
     for f in (near_s, near_rhs):
         assert np.all(np.ptp(f.values, axis=1) <= 1e-12 * np.max(f.values, axis=1))
-    shapes = recording_splu(monkeypatch)
     fint, gbd = random_residual(grid, 4)
-    corrections = []
-    for state, data in ((s, rhs), (turned, rhs), (s, aniso), (near_s, rhs), (s, near_rhs)):
-        built = recording_linearize(monkeypatch)
-        solver._factorize(state, q, data, params, tau_sharp(state))(fint, gbd)
-        corrections.append(len(built))
-    assert shapes == [modal_shape(grid)] * 5
-    assert corrections == [0, 1, 1, 1, 1]
+    for ring_data, first in ((False, modal_shape(grid)), (True, (17, 17))):
+        shapes, corrections = recording_splu(monkeypatch), []
+        for state, data in ((s, rhs), (turned, rhs), (s, aniso), (near_s, rhs), (s, near_rhs)):
+            built = recording_linearize(monkeypatch)
+            solver._factorize(state, q, data, params, tau_sharp(state), ring_data)(fint, gbd)
+            corrections.append(len(built))
+        assert shapes == [first] + [modal_shape(grid)] * 4
+        assert corrections == [0, 1, 1, 1, 1]
 
 
 def test_the_modal_lu_fills_a_tenth_of_the_2d_lu():
@@ -404,11 +431,11 @@ def test_the_modal_lu_fills_a_tenth_of_the_2d_lu():
         lu = splu(a, **solver.LU_OPTIONS)
         return lu.L.nnz + lu.U.nnz
 
-    modal = solver.linearize_modal(s, q, phi, params, tau_sharp(s))
+    modal = solver.linearize_modal(s, q, phi, params, tau_sharp(s), False)
     full = restricted_jacobian(s, q, phi, params)
     assert fill(modal) < 0.1 * fill(full)
     fint, gbd = random_residual(grid, 6)
-    step = solver._factorize(s, q, phi, params, tau_sharp(s))(fint, gbd)
+    step = solver._factorize(s, q, phi, params, tau_sharp(s), False)(fint, gbd)
     gap, backward, _ = step_error(s, q, phi, params, step, fint, gbd)
     assert gap <= 1e-12
     assert backward <= 1e-13
@@ -670,6 +697,42 @@ def test_sequenced_solve_matches_the_plain_continuation(params, monkeypatch):
     assert np.max(np.abs(s.values - plain.values)) <= 1e-8
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_rotationally_symmetric_solve_factorizes_mode0_alone(k, monkeypatch):
+    """On ring-constant data every LU of the ladder, 32x64 and 64x128, is
+    of one (Nbeta + 1)-square ring block, and every one is counted."""
+    grid = CapGrid(64, 128, THETA)
+    vals = 1.0 + 0.3 * (1.0 - np.cos(grid.beta_all))
+    phi = CapField(grid, np.repeat(vals[:, None], grid.nphi, axis=1), even=True)
+    shapes = recording_splu(monkeypatch)
+    _, report = solve_path(phi, CapParams(n=2, k=k, p=1.5 if k == 1 else 2.0, theta=THETA))
+    assert report.converged and report.grids[-2:] == ["32x64", "64x128"]
+    assert set(shapes) == {(33, 33), (65, 65)}
+    assert len(shapes) == sum(report.factorizations)
+
+
+def test_the_anisotropic_fallback_factorizes_every_mode(params_k1, grid_32, monkeypatch):
+    """The continuation fallback on anisotropic data starts at t = 0 from a
+    ring-constant state and data, and the LU it factorizes there serves the
+    anisotropic steps after it: every LU of the path is of every mode."""
+    newton = solver.newton_solve
+    calls = []
+
+    def failing_first(s, *args, **kwargs):
+        calls.append(s.values)
+        if len(calls) == 1:
+            raise NewtonFailure("forced")
+        return newton(s, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", failing_first)
+    shapes = recording_splu(monkeypatch)
+    _, report = solve_path(positive_even_phi(grid_32), params_k1)
+    assert report.converged and report.method == "continuation"
+    assert_ring_constant(calls[1])  # the t = 0 corrector's start
+    assert report.factorizations[:2] == [1, 0]  # t = 0.25 reuses the t = 0 LU
+    assert shapes == [modal_shape(grid_32)] * sum(report.factorizations)
+
+
 def test_a_grid_that_does_not_halve_is_sequenced(params_k1, monkeypatch):
     grid = CapGrid(127, 256, THETA)
     shapes = recording_splu(monkeypatch)
@@ -678,8 +741,9 @@ def test_a_grid_that_does_not_halve_is_sequenced(params_k1, monkeypatch):
     _, report = solve_path(phi, params_k1)
     assert report.converged
     assert report.grids == ["63x128"] * (len(report.t_steps) - 1) + ["127x256"]
-    # rotationally symmetric data: the modal system on 127x256, 65 modes of 128 rings
-    assert shapes.count(modal_shape(grid)) == 1
+    # rotationally symmetric data: mode 0 alone, of 64 rings on 63x128 and of
+    # 128 on 127x256
+    assert set(shapes) == {(64, 64), (128, 128)} and shapes.count((128, 128)) == 1
 
 
 def test_a_failed_finer_corrector_stalls_with_the_coarse_path(params_k1, monkeypatch):

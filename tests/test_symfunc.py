@@ -107,3 +107,30 @@ def test_polarization_rejects_empty_argument_list():
     with pytest.raises(ValueError):
         polarize_qk([], n=2)
 
+
+def test_ring_constant_batches_are_evaluated_on_one_column():
+    """tau_sharp of a ring-constant field repeats one column by stride-0
+    views; its eigenvalues, lam1min, sigma_k and sigma_k_grad are evaluated
+    on that column and come back as such views, with the bits of the same
+    batch held in contiguous arrays.  A batch with one contiguous component
+    is evaluated in full."""
+    from capcmk.fields import CapField, CapGrid, tau_sharp
+    from capcmk.geometry import ell_field
+
+    g = CapGrid(33, 64, math.pi / 3)
+    ring = 1.0 + 0.1 * np.random.default_rng(4).random((g.nbeta + 1, 1))
+    tau = tau_sharp(CapField(g, ell_field(g).values * ring, even=True))
+    full = SymEndo(*(np.array(c) for c in (tau.a11, tau.a12, tau.a22)))
+    assert all(c.strides[1] == 0 for c in (tau.a11, tau.a12, tau.a22))
+    got = list(tau.eigenvalues) + [sigma_k(tau, k) for k in range(4)]
+    want = list(full.eigenvalues) + [sigma_k(full, k) for k in range(4)]
+    for k in (1, 2):
+        got += [getattr(sigma_k_grad(tau, k), c) for c in ("a11", "a12", "a22")]
+        want += [getattr(sigma_k_grad(full, k), c) for c in ("a11", "a12", "a22")]
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and x.strides[1] == 0
+        assert np.ascontiguousarray(x).tobytes() == y.tobytes()
+    assert tau.lam1min == full.lam1min
+    mixed = SymEndo(np.array(tau.a11), tau.a12, tau.a22)
+    assert sigma_k(mixed, 2).strides[1] != 0
+    assert sigma_k(mixed, 2).tobytes() == sigma_k(full, 2).tobytes()
