@@ -32,7 +32,8 @@ A field with a bitwise period (`fields.repeat_unit`) is evaluated on it,
 with every bit as at full width: its surface points, and the x3 of the
 Steiner check's parallel bodies, on the first column where every ring is
 constant (a rotationally symmetric solution) or on the first half of an
-even field; normals and slopes on the first half either way.
+even field; normals and slopes on the first half either way.  The tau of a
+ring-constant field is (Nbeta, 1) columns, which the integrands broadcast.
 """
 
 from __future__ import annotations
@@ -252,10 +253,10 @@ def steiner_sigma_check(s: CapField, t: float, params: CapParams, tau=None) -> d
     applied in exact endomorphism algebra rather than through the discrete
     tau of s + t ell, which would reintroduce the O(h^2) stencil error.
     Both sides are elementwise in tau and reported by their maxima, so a
-    batch that repeats one column (`SymEndo.unit`) is checked on it.
+    ring-constant field's tau, (Nbeta, 1) columns, is checked on them.
     """
     k, n = params.k, params.n
-    a = (tau_sharp(s) if tau is None else tau).unit()
+    a = tau_sharp(s) if tau is None else tau
     lhs = sigma_k(a + float(t) * SymEndo.identity(a.shape), k)
     rhs = np.zeros(a.shape)
     for j in range(k + 1):

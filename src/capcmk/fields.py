@@ -52,7 +52,8 @@ Such fields are also evaluated on fewer nodes: `tau_sharp` and the audit's
 geometry evaluate a field by its bitwise period (`repeat_unit`; the bits
 decide, not the `even` flag), its first column when every ring is constant
 and its first Nphi/2 columns when the two halves are equal, with the same
-bits as at full width.
+bits as at full width.  `tau_sharp` of a ring-constant field keeps its
+(Nbeta, 1) columns, which numpy broadcasts over the grid.
 """
 
 from __future__ import annotations
@@ -276,13 +277,14 @@ class CapGrid:
         return blocks
 
     def integrate(self, values) -> float:
-        """Midpoint quadrature over the cell rings; sums to the cap area on 1."""
+        """Midpoint quadrature over the cell rings; sums to the cap area on 1.
+        values has a row per cell ring, or per ring and the rim, and Nphi
+        columns, or one that broadcasts over phi."""
         values = np.asarray(values)
-        if values.shape == (self.nbeta + 1, self.nphi):
-            values = values[: self.nbeta]
-        if values.shape != (self.nbeta, self.nphi):
+        if (values.ndim != 2 or values.shape[0] not in (self.nbeta, self.nbeta + 1)
+                or values.shape[1] not in (1, self.nphi)):
             raise ValueError(f"bad field shape {values.shape} for {self!r}")
-        return float(np.sum(values * self.weights))
+        return float(np.sum(values[: self.nbeta] * self.weights))
 
 
 @dataclass(eq=False)
@@ -357,8 +359,8 @@ def tau_sharp(s: CapField) -> SymEndo:
     A field with a bitwise period (`repeat_unit`) is evaluated on its first
     column, where every ring is constant, or its first half; with the full
     rows' means, every bit is the full evaluation's.  The components of one
-    column come back as read-only full-width views of it, those of a half
-    tiled.
+    column come back as (Nbeta, 1) columns, which broadcast against
+    (Nbeta, Nphi); those of a half are tiled.
     """
     g, v = s.grid, s.values
     unit = repeat_unit(v)
@@ -370,10 +372,8 @@ def tau_sharp(s: CapField) -> SymEndo:
         x, m = g.extend(unit), np.mean(v, axis=1, keepdims=True)
         y = x - np.concatenate([m[:1], m])
     a = [g.apply("a11", x), g.apply("a12", x, y), g.apply("a22", x, y)]
-    if unit is not None:
-        shape = (g.nbeta, g.nphi)
-        a = [np.broadcast_to(c, shape) if c.shape[1] == 1 else np.concatenate([c, c], axis=1)
-             for c in a]
+    if unit is not None and unit.shape[1] > 1:
+        a = [np.concatenate([c, c], axis=1) for c in a]
     return SymEndo(*a)
 
 
@@ -418,9 +418,11 @@ def boundary_tau_identity_residual(s: CapField) -> float:
     wval = fd_weights(offs, 0)
     wder = fd_weights(offs, 1)
     rows = slice(g.nbeta - 3, g.nbeta)
-    a11_rim = np.tensordot(wval, tau.a11[rows], axes=(0, 0))
-    a22_rim = np.tensordot(wval, tau.a22[rows], axes=(0, 0))
-    da22_rim = np.tensordot(wder, tau.a22[rows], axes=(0, 0))
+    # at full width: BLAS rounds a product with one column differently
+    a11, a22 = (np.broadcast_to(c, (g.nbeta, g.nphi))[rows] for c in (tau.a11, tau.a22))
+    a11_rim = np.tensordot(wval, a11, axes=(0, 0))
+    a22_rim = np.tensordot(wval, a22, axes=(0, 0))
+    da22_rim = np.tensordot(wder, a22, axes=(0, 0))
     ct = math.cos(g.theta) / math.sin(g.theta)
     return float(np.max(np.abs(da22_rim - (a11_rim - a22_rim) * ct)))
 

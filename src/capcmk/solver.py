@@ -296,17 +296,20 @@ def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau
     g = s.grid
     blocks = g.modal_blocks(mode0)
     grad = sigma_k_grad(tau, params.k)
-    cols = slice(0, 1 if mode0 else g.nphi // 2)
+    width = 1 if mode0 else g.nphi // 2
 
     def ring_mean(coef):
-        """An interior-ring coefficient's ring means on each entry's row ring;
-        zero on the rim."""
-        return np.append(np.mean(coef[:, cols], axis=1), 0.0)[blocks["ring"]]
+        """An interior-ring coefficient's ring means over its first `width`
+        columns on each entry's row ring; zero on the rim.  A column (tau of
+        a ring-constant s) is broadcast to that width first: the mean of its
+        copies need not be the column itself, bit for bit."""
+        coef = np.broadcast_to(coef[:, :width], (g.nbeta, width))
+        return np.append(np.mean(coef, axis=1), 0.0)[blocks["ring"]]
 
     data = (ring_mean(grad.a11) * blocks["a11"] + ring_mean(grad.a22) * blocks["a22"]
             + blocks["robin"])
     if q != 1.0:
-        z = (q - 1.0) * s.interior[:, cols] ** (q - 2.0) * rhs.interior[:, cols]
+        z = (q - 1.0) * s.interior[:, :width] ** (q - 2.0) * rhs.interior[:, :width]
         data -= ring_mean(z) * blocks["pint"]
     return sp.csc_matrix((data, blocks["indices"], blocks["indptr"]), shape=blocks["shape"])
 

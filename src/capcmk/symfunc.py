@@ -3,9 +3,9 @@
 Everything here is batched: a SymEndo holds arrays (a11, a12, a22) of any
 common shape, one symmetric 2x2 endomorphism per entry (components in an
 orthonormal frame, so plain matrix symmetry).  Eigenvalues are closed-form;
-no iterative eigensolver is used.  A batch whose components repeat one
-column by stride-0 views (`tau_sharp` of a ring-constant field) is evaluated
-on that column, and its eigenvalues and sigma_k come back as such views.
+no iterative eigensolver is used.  Every result has the batch's shape, so
+a batch of (Nbeta, 1) columns (`tau_sharp` of a ring-constant field) is
+evaluated on those columns, and its results broadcast over the grid.
 
 sigma_k derivatives follow the matrix convention sigma_k^{ij} = d sigma_k / d a_ij
 with a12 and a21 treated as independent entries, so the homogeneity
@@ -23,13 +23,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-
-
-def _column(x):
-    """The first column of a 2-D x that repeats it by a stride-0 view along
-    the last axis (`tau_sharp` of a field whose every ring is constant, or
-    `SymEndo.identity`), else None."""
-    return x[:, :1] if x.ndim == 2 and x.strides[1] == 0 else None
 
 
 @dataclass(eq=False)
@@ -57,44 +50,19 @@ class SymEndo:
     def shape(self):
         return self.a11.shape
 
-    def unit(self) -> "SymEndo":
-        """The batch on its first column where every component repeats that
-        column by a stride-0 view along the last axis (`_column`), else the
-        batch itself.  An elementwise function of the unit, repeated the same
-        way, has every bit of the function of the whole batch."""
-        cols = [_column(c) for c in (self.a11, self.a12, self.a22)]
-        return self if any(c is None for c in cols) else SymEndo(*cols)
-
-    def _ringwise(self, fn):
-        """fn(a11, a12, a22) of an elementwise fn that returns an array or a
-        tuple of them, evaluated on the `unit` and repeated over the batch
-        by stride-0 views."""
-        u = self.unit()
-        out = fn(u.a11, u.a12, u.a22)
-        if u is self:
-            return out
-        if isinstance(out, tuple):
-            return tuple(np.broadcast_to(c, self.shape) for c in out)
-        return np.broadcast_to(out, self.shape)
-
     @property
     def eigenvalues(self):
         """(lam1, lam2) with lam1 <= lam2, closed-form 2x2."""
         if self._eig is None:
-            def eig(a11, a12, a22):
-                mean = 0.5 * (a11 + a22)
-                disc = np.hypot(0.5 * (a11 - a22), a12)
-                return mean - disc, mean + disc
-
-            self._eig = self._ringwise(eig)
+            mean = 0.5 * (self.a11 + self.a22)
+            disc = np.hypot(0.5 * (self.a11 - self.a22), self.a12)
+            self._eig = mean - disc, mean + disc
         return self._eig
 
     @property
     def lam1min(self) -> float:
         """Smallest eigenvalue over the batch: the convexity-cone margin."""
-        lam1 = self.eigenvalues[0]
-        col = _column(lam1)
-        return float(np.min(lam1 if col is None else col))
+        return float(np.min(self.eigenvalues[0]))
 
     def __add__(self, other):
         if isinstance(other, SymEndo):
@@ -112,13 +80,13 @@ class SymEndo:
 def sigma_k(a: SymEndo, k: int):
     """k-th elementary symmetric polynomial of the eigenvalues; sigma_0 = 1."""
     if k == 0:
-        return a._ringwise(lambda a11, a12, a22: np.ones(a11.shape))
+        return np.ones(a.shape)
     if k == 1:
-        return a._ringwise(lambda a11, a12, a22: a11 + a22)
+        return a.a11 + a.a22
     if k == 2:
-        return a._ringwise(lambda a11, a12, a22: a11 * a22 - a12**2)
+        return a.a11 * a.a22 - a.a12**2
     if k > 2:
-        return a._ringwise(lambda a11, a12, a22: np.zeros(a11.shape))
+        return np.zeros(a.shape)
     raise ValueError(f"k must be >= 0, got {k}")
 
 
@@ -127,7 +95,7 @@ def sigma_k_grad(a: SymEndo, k: int) -> SymEndo:
     if k == 1:
         return SymEndo.identity(a.shape)
     if k == 2:
-        return SymEndo(*a._ringwise(lambda a11, a12, a22: (a22.copy(), -a12, a11.copy())))
+        return SymEndo(a.a22, -a.a12, a.a11)
     raise ValueError(f"sigma_k_grad defined for k in {{1, 2}}, got {k}")
 
 

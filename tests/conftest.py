@@ -66,13 +66,18 @@ def full_jacobian(s, q, rhs, params):
     """The assembled Jacobian [interior rows; Robin rows] of the residual
     pair on the full value vector: sigma_k^{ij}(tau_sharp[s]) (tau_sharp[v])_{ij}
     - (q-1) s^{q-2} rhs v over the `csr` layout, and the Robin rows; the
-    reference for `solver.linearize`'s matrix-free action."""
+    reference for `solver.linearize`'s matrix-free action.  The gradient of
+    a ring-constant s comes in (Nbeta, 1) columns, broadcast over the grid."""
     g = s.grid
     grad = sigma_k_grad(tau_sharp(s), params.k)
+
+    def diag(c):
+        return sp.diags(np.broadcast_to(c, (g.nbeta, g.nphi)).ravel())
+
     jint = (
-        sp.diags(grad.a11.ravel()) @ csr(g, "a11")
-        + sp.diags(2.0 * grad.a12.ravel()) @ csr(g, "a12")
-        + sp.diags(grad.a22.ravel()) @ csr(g, "a22")
+        diag(grad.a11) @ csr(g, "a11")
+        + diag(2.0 * grad.a12) @ csr(g, "a12")
+        + diag(grad.a22) @ csr(g, "a22")
     )
     if q != 1.0:
         zer = (q - 1.0) * s.interior ** (q - 2.0) * rhs.interior

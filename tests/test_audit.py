@@ -239,15 +239,15 @@ def test_steiner_sigma_identity_is_exact(solved_32, params_k1):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_steiner_sigma_check_of_a_ring_constant_field_is_its_column(grid_32, k):
-    """tau_sharp of a ring-constant field repeats one column; the Steiner
-    sigma check runs on that column (`SymEndo.unit`) and reports every bit
-    that the same tau held in contiguous arrays gives."""
+    """tau_sharp of a ring-constant field is (Nbeta, 1) columns; the Steiner
+    sigma check runs on them and reports every bit that the same tau
+    repeated over the grid in contiguous arrays gives."""
     params = CapParams(n=2, k=k, p=1.5, theta=THETA)
     ring = 1.0 + 0.1 * np.cos(grid_32.beta_all)[:, None]
     s = CapField(grid_32, ell_field(grid_32).values * ring, even=True)
     tau = tau_sharp(s)
-    full = SymEndo(*(np.array(c) for c in (tau.a11, tau.a12, tau.a22)))
-    assert tau.unit().shape == (grid_32.nbeta, 1) and full.unit() is full
+    full = SymEndo(*(np.repeat(c, grid_32.nphi, axis=1) for c in (tau.a11, tau.a12, tau.a22)))
+    assert tau.shape == (grid_32.nbeta, 1) and full.shape == (grid_32.nbeta, grid_32.nphi)
     for t in (0.1, 0.5, 1.0):
         assert (steiner_sigma_check(s, t, params, tau=tau)
                 == steiner_sigma_check(s, t, params, tau=full))
@@ -483,10 +483,14 @@ def same_bits(a, b):
 
 def assert_full_width_bits(s, geometry=True):
     """tau_sharp, surface_points and, for a convex field, reconstruct and
-    volume (with and without pts) give the full-width references' bits."""
+    volume (with and without pts) give the full-width references' bits;
+    tau_sharp's components are compared broadcast over the grid, since a
+    ring-constant field's come as (Nbeta, 1) columns."""
     tau, ref_tau = tau_sharp(s), full_tau(s)
+    assert tau.shape in (ref_tau.shape, (s.grid.nbeta, 1))
     for name in ("a11", "a12", "a22"):
-        assert same_bits(getattr(tau, name), getattr(ref_tau, name)), name
+        got = np.broadcast_to(getattr(tau, name), ref_tau.shape)
+        assert same_bits(got, getattr(ref_tau, name)), name
     pts, ref_pts = surface_points(s), full_points(s)
     assert same_bits(pts, ref_pts)
     if geometry:
@@ -600,8 +604,8 @@ def ring_constant(grid, seed):
 def test_ring_constant_fields_evaluated_on_one_column_keep_every_bit(shape, kind, monkeypatch):
     """tau_sharp, surface_points and volume evaluate a field whose every ring
     is constant on its first column, reconstruct on the first half, and all
-    give the full-width references' bits; tau_sharp's components are
-    read-only full-width views of that column."""
+    give the full-width references' bits; tau_sharp's components are that
+    column's (Nbeta, 1) columns."""
     g = CapGrid(*shape, THETA)
     s = {"ring-constant": lambda: ring_constant(g, shape[0]), "ell": lambda: ell_field(g),
          "falling": lambda: falling_field(g)}[kind]()
@@ -610,7 +614,7 @@ def test_ring_constant_fields_evaluated_on_one_column_keep_every_bit(shape, kind
     assert widths and set(widths) == {1}
     tau = tau_sharp(s)
     for c in (tau.a11, tau.a12, tau.a22):
-        assert c.shape == (g.nbeta, g.nphi) and c.strides[1] == 0 and not c.flags.writeable
+        assert c.shape == (g.nbeta, 1)
     x3 = surface_points(s)[..., 2]
     assert same_bits(x3, np.repeat(x3[:, :1], g.nphi, axis=1))
 

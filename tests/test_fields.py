@@ -120,6 +120,20 @@ def test_integrate_validates_shape_and_drops_the_rim():
         g.integrate(np.ones((5, 5)))
 
 
+def test_integrate_broadcasts_a_ring_function():
+    """An (Nbeta, 1) or (Nbeta + 1, 1) ring function integrates, bit for bit,
+    as its broadcast over the grid; a shape that broadcasts to neither is
+    refused with the grid named."""
+    g = CapGrid(16, 32, THETA)
+    ring = 1.0 + np.random.default_rng(3).random((17, 1))
+    for rows in (16, 17):
+        want = g.integrate(np.repeat(ring[:rows], g.nphi, axis=1))
+        assert g.integrate(ring[:rows]) == want
+    for shape in ((16, 33), (17, 2), (15, 1), (16,)):
+        with pytest.raises(ValueError, match=re.escape(repr(g))):
+            g.integrate(np.ones(shape))
+
+
 def test_fd_weights_reproduce_central_stencils():
     assert np.allclose(fd_weights([-1.0, 0.0, 1.0], 1), [-0.5, 0.0, 0.5])
     assert np.allclose(fd_weights([-1.0, 0.0, 1.0], 2), [1.0, -2.0, 1.0])
@@ -327,6 +341,19 @@ def test_tau_eigenvalues_and_convexity_flag():
     assert tau.lam1min > 0.9
     rough = CapField(g, 1.0 + 0.5 * np.cos(4.0 * g.phi)[None, :] * np.ones((17, 32)), even=True)
     assert tau_sharp(rough).lam1min < 0.0
+
+
+def test_tau_of_a_ring_constant_field_is_its_columns():
+    """tau_sharp returns a ring-constant field's components as (Nbeta, 1)
+    columns, and an anisotropic even field's at full width."""
+    g = CapGrid(16, 32, THETA)
+    falling = CapField(g, np.repeat(2.0 - 0.5 * (1.0 - np.cos(g.beta_all))[:, None], 32, axis=1),
+                       even=True)
+    for s in (ell_field(g), falling):
+        tau = tau_sharp(s)
+        assert [c.shape for c in (tau.a11, tau.a12, tau.a22)] == [(16, 1)] * 3
+    tau = tau_sharp(smooth_even_field(g))
+    assert [c.shape for c in (tau.a11, tau.a12, tau.a22)] == [(16, 32)] * 3
 
 
 def test_robin_residual_of_model_function_shrinks():

@@ -175,6 +175,15 @@ def test_every_parameter_default_is_left_out_by_a_package_call():
     assert unomitted_defaults() == []
 
 
+def test_no_module_reads_strides():
+    """Ring-constancy is carried by array shapes ((Nbeta, 1) columns that
+    broadcast), not detected from memory layout: no module reads `.strides`."""
+    readers = sorted(path.name for path in PKG.glob("*.py")
+                     if any(isinstance(n, ast.Attribute) and n.attr == "strides"
+                            for n in ast.walk(ast.parse(path.read_text()))))
+    assert readers == []
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in capcmk.__all__ if not hasattr(capcmk, name)]
     assert missing == []

@@ -109,28 +109,50 @@ def test_polarization_rejects_empty_argument_list():
 
 
 def test_ring_constant_batches_are_evaluated_on_one_column():
-    """tau_sharp of a ring-constant field repeats one column by stride-0
-    views; its eigenvalues, lam1min, sigma_k and sigma_k_grad are evaluated
-    on that column and come back as such views, with the bits of the same
-    batch held in contiguous arrays.  A batch with one contiguous component
-    is evaluated in full."""
+    """tau_sharp of a ring-constant field is (Nbeta, 1) columns; its
+    eigenvalues, lam1min, sigma_k and sigma_k_grad are evaluated on them
+    and, broadcast over the grid, have the bits of the same batch repeated
+    in contiguous arrays.  A batch with one full-width component is
+    evaluated at full width."""
     from capcmk.fields import CapField, CapGrid, tau_sharp
     from capcmk.geometry import ell_field
 
     g = CapGrid(33, 64, math.pi / 3)
     ring = 1.0 + 0.1 * np.random.default_rng(4).random((g.nbeta + 1, 1))
     tau = tau_sharp(CapField(g, ell_field(g).values * ring, even=True))
-    full = SymEndo(*(np.array(c) for c in (tau.a11, tau.a12, tau.a22)))
-    assert all(c.strides[1] == 0 for c in (tau.a11, tau.a12, tau.a22))
+    full = SymEndo(*(np.repeat(c, g.nphi, axis=1) for c in (tau.a11, tau.a12, tau.a22)))
+    assert all(c.shape == (g.nbeta, 1) for c in (tau.a11, tau.a12, tau.a22))
     got = list(tau.eigenvalues) + [sigma_k(tau, k) for k in range(4)]
     want = list(full.eigenvalues) + [sigma_k(full, k) for k in range(4)]
     for k in (1, 2):
         got += [getattr(sigma_k_grad(tau, k), c) for c in ("a11", "a12", "a22")]
         want += [getattr(sigma_k_grad(full, k), c) for c in ("a11", "a12", "a22")]
     for x, y in zip(got, want):
-        assert x.shape == y.shape and x.strides[1] == 0
-        assert np.ascontiguousarray(x).tobytes() == y.tobytes()
+        assert x.shape == (g.nbeta, 1) and y.shape == (g.nbeta, g.nphi)
+        assert np.ascontiguousarray(np.broadcast_to(x, y.shape)).tobytes() == y.tobytes()
     assert tau.lam1min == full.lam1min
-    mixed = SymEndo(np.array(tau.a11), tau.a12, tau.a22)
-    assert sigma_k(mixed, 2).strides[1] != 0
+    mixed = SymEndo(full.a11, tau.a12, tau.a22)
+    assert sigma_k(mixed, 2).shape == (g.nbeta, g.nphi)
     assert sigma_k(mixed, 2).tobytes() == sigma_k(full, 2).tobytes()
+
+
+def test_a_batch_of_columns_gives_the_first_column_of_its_broadcast():
+    """A SymEndo of (n, 1) columns gives, bit for bit, the first column of
+    the eigenvalues, lam1min, sigma_k and sigma_k_grad of the same columns
+    repeated over m contiguous columns; components of both signs, a zero
+    off-diagonal and a repeated eigenvalue included."""
+    rng = np.random.default_rng(9)
+    cols = [rng.uniform(-2.0, 2.0, (12, 1)) for _ in range(3)]
+    cols[1][3] = 0.0
+    cols[0][5], cols[1][5], cols[2][5] = 0.7, 0.0, 0.7
+    col = SymEndo(*cols)
+    full = SymEndo(*(np.repeat(c, 5, axis=1) for c in cols))
+    got = list(col.eigenvalues) + [sigma_k(col, k) for k in range(4)]
+    want = list(full.eigenvalues) + [sigma_k(full, k) for k in range(4)]
+    for k in (1, 2):
+        got += [getattr(sigma_k_grad(col, k), c) for c in ("a11", "a12", "a22")]
+        want += [getattr(sigma_k_grad(full, k), c) for c in ("a11", "a12", "a22")]
+    for x, y in zip(got, want):
+        assert x.shape == (12, 1) and y.shape == (12, 5)
+        assert np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y[:, :1]).tobytes()
+    assert col.lam1min == full.lam1min
