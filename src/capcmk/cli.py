@@ -385,7 +385,7 @@ def cmd_selftest(args) -> int:
     checks.append(("inequality is tight on proportional pairs", eq, eq <= 1e-10))
 
     q = 1.0 + (params.p - 1.0)
-    rhs = phi_q(CapField(coarse, np.full((33, 64), 1.2), even=True), q, params)
+    rhs = phi_q(CapField(coarse, np.full((33, 64), 1.2)), q, params)
     v = CapField(coarse, rng.standard_normal((33, 64)))
     jerr = jacobian_fd_error(random_capillary_field(coarse, rng), q, rhs, params, v)
     checks.append(("Jacobian action matches finite differences", jerr, jerr <= 1e-5))

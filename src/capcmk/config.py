@@ -181,7 +181,7 @@ class RunConfig:
             values = np.broadcast_to(
                 self._profile_values(grid.beta_all)[:, None], (grid.nbeta + 1, grid.nphi)
             ).copy()
-            f = CapField(grid, values, even=True)
+            f = CapField(grid, values)
         if not (np.all(np.isfinite(f.values)) and np.min(f.values) > 0.0):
             raise ConfigError("phi must be finite and strictly positive")
         return f

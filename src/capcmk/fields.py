@@ -49,18 +49,17 @@ half and writes the second from the same text, the signs of x1 and x2
 toggled, with an x3 that is constant on the ring formatted once.
 
 Such fields are also evaluated on fewer nodes: `tau_sharp` and the audit's
-geometry evaluate a field by its bitwise period (`repeat_unit`; the bits
-decide, not the `even` flag), its first column when every ring is constant
-and its first Nphi/2 columns when the two halves are equal, with the same
-bits as at full width.  `tau_sharp` of a ring-constant field keeps its
-(Nbeta, 1) columns, which numpy broadcasts over the grid.
+geometry evaluate a field by its bitwise period (`repeat_unit`), its first
+column when every ring is constant and its first Nphi/2 columns when the two
+halves are equal, with the same bits as at full width; `tau_sharp` keeps a
+ring-constant field's (Nbeta, 1) columns, which numpy broadcasts.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -289,13 +288,15 @@ class CapGrid:
 
 @dataclass(eq=False)
 class CapField:
-    """Scalar field on a cap grid; values cover the cell rings plus the rim."""
+    """Scalar field on a cap grid; values cover the cell rings plus the rim.
+    `even` is accepted for old callers and dropped: the values are the one
+    record of evenness (`is_even`), which a stored label could contradict."""
 
     grid: CapGrid
     values: np.ndarray
-    even: bool = False
+    even: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, even):
         self.values = np.asarray(self.values, dtype=float)
         expected = (self.grid.nbeta + 1, self.grid.nphi)
         if self.values.shape != expected:
@@ -315,12 +316,12 @@ class CapField:
         if isinstance(other, CapField):
             if other.grid != self.grid:
                 raise ValueError("grid mismatch")
-            return CapField(self.grid, self.values + other.values, self.even and other.even)
+            return CapField(self.grid, self.values + other.values)
         return NotImplemented
 
     def __mul__(self, c):
         if np.isscalar(c):
-            return CapField(self.grid, self.values * float(c), self.even)
+            return CapField(self.grid, self.values * float(c))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -333,11 +334,14 @@ class CapField:
         """
         h = self.grid.nphi // 2
         v = 0.5 * (self.values + np.roll(self.values, h, axis=1))
-        return CapField(self.grid, v, even=True)
+        return CapField(self.grid, v)
 
     def is_even(self, tol=0.0) -> bool:
         h = self.grid.nphi // 2
         return bool(np.max(np.abs(self.values - np.roll(self.values, h, axis=1))) <= tol)
+
+
+del CapField.even  # the InitVar's default, which fields would read as a label
 
 
 def tau_sharp(s: CapField) -> SymEndo:
@@ -554,7 +558,7 @@ def _repeats(row: str, nphi: int, width: int) -> bool:
 
 
 def _header(path, head: str):
-    """(nbeta, nphi, theta, even) from the header line `nbeta,nphi,theta,even`."""
+    """(nbeta, nphi, theta) of the header `nbeta,nphi,theta,even` (even 0 or 1)."""
     parts = head.split(",")
     if len(parts) != 4:
         raise ValueError(f"{path}: malformed header {head!r}")
@@ -566,7 +570,7 @@ def _header(path, head: str):
         raise ValueError(f"{path}: the header's even flag must be 0 or 1, got {parts[3].strip()!r}")
     if nphi < 2 or nphi % 2:
         raise ValueError(f"{path}: the header's nphi must be even and at least 2, got {nphi}")
-    return nbeta, nphi, theta, bool(even)
+    return nbeta, nphi, theta
 
 
 def load_field(path) -> CapField:
@@ -574,13 +578,12 @@ def load_field(path) -> CapField:
 
     Everything after a `#` is a comment, and empty lines are skipped.  The
     first other line is the header `nbeta,nphi,theta,even` (nphi even and at
-    least 2, even 0 or 1);
-    exactly nbeta + 1 rows of nphi comma-separated values follow.  The header
-    is read here, the value rows by `np.loadtxt` at C level, whose
-    string-to-double conversion is the correctly rounded one behind `float()`,
-    so every value parses back bit-exactly.  A malformed file raises
-    ValueError naming `path`, and for a bad value row its 1-based line number
-    in the file.
+    least 2, even 0 or 1 and then dropped); exactly nbeta + 1 rows of nphi
+    comma-separated values follow.  The header is read here, the value rows
+    by `np.loadtxt` at C level, whose string-to-double conversion is the
+    correctly rounded one behind `float()`, so every value parses back
+    bit-exactly.  A malformed file raises ValueError naming `path`, and for a
+    bad value row its 1-based line number in the file.
 
     A ring written by `save_field` reads `L,L,...,L` when it has a bitwise
     period (`repeat_unit`): L holds its one value if the ring is constant,
@@ -597,7 +600,7 @@ def load_field(path) -> CapField:
         head = _data_line(lines)
         if head is None:
             raise ValueError(f"{path}: empty field file")
-        nbeta, nphi, theta, even = _header(path, head[1])
+        nbeta, nphi, theta = _header(path, head[1])
         # loadtxt warns on a body without data, so the first value row is
         # read here and handed back in front of the rest (no seek: the file
         # may be a pipe)
@@ -660,4 +663,4 @@ def load_field(path) -> CapField:
         grid = CapGrid(nbeta, nphi, theta)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return CapField(grid, values, even=even)
+    return CapField(grid, values)

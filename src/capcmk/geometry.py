@@ -77,7 +77,7 @@ def ell_field(grid: CapGrid) -> CapField:
     values = np.broadcast_to(
         ell(grid.theta, grid.beta_all)[:, None], (grid.nbeta + 1, grid.nphi)
     ).copy()
-    return CapField(grid, values, even=True)
+    return CapField(grid, values)
 
 
 class NeumannFactor:
@@ -166,7 +166,7 @@ def make_capillary_test_function(grid: CapGrid, v: NeumannFactor) -> CapField:
             f"factor violates the rim Neumann condition: max |dv/dbeta(theta)| = {worst:.3e}")
     bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
     values = ell(theta, bb) * v(bb, pp)
-    return CapField(grid, values, even=False).project_even()
+    return CapField(grid, values).project_even()
 
 
 def random_capillary_field(grid: CapGrid, rng) -> CapField:

@@ -51,8 +51,8 @@ take the layer's corrector as one callback, newton_fn(s, q, rhs, lu), and
 the homotopy data as rhs_fn(t); `solve_path` defines them once and runs the
 continuation alone from a given s0.
 
-No branch reads a field's `even` flag: `newton_solve` projects its start and
-`solve_path` its phi, which keeps every bit of a field whose halves are equal.
+`newton_solve` projects its start, and `solve_path` its phi, onto even fields;
+that keeps every bit of a field whose halves are equal.
 
 `solve_path` sequences grids: it halves Nbeta and Nphi, rounding down (Nphi
 to an even number), while the coarser grid keeps COARSE_MIN_NBETA = 32 rings,
@@ -212,7 +212,7 @@ def _phi_q_values(phi, q, params):
 
 def phi_q(phi: CapField, q: float, params: CapParams) -> CapField:
     """phi_q = phi^{(q+k-1)/(p+k-1)}; phi_1 = phi^{k/(p+k-1)}, phi_p = phi."""
-    return CapField(phi.grid, _phi_q_values(phi.values, q, params), even=phi.even)
+    return CapField(phi.grid, _phi_q_values(phi.values, q, params))
 
 
 def homotopy_values(t, phi, params):
@@ -232,7 +232,7 @@ def homotopy_values(t, phi, params):
 def homotopy_rhs(t: float, phi: CapField, params: CapParams):
     """(q(t), H(t, .)); H(0) = 1 and H(1) = phi exactly, branches meet at 1/2."""
     q, vals = homotopy_values(t, phi.values, params)
-    return q, CapField(phi.grid, vals, even=phi.even)
+    return q, CapField(phi.grid, vals)
 
 
 # -- residual and linearization ----------------------------------------------------
@@ -300,11 +300,8 @@ def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau
 
     def ring_mean(coef):
         """An interior-ring coefficient's ring means over its first `width`
-        columns on each entry's row ring; zero on the rim.  A column (tau of
-        a ring-constant s) is broadcast to that width first: the mean of its
-        copies need not be the column itself, bit for bit."""
-        coef = np.broadcast_to(coef[:, :width], (g.nbeta, width))
-        return np.append(np.mean(coef, axis=1), 0.0)[blocks["ring"]]
+        columns (a column is its own) on each entry's row ring; zero on the rim."""
+        return np.append(np.mean(coef[:, :width], axis=1), 0.0)[blocks["ring"]]
 
     data = (ring_mean(grad.a11) * blocks["a11"] + ring_mean(grad.a22) * blocks["a22"]
             + blocks["robin"])
@@ -519,7 +516,7 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
     s = s0.project_even()
 
     def cone(x):
-        sx = CapField(g, x, even=True)
+        sx = CapField(g, x)
         tau = tau_sharp(sx)
         return tau.lam1min, (sx, tau)
 
@@ -532,7 +529,7 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
         return _factorize(sx, q, rhs, params, tau, ring_data)
 
     x, info = _damped_newton(s.values, cone, evaluate, factor, sched, lu)
-    return CapField(g, x, even=True), info
+    return CapField(g, x), info
 
 
 # -- continuation driver -----------------------------------------------------------
@@ -780,7 +777,7 @@ def structural_hypothesis_check(phi: CapField, params: CapParams) -> dict:
     Informational: the hypotheses are sufficient, not necessary.
     """
     e = -1.0 / (params.p + params.k - 1.0)
-    w = CapField(phi.grid, phi.values**e, even=phi.even)
+    w = CapField(phi.grid, phi.values**e)
     lam1 = tau_sharp(w).lam1min
     bmargin = float(np.min(-robin_residual(w)))
     return {

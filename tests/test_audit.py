@@ -124,7 +124,7 @@ def test_parallel_body_adds_the_model(grid_16):
     t = 0.3
     fat = parallel_body(s, t)
     assert np.array_equal(fat.values, (s + t * ell_field(grid_16)).values)
-    assert fat.even
+    assert fat.is_even()
     with pytest.raises(ValueError):
         parallel_body(s, -0.1)
 
@@ -565,16 +565,16 @@ def test_the_bits_decide_the_half_path_not_the_flag(change, monkeypatch):
 
 
 def test_verify_evaluates_a_file_whose_halves_differ_at_full_width(tmp_path, monkeypatch):
-    # a stored solution flagged even whose halves differ in one value is
-    # audited at full width and fails; the file as solved, whose every ring
-    # is constant, takes the one-column path
+    # a stored solution whose halves differ in one value is audited at full
+    # width and fails; the file as solved, whose every ring is constant,
+    # takes the one-column path
     (tmp_path / "run.cfg").write_text("n = 2\nk = 1\np = 1.5\ntheta = pi/3\n"
                                       "grid.nbeta = 16\ngrid.nphi = 32\n"
                                       "phi.kind = cap_manufactured\nphi.r = 1.3\n")
     argv = ["--config", str(tmp_path / "run.cfg"), "--quiet"]
     assert cli.main(["solve", *argv, "--out", str(tmp_path / "out")]) == 0
     s = load_field(tmp_path / "out" / "solution.csv")
-    assert s.even
+    assert s.is_even()
     s.values[8, 19] += 0.5
     save_field(s, tmp_path / "uneven.csv")
     widths = extend_widths(monkeypatch)

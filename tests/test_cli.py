@@ -178,7 +178,7 @@ def test_phi_field_kinds(tmp_path):
 
     cfg = load_config(write_cfg(tmp_path, BASE + "phi.value = 2.5\n", "a.cfg"))
     f = cfg.phi_field(grid)
-    assert np.all(f.values == 2.5) and f.even
+    assert np.all(f.values == 2.5) and f.is_even()
 
     cfg = load_config(write_cfg(
         tmp_path, BASE + "phi.kind = cap_manufactured\nphi.r = 1.3\n", "b.cfg"))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -167,7 +168,7 @@ def test_field_algebra_and_grid_mismatch():
     g = CapGrid(16, 32, THETA)
     other = CapGrid(16, 32, math.pi / 4)
     a = ell_field(g)
-    assert (a + a).even
+    assert (a + a).is_even()
     with pytest.raises(ValueError):
         a + ell_field(other)
 
@@ -378,9 +379,9 @@ def test_boundary_tau_identity_decays_under_refinement():
 
 def test_the_even_column_records_the_bits(tmp_path):
     """The header's even column says whether every ring's two halves are
-    equal bit for bit, whatever the field's `even` label: data labelled even
-    whose cos 2phi halves differ in their last bits write 0, and equal
-    halves labelled not even write 1."""
+    equal bit for bit, whatever `even` keyword the field was built with:
+    data passed even=True whose cos 2phi halves differ in their last bits
+    write 0, and equal halves passed even=False write 1."""
     g = CapGrid(16, 32, THETA)
     bb, pp = np.meshgrid(g.beta_all, g.phi, indexing="ij")
     aniso = 1.0 + 2.0 * (1.0 - np.cos(bb)) + 0.3 * np.cos(2.0 * pp) * np.sin(bb) ** 2
@@ -391,7 +392,34 @@ def test_the_even_column_records_the_bits(tmp_path):
         save_field(CapField(g, values, even=label), path)
         header = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][0]
         assert header.split(",")[-1] == want
-        assert load_field(path).even is (want == "1")
+        assert (repeat_unit(load_field(path).values) is not None) is (want == "1")
+
+
+def test_the_even_keyword_is_accepted_and_dropped(tmp_path):
+    """A field's values are the one record of its evenness: `even` is an init
+    argument that no field keeps, and a file's header column, 0 or 1, does
+    not change what loads; any other column is still refused."""
+    g = CapGrid(16, 32, THETA)
+    v = smooth_even_field(g).project_even().values
+    built = (CapField(g, v), CapField(g, v, even=True), CapField(g, v, True))
+    assert all(f.values.tobytes() == v.tobytes() for f in built)
+    assert [f.name for f in dataclasses.fields(CapField)] == ["grid", "values"]
+    assert not any(hasattr(f, "even") for f in built)
+    path = tmp_path / "field.csv"
+    save_field(built[0], path)
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    assert lines[at].endswith(",1\n")
+    loaded = []
+    for column in "012":
+        lines[at] = lines[at][:lines[at].rindex(",") + 1] + column + "\n"
+        path.write_text("".join(lines))
+        if column == "2":
+            with pytest.raises(ValueError, match=re.escape(str(path)) + ".*must be 0 or 1"):
+                load_field(path)
+        else:
+            loaded.append(load_field(path).values.tobytes())
+    assert loaded == [v.tobytes()] * 2
 
 
 def _reference_load(path):
@@ -409,7 +437,7 @@ def test_field_serialization_round_trip_is_bit_exact(tmp_path):
     save_field(s, path)
     back = load_field(path)
     assert back.grid == g
-    assert back.even == (repeat_unit(s.values) is not None)
+    assert repeat_unit(back.values) is not None
     assert np.array_equal(back.values, s.values)
     # the edge values with both signs, and random bit patterns: NaN payloads
     # and signs do not survive %.17g, so every value is held to the per-value
@@ -421,7 +449,8 @@ def test_field_serialization_round_trip_is_bit_exact(tmp_path):
     for f in (CapField(g, edges), CapField(big, bits.view(np.float64), even=True)):
         save_field(f, path)
         back = load_field(path)
-        assert back.grid == f.grid and back.even == (repeat_unit(f.values) is not None)
+        assert back.grid == f.grid
+        assert (repeat_unit(back.values) is None) == (repeat_unit(f.values) is None)
         assert back.values.tobytes() == _reference_load(path).tobytes()
         keep = ~np.isnan(f.values)
         assert back.values[keep].tobytes() == f.values[keep].tobytes()

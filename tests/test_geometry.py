@@ -60,7 +60,7 @@ def test_ell_satisfies_robin_exactly():
 def test_ell_field_is_even_and_matches_closed_form():
     g = CapGrid(16, 32, THETA)
     f = ell_field(g)
-    assert f.even and f.is_even()
+    assert f.is_even()
     assert np.allclose(f.values, ell(THETA, g.beta_all)[:, None])
 
 
@@ -100,7 +100,7 @@ def test_capillary_test_function_satisfies_discrete_robin():
 def test_capillary_test_function_output_is_even():
     g = CapGrid(16, 32, THETA)
     s = make_capillary_test_function(g, random_neumann_factor(THETA, np.random.default_rng(4)))
-    assert s.even and s.is_even()
+    assert s.is_even()
 
 
 def test_capillary_test_function_rejects_neumann_violation():

@@ -88,7 +88,8 @@ WRITTEN_WHOLE = {"geometry.CapParams", "solver.SolveReport"}
 
 def unread_fields():
     """Dataclass fields whose name the package never reads as an attribute
-    outside the class's own `__post_init__`."""
+    outside the class's own `__post_init__`.  An `InitVar` is an argument
+    of `__init__`, not a field, so it is not counted."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PKG.glob("*.py"))}
     reads = [
@@ -105,9 +106,12 @@ def unread_fields():
             own = {id(n) for node in cls.body if isinstance(node, ast.FunctionDef)
                    and node.name == "__post_init__" for n in ast.walk(node)}
             for node in cls.body:
-                if isinstance(node, ast.AnnAssign) and not any(
-                        n.attr == node.target.id and id(n) not in own for n in reads):
-                    unread.append(f"{module}.{cls.name}.{node.target.id}")
+                if not isinstance(node, ast.AnnAssign):
+                    continue
+                name = node.target.id
+                if "InitVar" not in ast.unparse(node.annotation) and not any(
+                        n.attr == name and id(n) not in own for n in reads):
+                    unread.append(f"{module}.{cls.name}.{name}")
     return sorted(unread)
 
 
@@ -180,6 +184,16 @@ def test_no_module_reads_strides():
     broadcast), not detected from memory layout: no module reads `.strides`."""
     readers = sorted(path.name for path in PKG.glob("*.py")
                      if any(isinstance(n, ast.Attribute) and n.attr == "strides"
+                            for n in ast.walk(ast.parse(path.read_text()))))
+    assert readers == []
+
+
+def test_no_module_reads_even():
+    """Evenness is read from a field's values (`is_even`, `repeat_unit`), not
+    from a stored label: no module reads an `.even` attribute."""
+    readers = sorted(path.name for path in PKG.glob("*.py")
+                     if any(isinstance(n, ast.Attribute) and n.attr == "even"
+                            and isinstance(n.ctx, ast.Load)
                             for n in ast.walk(ast.parse(path.read_text()))))
     assert readers == []
 
