@@ -23,17 +23,18 @@ rhs, margin, pass} (or a small dict of such), never an exception, except for
 reconstruction itself which refuses non-convex input.
 
 The audits of one field s take `tau`, tau_sharp(s), and `pts`,
-surface_points(s), evaluated once by the caller for the whole battery.
-Only `volume`, which the Steiner check also runs on parallel bodies, and
-the exported `steiner_sigma_check` and `estimates_audit` evaluate them
-when they are not given.
+surface_points(s), evaluated once by the caller for the whole battery;
+only the exported `steiner_sigma_check` and `estimates_audit` evaluate
+them when they are not given.  No parallel body s + rho ell is evaluated:
+tau and x3 are linear in s, so the Steiner volume check adds rho times
+ell's to s's.
 
 A field with a bitwise period (`fields.repeat_unit`) is evaluated on it,
-with every bit as at full width: its surface points, and the x3 of the
-Steiner check's parallel bodies, on the first column where every ring is
-constant (a rotationally symmetric solution) or on the first half of an
-even field; normals and slopes on the first half either way.  The tau of a
-ring-constant field is (Nbeta, 1) columns, which the integrands broadcast.
+with every bit as at full width: its surface points on the first column
+where every ring is constant (a rotationally symmetric solution) or on the
+first half of an even field; normals and slopes on the first half either
+way.  The tau of a ring-constant field is (Nbeta, 1) columns, which the
+integrands broadcast.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CapField, repeat_unit, tau_sharp, write_csv
+from .fields import CapField, CapGrid, repeat_unit, tau_sharp, write_csv
 from .geometry import CapParams, ell, ell_field
 from .symfunc import SymEndo, polarize_qk, sigma_k
 
@@ -52,7 +53,6 @@ __all__ = [
     "reconstruct",
     "surface_points",
     "volume",
-    "parallel_body",
     "mixed_volume",
     "mixed_volume_repeated",
     "af_inequality_check",
@@ -62,18 +62,6 @@ __all__ = [
     "estimates_audit",
     "save_embedding",
 ]
-
-
-def _evaluated(s: CapField):
-    """(w, extended w, d_beta w, sin beta, cos beta) on every ring, where w
-    is `repeat_unit(s.values)`, one column or a half, or, if that is None,
-    all of s.values."""
-    g = s.grid
-    unit = repeat_unit(s.values)
-    w = s.values if unit is None else unit
-    x = g.extend(w)
-    beta = g.beta_all[:, None]
-    return w, x, g.apply("dbeta", x), np.sin(beta), np.cos(beta)
 
 
 def surface_points(s: CapField) -> np.ndarray:
@@ -92,7 +80,11 @@ def surface_points(s: CapField) -> np.ndarray:
     again.
     """
     g = s.grid
-    w, x, sb, sinb, cosb = _evaluated(s)
+    unit = repeat_unit(s.values)
+    w = s.values if unit is None else unit
+    x = g.extend(w)
+    beta = g.beta_all[:, None]
+    sb, sinb, cosb = g.apply("dbeta", x), np.sin(beta), np.cos(beta)
     h = g.nphi // 2
     n = g.nphi if w.shape[1] == g.nphi else h
     c, sn = np.cos(g.phi[:h]), np.sin(g.phi[:h])
@@ -156,32 +148,12 @@ def reconstruct(s: CapField, tau, pts) -> BodyGeometry:
     )
 
 
-def volume(s: CapField, tau=None, pts=None) -> float:
-    """Divergence-theorem volume of the reconstructed body (n = 2); tau and
-    pts, if given, are tau_sharp(s) and surface_points(s).  Without pts only
-    x3 = s cos(beta) - d_beta s sin(beta) is evaluated, on the bitwise
-    period of a field that has one (`repeat_unit`): one column, which the
-    integrand broadcasts, or the first half, tiled; the integral is over the
-    full grid either way."""
-    g = s.grid
-    if pts is None:
-        w, _, sb, sinb, cosb = _evaluated(s)
-        x3 = w * cosb - sb * sinb
-        if x3.shape[1] > 1:
-            x3 = np.tile(x3, (1, g.nphi // w.shape[1]))
-    else:
-        x3 = pts[..., 2]
-    x3 = x3[: g.nbeta]
-    det = sigma_k(tau_sharp(s) if tau is None else tau, 2)
-    cosb = np.cos(g.beta_cells)[:, None]
-    return g.integrate(x3 * cosb * det)
-
-
-def parallel_body(s: CapField, t: float) -> CapField:
-    """Support function of the body fattened by the t-cap: s + t ell."""
-    if t < 0.0:
-        raise ValueError(f"parallel parameter must be >= 0, got {t}")
-    return s + float(t) * ell_field(s.grid)
+def volume(grid: CapGrid, x3, tau) -> float:
+    """Divergence-theorem volume of a reconstructed body (n = 2) from its
+    points' x3 and its tau_sharp, on the grid's rings and the rim: full
+    width, or (Nbeta, 1) columns that the integrand broadcasts."""
+    cosb = np.cos(grid.beta_cells)[:, None]
+    return grid.integrate(x3[: grid.nbeta] * cosb * sigma_k(tau, 2))
 
 
 # -- mixed volumes ----------------------------------------------------------------
@@ -298,19 +270,28 @@ def steiner_volume_check(s: CapField, rhos, params: CapParams, tau, pts) -> list
 
     One record per rho in rhos.  Left side: vol(body of s + rho ell) -
     vol(body of s).  Right side: the rho-polynomial with the
-    steiner_coefficients.  vol(body of s) and the coefficients are computed
-    once for all rhos; tau and pts are tau_sharp(s) and surface_points(s).
-    Both sides are second-order quadratures of the same smooth quantity, so
-    they agree to the combined discretization error, not to roundoff, which
-    STEINER_TOL allows for.
+    steiner_coefficients.  tau and pts are tau_sharp(s) and
+    surface_points(s).  Both sides are second-order quadratures of the same
+    smooth quantity, so they agree to the combined discretization error, not
+    to roundoff, which STEINER_TOL allows for.
+
+    The discrete tau and x3 are linear in s: the left side takes tau +
+    rho tau_sharp(ell) and x3 + rho x3(ell), ell's evaluated once on its
+    one column (and s's x3 on its tau's columns), so no stencil amplifies
+    the rounding of s + rho ell at the pole.  tau_sharp(ell) is the identity
+    only to O(h^2), and both sides must be quadratures of one discrete body.
     """
     if params.n != 2:
         raise ValueError("volume audits are n = 2 only")
-    base = volume(s, tau, pts)
-    coeff = steiner_coefficients(s, params, tau)
+    g, x3 = s.grid, pts[:, : tau.shape[1], 2]
+    base, coeff = volume(g, x3, tau), steiner_coefficients(s, params, tau)
+    model = ell_field(g)
+    w, beta = model.values[:, :1], g.beta_all[:, None]
+    model_x3 = w * np.cos(beta) - g.apply("dbeta", g.extend(w)) * np.sin(beta)
+    model_tau = tau_sharp(model)
     records = []
     for rho in rhos:
-        lhs = volume(parallel_body(s, rho)) - base
+        lhs = volume(g, x3 + rho * model_x3, tau + rho * model_tau) - base
         rhs = float(sum(c * rho ** (params.n + 1 - j) for j, c in enumerate(coeff)))
         gap = abs(lhs - rhs)
         scale = max(1.0, abs(lhs), abs(rhs))

@@ -11,7 +11,6 @@ from capcmk.audit import (
     estimates_audit,
     mixed_volume,
     mixed_volume_repeated,
-    parallel_body,
     reconstruct,
     save_embedding,
     steiner_coefficients,
@@ -104,7 +103,9 @@ def test_volume_of_the_model_cap_converges():
     errs = {}
     for nb in (16, 32):
         g = CapGrid(nb, 2 * nb, THETA)
-        errs[nb] = abs(volume(ell_field(g)) - cap_volume(THETA)) / cap_volume(THETA)
+        lf = ell_field(g)
+        v = volume(g, surface_points(lf)[..., 2], tau_sharp(lf))
+        errs[nb] = abs(v - cap_volume(THETA)) / cap_volume(THETA)
     assert errs[16] < 2e-3
     assert errs[32] < 1e-3
     assert errs[16] / errs[32] > 3.0
@@ -113,20 +114,8 @@ def test_volume_of_the_model_cap_converges():
 def test_volume_scales_cubically(grid_16):
     rng = np.random.default_rng(0)
     s = random_capillary_field(grid_16, rng)
-    v1 = volume(s)
-    v2 = volume(2.0 * s)
+    v1, v2 = (volume(grid_16, surface_points(f)[..., 2], tau_sharp(f)) for f in (s, 2.0 * s))
     assert abs(v2 - 8.0 * v1) < 1e-12 * abs(v1)
-
-
-def test_parallel_body_adds_the_model(grid_16):
-    rng = np.random.default_rng(1)
-    s = random_capillary_field(grid_16, rng)
-    t = 0.3
-    fat = parallel_body(s, t)
-    assert np.array_equal(fat.values, (s + t * ell_field(grid_16)).values)
-    assert fat.is_even()
-    with pytest.raises(ValueError):
-        parallel_body(s, -0.1)
 
 
 # -- mixed volumes ----------------------------------------------------------------
@@ -282,13 +271,83 @@ def test_parallel_volume_polynomial_matches_coefficients(grid_32, params_k1):
     rng = np.random.default_rng(3)
     s = random_capillary_field(grid_32, rng)
     rhos = np.linspace(0.1, 1.0, 8)
-    v0 = volume(s)
-    dvol = np.array([volume(parallel_body(s, r)) - v0 for r in rhos])
+    vols = [volume(grid_32, surface_points(f)[..., 2], tau_sharp(f))
+            for f in [s] + [s + r * ell_field(grid_32) for r in rhos]]
+    dvol = np.array(vols[1:]) - vols[0]
     fit = np.polyfit(rhos, dvol, 3)
     coeff = steiner_coefficients(s, params_k1, tau_sharp(s))
     for got, want in zip(fit[:3], coeff):
         assert abs(got - want) / abs(want) < 5e-3
     assert abs(fit[3]) < 1e-12
+
+
+LINEAR_GRIDS = [(16, 32), (64, 128), (128, 256)]
+
+
+@pytest.mark.parametrize("shape", LINEAR_GRIDS, ids=[f"{a}x{b}" for a, b in LINEAR_GRIDS])
+@pytest.mark.parametrize("kind", ["random", "ring-constant", "falling"])
+def test_parallel_bodies_are_linear_in_the_support_function(shape, kind, params_k1):
+    """x3 of s + rho ell is x3(s) + rho x3(ell) to roundoff, and the Steiner
+    volume check's left side is that of the parallel bodies evaluated as
+    fields.  tau is not compared node by node: the pole-ring stencils
+    amplify the rounding of s + rho ell (1e-9 relative at 64x128)."""
+    g = CapGrid(*shape, THETA)
+    s = {"random": lambda: random_capillary_field(g, np.random.default_rng(shape[0])),
+         "ring-constant": lambda: ring_constant(g, shape[0]),
+         "falling": lambda: falling_field(g)}[kind]()
+    model = ell_field(g)
+    tau, pts = tau_sharp(s), surface_points(s)
+    x3, model_x3 = pts[..., 2], surface_points(model)[..., 2]
+    rhos = (0.1, 0.5, 1.0)
+    records = steiner_volume_check(s, rhos, params_k1, tau, pts)
+    base = volume(g, x3, tau)
+    for rho, rec in zip(rhos, records):
+        fat = s + rho * model
+        fat_x3 = surface_points(fat)[..., 2]
+        assert np.max(np.abs(fat_x3 - (x3 + rho * model_x3))) <= 1e-12 * np.max(np.abs(fat_x3))
+        lhs = volume(g, fat_x3, tau_sharp(fat)) - base
+        assert abs(rec["lhs"] - lhs) <= 1e-11 * max(1.0, abs(rec["lhs"]))
+
+
+def test_the_steiner_volume_check_evaluates_the_model_alone(monkeypatch, params_k1):
+    # tau_sharp runs once, on ell, and CapGrid.extend sees only ell's column:
+    # no parallel body s + rho ell is evaluated by stencils
+    g = CapGrid(33, 66, THETA)
+    s = random_capillary_field(g, np.random.default_rng(11))
+    tau, pts = tau_sharp(s), surface_points(s)
+    model = ell_field(g).values
+    column = model[:, :1]
+    taus, extended, real_tau, real_extend = [], [], audit.tau_sharp, CapGrid.extend
+
+    def tau_spy(f):
+        taus.append(f.values.copy())
+        return real_tau(f)
+
+    def extend_spy(self, values):
+        extended.append(values.copy())
+        return real_extend(self, values)
+
+    monkeypatch.setattr(audit, "tau_sharp", tau_spy)
+    monkeypatch.setattr(CapGrid, "extend", extend_spy)
+    records = steiner_volume_check(s, (0.1, 0.5, 1.0), params_k1, tau, pts)
+    assert len(records) == 3
+    assert len(taus) == 1 and same_bits(taus[0], model)
+    assert extended and all(v.shape == column.shape and same_bits(v, column) for v in extended)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_steiner_volume_check_of_a_ring_constant_field_is_its_column(grid_32, k):
+    """A ring-constant field's tau, (Nbeta, 1) columns, and the x3 on its
+    columns give the records that the same tau repeated over the grid, with
+    x3 at full width, gives, bit for bit."""
+    params = CapParams(n=2, k=k, p=1.5, theta=THETA)
+    s = ring_constant(grid_32, 3)
+    tau, pts = tau_sharp(s), surface_points(s)
+    full = SymEndo(*(np.repeat(c, grid_32.nphi, axis=1) for c in (tau.a11, tau.a12, tau.a22)))
+    assert tau.shape == (grid_32.nbeta, 1) and full.shape == (grid_32.nbeta, grid_32.nphi)
+    rhos = (0.1, 0.5, 1.0)
+    assert (steiner_volume_check(s, rhos, params, tau, pts)
+            == steiner_volume_check(s, rhos, params, full, pts))
 
 
 # -- estimate audit ---------------------------------------------------------------
@@ -393,8 +452,9 @@ def test_save_embedding_streams(tmp_path):
 
 
 def test_the_solution_audit_evaluates_even_fields_on_half_the_nodes(tmp_path):
-    # tau_sharp, reconstruct and the three parallel bodies' volumes work on
-    # the first half of a bitwise-even field: 5.54 MB at full width
+    # tau_sharp and reconstruct work on the first half of a bitwise-even
+    # field, and the Steiner volume check adds ell's column to its tau and
+    # x3: 3.59 MB, against 5.60 MB for a field one value one ulp off even
     (tmp_path / "run.cfg").write_text("n = 2\nk = 1\np = 1.5\ntheta = pi/3\n"
                                       "phi.kind = rotsym_expr\nphi.coeffs = 1, 0.3\n")
     cfg = load_config(tmp_path / "run.cfg")
@@ -483,7 +543,8 @@ def same_bits(a, b):
 
 def assert_full_width_bits(s, geometry=True):
     """tau_sharp, surface_points and, for a convex field, reconstruct and
-    volume (with and without pts) give the full-width references' bits;
+    volume (of x3 at full width and on tau's columns) give the full-width
+    references' bits;
     tau_sharp's components are compared broadcast over the grid, since a
     ring-constant field's come as (Nbeta, 1) columns."""
     tau, ref_tau = tau_sharp(s), full_tau(s)
@@ -499,8 +560,8 @@ def assert_full_width_bits(s, geometry=True):
             for name in ("height", "r_in", "rim_planarity", "slope_max"):
                 assert same_bits(getattr(got, name), getattr(want, name)), name
         want = full_volume(s, ref_tau, ref_pts)
-        assert same_bits(volume(s), want)
-        assert same_bits(volume(s, tau, pts=pts), want)
+        assert same_bits(volume(s.grid, pts[..., 2], tau), want)
+        assert same_bits(volume(s.grid, pts[:, :tau.shape[1], 2], tau), want)
 
 
 def falling_field(grid):
@@ -532,12 +593,14 @@ def test_a_solved_field_evaluated_on_half_the_nodes_keeps_every_bit(solved_32):
     assert_full_width_bits(solved_32[0])
 
 
-def extend_widths(monkeypatch):
-    """The column counts of every array CapGrid.extend is handed from now on."""
+def extend_widths(monkeypatch, skip=None):
+    """The column counts of every array CapGrid.extend is handed from now on,
+    but for those with the shape and bits of skip."""
     widths, real = [], CapGrid.extend
 
     def spy(self, values):
-        widths.append(values.shape[1])
+        if skip is None or values.shape != skip.shape or not same_bits(values, skip):
+            widths.append(values.shape[1])
         return real(self, values)
 
     monkeypatch.setattr(CapGrid, "extend", spy)
@@ -567,7 +630,8 @@ def test_the_bits_decide_the_half_path_not_the_flag(change, monkeypatch):
 def test_verify_evaluates_a_file_whose_halves_differ_at_full_width(tmp_path, monkeypatch):
     # a stored solution whose halves differ in one value is audited at full
     # width and fails; the file as solved, whose every ring is constant,
-    # takes the one-column path
+    # takes the one-column path; the Steiner volume check's one column of
+    # ell is not counted
     (tmp_path / "run.cfg").write_text("n = 2\nk = 1\np = 1.5\ntheta = pi/3\n"
                                       "grid.nbeta = 16\ngrid.nphi = 32\n"
                                       "phi.kind = cap_manufactured\nphi.r = 1.3\n")
@@ -577,7 +641,7 @@ def test_verify_evaluates_a_file_whose_halves_differ_at_full_width(tmp_path, mon
     assert s.is_even()
     s.values[8, 19] += 0.5
     save_field(s, tmp_path / "uneven.csv")
-    widths = extend_widths(monkeypatch)
+    widths = extend_widths(monkeypatch, skip=ell_field(s.grid).values[:, :1])
     assert cli.main(["verify", *argv, "--solution", str(tmp_path / "out" / "solution.csv"),
                      "--out", str(tmp_path / "v0")]) == 0
     assert 1 in widths
@@ -602,10 +666,10 @@ def ring_constant(grid, seed):
                          ids=[f"{a}x{b}" for a, b in HALF_GRIDS + [(64, 130)]])
 @pytest.mark.parametrize("kind", ["ring-constant", "ell", "falling"])
 def test_ring_constant_fields_evaluated_on_one_column_keep_every_bit(shape, kind, monkeypatch):
-    """tau_sharp, surface_points and volume evaluate a field whose every ring
-    is constant on its first column, reconstruct on the first half, and all
-    give the full-width references' bits; tau_sharp's components are that
-    column's (Nbeta, 1) columns."""
+    """tau_sharp and surface_points evaluate a field whose every ring is
+    constant on its first column, volume takes x3 on that column and
+    reconstruct the first half, and all give the full-width references'
+    bits; tau_sharp's components are that column's (Nbeta, 1) columns."""
     g = CapGrid(*shape, THETA)
     s = {"ring-constant": lambda: ring_constant(g, shape[0]), "ell": lambda: ell_field(g),
          "falling": lambda: falling_field(g)}[kind]()
