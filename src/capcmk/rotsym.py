@@ -18,20 +18,20 @@ Robin row s'(theta) = cot(theta) s(theta) at the rim.  Discretization mirrors
 the 2-D conventions: cell-centered rings plus a rim node, second order
 throughout, 4-point nonuniform second derivative next to the rim.  The
 stencils are this module's own, built once per grid (`RotGrid.ops`) together
-with the Jacobian's constant parts; a `RotProfile` computes lam_r and lam_t
-when it is built, so each Newton point is evaluated once for the cone guard,
-the residual and the Jacobian.  `save_profile` writes through the package's
-one CSV writer, `fields.write_csv`.
+with the Jacobian's constant parts.  `save_profile` writes through the
+package's one CSV writer, `fields.write_csv`.
 
 The Newton corrector is the solver's shared damped-Newton loop
-(`solver._damped_newton`) with this module's residual, cone margin and sparse
-LU (`splu`, with the 2-D solver's policy `solver.LU_OPTIONS`) as callbacks;
-only the discretization is independent of the 2-D path.  The solve is the
-2-D path's driver, `solver.newton_first`: one corrector at t = 1, and the
-continuation only if that fails.  As there, one LU per path is reused across
-Newton iterations and continuation steps and refactorized when the last
-accepted step cut the residual by less than `solver.REFACTOR_RATIO`, or when
-a step from it fails the full-step Armijo test.
+(`solver._damped_newton`).  Its one callback builds one `RotProfile` per
+Newton point (lam_r and lam_t are computed at build) for the cone margin,
+this module's residual and, when the corrector factorizes, the sparse LU of
+the Jacobian (`splu`, with the 2-D solver's policy `solver.LU_OPTIONS`);
+only the discretization is independent of the 2-D path.  The solve is the 2-D path's driver,
+`solver.newton_first`: one corrector at t = 1, and the continuation only if
+that fails.  As there, one LU per path is reused across Newton iterations
+and continuation steps and refactorized when the last accepted step cut the
+residual by less than `solver.REFACTOR_RATIO`, or when a step from it fails
+the full-step Armijo test.
 """
 
 from __future__ import annotations
@@ -199,18 +199,17 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
     phi_cells = phi_vals[: grid.n_cells]
 
     def newton_fn(x, q, rhs_cells, lu):
-        def cone(x):
+        def point(x):
             prof = RotProfile(grid, x)
-            return float(min(np.min(prof.lam_r), np.min(prof.lam_t))), prof
 
-        def evaluate(prof):
-            return _residual(prof, q, rhs_cells, params)
+            def factor():
+                superlu = splu(_linearize(prof, q, rhs_cells, params).tocsc(), **LU_OPTIONS)
+                return lambda fint, gbd: superlu.solve(-np.concatenate([fint, [gbd]]))
 
-        def factor(prof):
-            factors = splu(_linearize(prof, q, rhs_cells, params).tocsc(), **LU_OPTIONS)
-            return lambda fint, gbd: factors.solve(-np.concatenate([fint, [gbd]]))
+            lam1 = float(min(np.min(prof.lam_r), np.min(prof.lam_t)))
+            return (lam1, *_residual(prof, q, rhs_cells, params), factor)
 
-        return _damped_newton(x, cone, evaluate, factor, sched, lu)
+        return _damped_newton(x, point, sched, lu)
 
     def rhs_fn(t):
         return homotopy_values(t, phi_cells, params)

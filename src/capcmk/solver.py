@@ -19,29 +19,30 @@ the problem well-posed, matching the even solution class.  The one matrix
 newton_solve factorizes is `linearize_modal`: a real FFT over phi splits the
 restriction, with every coefficient replaced by its ring mean, into Nphi/4 + 1
 banded ring systems (`CapGrid.modal_blocks`), factorized as one
-block-diagonal LU.  At a rotationally symmetric state, where every ring of
-the iterate and of the data holds one value, bit for bit (the bitwise period
+block-diagonal LU.  A step takes one of two forms.  Where the whole path's
+data are ring-constant (`solve_path` tells newton_solve) and every ring of
+the iterate holds one value, bit for bit (the bitwise period
 `fields.repeat_unit` is one column, as the fields layer tests it), the
-restriction is circulant in phi and the modal solve is the Newton step.  A
-ring-constant residual then excites mode 0 alone, so where the whole path's
-data are ring-constant (`solve_path` tells newton_solve), the LU holds the
-one (Nbeta + 1)-square mode-0 block and the step is one ring vector.  The
-t = 0 corrector of an anisotropic solve's continuation fallback also runs at
-constant data, but its LU serves the anisotropic steps after it, so it keeps
-every mode.  Every other state refines the modal step by
-defect correction on the restriction's action (`linearize`, evaluated by
-`tau_sharp` and `robin_residual`), summed by numpy on one thread.  That action
-is the one Jacobian of the package: jacobian_fd_error checks it, at full
-width, against central differences of the residual.  Both layers factorize
-with one LU policy, LU_OPTIONS: SuperLU's symmetric mode.
+restriction is circulant in phi and a ring-constant residual excites mode 0
+alone: the LU holds the one (Nbeta + 1)-square mode-0 block and the step is
+one ring vector.  Every other LU holds every mode, and its modal solve is
+refined by defect correction on the restriction's action (`linearize`,
+evaluated by `tau_sharp` and `robin_residual`), summed by numpy on one
+thread; at a ring-constant state, such as the t = 0 corrector of an
+anisotropic solve's continuation fallback, whose LU serves the anisotropic
+steps after it, the correction stops at its first check.  That action is the
+one Jacobian of the package: jacobian_fd_error checks it, at full width,
+against central differences of the residual.  Both layers factorize with one
+LU policy, LU_OPTIONS: SuperLU's symmetric mode.
 
 `_damped_newton` is the one damped-Newton corrector: `newton_solve` and the
-1-D oracle in `rotsym` both run it, with their own residual, cone margin and
-sparse LU factorization as callbacks.  Each continuation path holds one LU,
-which the corrector reuses across Newton iterations and continuation steps; it
-refactorizes when it holds none, when the last accepted step cut the residual
-by less than REFACTOR_RATIO = 0.1, or when a step from the reused LU fails the
-full-step Armijo test (then at the same iterate, with the full line search).
+1-D oracle in `rotsym` both run it, each with one callback that evaluates a
+Newton point once (cone margin, residual, and the sparse LU of its Jacobian
+on demand).  Each continuation path holds one LU, which the corrector reuses
+across Newton iterations and continuation steps; it refactorizes when it
+holds none, when the last accepted step cut the residual by less than
+REFACTOR_RATIO = 0.1, or when a step from the reused LU fails the full-step
+Armijo test (then at the same iterate, with the full line search).
 
 `newton_first` is the one driver of both layers: one corrector at t = 1 from
 the mean-scaled model function `model_scale(phi) ell`, and only if that fails
@@ -335,27 +336,26 @@ def _ring_constant(values) -> bool:
 
 def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau, ring_data):
     """Factorizes the modal system (`linearize_modal`) at s and returns
-    apply(fint, gbd), the Newton step at s on every node.
+    apply(fint, gbd), the Newton step at s on every node, in one of two forms.
 
-    Where every ring of s and of rhs holds one value, bit for bit, the modal
-    solve is the step.  If ring_data also says that every right side of the
-    path is ring-constant, every step this LU takes has mode 0 alone: the LU
-    holds the mode-0 block, and the step solves the residual's first column
-    as one ring vector and repeats it over phi, with no FFT.  Otherwise the
-    LU holds every mode (the continuation fallback's t = 0 LU serves the
-    anisotropic steps after it), and the modal solve M^-1 takes the real FFT
-    over j < Nphi/2 of the even rows, solves its real and imaginary parts
-    and transforms back.  x = M^-1 b is the step at a ring-constant state;
-    elsewhere defect correction refines it on the even system's action J at
-    s (`linearize` on half rows), by x += M^-1 (b - J x) until the stop
-    above.  Its sums are numpy's, on one thread, so the step's bits do not
-    depend on the BLAS thread count.  The step solves for the even unknowns
-    and repeats them on j + Nphi/2.
+    Where ring_data says that every right side of the path is ring-constant
+    and every ring of s and of rhs holds one value, bit for bit, every step
+    this LU takes has mode 0 alone: the LU holds the mode-0 block, and the
+    step solves the residual's first column as one ring vector and repeats
+    it over phi, with no FFT.  Every other LU holds every mode, and its step
+    is the modal solve M^-1 (the real FFT over j < Nphi/2 of the even rows,
+    a solve of its real and imaginary parts, the transform back) refined by
+    defect correction on the even system's action J at s (`linearize` on
+    half rows), by x += M^-1 (b - J x) until the stop above.  At a
+    ring-constant state M is J to round-off, so the correction stops at its
+    first check (the continuation fallback's t = 0 LU, which serves the
+    anisotropic steps after it).  Its sums are numpy's, on one thread, so
+    the step's bits do not depend on the BLAS thread count.  The step solves
+    for the even unknowns and repeats them on j + Nphi/2.
     """
     g = s.grid
     h, nr = g.nphi // 2, g.nbeta + 1
-    rotsym = _ring_constant(s.values) and _ring_constant(rhs.values)
-    mode0 = rotsym and ring_data
+    mode0 = ring_data and _ring_constant(s.values) and _ring_constant(rhs.values)
     lu = splu(linearize_modal(s, q, rhs, params, tau, mode0), **LU_OPTIONS)
     if mode0:
         def ring_step(fint, gbd):
@@ -370,13 +370,13 @@ def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau, rin
         xh = (xh[:, 0] + 1j * xh[:, 1]).reshape(-1, nr).T
         return np.fft.irfft(xh, n=h, axis=1).ravel()
 
-    action = None if rotsym else linearize(s, q, rhs, params, tau)
+    action = linearize(s, q, rhs, params, tau)
 
     def apply(fint, gbd):
         b = -np.append(fint[:, :h], gbd[:h])
         x = modal_solve(b)
         stop = CORRECTION_RTOL**2 * np.sum(b * b)
-        for _ in range(0 if rotsym else CORRECTION_SWEEPS):
+        for _ in range(CORRECTION_SWEEPS):
             r = b - action(x)
             if np.sum(r * r) <= stop:
                 break
@@ -399,7 +399,7 @@ class _LUSlot:
     Each slot is made for one corrector run or path (newton_first's direct
     attempt, run_continuation's path, a finer grid's corrector), so solves
     that run concurrently share no state.  `apply` is None or the callable
-    that the corrector's `factor` callback returned.
+    that a Newton point's `factor` returned.
     """
 
     __slots__ = ("apply",)
@@ -408,18 +408,17 @@ class _LUSlot:
         self.apply = None
 
 
-def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
+def _damped_newton(x, point, sched: Schedule, lu: _LUSlot):
     """The damped-Newton corrector shared by newton_solve and the 1-D oracle.
 
-    x is the array of unknowns.  The discretization enters through callbacks:
-      cone(x) -> (lam1min, at): the cone margin of the point with values x,
-          and the evaluation `at` that the two other callbacks reuse;
-      evaluate(at) -> (fint, gbd): interior and Robin residuals;
-      factor(at) -> apply: factorizes the Jacobian at `at`; apply(fint, gbd)
-          is the Newton step for that residual, shaped like x.
-    A trial point is evaluated once.  Its residual is computed only if min x > 0
-    and lam1min > DELTA_CONE; a step is accepted on Armijo decrease of the
-    max-norm residual.
+    x is the array of unknowns.  The discretization enters through one
+    callback, which evaluates the point with values x once:
+      point(x) -> (lam1min, fint, gbd, factor): its cone margin, its interior
+          and Robin residuals, and factor() -> apply, which factorizes the
+          Jacobian there; apply(fint, gbd) is the Newton step for that
+          residual, shaped like x.
+    A trial point is evaluated only if min x > 0; a step is accepted if
+    lam1min > DELTA_CONE and the max-norm residual decreases by Armijo.
 
     The factorization in `lu` is reused across iterations and continuation
     steps (chord Newton).  The corrector refactorizes when `lu` holds none or
@@ -434,8 +433,7 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
     Jacobian, the line search of a fresh step or the iteration budget.
     """
     factorizations = 0
-    lam1, at = cone(x)
-    fint, gbd = evaluate(at)
+    lam1, fint, gbd, factor = point(x)
     rn = max(float(np.max(np.abs(fint))), float(np.max(np.abs(gbd))))
 
     def info(iters):
@@ -452,12 +450,10 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
     def trial(step, alpha):
         x_try = x + alpha * step
         if np.min(x_try) > 0.0:
-            lam1_try, at_try = cone(x_try)
-            if lam1_try > DELTA_CONE:
-                fint_try, gbd_try = evaluate(at_try)
-                rn_try = max(float(np.max(np.abs(fint_try))), float(np.max(np.abs(gbd_try))))
-                if rn_try <= (1.0 - 1e-4 * alpha) * rn:
-                    return x_try, lam1_try, at_try, fint_try, gbd_try, rn_try
+            lam1_try, fint_try, gbd_try, factor_try = point(x_try)
+            rn_try = max(float(np.max(np.abs(fint_try))), float(np.max(np.abs(gbd_try))))
+            if lam1_try > DELTA_CONE and rn_try <= (1.0 - 1e-4 * alpha) * rn:
+                return x_try, lam1_try, fint_try, gbd_try, factor_try, rn_try
         return None
 
     for it in range(sched.newton_max):
@@ -470,7 +466,7 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
         if accepted is None:
             lu.apply = None  # drop the old factorization before building the next
             try:
-                lu.apply = factor(at)
+                lu.apply = factor()
             except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
                 raise NewtonFailure(
                     f"singular Jacobian at Newton iteration {it}: {exc}") from exc
@@ -486,7 +482,7 @@ def _damped_newton(x, cone, evaluate, factor, sched: Schedule, lu: _LUSlot):
                 raise NewtonFailure(
                     f"line search failed at Newton iteration {it} (res = {rn:.3e})")
         rn_prev = rn
-        x, lam1, at, fint, gbd, rn = accepted
+        x, lam1, fint, gbd, factor, rn = accepted
         if rn > REFACTOR_RATIO * rn_prev:
             lu.apply = None
 
@@ -499,15 +495,14 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
                  lu: _LUSlot, ring_data: bool):
     """Damped Newton in the even subspace with positivity and cone guards.
 
-    Runs the shared corrector `_damped_newton`, evaluating tau_sharp once per
-    point for the cone guard, the residual and the Jacobian.  `_factorize`
-    factorizes the modal system with SuperLU (`splu`, LU_OPTIONS), whose
-    solve is the step at a rotationally symmetric state and the defect
-    correction's preconditioner elsewhere.  `lu` is the slot of a
-    continuation path, whose factorization the corrector reuses, and
-    ring_data says whether every right side of that path is ring-constant,
-    bit for bit; only then may a rotationally symmetric state's LU hold mode
-    0 alone.
+    Runs the shared corrector `_damped_newton`, whose point evaluates
+    tau_sharp once for the cone guard, the residual and the Jacobian.
+    `_factorize` factorizes the modal system with SuperLU (`splu`,
+    LU_OPTIONS), and its step is the mode-0 ring step or the defect-corrected
+    modal step.  `lu` is the slot of a continuation path, whose factorization
+    the corrector reuses, and ring_data says whether every right side of
+    that path is ring-constant, bit for bit; only then may a rotationally
+    symmetric state's LU hold mode 0 alone.
     Returns (s, info); raises NewtonFailure if the cone guard, the line search
     or the iteration budget gives out.  Accepted iterates always satisfy
     min s > 0 and lam1min > DELTA_CONE.
@@ -515,20 +510,13 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
     g = s0.grid
     s = s0.project_even()
 
-    def cone(x):
+    def point(x):
         sx = CapField(g, x)
         tau = tau_sharp(sx)
-        return tau.lam1min, (sx, tau)
+        fint, gbd = residual(sx, q, rhs, params, tau=tau)
+        return tau.lam1min, fint, gbd, lambda: _factorize(sx, q, rhs, params, tau, ring_data)
 
-    def evaluate(at):
-        sx, tau = at
-        return residual(sx, q, rhs, params, tau=tau)
-
-    def factor(at):
-        sx, tau = at
-        return _factorize(sx, q, rhs, params, tau, ring_data)
-
-    x, info = _damped_newton(s.values, cone, evaluate, factor, sched, lu)
+    x, info = _damped_newton(s.values, point, sched, lu)
     return CapField(g, x), info
 
 
@@ -702,6 +690,7 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
                s0: CapField | None = None):
     """Solve sigma_k(tau_sharp[s]) = s^{p-1} phi on phi's grid.
 
+    s0, if given, must be on phi's grid.
     Grid sequencing: phi (and s0, if given) are interpolated to the coarsest
     grid `_coarser` reaches from phi's, one of 32-63 rings (phi's own, if it
     has fewer than 64).  There `newton_first` solves at t = 1, falling back on
@@ -725,6 +714,8 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
     if not phi.is_even(tol=1e-12 * max(1.0, float(np.max(np.abs(phi.values))))):
         raise ValueError("phi must be even (invariant under phi -> phi + pi)")
     phi = even
+    if s0 is not None and s0.grid != phi.grid:
+        raise ValueError(f"s0 is on {s0.grid!r}, not on phi's {phi.grid!r}")
 
     phis = [phi]  # finest first
     while (coarse := _coarser(phis[-1].grid)) is not None:

@@ -40,6 +40,48 @@ def plain_continuation(phi, params, sched, s0=None):
         grid=f"{phi.grid.nbeta}x{phi.grid.nphi}")
 
 
+def spy_points(monkeypatch, module, evaluator):
+    """Wrap `module._damped_newton` so that its point callback records, for
+    every Newton point, the calls of `module.<evaluator>` (the layer's field
+    evaluation) made while the point is evaluated and, if the corrector
+    factorizes there, while its Jacobian is factorized.  Returns the lists
+    (points, per_point, per_factor): the bytes of each evaluated point,
+    grouped by corrector run, and the two call counts."""
+    calls, points, per_point, per_factor = [0], [], [], []
+    original, newton = getattr(module, evaluator), module._damped_newton
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    def counted(fn):
+        before = calls[0]
+        out = fn()
+        return out, calls[0] - before
+
+    def spying(x, point, sched, lu):
+        run = []
+        points.append(run)
+
+        def spied(x):
+            run.append(x.tobytes())
+            (lam1, fint, gbd, factor), n = counted(lambda: point(x))
+            per_point.append(n)
+
+            def spied_factor():
+                apply, n = counted(factor)
+                per_factor.append(n)
+                return apply
+
+            return lam1, fint, gbd, spied_factor
+
+        return newton(x, spied, sched, lu)
+
+    monkeypatch.setattr(module, evaluator, counting)
+    monkeypatch.setattr(module, "_damped_newton", spying)
+    return points, per_point, per_factor
+
+
 def csr(grid, name):
     """Operator `name` of `grid.ops()` as a sparse matrix on the full value
     vector (row-major over (Nbeta+1) x Nphi nodes), one row per node of the

@@ -19,6 +19,7 @@ from capcmk.rotsym import (
     solve_rotsym,
 )
 from capcmk.solver import NewtonFailure, model_scale, solve_path
+from conftest import spy_points
 
 THETA4 = math.pi / 4
 
@@ -248,6 +249,19 @@ def test_the_relative_residual_shows_a_false_convergence():
     _, rep1 = solve_rotsym(lambda b: 1.0 + 0.3 * (1.0 - np.cos(b)), params, n_cells=512)
     for rep in (report, rep1):
         assert rep.converged and rep.relative_residual > 1e-2
+
+
+def test_each_oracle_point_is_evaluated_once(monkeypatch):
+    """The oracle's corrector evaluates each Newton point once, by one
+    RotProfile, and the factorization at a point builds no profile."""
+    points, per_point, per_factor = spy_points(monkeypatch, rotsym, "RotProfile")
+    params = CapParams(n=2, k=2, p=2.0, theta=THETA4)
+    _, report = solve_rotsym(lambda b: 1.0 + 0.3 * (1.0 - np.cos(b)), params, n_cells=128)
+    assert report.converged
+    assert all(len(set(run)) == len(run) for run in points)
+    assert len(per_point) == sum(map(len, points)) > len(per_factor)
+    assert set(per_point) == {1}
+    assert len(per_factor) == sum(report.factorizations) > 0 and set(per_factor) == {0}
 
 
 def test_a_forced_direct_failure_runs_the_continuation(monkeypatch):

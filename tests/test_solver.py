@@ -29,7 +29,7 @@ from capcmk.solver import (
 )
 from capcmk.symfunc import sigma_k_grad
 from conftest import (THETA, full_jacobian, manufactured_phi, manufactured_reference,
-                      plain_continuation)
+                      plain_continuation, spy_points)
 
 
 def positive_even_phi(grid, seed=7):
@@ -279,8 +279,9 @@ def recording_linearize(monkeypatch):
 def test_the_modal_step_is_the_direct_step(nbeta, nphi, k, q, monkeypatch):
     """At a ring-constant state and data on a path whose data are not all
     ring-constant (the continuation fallback's t = 0, whose LU later steps
-    reuse), newton_solve's step is the all-mode modal solve, with no defect
-    correction, and for a residual that has every azimuthal mode it is a
+    reuse), newton_solve's step is the all-mode modal solve: the defect
+    correction applies the Jacobian's action once, for its stop check, and
+    stops there.  For a residual that has every azimuthal mode the step is a
     sparse direct solve's step of the restricted Jacobian system: equal to
     1e-12, and with a backward error at round-off.  16x30 has an odd Nphi/2
     and 33x64 an odd Nbeta."""
@@ -289,7 +290,7 @@ def test_the_modal_step_is_the_direct_step(nbeta, nphi, k, q, monkeypatch):
     apply = solver._factorize(s, q, rhs, params, tau_sharp(s), False)
     fint, gbd = random_residual(s.grid, 3)
     step = apply(fint, gbd)
-    assert shapes == [modal_shape(s.grid)] and applied == []
+    assert shapes == [modal_shape(s.grid)] and applied == [1]
     assert np.array_equal(step[:, :nphi // 2], step[:, nphi // 2:])
     gap, backward, _ = step_error(s, q, rhs, params, step, fint, gbd)
     assert gap <= 1e-12
@@ -304,8 +305,9 @@ def test_the_mode0_step_is_the_modal_step(nbeta, nphi, k, q, monkeypatch):
     """Where the path's data are ring-constant, a ring-constant state
     factorizes the (Nbeta + 1)-square mode-0 block alone, and on a
     ring-constant residual its step, ring-constant bit for bit, is the
-    all-mode modal step to 1e-12 relative.  16x30 has an odd Nphi/2 and
-    33x64 an odd Nbeta."""
+    all-mode modal step to 1e-12 relative.  Only the all-mode step applies
+    the Jacobian's action, once, for the defect correction's stop check.
+    16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
     s, q, rhs, params = ring_constant_problem(nbeta, nphi, k, q)
     shapes, applied = recording_splu(monkeypatch), recording_linearize(monkeypatch)
     rng = np.random.default_rng(8)
@@ -313,7 +315,7 @@ def test_the_mode0_step_is_the_modal_step(nbeta, nphi, k, q, monkeypatch):
     gbd = np.full(nphi, rng.standard_normal())
     steps = [solver._factorize(s, q, rhs, params, tau_sharp(s), ring_data)(fint, gbd)
              for ring_data in (True, False)]
-    assert shapes == [(nbeta + 1, nbeta + 1), modal_shape(s.grid)] and applied == []
+    assert shapes == [(nbeta + 1, nbeta + 1), modal_shape(s.grid)] and applied == [1]
     assert_ring_constant(steps[0])
     assert np.max(np.abs(steps[0] - steps[1])) <= 1e-12 * np.max(np.abs(steps[1]))
     assert s.grid.modal_blocks(True)["shape"] == (nbeta + 1, nbeta + 1)
@@ -404,8 +406,8 @@ def test_every_state_factorizes_the_modal_system(monkeypatch):
     to 1e-12 but not bit for bit all factorize the modal system, of
     (Nphi/4 + 1) blocks of Nbeta + 1 rings, except that the one that is
     ring-constant bit for bit factorizes mode 0 alone where the path's data
-    are ring-constant.  Only that one takes its step without defect
-    correction."""
+    are ring-constant.  Only that mode-0 step builds no Jacobian action:
+    every all-mode step is defect-corrected."""
     s, q, rhs, params = ring_constant_problem(16, 32, 2, 1.4)
     grid = s.grid
     bb, pp = np.meshgrid(grid.beta_all, grid.phi, indexing="ij")
@@ -417,14 +419,14 @@ def test_every_state_factorizes_the_modal_system(monkeypatch):
     for f in (near_s, near_rhs):
         assert np.all(np.ptp(f.values, axis=1) <= 1e-12 * np.max(f.values, axis=1))
     fint, gbd = random_residual(grid, 4)
-    for ring_data, first in ((False, modal_shape(grid)), (True, (17, 17))):
+    for ring_data, first, first_built in ((False, modal_shape(grid), 1), (True, (17, 17), 0)):
         shapes, corrections = recording_splu(monkeypatch), []
         for state, data in ((s, rhs), (turned, rhs), (s, aniso), (near_s, rhs), (s, near_rhs)):
             built = recording_linearize(monkeypatch)
             solver._factorize(state, q, data, params, tau_sharp(state), ring_data)(fint, gbd)
             corrections.append(len(built))
         assert shapes == [first] + [modal_shape(grid)] * 4
-        assert corrections == [0, 1, 1, 1, 1]
+        assert corrections == [first_built, 1, 1, 1, 1]
 
 
 def test_the_modal_lu_fills_a_tenth_of_the_2d_lu():
@@ -490,32 +492,31 @@ def test_continuation_stall_carries_the_partial_report(first_failure, t_steps):
     assert (err.value.dt is None) == (first_failure == 1)
 
 
-def _toy_corrector(c):
-    """Callbacks for F(x) = x^2 - c, split as (fint, gbd) = (F[:-1], F[-1:]);
-    `calls` records the points where the Jacobian diag(2x) is factorized."""
+def _toy_corrector(c, margin=lambda x: 1.0):
+    """The point callback for F(x) = x^2 - c, split as (fint, gbd) =
+    (F[:-1], F[-1:]), with cone margin margin(x); `calls` records the points
+    where the Jacobian diag(2x) is factorized.  factor_at(x) is that
+    factorization's apply."""
     calls = []
 
-    def cone(x):
-        return 1.0, x
-
-    def evaluate(x):
-        f = x**2 - c
-        return f[:-1], f[-1:]
-
-    def factor(x):
+    def factor_at(x):
         calls.append(x.copy())
         lu = splu(sp.diags(2.0 * x).tocsc())
         return lambda fint, gbd: lu.solve(-np.concatenate([fint, gbd]))
 
-    return cone, evaluate, factor, calls
+    def point(x):
+        f = x**2 - c
+        return margin(x), f[:-1], f[-1:], lambda: factor_at(x)
+
+    return point, factor_at, calls
 
 
 def test_corrector_refactors_a_stale_lu_at_the_same_iterate():
     c, x0 = np.array([4.0, 9.0, 2.0]), np.array([1.5, 2.5, 1.0])
-    cone, evaluate, factor, calls = _toy_corrector(c)
+    point, factor_at, calls = _toy_corrector(c)
     slot = solver._LUSlot()
-    slot.apply = factor(-x0)  # wrong sign: its full step raises the residual
-    x, info = solver._damped_newton(x0, cone, evaluate, factor, Schedule(), slot)
+    slot.apply = factor_at(-x0)  # wrong sign: its full step raises the residual
+    x, info = solver._damped_newton(x0, point, Schedule(), slot)
     assert np.array_equal(calls[1], x0)
     assert info["res_norm"] <= Schedule().tol_solve
     assert np.allclose(x, np.sqrt(c), rtol=0.0, atol=1e-9)
@@ -525,35 +526,96 @@ def test_corrector_refactors_a_stale_lu_at_the_same_iterate():
 
 def test_corrector_fails_only_on_a_fresh_step():
     c, x0 = np.array([4.0, 9.0]), np.array([1.5, 2.5])
-    cone, evaluate, factor, calls = _toy_corrector(c)
+    toy, factor_at, calls = _toy_corrector(c)
 
-    def uphill(x):
-        apply = factor(x)
+    def uphill_at(x):
+        apply = factor_at(x)
         return lambda fint, gbd: -apply(fint, gbd)
 
+    def point(x):
+        lam1, fint, gbd, _ = toy(x)
+        return lam1, fint, gbd, lambda: uphill_at(x)
+
     slot = solver._LUSlot()
-    slot.apply = uphill(x0)
+    slot.apply = uphill_at(x0)
     with pytest.raises(NewtonFailure, match="line search failed at Newton iteration 0"):
-        solver._damped_newton(x0, cone, evaluate, uphill, Schedule(), slot)
+        solver._damped_newton(x0, point, Schedule(), slot)
     assert len(calls) == 2
 
 
 def test_corrector_does_not_redo_a_failed_reuse_run():
     c = np.array([4.0, 9.0])
     x0 = np.sqrt(c) + 1e-3
-    cone, evaluate, factor, calls = _toy_corrector(c)
+    point, factor_at, calls = _toy_corrector(c)
     slot = solver._LUSlot()
-    slot.apply = factor(np.sqrt(c) / 0.95)  # its steps cut the residual only ~20x each
+    slot.apply = factor_at(np.sqrt(c) / 0.95)  # its steps cut the residual only ~20x each
     with pytest.raises(NewtonFailure, match="no convergence in 3 iterations"):
-        solver._damped_newton(x0, cone, evaluate, factor, Schedule(newton_max=3), slot)
+        solver._damped_newton(x0, point, Schedule(newton_max=3), slot)
     assert len(calls) == 1  # every step reused the given LU, and no run followed
 
 
 def test_corrector_reports_a_singular_jacobian():
-    cone, evaluate, factor, _ = _toy_corrector(np.array([4.0, 9.0]))
+    point, _, _ = _toy_corrector(np.array([4.0, 9.0]))
     with pytest.raises(NewtonFailure, match="singular Jacobian at Newton iteration 0"):
-        solver._damped_newton(np.array([0.0, 2.5]), cone, evaluate, factor, Schedule(),
-                              solver._LUSlot())
+        solver._damped_newton(np.array([0.0, 2.5]), point, Schedule(), solver._LUSlot())
+
+
+def test_corrector_halves_a_full_step_that_leaves_the_cone():
+    """The full Newton step from x0 lowers the residual but leaves the cone
+    2.05 - x[0] > DELTA_CONE, whose edge lies just past the root x[0] = 2:
+    the line search halves it, and every accepted iterate, the ones the step
+    is taken from and the solution, keeps its margin above DELTA_CONE."""
+    c, x0 = np.array([4.0, 9.0]), np.array([1.5, 2.5])
+
+    def margin(x):
+        return 2.05 - x[0]
+
+    toy, _, calls = _toy_corrector(c, margin)
+    evaluated, accepted = [], []
+
+    def point(x):
+        evaluated.append(x.copy())
+        lam1, fint, gbd, factor = toy(x)
+
+        def factor_here():
+            apply = factor()
+
+            def step(fint, gbd):
+                # the corrector takes each step from its accepted iterate
+                accepted.append(np.sqrt(np.concatenate([fint, gbd]) + c))
+                return apply(fint, gbd)
+
+            return step
+
+        return lam1, fint, gbd, factor_here
+
+    x, info = solver._damped_newton(x0, point, Schedule(), solver._LUSlot())
+    full = x0 - (x0**2 - c) / (2.0 * x0)
+    assert margin(full) < 0.0
+    assert np.max(np.abs(full**2 - c)) < np.max(np.abs(x0**2 - c))
+    assert np.allclose(evaluated[1], full, rtol=1e-15, atol=0.0)
+    half = x0 + 0.5 * (full - x0)
+    assert np.allclose(evaluated[2], half, rtol=1e-15, atol=0.0)
+    assert np.allclose(calls[1], half, rtol=1e-15, atol=0.0)  # the next iterate
+    assert info["res_norm"] <= Schedule().tol_solve
+    assert np.allclose(x, np.sqrt(c), rtol=0.0, atol=1e-9)
+    assert len(accepted) == info["iters"] >= 3
+    assert np.allclose(accepted[0], x0, rtol=1e-15, atol=0.0)
+    assert all(margin(y) > solver.DELTA_CONE for y in accepted + [x])
+    assert info["lam1min"] == margin(x) > solver.DELTA_CONE
+
+
+def test_each_newton_point_is_evaluated_once(params_k1, grid_32, monkeypatch):
+    """Anisotropic data at 32x64, where every step is defect-corrected: the
+    corrector evaluates each Newton point once, by one tau_sharp, and the
+    factorization at a point evaluates it again nowhere."""
+    points, per_point, per_factor = spy_points(monkeypatch, solver, "tau_sharp")
+    _, report = solve_path(positive_even_phi(grid_32), params_k1)
+    assert report.converged and report.method == "newton"
+    assert all(len(set(run)) == len(run) for run in points)
+    assert len(per_point) == sum(map(len, points)) > len(per_factor)
+    assert set(per_point) == {1}
+    assert len(per_factor) == sum(report.factorizations) > 0 and set(per_factor) == {0}
 
 
 def test_linear_path_factorizes_once(params_k1, grid_32, monkeypatch):
@@ -839,6 +901,23 @@ def test_a_given_start_runs_the_plain_continuation(params_k1, grid_32):
     assert np.array_equal(s.values, plain.values)
     assert report.t_steps == plain_report.t_steps
     assert report.factorizations == plain_report.factorizations
+
+
+@pytest.mark.parametrize("phi_grid, s0_grid", [
+    ((32, 64, math.pi / 4), (32, 64, math.pi / 3)),
+    ((32, 64, THETA), (16, 32, THETA)),
+    ((64, 128, THETA), (32, 64, THETA)),
+], ids=["other-theta", "coarser", "sequenced"])
+def test_a_start_off_phis_grid_is_refused(params_k1, phi_grid, s0_grid):
+    """solve_path refuses an s0 that is not on phi's grid, naming both grids:
+    a start at another theta, one too coarse to broadcast against phi, and
+    one on the coarser grid that sequencing would interpolate it to."""
+    grid, other = CapGrid(*phi_grid), CapGrid(*s0_grid)
+    params = CapParams(n=2, k=1, p=params_k1.p, theta=grid.theta)
+    s0 = params.cnk ** (-1.0 / params.k) * ell_field(other)
+    with pytest.raises(ValueError) as err:
+        solve_path(positive_even_phi(grid), params, s0=s0)
+    assert str(err.value) == f"s0 is on {other!r}, not on phi's {grid!r}"
 
 
 def stress_phi(grid, c1, a, m):
