@@ -119,7 +119,7 @@ def _solution_audit(s: CapField, phi: CapField, cfg: RunConfig, pts) -> dict:
     # stored fields are untrusted: a negative value under the fractional power
     # yields NaN, which correctly fails the threshold test below
     with np.errstate(invalid="ignore"):
-        fint, gbd = residual(s, params.p, phi, params, tau=tau)
+        fint, gbd, _ = residual(s, params.p, phi, params, tau=tau)
     imax = float(np.max(np.abs(fint)))
     bmax = float(np.max(np.abs(gbd)))
     g = s.grid
@@ -220,8 +220,7 @@ def cmd_solve(args) -> int:
     save_embedding(s, out / "embedding.csv", pts=pts)
     fallback = f" (direct Newton failed: {rep.direct_failure})" if rep.direct_failure else ""
     _say(args, f"converged by {rep.method}{fallback} on {' -> '.join(dict.fromkeys(rep.grids))} "
-               f"in {len(rep.t_steps)} steps ({sum(rep.newton_iters)} Newton steps, "
-               f"{sum(rep.factorizations)} LU factorizations); "
+               f"in {len(rep.t_steps)} steps ({sum(rep.newton_iters)} Newton steps); "
                f"residual {rep.residual_norms[-1]:.3e}, relative {rep.relative_residual:.3e}; "
                f"audits {'pass' if audit['mandatory_pass'] else 'FAIL'}")
     return EXIT_OK if audit["mandatory_pass"] else EXIT_AUDIT
@@ -294,7 +293,6 @@ def _sweep_member(cfg: RunConfig, name: str, p: float, theta: float, out: Path) 
         slope_pass=items["slope_bound"]["pass"],
         path_lam1min=min(rep.lam1min_trace),
         newton_steps=int(sum(rep.newton_iters)),
-        factorizations=int(sum(rep.factorizations)),
     )
     return rec
 

@@ -18,20 +18,19 @@ Robin row s'(theta) = cot(theta) s(theta) at the rim.  Discretization mirrors
 the 2-D conventions: cell-centered rings plus a rim node, second order
 throughout, 4-point nonuniform second derivative next to the rim.  The
 stencils are this module's own, built once per grid (`RotGrid.ops`) together
-with the Jacobian's constant parts.  `save_profile` writes through the
-package's one CSV writer, `fields.write_csv`.
+with the Jacobian's constant parts and its one CSC pattern, which each
+factorization fills.  `save_profile` writes through the package's one CSV
+writer, `fields.write_csv`.
 
 The Newton corrector is the solver's shared damped-Newton loop
-(`solver._damped_newton`).  Its one callback builds one `RotProfile` per
-Newton point (lam_r and lam_t are computed at build) for the cone margin,
-this module's residual and, when the corrector factorizes, the sparse LU of
-the Jacobian (`splu`, with the 2-D solver's policy `solver.LU_OPTIONS`);
-only the discretization is independent of the 2-D path.  The solve is the 2-D path's driver,
-`solver.newton_first`: one corrector at t = 1, and the continuation only if
-that fails.  As there, one LU per path is reused across Newton iterations
-and continuation steps and refactorized when the last accepted step cut the
-residual by less than `solver.REFACTOR_RATIO`, or when a step from it fails
-the full-step Armijo test.
+(`solver._damped_newton`), with the solver's stop on the relative residual
+r (`solver.relative_size`) or on the step.  Its one callback builds one
+`RotProfile` per Newton point (lam_r and lam_t are computed at build) for
+the cone margin, this module's residual and r and, at every iterate, the
+sparse LU of the Jacobian (`splu`, with the 2-D solver's policy
+`solver.LU_OPTIONS`); only the discretization is independent of the 2-D
+path.  The solve is the 2-D path's driver, `solver.newton_first`: one
+corrector at t = 1, and the continuation only if that fails.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from scipy.sparse.linalg import splu
 from .fields import fd_weights, write_csv
 from .geometry import CapParams, ell
 from .solver import (LU_OPTIONS, Schedule, _damped_newton, homotopy_values, newton_first,
-                     relative_residual)
+                     relative_size)
 
 __all__ = [
     "RotGrid",
@@ -84,7 +83,10 @@ class RotGrid:
         pcells: the cell values; lam_r, lam_t, robin: the linearizations of
         s'' + s, s' cot(beta) + s and the Robin row.  The mirror closure
         s(-beta) = s(beta) (rotational symmetry plus the across-pole chart
-        identity) feeds the first ring's central stencils.
+        identity) feeds the first ring's central stencils.  jac: the
+        Jacobian's CSC pattern (indices, indptr, shape) and the entries of
+        lam_r, lam_t, pcells and robin on it, so that `_linearize` fills
+        the data alone.
         """
         if self._ops is not None:
             return self._ops
@@ -107,10 +109,24 @@ class RotGrid:
         dbd = stencil(1, {}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1))
         pcells = sp.eye(n, ntot, format="csr")
         ct = math.cos(self.theta) / math.sin(self.theta)
-        self._ops = {"d1": d1, "d2": d2, "dbd": dbd, "pcells": pcells, "lam_r": d2 + pcells,
-                     "lam_t": sp.diags(self.cot_cells) @ d1 + pcells,
-                     "robin": dbd - ct * sp.csr_matrix(([1.0], ([0], [n])), shape=(1, ntot))}
-        return self._ops
+        ops = {"d1": d1, "d2": d2, "dbd": dbd, "pcells": pcells, "lam_r": d2 + pcells,
+               "lam_t": sp.diags(self.cot_cells) @ d1 + pcells,
+               "robin": dbd - ct * sp.csr_matrix(([1.0], ([0], [n])), shape=(1, ntot))}
+        # the Jacobian's terms, lam_r, lam_t and pcells on the cells' rows and
+        # robin on the rim's, on one CSC pattern: entries sorted by (col, row)
+        terms = {name: ops[name].tocoo() for name in ("lam_r", "lam_t", "pcells")}
+        terms["robin"] = sp.vstack([sp.csr_matrix((n, ntot)), ops["robin"]]).tocoo()
+        keys = {name: m.col * ntot + m.row for name, m in terms.items()}
+        pattern = np.unique(np.concatenate(list(keys.values())))
+        # int32, scipy's index type at this size, so each fill views these arrays
+        jac = {"indices": (pattern % ntot).astype(np.int32), "shape": (ntot, ntot),
+               "indptr": np.searchsorted(pattern // ntot, np.arange(ntot + 1)).astype(np.int32)}
+        for name, m in terms.items():
+            jac[name] = np.zeros(pattern.size)
+            jac[name][np.searchsorted(pattern, keys[name])] = m.data
+        ops["jac"] = jac
+        self._ops = ops
+        return ops
 
 
 @dataclass(eq=False)
@@ -167,18 +183,25 @@ def _sigma_rot_partials(lam_r, lam_t, n: int, k: int):
 
 
 def _residual(profile: RotProfile, q: float, rhs_cells: np.ndarray, params: CapParams):
-    fint = rotsym_sigma_k(profile, params) - profile.s[: profile.grid.n_cells] ** (q - 1.0) * rhs_cells
-    return fint, profile.robin_residual()
+    """(F_int on the cells, the Robin residual, their relative size r)."""
+    sk = rotsym_sigma_k(profile, params)
+    load = profile.s[: profile.grid.n_cells] ** (q - 1.0) * rhs_cells
+    fint, gbd = sk - load, profile.robin_residual()
+    return fint, gbd, relative_size(fint, gbd, sk, load, profile.s)
 
 
 def _linearize(profile: RotProfile, q: float, rhs_cells: np.ndarray, params: CapParams):
-    g, ops = profile.grid, profile.grid.ops()
+    """The Jacobian of the residual pair as a CSC matrix on the grid's
+    pattern (`RotGrid.ops()["jac"]`), whose data alone are computed here."""
+    g, jac = profile.grid, profile.grid.ops()["jac"]
     dr, dt = _sigma_rot_partials(profile.lam_r, profile.lam_t, params.n, params.k)
-    jint = sp.diags(dr) @ ops["lam_r"] + sp.diags(dt) @ ops["lam_t"]
+    row = jac["indices"]
+    data = np.append(dr, 0.0)[row] * jac["lam_r"] + np.append(dt, 0.0)[row] * jac["lam_t"]
     if q != 1.0:
         zer = (q - 1.0) * profile.s[: g.n_cells] ** (q - 2.0) * rhs_cells
-        jint = jint - sp.diags(zer) @ ops["pcells"]
-    return sp.vstack([jint, ops["robin"]], format="csr")
+        data -= np.append(zer, 0.0)[row] * jac["pcells"]
+    data += jac["robin"]
+    return sp.csc_matrix((data, jac["indices"], jac["indptr"]), shape=jac["shape"])
 
 
 def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells: int = 512):
@@ -188,7 +211,7 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
     The solve is `solver.newton_first`, as on the 2-D path's coarsest grid:
     one corrector at t = 1 from the mean-scaled model profile, and only if it
     fails the continuation from C(n,k)^{-1/k} ell.  The report's relative
-    residual is taken on the cells.
+    residual is the last corrector's r.
     Returns (RotProfile, SolveReport); same stall semantics as solve_path.
     """
     sched = sched or Schedule()
@@ -198,28 +221,25 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
         raise ValueError("phi must be finite and strictly positive")
     phi_cells = phi_vals[: grid.n_cells]
 
-    def newton_fn(x, q, rhs_cells, lu):
+    def newton_fn(x, q, rhs_cells):
         def point(x):
             prof = RotProfile(grid, x)
 
             def factor():
-                superlu = splu(_linearize(prof, q, rhs_cells, params).tocsc(), **LU_OPTIONS)
-                return lambda fint, gbd: superlu.solve(-np.concatenate([fint, [gbd]]))
+                lu = splu(_linearize(prof, q, rhs_cells, params), **LU_OPTIONS)
+                return lambda fint, gbd: lu.solve(-np.append(fint, gbd))
 
             lam1 = float(min(np.min(prof.lam_r), np.min(prof.lam_t)))
             return (lam1, *_residual(prof, q, rhs_cells, params), factor)
 
-        return _damped_newton(x, point, sched, lu)
+        return _damped_newton(x, point, sched)
 
     def rhs_fn(t):
         return homotopy_values(t, phi_cells, params)
 
     x, report = newton_first(newton_fn, rhs_fn, phi_vals, ell(params.theta, grid.beta_all),
                              params, sched, grid=str(grid.n_cells))
-    profile = RotProfile(grid, x)
-    fint, _ = _residual(profile, params.p, phi_cells, params)
-    report.relative_residual = relative_residual(fint, rotsym_sigma_k(profile, params))
-    return profile, report
+    return RotProfile(grid, x), report
 
 
 # -- geometric audits -------------------------------------------------------------

@@ -19,36 +19,32 @@ the problem well-posed, matching the even solution class.  The one matrix
 newton_solve factorizes is `linearize_modal`: a real FFT over phi splits the
 restriction, with every coefficient replaced by its ring mean, into Nphi/4 + 1
 banded ring systems (`CapGrid.modal_blocks`), factorized as one
-block-diagonal LU.  A step takes one of two forms.  Where the whole path's
-data are ring-constant (`solve_path` tells newton_solve) and every ring of
-the iterate holds one value, bit for bit (the bitwise period
-`fields.repeat_unit` is one column, as the fields layer tests it), the
-restriction is circulant in phi and a ring-constant residual excites mode 0
-alone: the LU holds the one (Nbeta + 1)-square mode-0 block and the step is
-one ring vector.  Every other LU holds every mode, and its modal solve is
-refined by defect correction on the restriction's action (`linearize`,
-evaluated by `tau_sharp` and `robin_residual`), summed by numpy on one
-thread; at a ring-constant state, such as the t = 0 corrector of an
-anisotropic solve's continuation fallback, whose LU serves the anisotropic
-steps after it, the correction stops at its first check.  That action is the
-one Jacobian of the package: jacobian_fd_error checks it, at full width,
-against central differences of the residual.  Both layers factorize with one
-LU policy, LU_OPTIONS: SuperLU's symmetric mode.
+block-diagonal LU.  A step takes one of two forms.  Where the state and
+the right side are ring-constant (every ring holds one value, bit for bit:
+the bitwise period `fields.repeat_unit` is one column, as the fields layer
+tests it), the restriction is circulant in phi and a ring-constant residual
+excites mode 0 alone: the LU holds the one (Nbeta + 1)-square mode-0 block
+and the step is one ring vector.  Every other LU holds every mode, and its
+modal solve is refined by defect correction on the restriction's action
+(`linearize`, evaluated by `tau_sharp` and `robin_residual`), summed by
+numpy on one thread.  That action is the one Jacobian of the package:
+jacobian_fd_error checks it, at full width, against central differences of
+the residual.  Both layers factorize with one LU policy, LU_OPTIONS:
+SuperLU's symmetric mode.
 
 `_damped_newton` is the one damped-Newton corrector: `newton_solve` and the
 1-D oracle in `rotsym` both run it, each with one callback that evaluates a
-Newton point once (cone margin, residual, and the sparse LU of its Jacobian
-on demand).  Each continuation path holds one LU, which the corrector reuses
-across Newton iterations and continuation steps; it refactorizes when it
-holds none, when the last accepted step cut the residual by less than
-REFACTOR_RATIO = 0.1, or when a step from the reused LU fails the full-step
-Armijo test (then at the same iterate, with the full line search).
+Newton point once (cone margin, residual, its relative size r, and the
+sparse LU of its Jacobian on demand).  It is plain damped Newton: it
+factorizes once at every iterate, and it stops on the residual (r <=
+tol_solve) or, error-oriented, on the step (r <= STEP_RES and a Newton
+correction of at most STEP_RTOL of the iterate, which it takes in full).
 
 `newton_first` is the one driver of both layers: one corrector at t = 1 from
 the mean-scaled model function `model_scale(phi) ell`, and only if that fails
 the continuation from t = 0 (`run_continuation`), exactly as it runs alone.
 The report's `method` says which one produced the solution.  Both drivers
-take the layer's corrector as one callback, newton_fn(s, q, rhs, lu), and
+take the layer's corrector as one callback, newton_fn(s, q, rhs), and
 the homotopy data as rhs_fn(t); `solve_path` defines them once and runs the
 continuation alone from a given s0.
 
@@ -62,13 +58,13 @@ Each finer grid runs one Newton corrector at t = 1 from the fourth-order
 interpolation of the coarser solution (an interpolated solution lies inside
 the finer grid's quadratic convergence region, so one corrector replaces the
 path).  The interpolation maps a ring that holds one value, bit for bit, to
-that exact value, and a ring-constant residual has a ring-constant mode-0
-step, so a solve whose data are ring-constant stays exactly ring-constant on
-every grid, and the fields layer evaluates, writes and reads each of its
-rings as one value (`fields.repeat_unit`).  The report names every step's
-grid.  Every failure to converge, of the continuation at t = 0 or later or
-of a finer grid's corrector, leaves the solve as one ContinuationStall
-carrying the partial report and the failure's message.
+that exact value, and a ring-constant state and right side have a
+ring-constant mode-0 step, so a solve whose data are ring-constant stays
+exactly ring-constant on every grid, and the fields layer evaluates, writes
+and reads each of its rings as one value (`fields.repeat_unit`).  The report
+names every step's grid.  Every failure to converge, of the continuation at
+t = 0 or later or of a finer grid's corrector, leaves the solve as one
+ContinuationStall carrying the partial report and the failure's message.
 """
 
 from __future__ import annotations
@@ -105,8 +101,9 @@ __all__ = [
 
 @dataclass
 class Schedule:
-    """The Newton controls a run may set: the residual tolerance, the
-    iteration budget of one corrector and the smallest continuation step.
+    """The Newton controls a run may set: the relative residual a corrector
+    stops at (`relative_size`), the iteration budget of one corrector and
+    the smallest continuation step.
 
     The rest of the continuation and line search is fixed by the module
     constants below.
@@ -120,13 +117,20 @@ class Schedule:
 # The continuation starts at, and never exceeds, the step DT_MAX; it multiplies
 # dt by SHRINK after a failed corrector and by GROW after one that took at most
 # FAST_ITERS steps.  The line search halves alpha up to BACKTRACK_MAX times, and
-# every accepted point keeps its cone margin lam1min above DELTA_CONE.
+# every accepted point keeps its cone margin lam1min above DELTA_CONE.  A
+# corrector whose relative residual is at most STEP_RES also stops when its
+# Newton correction is at most STEP_RTOL of the iterate (max norms), after
+# taking it in full (Deuflhard's error-oriented stop, Newton Methods for
+# Nonlinear Problems, 2004, ch. 2): below that the residual sits on its
+# round-off floor, which grows with the grid.
 DT_MAX = 0.25
 GROW = 1.6
 SHRINK = 0.5
 FAST_ITERS = 5
 BACKTRACK_MAX = 40
 DELTA_CONE = 1e-10
+STEP_RES = 1e-5
+STEP_RTOL = 1e-8
 
 
 @dataclass
@@ -135,8 +139,9 @@ class SolveReport:
 
     method is "newton" (one corrector at t = 1) or "continuation";
     direct_failure is the failure of a direct attempt that the continuation
-    replaced.  relative_residual is ||F_int|| / ||sigma_k(tau_sharp[s])||
-    (max norms) at the returned solution, report-only; null on a stall.
+    replaced.  relative_residual is r (`relative_size`) at the returned
+    solution, null on a stall.  stops names, per corrector, the test that
+    stopped it: "residual" (r <= tol_solve) or "step" (the step test).
     """
 
     method: str = "continuation"
@@ -145,7 +150,7 @@ class SolveReport:
     t_steps: list = field(default_factory=list)
     grids: list = field(default_factory=list)
     newton_iters: list = field(default_factory=list)
-    factorizations: list = field(default_factory=list)
+    stops: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     robin_norms: list = field(default_factory=list)
     lam1min_trace: list = field(default_factory=list)
@@ -160,7 +165,8 @@ class SolveReport:
         self.t_steps.append(float(t))
         self.grids.append(grid)
         self.newton_iters.append(int(info["iters"]))
-        self.factorizations.append(int(info["factorizations"]))
+        self.stops.append(info["stop"])
+        self.relative_residual = float(info["rel"])
         self.residual_norms.append(float(info["res_norm"]))
         self.robin_norms.append(float(info["robin_norm"]))
         self.lam1min_trace.append(float(info["lam1min"]))
@@ -192,6 +198,7 @@ class ContinuationStall(RuntimeError):
         self.report = report
         self.failure = failure
         report.converged = False
+        report.relative_residual = None
         report.stalled_at = t
         report.failure = str(failure)
         why = "the corrector failed at this t" if dt is None else f"dt = {dt:.2e} < dt_min"
@@ -239,16 +246,29 @@ def homotopy_rhs(t: float, phi: CapField, params: CapParams):
 # -- residual and linearization ----------------------------------------------------
 
 
+def relative_size(fint, gbd, sk, load, s) -> float:
+    """r = max(||F_int|| / max(||sigma_k||, ||s^(q-1) H||), ||F_rob|| / ||s||)
+    in max norms, the residual pair in the units of the equation: the one
+    measure that both layers' correctors stop on and report; load is
+    s^(q-1) H on the interior."""
+    def norm(a):
+        return float(np.max(np.abs(a)))
+
+    return max(norm(fint) / max(norm(sk), norm(load)), norm(gbd) / norm(s))
+
+
 def residual(s: CapField, q: float, rhs: CapField, params: CapParams, tau=None):
-    """Interior residual sigma_k(tau_sharp[s]) - s^{q-1} rhs and Robin residual.
+    """Interior residual sigma_k(tau_sharp[s]) - s^{q-1} rhs, Robin residual
+    and their relative size r (`relative_size`).
 
     tau, if given, is tau_sharp(s), already evaluated by the caller.
     """
     if tau is None:
         tau = tau_sharp(s)
     sk = sigma_k(tau, params.k)
-    fint = sk - s.interior ** (q - 1.0) * rhs.interior
-    return fint, robin_residual(s)
+    load = s.interior ** (q - 1.0) * rhs.interior
+    fint, gbd = sk - load, robin_residual(s)
+    return fint, gbd, relative_size(fint, gbd, sk, load, s.values)
 
 
 def linearize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
@@ -334,28 +354,25 @@ def _ring_constant(values) -> bool:
     return unit is not None and unit.shape[1] == 1
 
 
-def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau, ring_data):
+def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
     """Factorizes the modal system (`linearize_modal`) at s and returns
     apply(fint, gbd), the Newton step at s on every node, in one of two forms.
 
-    Where ring_data says that every right side of the path is ring-constant
-    and every ring of s and of rhs holds one value, bit for bit, every step
-    this LU takes has mode 0 alone: the LU holds the mode-0 block, and the
-    step solves the residual's first column as one ring vector and repeats
-    it over phi, with no FFT.  Every other LU holds every mode, and its step
-    is the modal solve M^-1 (the real FFT over j < Nphi/2 of the even rows,
-    a solve of its real and imaginary parts, the transform back) refined by
-    defect correction on the even system's action J at s (`linearize` on
-    half rows), by x += M^-1 (b - J x) until the stop above.  At a
-    ring-constant state M is J to round-off, so the correction stops at its
-    first check (the continuation fallback's t = 0 LU, which serves the
-    anisotropic steps after it).  Its sums are numpy's, on one thread, so
-    the step's bits do not depend on the BLAS thread count.  The step solves
-    for the even unknowns and repeats them on j + Nphi/2.
+    Where every ring of s and of rhs holds one value, bit for bit, so does
+    the residual, and the step has mode 0 alone: the LU holds the mode-0
+    block, and the step solves the residual's first column as one ring
+    vector and repeats it over phi, with no FFT.  Every other LU holds every
+    mode, and its step is the modal solve M^-1 (the real FFT over
+    j < Nphi/2 of the even rows, a solve of its real and imaginary parts,
+    the transform back) refined by defect correction on the even system's
+    action J at s (`linearize` on half rows), by x += M^-1 (b - J x) until
+    the stop above.  Its sums are numpy's, on one thread, so the step's bits
+    do not depend on the BLAS thread count.  The step solves for the even
+    unknowns and repeats them on j + Nphi/2.
     """
     g = s.grid
     h, nr = g.nphi // 2, g.nbeta + 1
-    mode0 = ring_data and _ring_constant(s.values) and _ring_constant(rhs.values)
+    mode0 = _ring_constant(s.values) and _ring_constant(rhs.values)
     lu = splu(linearize_modal(s, q, rhs, params, tau, mode0), **LU_OPTIONS)
     if mode0:
         def ring_step(fint, gbd):
@@ -388,58 +405,37 @@ def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau, rin
 
 # -- damped-Newton corrector -------------------------------------------------------
 
-# A factorization is kept while each accepted step cuts the residual by at least
-# this factor; a slower step drops it, and the next iteration refactorizes.
-REFACTOR_RATIO = 0.1
 
-
-class _LUSlot:
-    """The one factorization a continuation path reuses (see _damped_newton).
-
-    Each slot is made for one corrector run or path (newton_first's direct
-    attempt, run_continuation's path, a finer grid's corrector), so solves
-    that run concurrently share no state.  `apply` is None or the callable
-    that a Newton point's `factor` returned.
-    """
-
-    __slots__ = ("apply",)
-
-    def __init__(self):
-        self.apply = None
-
-
-def _damped_newton(x, point, sched: Schedule, lu: _LUSlot):
+def _damped_newton(x, point, sched: Schedule):
     """The damped-Newton corrector shared by newton_solve and the 1-D oracle.
 
     x is the array of unknowns.  The discretization enters through one
     callback, which evaluates the point with values x once:
-      point(x) -> (lam1min, fint, gbd, factor): its cone margin, its interior
-          and Robin residuals, and factor() -> apply, which factorizes the
+      point(x) -> (lam1min, fint, gbd, rel, factor): its cone margin, its
+          interior and Robin residuals, their relative size r
+          (`relative_size`), and factor() -> apply, which factorizes the
           Jacobian there; apply(fint, gbd) is the Newton step for that
           residual, shaped like x.
-    A trial point is evaluated only if min x > 0; a step is accepted if
-    lam1min > DELTA_CONE and the max-norm residual decreases by Armijo.
-
-    The factorization in `lu` is reused across iterations and continuation
-    steps (chord Newton).  The corrector refactorizes when `lu` holds none or
-    when the last accepted step cut the residual by less than REFACTOR_RATIO.
-    A step from a reused factorization gets only the full-step Armijo test; if
-    that fails, the corrector refactorizes at the same iterate and redoes the
-    step with the full line search, halving alpha up to BACKTRACK_MAX times.
-    info["iters"] counts the accepted steps, reused or fresh, and
-    info["factorizations"] the factorizations this call made.
+    Every iteration factorizes at its iterate.  A trial point is evaluated
+    only if min x > 0; a step is accepted if lam1min > DELTA_CONE and the
+    max-norm residual decreases by Armijo, halving alpha up to BACKTRACK_MAX
+    times.  The corrector stops on the residual when r <= sched.tol_solve,
+    also after the iteration budget, and on the step when r <= STEP_RES and
+    the step is at most STEP_RTOL of x (max norms): it then takes the full
+    step, with no line search, if the step stays positive and in the cone.
+    info["iters"] counts the accepted steps and info["stop"] names the test.
 
     Returns (x, info); raises NewtonFailure, naming the cone, a singular
-    Jacobian, the line search of a fresh step or the iteration budget.
+    Jacobian, the line search or the iteration budget.
     """
-    factorizations = 0
-    lam1, fint, gbd, factor = point(x)
+    lam1, fint, gbd, rel, factor = point(x)
     rn = max(float(np.max(np.abs(fint))), float(np.max(np.abs(gbd))))
 
-    def info(iters):
+    def info(iters, stop):
         return {
             "iters": iters,
-            "factorizations": factorizations,
+            "stop": stop,
+            "rel": rel,
             "res_norm": float(np.max(np.abs(fint))),
             "robin_norm": float(np.max(np.abs(gbd))),
             "lam1min": lam1,
@@ -447,62 +443,54 @@ def _damped_newton(x, point, sched: Schedule, lu: _LUSlot):
             "smax": float(np.max(x)),
         }
 
-    def trial(step, alpha):
+    def trial(step, alpha, armijo=True):
         x_try = x + alpha * step
         if np.min(x_try) > 0.0:
-            lam1_try, fint_try, gbd_try, factor_try = point(x_try)
+            lam1_try, fint_try, gbd_try, rel_try, factor_try = point(x_try)
             rn_try = max(float(np.max(np.abs(fint_try))), float(np.max(np.abs(gbd_try))))
-            if lam1_try > DELTA_CONE and rn_try <= (1.0 - 1e-4 * alpha) * rn:
-                return x_try, lam1_try, fint_try, gbd_try, factor_try, rn_try
+            if lam1_try > DELTA_CONE and (not armijo or rn_try <= (1.0 - 1e-4 * alpha) * rn):
+                return x_try, lam1_try, fint_try, gbd_try, rel_try, factor_try, rn_try
         return None
 
-    for it in range(sched.newton_max):
-        if rn <= sched.tol_solve:
-            return x, info(it)
+    for it in range(sched.newton_max + 1):
+        if rel <= sched.tol_solve:
+            return x, info(it, "residual")
+        if it == sched.newton_max:
+            break
         if lam1 <= DELTA_CONE:
             raise NewtonFailure(f"iterate left the cone: lam1min = {lam1:.3e}")
+        try:
+            step = factor()(fint, gbd)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise NewtonFailure(f"singular Jacobian at Newton iteration {it}: {exc}") from exc
+        if rel <= STEP_RES and np.max(np.abs(step)) <= STEP_RTOL * np.max(np.abs(x)):
+            accepted = trial(step, 1.0, armijo=False)
+            if accepted is not None:
+                x, lam1, fint, gbd, rel, factor, rn = accepted
+                return x, info(it + 1, "step")
+        alpha = 1.0
+        for _ in range(BACKTRACK_MAX):
+            accepted = trial(step, alpha)
+            if accepted is not None:
+                break
+            alpha *= 0.5
+        else:
+            raise NewtonFailure(
+                f"line search failed at Newton iteration {it} (res = {rn:.3e}, r = {rel:.3e})")
+        x, lam1, fint, gbd, rel, factor, rn = accepted
 
-        accepted = trial(lu.apply(fint, gbd), 1.0) if lu.apply is not None else None
-        if accepted is None:
-            lu.apply = None  # drop the old factorization before building the next
-            try:
-                lu.apply = factor()
-            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-                raise NewtonFailure(
-                    f"singular Jacobian at Newton iteration {it}: {exc}") from exc
-            factorizations += 1
-            step = lu.apply(fint, gbd)
-            alpha = 1.0
-            for _ in range(BACKTRACK_MAX):
-                accepted = trial(step, alpha)
-                if accepted is not None:
-                    break
-                alpha *= 0.5
-            else:
-                raise NewtonFailure(
-                    f"line search failed at Newton iteration {it} (res = {rn:.3e})")
-        rn_prev = rn
-        x, lam1, fint, gbd, factor, rn = accepted
-        if rn > REFACTOR_RATIO * rn_prev:
-            lu.apply = None
-
-    if rn <= sched.tol_solve:
-        return x, info(sched.newton_max)
-    raise NewtonFailure(f"no convergence in {sched.newton_max} iterations (res = {rn:.3e})")
+    raise NewtonFailure(
+        f"no convergence in {sched.newton_max} iterations (res = {rn:.3e}, r = {rel:.3e})")
 
 
-def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched: Schedule,
-                 lu: _LUSlot, ring_data: bool):
+def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched: Schedule):
     """Damped Newton in the even subspace with positivity and cone guards.
 
     Runs the shared corrector `_damped_newton`, whose point evaluates
     tau_sharp once for the cone guard, the residual and the Jacobian.
     `_factorize` factorizes the modal system with SuperLU (`splu`,
     LU_OPTIONS), and its step is the mode-0 ring step or the defect-corrected
-    modal step.  `lu` is the slot of a continuation path, whose factorization
-    the corrector reuses, and ring_data says whether every right side of
-    that path is ring-constant, bit for bit; only then may a rotationally
-    symmetric state's LU hold mode 0 alone.
+    modal step.
     Returns (s, info); raises NewtonFailure if the cone guard, the line search
     or the iteration budget gives out.  Accepted iterates always satisfy
     min s > 0 and lam1min > DELTA_CONE.
@@ -513,10 +501,10 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
     def point(x):
         sx = CapField(g, x)
         tau = tau_sharp(sx)
-        fint, gbd = residual(sx, q, rhs, params, tau=tau)
-        return tau.lam1min, fint, gbd, lambda: _factorize(sx, q, rhs, params, tau, ring_data)
+        fint, gbd, rel = residual(sx, q, rhs, params, tau=tau)
+        return tau.lam1min, fint, gbd, rel, lambda: _factorize(sx, q, rhs, params, tau)
 
-    x, info = _damped_newton(s.values, point, sched, lu)
+    x, info = _damped_newton(s.values, point, sched)
     return CapField(g, x), info
 
 
@@ -526,22 +514,20 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
 def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, *, grid, report=None):
     """Adaptive predictor-corrector walk of t from 0 to 1.
 
-    newton_fn(s, q, rhs, lu) -> (s, info) runs the layer's corrector with
-    the path's one _LUSlot lu and raises NewtonFailure; rhs_fn(t) -> (q, rhs);
-    grid is the label the report records for every step; report, if given,
-    is the empty SolveReport to fill.
+    newton_fn(s, q, rhs) -> (s, info) runs the layer's corrector and raises
+    NewtonFailure; rhs_fn(t) -> (q, rhs); grid is the label the report
+    records for every step; report, if given, is the empty SolveReport to
+    fill.
     The previous solution is the predictor; dt starts at DT_MAX, shrinks by
     SHRINK on failure and grows by GROW, up to DT_MAX, on fast correctors
-    (info["iters"] <= FAST_ITERS, steps from a reused LU included); the
-    branch point t = 1/2 is always hit exactly.  Raises ContinuationStall,
-    with the partial report, when the corrector fails at t = 0 or dt
-    underflows sched.dt_min.
+    (info["iters"] <= FAST_ITERS); the branch point t = 1/2 is always hit
+    exactly.  Raises ContinuationStall, with the partial report, when the
+    corrector fails at t = 0 or dt underflows sched.dt_min.
     """
     report = SolveReport() if report is None else report
-    lu = _LUSlot()
     q, rhs = rhs_fn(0.0)
     try:
-        s, info = newton_fn(s_init, q, rhs, lu)
+        s, info = newton_fn(s_init, q, rhs)
     except NewtonFailure as exc:
         raise ContinuationStall(0.0, None, report, exc) from exc
     report.record(0.0, info, grid)
@@ -553,7 +539,7 @@ def run_continuation(newton_fn, rhs_fn, s_init, sched: Schedule, *, grid, report
             t_next = 0.5
         q, rhs = rhs_fn(t_next)
         try:
-            s_new, info = newton_fn(s, q, rhs, lu)
+            s_new, info = newton_fn(s, q, rhs)
         except NewtonFailure as exc:
             dt *= SHRINK
             if dt < sched.dt_min:
@@ -601,19 +587,13 @@ def newton_first(newton_fn, rhs_fn, phi_values, model, params: CapParams, sched:
     try:
         if not 0.0 < c < math.inf:
             raise NewtonFailure(f"model scale {c:.3e} is outside the float range")
-        s, info = newton_fn(c * model, q, rhs, _LUSlot())
+        s, info = newton_fn(c * model, q, rhs)
     except NewtonFailure as exc:
         return run_continuation(newton_fn, rhs_fn, params.cnk ** (-1.0 / params.k) * model,
                                 sched, grid=grid, report=SolveReport(direct_failure=str(exc)))
     report = SolveReport(method="newton", converged=True)
     report.record(1.0, info, grid)
     return s, report
-
-
-def relative_residual(fint, sk) -> float:
-    """||F_int|| / ||sigma_k(tau_sharp[s])||, max norms: the interior residual
-    in the units of the equation (report-only)."""
-    return float(np.max(np.abs(fint)) / np.max(np.abs(sk)))
 
 
 # -- grid sequencing -----------------------------------------------------------------
@@ -696,11 +676,11 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
     has fewer than 64).  There `newton_first` solves at t = 1, falling back on
     the continuation; from a given s0 the continuation runs instead.  Each
     finer grid, up to phi's own, gets the interpolated solution and one
-    Newton corrector at t = 1 with a fresh LU.
+    Newton corrector at t = 1.
 
     Returns the solution field and the SolveReport (its relative residual is
-    taken on phi's grid; structural-hypothesis report included, informational
-    only).  Raises ContinuationStall with the partial report if the
+    the last corrector's, on phi's grid; structural-hypothesis report
+    included, informational only).  Raises ContinuationStall with the partial report if the
     continuation stalls, or at t = 1, with the grid named in its failure, if
     a finer grid's corrector fails.
     """
@@ -723,11 +703,9 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
         if s0 is not None:
             s0 = _interpolate(s0, coarse)
     coarsest = phis.pop()
-    # the homotopy data are pointwise functions of phi: ring-constant with it
-    ring_data = _ring_constant(phi.values)
 
-    def newton_fn(s, q, rhs, lu):
-        return newton_solve(s, q, rhs, params, sched, lu, ring_data)
+    def newton_fn(s, q, rhs):
+        return newton_solve(s, q, rhs, params, sched)
 
     def rhs_fn(t):
         return homotopy_rhs(t, coarsest, params)
@@ -745,14 +723,11 @@ def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,
         s = _interpolate(s, level.grid)
         q, rhs = homotopy_rhs(1.0, level, params)
         try:
-            s, info = newton_solve(s, q, rhs, params, sched, _LUSlot(), ring_data)
+            s, info = newton_fn(s, q, rhs)
         except NewtonFailure as exc:
             failure = NewtonFailure(f"corrector on {_label(level.grid)}: {exc}")
             raise ContinuationStall(1.0, None, report, failure) from exc
         report.record(1.0, info, _label(level.grid))
-    tau = tau_sharp(s)
-    fint, _ = residual(s, params.p, phi, params, tau=tau)
-    report.relative_residual = relative_residual(fint, sigma_k(tau, params.k))
     report.structural = structural_hypothesis_check(phi, params)
     return s, report
 
@@ -786,8 +761,8 @@ def jacobian_fd_error(s: CapField, q: float, rhs: CapField, params: CapParams,
     (`linearize`, at full width) and central differences."""
     eps = 1e-6
     jv = linearize(s, q, rhs, params, tau_sharp(s))(v.flat)
-    fp, gp = residual(CapField(s.grid, s.values + eps * v.values), q, rhs, params)
-    fm, gm = residual(CapField(s.grid, s.values - eps * v.values), q, rhs, params)
+    fp, gp, _ = residual(CapField(s.grid, s.values + eps * v.values), q, rhs, params)
+    fm, gm, _ = residual(CapField(s.grid, s.values - eps * v.values), q, rhs, params)
     fd = (np.concatenate([fp.ravel(), gp]) - np.concatenate([fm.ravel(), gm])) / (2.0 * eps)
     scale = max(1.0, float(np.max(np.abs(jv))))
     return float(np.max(np.abs(jv - fd))) / scale

@@ -27,15 +27,12 @@ def plain_continuation(phi, params, sched, s0=None):
     """The continuation alone on phi's grid, from s0 or C(n,k)^(-1/k) ell:
     `solver.run_continuation` with `newton_solve` as its corrector, the
     reference for solve_path's fallback and for its path from a given s0.
-    Like solve_path, it solves for the even projection of phi, and lets a
-    rotationally symmetric state's LU hold mode 0 alone where phi is
-    ring-constant."""
+    Like solve_path, it solves for the even projection of phi."""
     phi = phi.project_even()
     if s0 is None:
         s0 = params.cnk ** (-1.0 / params.k) * ell_field(phi.grid)
-    ring_data = solver._ring_constant(phi.values)
     return solver.run_continuation(
-        lambda s, q, rhs, lu: solver.newton_solve(s, q, rhs, params, sched, lu, ring_data),
+        lambda s, q, rhs: solver.newton_solve(s, q, rhs, params, sched),
         lambda t: solver.homotopy_rhs(t, phi, params), s0, sched,
         grid=f"{phi.grid.nbeta}x{phi.grid.nphi}")
 
@@ -59,13 +56,13 @@ def spy_points(monkeypatch, module, evaluator):
         out = fn()
         return out, calls[0] - before
 
-    def spying(x, point, sched, lu):
+    def spying(x, point, sched):
         run = []
         points.append(run)
 
         def spied(x):
             run.append(x.tobytes())
-            (lam1, fint, gbd, factor), n = counted(lambda: point(x))
+            (lam1, fint, gbd, rel, factor), n = counted(lambda: point(x))
             per_point.append(n)
 
             def spied_factor():
@@ -73,9 +70,9 @@ def spy_points(monkeypatch, module, evaluator):
                 per_factor.append(n)
                 return apply
 
-            return lam1, fint, gbd, spied_factor
+            return lam1, fint, gbd, rel, spied_factor
 
-        return newton(x, spied, sched, lu)
+        return newton(x, spied, sched)
 
     monkeypatch.setattr(module, evaluator, counting)
     monkeypatch.setattr(module, "_damped_newton", spying)

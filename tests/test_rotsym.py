@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from capcmk import rotsym, solver
 from capcmk.fields import CapField, CapGrid
@@ -18,7 +19,7 @@ from capcmk.rotsym import (
     sigma_rot,
     solve_rotsym,
 )
-from capcmk.solver import NewtonFailure, model_scale, solve_path
+from capcmk.solver import ContinuationStall, NewtonFailure, Schedule, model_scale, solve_path
 from conftest import spy_points
 
 THETA4 = math.pi / 4
@@ -114,7 +115,8 @@ def test_linearize_is_the_derivative_of_the_residual(n, k):
 
     for q in (1.0, p):
         def res(x):
-            return np.append(*rotsym._residual(RotProfile(g, x), q, rhs, params))
+            fint, gbd, _ = rotsym._residual(RotProfile(g, x), q, rhs, params)
+            return np.append(fint, gbd)
 
         jac = rotsym._linearize(prof, q, rhs, params)
         for _ in range(3):
@@ -122,6 +124,31 @@ def test_linearize_is_the_derivative_of_the_residual(n, k):
             jv = jac @ v
             fd = (res(s + h * v) - res(s - h * v)) / (2.0 * h)
             assert np.max(np.abs(jv - fd)) <= 1e-5 * np.max(np.abs(jv))
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (4, 3)])
+def test_the_jacobian_fills_the_grids_pattern(n, k):
+    """_linearize fills the data of the grid's one CSC pattern: its matrix
+    is, bit for bit, diag(d sigma / d lam_r) lam_r + diag(d sigma / d lam_t)
+    lam_t - diag(z) pcells stacked over the Robin row, assembled from the
+    operators, and two calls share the pattern's arrays."""
+    p = {1: 1.5, 2: 2.2, 3: 2.5}[k]
+    params = CapParams(n=n, k=k, p=p, theta=THETA4)
+    g = RotGrid(512, THETA4)
+    prof = RotProfile(g, 1.2 * ell(THETA4, g.beta_all) + 0.05 * np.cos(g.beta_all) ** 2)
+    rhs = 1.0 + 0.3 * (1.0 - np.cos(g.beta_cells))
+    ops = g.ops()
+    dr, dt = rotsym._sigma_rot_partials(prof.lam_r, prof.lam_t, n, k)
+    for q in (1.0, p):
+        ref = sp.diags(dr) @ ops["lam_r"] + sp.diags(dt) @ ops["lam_t"]
+        if q != 1.0:
+            ref = ref - sp.diags((q - 1.0) * prof.s[:512] ** (q - 2.0) * rhs) @ ops["pcells"]
+        ref = sp.vstack([ref, ops["robin"]], format="csc")
+        jac = rotsym._linearize(prof, q, rhs, params)
+        assert jac.format == "csc"
+        assert np.array_equal(jac.indptr, ref.indptr) and np.array_equal(jac.indices, ref.indices)
+        assert jac.data.tobytes() == ref.data.tobytes()
+        assert np.shares_memory(jac.indices, rotsym._linearize(prof, q, rhs, params).indices)
 
 
 @pytest.mark.parametrize("n,k,p", [(2, 1, 1.5), (3, 2, 2.0), (4, 2, 1.7)])
@@ -215,40 +242,56 @@ def test_both_layers_start_from_one_model_scale():
 
 
 @pytest.mark.parametrize(
-    "p, theta, c1, max_s, oracle",
-    [(2.709, 1.228, 3.29, 2.785, True), (2.845, 1.388, 1.17, 3.298, True),
-     (2.496, 1.384, 3.76, 4.404, False)],
+    "p, theta, c1, max_s",
+    [(2.709, 1.228, 3.29, 2.785), (2.845, 1.388, 1.17, 3.298),
+     (2.496, 1.384, 3.76, 4.404)],
     ids=["collapse-1", "collapse-2", "fine-stall"])
-def test_the_direct_solve_finds_the_solution_the_continuation_missed(p, theta, c1, max_s,
-                                                                     oracle):
+def test_the_direct_solve_finds_the_solution_the_continuation_missed(p, theta, c1, max_s):
     """k = 2, data 1 + c1 (1 - cos beta), 64x128.  The continuation alone
     ends the first two on collapsed fields (max s 1.6e-6 and 3.0e-6,
     relative residuals 9.2 and 3.3), which the 512-cell oracle's
     continuation reproduced; on the third its 32x64 solution leaves the
     64x128 corrector outside the cone.  The direct solve converges on all
-    three, and the oracle's direct solve agrees on the first two.  On the
-    third the oracle's direct attempt stops on the roundoff floor
-    (ROADMAP item 1)."""
+    three, and the oracle's direct solve agrees with it."""
     params = CapParams(n=2, k=2, p=p, theta=theta)
     s, report = solve_path(rotsym_field(CapGrid(64, 128, theta), c1), params)
     assert float(np.max(s.values)) == pytest.approx(max_s, rel=1e-3)
     assert report.relative_residual <= 1e-9 and report.method == "newton"
-    if oracle:
-        prof, rep1 = solve_rotsym(lambda b: 1.0 + c1 * (1.0 - np.cos(b)), params, n_cells=512)
-        assert cross_check_gap(prof, s) <= 5e-3
-        assert rep1.relative_residual <= 1e-9 and rep1.method == "newton"
+    prof, rep1 = solve_rotsym(lambda b: 1.0 + c1 * (1.0 - np.cos(b)), params, n_cells=512)
+    assert cross_check_gap(prof, s) <= 5e-3
+    assert rep1.relative_residual <= 1e-9 and rep1.method == "newton"
 
 
-def test_the_relative_residual_shows_a_false_convergence():
-    """k = 1, p = 1.98, theta = pi/4, data 1 + 0.3 (1 - cos beta): both
-    layers accept their start, whose absolute residual is already below
-    tol_solve (max s is about 2e-15); only the relative residual shows that
-    it is no solution."""
-    params = CapParams(n=2, k=1, p=1.98, theta=THETA4)
-    _, report = solve_path(rotsym_field(CapGrid(64, 128, THETA4), 0.3), params)
-    _, rep1 = solve_rotsym(lambda b: 1.0 + 0.3 * (1.0 - np.cos(b)), params, n_cells=512)
+def test_both_layers_converge_below_p_k_plus_1():
+    """k = 1, p = 1.9, theta = pi/4, data 1 + 0.3 (1 - cos beta): the
+    solution is small (max s about 2e-7), and both layers reach a relative
+    residual of at most tol_solve, which an absolute stop did not ask of
+    them (it accepted 7.2e-4)."""
+    params = CapParams(n=2, k=1, p=1.9, theta=THETA4)
+    s, report = solve_path(rotsym_field(CapGrid(64, 128, THETA4), 0.3), params)
+    prof, rep1 = solve_rotsym(lambda b: 1.0 + 0.3 * (1.0 - np.cos(b)), params, n_cells=512)
     for rep in (report, rep1):
-        assert rep.converged and rep.relative_residual > 1e-2
+        assert rep.converged and rep.relative_residual <= Schedule().tol_solve
+    assert cross_check_gap(prof, s) <= 1e-3 * float(np.max(s.values))
+
+
+def test_both_layers_stall_near_p_k_plus_1():
+    """k = 1, p = 1.98, theta = pi/4, data 1 + 0.3 (1 - cos beta): an
+    absolute stop accepted the start of both layers (max s about 2e-15,
+    relative residual 0.71).  Measured relatively, both stall just short of
+    t = 1, with dt below dt_min after a line search that the cone guard
+    ends (lam1min near DELTA_CONE), and their reports say so."""
+    params = CapParams(n=2, k=1, p=1.98, theta=THETA4)
+    for solve in (lambda: solve_path(rotsym_field(CapGrid(64, 128, THETA4), 0.3), params),
+                  lambda: solve_rotsym(lambda b: 1.0 + 0.3 * (1.0 - np.cos(b)), params,
+                                       n_cells=512)):
+        with pytest.raises(ContinuationStall, match="dt_min") as err:
+            solve()
+        report = err.value.report
+        assert 0.97 < err.value.t < 1.0 and err.value.dt < Schedule().dt_min
+        assert report.failure.startswith("line search failed")
+        assert not report.converged and report.relative_residual is None
+        assert report.lam1min_trace[-1] < 1e-9
 
 
 def test_each_oracle_point_is_evaluated_once(monkeypatch):
@@ -261,7 +304,7 @@ def test_each_oracle_point_is_evaluated_once(monkeypatch):
     assert all(len(set(run)) == len(run) for run in points)
     assert len(per_point) == sum(map(len, points)) > len(per_factor)
     assert set(per_point) == {1}
-    assert len(per_factor) == sum(report.factorizations) > 0 and set(per_factor) == {0}
+    assert len(per_factor) == sum(report.newton_iters) > 0 and set(per_factor) == {0}
 
 
 def test_a_forced_direct_failure_runs_the_continuation(monkeypatch):
@@ -286,24 +329,26 @@ def test_a_forced_direct_failure_runs_the_continuation(monkeypatch):
     assert report.converged and report.method == "continuation"
     assert report.direct_failure == "forced" and report.failure is None
     assert np.array_equal(prof.s, plain.s)
-    assert report.factorizations == plain_report.factorizations
+    assert report.newton_iters == plain_report.newton_iters
 
 
 def test_a_real_direct_failure_runs_the_continuation(monkeypatch):
-    """k = 2, p = 2.496, theta = 1.384, data 1 + 3.76 (1 - cos beta), 512
-    cells: the direct attempt's line search fails on the roundoff floor
-    (res = 1.32e-9), and the continuation ends on a collapsed profile
-    (ROADMAP item 1).  Its result is bit for bit the continuation's alone."""
-    params = CapParams(n=2, k=2, p=2.496, theta=1.384)
-    phi = lambda b: 1.0 + 3.76 * (1.0 - np.cos(b))  # noqa: E731
+    """k = 2, p = 2.7542, theta = 0.3650, data 1 + 0.717 (1 - cos beta) (the
+    rotationally symmetric part of stress seed 12), 512 cells: the direct
+    attempt runs out of its iteration budget, and the continuation converges
+    to a small profile (max s about 1e-8) at a relative residual below 1e-9.
+    Its result is bit for bit the continuation's alone."""
+    params = CapParams(n=2, k=2, p=2.7541552971469643, theta=0.36504853835566575)
+    phi = lambda b: 1.0 + 0.7171656416724304 * (1.0 - np.cos(b))  # noqa: E731
     prof, report = solve_rotsym(phi, params, n_cells=512)
     monkeypatch.setattr(solver, "model_scale", lambda *args: math.inf)
     plain, plain_report = solve_rotsym(phi, params, n_cells=512)
     assert report.converged and report.method == "continuation"
-    assert report.direct_failure.startswith("line search failed")
+    assert report.direct_failure.startswith("no convergence in 30 iterations")
+    assert report.relative_residual <= Schedule().tol_solve and np.max(prof.s) < 1e-7
     assert plain_report.direct_failure == "model scale inf is outside the float range"
     assert np.array_equal(prof.s, plain.s)
-    assert report.factorizations == plain_report.factorizations
+    assert report.newton_iters == plain_report.newton_iters
 
 
 def test_save_profile_writes_all_columns(tmp_path):
