@@ -23,12 +23,17 @@ Quadrature is the midpoint rule over the cell rings, w_ij = sin(beta_i)
 dbeta dphi; the boundary ring carries no quadrature weight.
 
 Each grid keeps one table of its operators (`CapGrid.ops`), each a list of
-(beta-matrix, phi-stencil) terms, and lays it out two ways: `apply`
-evaluates an operator on a field by multiplying the small beta-matrix into
-the value array extended by ring -1 and one periodic column on each side,
-then applying the phi-stencil by slicing; and `modal_blocks` folds the table
-into the Newton blocks on even fields and splits them by azimuthal Fourier
-mode, for the solver's one factorization.  `tau_sharp`, `robin_residual` and
+(beta-matrix, phi-stencil) terms.  The beta-stencils are (m, 4) band arrays
+(`stencil_band`), a row's four weights on the rings around it, and the
+table combines them band by band and keeps each beta-matrix as the CSR of
+its band's nonzeros (`band_csr`), so a grid's operators cost O(Nbeta) time
+and memory; the 1-D oracle (`rotsym`) lays its own stencils out in the
+same bands.  The table is laid out two ways: `apply` evaluates an operator
+on a field by multiplying the sparse beta-matrix into the value array
+extended by ring -1 and one periodic column on each side, then applying
+the phi-stencil by slicing; and `modal_blocks` folds the table into the
+Newton blocks on even fields and splits them by azimuthal Fourier mode,
+for the solver's one factorization.  `tau_sharp`, `robin_residual` and
 the audit's gradients use `apply`, and so does the solver's Jacobian action
 (`solver.linearize`).
 
@@ -83,6 +88,31 @@ def fd_weights(offsets, order):
     return np.linalg.solve(a, e)
 
 
+def stencil_band(m, central, rim):
+    """The (m, 4) band of a 1-D beta-stencil on m rings: row r (of a one-row
+    band, the rim ring's row) weighs rings r-2..r+1.  `central` {ring
+    offset: weight} fills rows 0..m-2, and the last row's weights `rim` end
+    at the rim ring, which follows ring m - 1."""
+    b = np.zeros((m, 4))
+    for o, w in central.items():
+        b[:-1, o + 2] = w
+    end = 3 if m == 1 else 4
+    b[-1, end - len(rim):end] = rim
+    return b
+
+
+def band_csr(band, first, ncols):
+    """The band's nonzeros, row by row, as an (m, ncols) CSR matrix; row r of
+    the (m, 4) band holds columns first + r .. first + r + 3."""
+    m = band.shape[0]
+    # int32, scipy's index type at these sizes: it then checks no contents
+    cols = np.arange(first, first + m, dtype=np.int32)[:, None] + np.arange(4, dtype=np.int32)
+    keep = band != 0
+    indptr = np.zeros(m + 1, np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sp.csr_matrix((band[keep], cols[keep], indptr), shape=(m, ncols))
+
+
 class CapGrid:
     """Structured (beta, phi) grid on the cap with cached stencil operators."""
 
@@ -125,52 +155,44 @@ class CapGrid:
     def _stencils(self):
         """The 1-D stencils that `ops` combines into the grid's operators.
 
-        Beta-matrices have one row per output ring and one column per ring
-        -1..Nbeta (column c is ring c - 1): d/dbeta and d^2/dbeta^2 with
-        their nonuniform rim-adjacent rows, the identity on the interior
-        rings, and the rim's one-sided d/dbeta and value selector.
-        Phi-stencils are periodic {offset: weight} dicts.
+        Beta-stencils are (m, 4) bands: row r is the output ring r (of a
+        one-row band, the rim ring Nbeta), and its four entries weigh rings
+        r-2..r+1, that is, columns r-1..r+2 of the beta-matrix over rings
+        -1..Nbeta (column c is ring c - 1).  They are d/dbeta and
+        d^2/dbeta^2 with their nonuniform rim-adjacent rows, the identity on
+        the interior rings, and the rim's one-sided d/dbeta and value
+        selector.  Phi-stencils are periodic {offset: weight} dicts.
         """
         nb, db, dp = self.nbeta, self.dbeta, self.dphi
-
-        def band(central, rim, m=nb):
-            """m-row beta-matrix: central {ring offset: weight} on rings 0..m-2,
-            and a last row whose weights `rim` end at the rim ring."""
-            b = np.zeros((m, nb + 2))
-            i = np.arange(m - 1)
-            for o, wo in central.items():
-                b[i, i + 1 + o] = wo
-            b[-1, nb + 2 - len(rim):] = rim
-            return b
-
         return {
-            "d1": band({-1: -0.5 / db, 1: 0.5 / db}, fd_weights([-db, 0.0, 0.5 * db], 1)),
-            "d2": band({-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
-                       fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)),
-            "rings": np.eye(nb, nb + 2, 1),
-            "dbd": band({}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1), 1),
-            "ibd": band({}, [1.0], 1),
+            "d1": stencil_band(nb, {-1: -0.5 / db, 1: 0.5 / db},
+                               fd_weights([-db, 0.0, 0.5 * db], 1)),
+            "d2": stencil_band(nb, {-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
+                               fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)),
+            "rings": np.tile([0.0, 0.0, 1.0, 0.0], (nb, 1)),
+            "dbd": stencil_band(1, {}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1)),
+            "ibd": stencil_band(1, {}, [1.0]),
             "w1": {1: 0.5 / dp, -1: -0.5 / dp},
             "w2": {1: 1.0 / dp**2, 0: -2.0 / dp**2, -1: 1.0 / dp**2},
         }
 
     def ops(self):
         """Every operator as a list of (beta-matrix, phi-stencil) terms, built
-        once per grid.
+        once per grid in O(Nbeta).
 
-        Each beta-matrix of `_stencils`, ring factors multiplied in, is held
-        as CSR; row r is ring r, except a one-row matrix, which is the rim
-        ring's.  An operator is the sum of its terms, each term the
-        beta-matrix laid over its periodic phi-stencil.  a11/a12/a22 are the
-        orthonormal-frame components of tau_sharp, pint the interior rings,
-        robin the rim's d/dbeta - cot(theta), and dbeta/dphi the gradient on
-        every ring, the rim included.  `apply` evaluates the terms on a field,
-        and `modal_blocks` folds them onto the even subspace by Fourier mode.
+        Each term's beta-matrix is combined from the bands of `_stencils`,
+        ring factors multiplied in, and held as the CSR of its nonzeros; row
+        r is ring r, except a one-row matrix, which is the rim ring's.  An
+        operator is the sum of its terms, each term the beta-matrix laid over
+        its periodic phi-stencil.  a11/a12/a22 are the orthonormal-frame
+        components of tau_sharp, pint the interior rings, robin the rim's
+        d/dbeta - cot(theta), and dbeta/dphi the gradient on every ring, the
+        rim included.  `apply` evaluates the terms on a field, and
+        `modal_blocks` folds them onto the even subspace by Fourier mode.
         """
         if self._ops is not None:
             return self._ops
-        st = self._stencils()
-        nb = self.nbeta
+        st, nb = self._stencils(), self.nbeta
         sinb = np.sin(self.beta_cells)[:, None]
         cotb = np.cos(self.beta_cells)[:, None] / sinb
         d1, rings, one = st["d1"], st["rings"], {0: 1.0}
@@ -182,9 +204,11 @@ class CapGrid:
             "pint": [(rings, one)],
             "robin": [(st["dbd"] - ct * st["ibd"], one)],
             "dbeta": [(np.vstack([d1, st["dbd"]]), one)],
-            "dphi": [(np.eye(nb + 1, nb + 2, 1), st["w1"])],
+            "dphi": [(np.vstack([rings, st["ibd"]]), st["w1"])],
         }
-        self._ops = {name: [(sp.csr_matrix(bmat), weights) for bmat, weights in terms]
+        # column c of a beta-matrix is ring c - 1, and a one-row band is the rim's
+        self._ops = {name: [(band_csr(b, (nb if len(b) == 1 else 0) - 1, nb + 2), weights)
+                            for b, weights in terms]
                      for name, terms in table.items()}
         return self._ops
 
@@ -233,9 +257,10 @@ class CapGrid:
         restriction to even fields is circulant in j < Nphi/2, and the real
         FFT over j splits it into one (Nbeta + 1)-square block per mode
         m = 0..Nphi/4 (rounded down).  A term contributes its beta-matrix,
-        folded onto even fields (there the half-turn is the identity, so ring
-        -1 adds onto ring 0; a one-row beta-matrix is the rim ring's), times
-        the symbol sum_o w_o cos(2 pi m o / (Nphi/2)) of its phi-stencil.  The
+        read from its CSR arrays and folded onto even fields (there the
+        half-turn is the identity, so ring -1 adds onto ring 0; a one-row
+        beta-matrix is the rim ring's), times the symbol
+        sum_o w_o cos(2 pi m o / (Nphi/2)) of its phi-stencil.  The
         stencils of a11, a22, pint and robin are symmetric (w_o = w_-o), so
         every block is real; a12's is odd, and its block is not formed.  A
         ring-constant right side excites mode 0 alone, whose symbol is the
@@ -253,11 +278,14 @@ class CapGrid:
         parts = []
         for name in ("a11", "a22", "pint", "robin"):
             for bmat, weights in self.ops()[name]:
-                b = bmat.tocoo()
-                i, r = b.row + (self.nbeta if b.shape[0] == 1 else 0), np.maximum(b.col - 1, 0)
+                m = bmat.shape[0]
+                first = self.nbeta if m == 1 else 0
+                i = np.repeat(np.arange(first, first + m, dtype=bmat.indices.dtype),
+                              np.diff(bmat.indptr))
+                r = np.maximum(bmat.indices - 1, 0)
                 symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
                 # entry key: column ring r first, then row ring i, which sorts as CSC
-                parts.append((name, r * nr + i, symbol * b.data))
+                parts.append((name, r * nr + i, symbol * bmat.data))
         # every mode's block has the same pattern: one block's unique keys
         keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
         at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])

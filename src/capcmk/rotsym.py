@@ -17,10 +17,11 @@ lam_t - lam_r gap at the first ring vanishes under refinement) and the same
 Robin row s'(theta) = cot(theta) s(theta) at the rim.  Discretization mirrors
 the 2-D conventions: cell-centered rings plus a rim node, second order
 throughout, 4-point nonuniform second derivative next to the rim.  The
-stencils are this module's own, built once per grid (`RotGrid.ops`) together
-with the Jacobian's constant parts and its one CSC pattern, which each
-factorization fills.  `save_profile` writes through the package's one CSV
-writer, `fields.write_csv`.
+stencils' weights are this module's own.  They are built once per grid
+(`RotGrid.ops`), in O(n), as (m, 4) band arrays laid out as the 2-D grid's
+(`fields.stencil_band`), and the Jacobian's terms and its one CSC pattern,
+which each factorization fills, come from the same bands.  `save_profile`
+writes through the package's one CSV writer, `fields.write_csv`.
 
 The Newton corrector is the solver's shared damped-Newton loop
 (`solver._damped_newton`), with the solver's stop on the relative residual
@@ -42,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .fields import fd_weights, write_csv
+from .fields import band_csr, fd_weights, stencil_band, write_csv
 from .geometry import CapParams, ell
 from .solver import (LU_OPTIONS, Schedule, _damped_newton, homotopy_values, newton_first,
                      relative_size)
@@ -77,53 +78,60 @@ class RotGrid:
         self._ops = None
 
     def ops(self):
-        """Sparse operators on the profile (cells plus rim), built once per grid.
+        """The operators on the profile (cells plus rim), built once per grid
+        in O(n) from (m, 4) bands (`fields.stencil_band`).
 
-        d1, d2: d/dbeta, d2/dbeta2 on the cells; dbd: the rim derivative row;
-        pcells: the cell values; lam_r, lam_t, robin: the linearizations of
-        s'' + s, s' cot(beta) + s and the Robin row.  The mirror closure
+        d1, d2: d/dbeta, d2/dbeta2 on the cells; dbd: the rim derivative
+        row; each the CSR of its band's nonzeros.  The mirror closure
         s(-beta) = s(beta) (rotational symmetry plus the across-pole chart
-        identity) feeds the first ring's central stencils.  jac: the
-        Jacobian's CSC pattern (indices, indptr, shape) and the entries of
-        lam_r, lam_t, pcells and robin on it, so that `_linearize` fills
-        the data alone.
+        identity) feeds the first ring's central stencils: its weight on
+        ring -1 is added onto ring 0.  jac: the Jacobian's CSC pattern
+        (indices, indptr, shape) and the entries on it of its four terms,
+        lam_r = d2 + I and lam_t = diag(cot) d1 + I, the linearizations of
+        s'' + s and s' cot(beta) + s, and pcells, the cell values, on the
+        cells' rows, and robin, the Robin row dbd - cot(theta) e_rim, on the
+        rim's; `_linearize` fills the data alone.
         """
         if self._ops is not None:
             return self._ops
         n, db, ntot = self.n_cells, self.dbeta, self.n_cells + 1
 
-        def stencil(m, central, rim):
-            """m x ntot CSR: {offset: weight} on rows 0..m-2, column -1 mirrored
-            onto column 0, and a last row whose weights `rim` end at the rim."""
-            i = np.arange(m - 1)
-            offs = np.array(list(central), dtype=int)
-            rows = np.concatenate([np.repeat(i, offs.size), np.full(len(rim), m - 1)])
-            cols = np.concatenate([np.maximum(i[:, None] + offs, 0).ravel(),
-                                   np.arange(ntot - len(rim), ntot)])
-            data = np.concatenate([np.tile(list(central.values()), m - 1), rim])
-            return sp.csr_matrix((data, (rows, cols)), shape=(m, ntot))
+        def mirrored(b):
+            b[0, 2] += b[0, 1]
+            b[0, 1] = 0.0
+            return b
 
-        d1 = stencil(n, {-1: -0.5 / db, 1: 0.5 / db}, fd_weights([-db, 0.0, 0.5 * db], 1))
-        d2 = stencil(n, {-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
-                     fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2))
-        dbd = stencil(1, {}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1))
-        pcells = sp.eye(n, ntot, format="csr")
-        ct = math.cos(self.theta) / math.sin(self.theta)
-        ops = {"d1": d1, "d2": d2, "dbd": dbd, "pcells": pcells, "lam_r": d2 + pcells,
-               "lam_t": sp.diags(self.cot_cells) @ d1 + pcells,
-               "robin": dbd - ct * sp.csr_matrix(([1.0], ([0], [n])), shape=(1, ntot))}
-        # the Jacobian's terms, lam_r, lam_t and pcells on the cells' rows and
-        # robin on the rim's, on one CSC pattern: entries sorted by (col, row)
-        terms = {name: ops[name].tocoo() for name in ("lam_r", "lam_t", "pcells")}
-        terms["robin"] = sp.vstack([sp.csr_matrix((n, ntot)), ops["robin"]]).tocoo()
-        keys = {name: m.col * ntot + m.row for name, m in terms.items()}
-        pattern = np.unique(np.concatenate(list(keys.values())))
+        d1 = mirrored(stencil_band(n, {-1: -0.5 / db, 1: 0.5 / db},
+                                   fd_weights([-db, 0.0, 0.5 * db], 1)))
+        d2 = mirrored(stencil_band(n, {-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
+                                   fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)))
+        dbd = stencil_band(1, {}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1))
+        # column c is ring c, so row r of a band holds columns r - 2 .. r + 1,
+        # and the rim's row is row n
+        ops = {"d1": band_csr(d1, -2, ntot), "d2": band_csr(d2, -2, ntot),
+               "dbd": band_csr(dbd, n - 2, ntot)}
+        # the Jacobian's four terms as bands over every row, cells then the
+        # rim, padded by one zero row above and two below
+        pad = np.zeros((4, ntot + 3, 4))
+        rows, eye = pad[:, 1:-2], np.array([0.0, 0.0, 1.0, 0.0])
+        rows[0, :n] = d2 + eye
+        rows[1, :n] = self.cot_cells[:, None] * d1 + eye
+        rows[2, :n] = eye
+        rows[3, n] = dbd[0] - math.cos(self.theta) / math.sin(self.theta) * eye
+
+        def by_column(term):
+            """A padded band transposed: column c of the CSC holds rows
+            c-1..c+2, in order, and its entry t is band entry 3 - t of row
+            c - 1 + t."""
+            return np.stack([term[t:t + ntot, 3 - t] for t in range(4)], axis=1)
+
+        keep = by_column((pad != 0).any(axis=0))
         # int32, scipy's index type at this size, so each fill views these arrays
-        jac = {"indices": (pattern % ntot).astype(np.int32), "shape": (ntot, ntot),
-               "indptr": np.searchsorted(pattern // ntot, np.arange(ntot + 1)).astype(np.int32)}
-        for name, m in terms.items():
-            jac[name] = np.zeros(pattern.size)
-            jac[name][np.searchsorted(pattern, keys[name])] = m.data
+        jac = {"indices": (np.arange(ntot)[:, None] + np.arange(-1, 3))[keep].astype(np.int32),
+               "indptr": np.append(0, np.cumsum(np.count_nonzero(keep, axis=1))).astype(np.int32),
+               "shape": (ntot, ntot)}
+        for name, term in zip(("lam_r", "lam_t", "pcells", "robin"), pad):
+            jac[name] = by_column(term)[keep]
         ops["jac"] = jac
         self._ops = ops
         return ops

@@ -646,24 +646,35 @@ def _interpolate(f: CapField, grid: CapGrid) -> CapField:
     A ring whose values are bitwise equal is interpolated in phi to that
     exact value: the Lagrange weights need not sum to exactly 1 in floating
     point.  The beta weights and the projection keep such rings constant, so
-    a ring-constant field comes back exactly ring-constant, on any grid.
+    a ring-constant field comes back exactly ring-constant, on any grid.  A
+    field whose every ring is constant (its `repeat_unit` is one column) is
+    interpolated as that column: the phi pass would return it, the beta
+    weights act on it alone, and the projection's average of a column with
+    its half-turn is 0.5 * (c + c), the full-width result's bits.
     """
     g = f.grid
-    # column j of `grid` lies t columns right of column `left` of f's grid
-    pos = np.arange(grid.nphi) * g.nphi
-    left, t = pos // grid.nphi, (pos % grid.nphi) / grid.nphi
-    cols = (left[:, None] + np.arange(-1, 3)) % g.nphi
-    # phi first: the beta matrix then acts from the left and its product is row-major
-    in_phi = (_lagrange(np.arange(-1.0, 3.0) - t[:, None], cols, g.nphi) @ f.values.T).T
-    bits = f.values.view(np.uint64)
-    flat = (bits == bits[:, :1]).all(axis=1)
-    in_phi[flat] = f.values[flat, :1]
+    unit = repeat_unit(f.values)
+    if unit is not None and unit.shape[1] == 1:
+        in_phi = unit
+    else:
+        # column j of `grid` lies t columns right of column `left` of f's grid
+        pos = np.arange(grid.nphi) * g.nphi
+        left, t = pos // grid.nphi, (pos % grid.nphi) / grid.nphi
+        cols = (left[:, None] + np.arange(-1, 3)) % g.nphi
+        # phi first: the beta matrix then acts from the left and its product is row-major
+        in_phi = (_lagrange(np.arange(-1.0, 3.0) - t[:, None], cols, g.nphi) @ f.values.T).T
+        bits = f.values.view(np.uint64)
+        flat = (bits == bits[:, :1]).all(axis=1)
+        in_phi[flat] = f.values[flat, :1]
     nodes = np.concatenate([-g.beta_cells[1::-1], g.beta_all])
     ext = np.vstack([np.roll(in_phi[1::-1], grid.nphi // 2, axis=1), in_phi])
     rows = np.clip(np.searchsorted(nodes, grid.beta_cells) - 2, 0, nodes.size - 4)
     rows = rows[:, None] + np.arange(4)
     in_beta = _lagrange(nodes[rows] - grid.beta_cells[:, None], rows, nodes.size) @ ext
-    return CapField(grid, np.vstack([in_beta, in_phi[-1:]])).project_even()
+    out = np.vstack([in_beta, in_phi[-1:]])
+    if out.shape[1] == 1:
+        return CapField(grid, np.repeat(0.5 * (out + out), grid.nphi, axis=1))
+    return CapField(grid, out).project_even()
 
 
 def solve_path(phi: CapField, params: CapParams, sched: Schedule | None = None,

@@ -3,9 +3,11 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies
 from hypothesis.extra import numpy as hnp
 
@@ -48,11 +50,26 @@ def plain(grid, bmat, phi_weights, values):
     return sum(w * (bmat @ np.roll(rings, -o, axis=1)) for o, w in phi_weights.items())
 
 
+def dense(grid, band):
+    """The (m, Nbeta + 2) beta-matrix of an (m, 4) band of `_stencils`: row r
+    (of a one-row band, the rim ring's) holds columns r-1..r+2, column c
+    being ring c - 1."""
+    m = band.shape[0]
+    rows = np.arange(m)
+    first = grid.nbeta if m == 1 else 0
+    out = np.zeros((m, grid.nbeta + 4))  # columns -1..Nbeta + 2
+    for j in range(4):
+        out[rows, first + rows + j] = band[:, j]
+    assert not out[:, 0].any() and not out[:, -1].any()
+    return out[:, 1:-1]
+
+
 def plain_derivatives(s: CapField):
     """d/dbeta, d/dphi, their squares and d^2/dbeta dphi on the interior
-    rings, from the grid's 1-D stencils through `plain`."""
+    rings, from the grid's 1-D stencils, densified, through `plain`."""
     g = s.grid
-    st = g._stencils()
+    st = {name: dense(g, v) if isinstance(v, np.ndarray) else v
+          for name, v in g._stencils().items()}
     one = {0: 1.0}
     return {
         "dbeta": plain(g, st["d1"], one, s.values),
@@ -331,6 +348,127 @@ def test_modal_blocks_match_the_global_sort(nbeta, nphi):
                         ("indices", nnz), ("indptr", nr + 1)):
         assert mode0[name].dtype == want[name].dtype, name
         assert mode0[name].tobytes() == want[name][:first].tobytes(), name
+
+
+def _dense_stencils(g):
+    """The stencils of `_stencils` as dense beta-matrices, one row per output
+    ring and one column per ring -1..Nbeta, as the grid built them before its
+    bands: the reference construction."""
+    nb, db, dp = g.nbeta, g.dbeta, g.dphi
+
+    def band(central, rim, m=nb):
+        b = np.zeros((m, nb + 2))
+        i = np.arange(m - 1)
+        for o, wo in central.items():
+            b[i, i + 1 + o] = wo
+        b[-1, nb + 2 - len(rim):] = rim
+        return b
+
+    return {
+        "d1": band({-1: -0.5 / db, 1: 0.5 / db}, fd_weights([-db, 0.0, 0.5 * db], 1)),
+        "d2": band({-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
+                   fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)),
+        "rings": np.eye(nb, nb + 2, 1),
+        "dbd": band({}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1), 1),
+        "ibd": band({}, [1.0], 1),
+        "w1": {1: 0.5 / dp, -1: -0.5 / dp},
+        "w2": {1: 1.0 / dp**2, 0: -2.0 / dp**2, -1: 1.0 / dp**2},
+    }
+
+
+def _dense_ops(g):
+    """The table of `CapGrid.ops` by dense algebra on `_dense_stencils`, each
+    beta-matrix converted by `sp.csr_matrix`: the reference construction."""
+    st = _dense_stencils(g)
+    sinb = np.sin(g.beta_cells)[:, None]
+    cotb = np.cos(g.beta_cells)[:, None] / sinb
+    d1, rings, one = st["d1"], st["rings"], {0: 1.0}
+    ct = math.cos(g.theta) / math.sin(g.theta)
+    table = {
+        "a11": [(st["d2"] + rings, one)],
+        "a12": [((d1 - cotb * rings) / sinb, st["w1"])],
+        "a22": [(rings / sinb**2, st["w2"]), (cotb * d1 + rings, one)],
+        "pint": [(rings, one)],
+        "robin": [(st["dbd"] - ct * st["ibd"], one)],
+        "dbeta": [(np.vstack([d1, st["dbd"]]), one)],
+        "dphi": [(np.eye(g.nbeta + 1, g.nbeta + 2, 1), st["w1"])],
+    }
+    return {name: [(sp.csr_matrix(bmat), weights) for bmat, weights in terms]
+            for name, terms in table.items()}
+
+
+def _modal_blocks_by_coo(g, ops, mode0):
+    """`CapGrid.modal_blocks` of the table `ops`, each beta-matrix read
+    through `tocoo`: the reference construction."""
+    h, nr = g.nphi // 2, g.nbeta + 1
+    modes = np.arange(1 if mode0 else h // 2 + 1)[:, None]
+    parts = []
+    for name in ("a11", "a22", "pint", "robin"):
+        for bmat, weights in ops[name]:
+            b = bmat.tocoo()
+            i, r = b.row + (g.nbeta if b.shape[0] == 1 else 0), np.maximum(b.col - 1, 0)
+            symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
+            parts.append((name, r * nr + i, symbol * b.data))
+    keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
+    at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
+    nnz, size = keys.size, modes.size * nr
+    blocks = {}
+    for (name, _, vals), slots in zip(parts, at):
+        blocks[name] = blocks.get(name, 0.0) + np.bincount(
+            (modes * nnz + slots).ravel(), vals.ravel(), modes.size * nnz)
+    ring = keys % nr
+    blocks.update(ring=np.tile(ring, modes.size), shape=(size, size),
+                  indices=(modes * nr + ring).ravel().astype(np.int32),
+                  indptr=np.append(0, np.cumsum(np.tile(np.bincount(keys // nr, minlength=nr),
+                                                        modes.size))).astype(np.int32))
+    return blocks
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.1, math.pi / 4, 1.5])
+@pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 32), (64, 128), (129, 258), (256, 512)])
+def test_the_band_build_is_the_dense_build(nbeta, nphi, theta):
+    """The bands of `_stencils` are the dense beta-matrices' nonzero bands,
+    and every CSR of `ops` and every array of both `modal_blocks` is, bit for
+    bit, that of the dense construction (129 rings: an odd Nbeta)."""
+    g = CapGrid(nbeta, nphi, theta)
+    want_st = _dense_stencils(g)
+    for name, got in g._stencils().items():
+        if isinstance(got, dict):
+            assert got == want_st[name], name
+        else:
+            assert dense(g, got).tobytes() == want_st[name].tobytes(), name
+    got, want = g.ops(), _dense_ops(g)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert len(got[name]) == len(want[name]), name
+        for (bmat, weights), (ref, ref_weights) in zip(got[name], want[name]):
+            assert weights == ref_weights and bmat.shape == ref.shape, name
+            for attr in ("indptr", "indices", "data"):
+                assert same_bits(getattr(bmat, attr), getattr(ref, attr)), (name, attr)
+    for mode0 in (True, False):
+        blocks, ref = g.modal_blocks(mode0), _modal_blocks_by_coo(g, want, mode0)
+        assert blocks.keys() == ref.keys() and blocks["shape"] == ref["shape"]
+        for name in ref.keys() - {"shape"}:
+            assert same_bits(blocks[name], ref[name]), (mode0, name)
+
+
+def test_the_stencil_build_is_linear_in_nbeta():
+    # one dense (2048, 2050) beta-matrix is 33.6 MB; the bands and their CSRs
+    # come to about 2.1 MB with every modal block
+    g = CapGrid(2048, 8, math.pi / 4)
+    tracemalloc.start()
+    try:
+        g.ops()
+        g.modal_blocks(True)
+        g.modal_blocks(False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_tau_eigenvalues_and_convexity_flag():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from capcmk import rotsym, solver
-from capcmk.fields import CapField, CapGrid
+from capcmk.fields import CapField, CapGrid, fd_weights
 from capcmk.geometry import CapParams, ell
 from capcmk.rotsym import (
     RotGrid,
@@ -126,29 +127,108 @@ def test_linearize_is_the_derivative_of_the_residual(n, k):
             assert np.max(np.abs(jv - fd)) <= 1e-5 * np.max(np.abs(jv))
 
 
+def jacobian_terms(g, ops):
+    """The Jacobian's terms lam_r = d2 + I, lam_t = diag(cot) d1 + I, pcells
+    and the Robin row dbd - cot(theta) e_rim, by scipy's sparse algebra on
+    the operators d1, d2 and dbd of `ops`."""
+    n, ntot = g.n_cells, g.n_cells + 1
+    pcells = sp.eye(n, ntot, format="csr")
+    ct = math.cos(g.theta) / math.sin(g.theta)
+    return {"lam_r": ops["d2"] + pcells, "lam_t": sp.diags(g.cot_cells) @ ops["d1"] + pcells,
+            "pcells": pcells,
+            "robin": ops["dbd"] - ct * sp.csr_matrix(([1.0], ([0], [n])), shape=(1, ntot))}
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (4, 3)])
 def test_the_jacobian_fills_the_grids_pattern(n, k):
     """_linearize fills the data of the grid's one CSC pattern: its matrix
     is, bit for bit, diag(d sigma / d lam_r) lam_r + diag(d sigma / d lam_t)
     lam_t - diag(z) pcells stacked over the Robin row, assembled from the
-    operators, and two calls share the pattern's arrays."""
+    operators d1, d2 and dbd, and two calls share the pattern's arrays."""
     p = {1: 1.5, 2: 2.2, 3: 2.5}[k]
     params = CapParams(n=n, k=k, p=p, theta=THETA4)
     g = RotGrid(512, THETA4)
     prof = RotProfile(g, 1.2 * ell(THETA4, g.beta_all) + 0.05 * np.cos(g.beta_all) ** 2)
     rhs = 1.0 + 0.3 * (1.0 - np.cos(g.beta_cells))
-    ops = g.ops()
+    terms = jacobian_terms(g, g.ops())
     dr, dt = rotsym._sigma_rot_partials(prof.lam_r, prof.lam_t, n, k)
     for q in (1.0, p):
-        ref = sp.diags(dr) @ ops["lam_r"] + sp.diags(dt) @ ops["lam_t"]
+        ref = sp.diags(dr) @ terms["lam_r"] + sp.diags(dt) @ terms["lam_t"]
         if q != 1.0:
-            ref = ref - sp.diags((q - 1.0) * prof.s[:512] ** (q - 2.0) * rhs) @ ops["pcells"]
-        ref = sp.vstack([ref, ops["robin"]], format="csc")
+            ref = ref - sp.diags((q - 1.0) * prof.s[:512] ** (q - 2.0) * rhs) @ terms["pcells"]
+        ref = sp.vstack([ref, terms["robin"]], format="csc")
         jac = rotsym._linearize(prof, q, rhs, params)
         assert jac.format == "csc"
         assert np.array_equal(jac.indptr, ref.indptr) and np.array_equal(jac.indices, ref.indices)
         assert jac.data.tobytes() == ref.data.tobytes()
         assert np.shares_memory(jac.indices, rotsym._linearize(prof, q, rhs, params).indices)
+
+
+def _ops_by_sparse_algebra(g):
+    """`RotGrid.ops` as the grid built it by scipy's sparse algebra, before
+    its bands: d1, d2 and dbd from COO triplets, column -1 summed into
+    column 0, and the Jacobian's pattern as the np.unique of its terms'
+    (column, row) keys, stacked by `vstack` and read by `tocoo`: the
+    reference construction."""
+    n, db, ntot = g.n_cells, g.dbeta, g.n_cells + 1
+
+    def stencil(m, central, rim):
+        i = np.arange(m - 1)
+        offs = np.array(list(central), dtype=int)
+        rows = np.concatenate([np.repeat(i, offs.size), np.full(len(rim), m - 1)])
+        cols = np.concatenate([np.maximum(i[:, None] + offs, 0).ravel(),
+                               np.arange(ntot - len(rim), ntot)])
+        data = np.concatenate([np.tile(list(central.values()), m - 1), rim])
+        return sp.csr_matrix((data, (rows, cols)), shape=(m, ntot))
+
+    ops = {"d1": stencil(n, {-1: -0.5 / db, 1: 0.5 / db}, fd_weights([-db, 0.0, 0.5 * db], 1)),
+           "d2": stencil(n, {-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
+                         fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)),
+           "dbd": stencil(1, {}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1))}
+    terms = {name: m.tocoo() for name, m in jacobian_terms(g, ops).items()}
+    terms["robin"] = sp.vstack([sp.csr_matrix((n, ntot)), terms["robin"]]).tocoo()
+    keys = {name: m.col * ntot + m.row for name, m in terms.items()}
+    pattern = np.unique(np.concatenate(list(keys.values())))
+    jac = {"indices": (pattern % ntot).astype(np.int32), "shape": (ntot, ntot),
+           "indptr": np.searchsorted(pattern // ntot, np.arange(ntot + 1)).astype(np.int32)}
+    for name, m in terms.items():
+        jac[name] = np.zeros(pattern.size)
+        jac[name][np.searchsorted(pattern, keys[name])] = m.data
+    ops["jac"] = jac
+    return ops
+
+
+@pytest.mark.parametrize("theta", [0.1, THETA4, 1.5])
+@pytest.mark.parametrize("n_cells", [8, 9, 64, 512])
+def test_the_band_build_is_the_sparse_algebra_build(n_cells, theta):
+    """d1, d2, dbd and every array of the Jacobian's pattern and terms are,
+    bit for bit, those of the sparse-algebra construction."""
+    g = RotGrid(n_cells, theta)
+    got, want = g.ops(), _ops_by_sparse_algebra(g)
+    assert got.keys() == want.keys()
+    def same_bits(a, b):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    for name in ("d1", "d2", "dbd"):
+        assert got[name].shape == want[name].shape
+        for attr in ("indptr", "indices", "data"):
+            assert same_bits(getattr(got[name], attr), getattr(want[name], attr)), (name, attr)
+    assert got["jac"].keys() == want["jac"].keys() and got["jac"]["shape"] == want["jac"]["shape"]
+    for name in want["jac"].keys() - {"shape"}:
+        assert same_bits(got["jac"][name], want["jac"][name]), name
+
+
+def test_the_oracle_build_is_linear_in_n_cells():
+    # 25.5 MB, of which 11.6 MB are the operators and the Jacobian's arrays
+    # themselves: about 390 bytes a cell
+    g = RotGrid(65536, THETA4)
+    tracemalloc.start()
+    try:
+        g.ops()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 65536
 
 
 @pytest.mark.parametrize("n,k,p", [(2, 1, 1.5), (3, 2, 2.0), (4, 2, 1.7)])

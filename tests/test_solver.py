@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -691,6 +692,46 @@ def test_interpolation_keeps_each_constant_ring_exactly(grid_32, dst):
     assert moved.values.tobytes() == np.repeat(f.values[:, :1], dst[1], axis=1).tobytes()
     for nbeta, nphi in ((64, 128), (16, 32), (63, 130)):
         assert_ring_constant(solver._interpolate(f, CapGrid(nbeta, nphi, THETA)).values)
+
+
+def _interpolate_at_full_width(f, grid):
+    """`solver._interpolate` at every column: the phi pass, each bitwise
+    constant ring reset to its value, then the beta pass and `project_even`
+    on the full width; the reference for a ring-constant field's one column."""
+    g = f.grid
+    pos = np.arange(grid.nphi) * g.nphi
+    left, t = pos // grid.nphi, (pos % grid.nphi) / grid.nphi
+    cols = (left[:, None] + np.arange(-1, 3)) % g.nphi
+    in_phi = (solver._lagrange(np.arange(-1.0, 3.0) - t[:, None], cols, g.nphi) @ f.values.T).T
+    bits = f.values.view(np.uint64)
+    flat = (bits == bits[:, :1]).all(axis=1)
+    in_phi[flat] = f.values[flat, :1]
+    nodes = np.concatenate([-g.beta_cells[1::-1], g.beta_all])
+    ext = np.vstack([np.roll(in_phi[1::-1], grid.nphi // 2, axis=1), in_phi])
+    rows = np.clip(np.searchsorted(nodes, grid.beta_cells) - 2, 0, nodes.size - 4)
+    rows = rows[:, None] + np.arange(4)
+    in_beta = solver._lagrange(nodes[rows] - grid.beta_cells[:, None], rows, nodes.size) @ ext
+    return CapField(grid, np.vstack([in_beta, in_phi[-1:]])).project_even()
+
+
+@pytest.mark.parametrize("src, dst",
+                         list(permutations([(8, 8), (16, 32), (32, 64), (128, 256)], 2)),
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_a_ring_constant_field_interpolates_as_at_full_width(src, dst):
+    """A ring-constant field goes through `_interpolate` as its one column,
+    and comes back bit for bit as from the full-width route, ring-constant;
+    with ring 3 and the rim (which the beta pass copies) at 1.5e308 the
+    projection's 0.5 * (c + c) overflows to inf on the column as it does at
+    full width."""
+    a, b = CapGrid(*src, THETA), CapGrid(*dst, THETA)
+    huge = ring_constant_field(a, 8)
+    huge.values[[3, -1]] = 1.5e308
+    for f in (ring_constant_field(a, 7), huge):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = solver._interpolate(f, b), _interpolate_at_full_width(f, b)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert_ring_constant(got.values)
+    assert np.isinf(got.values).any()
 
 
 @pytest.mark.parametrize("k, shape", [(1, (64, 128)), (2, (64, 128)), (1, (64, 130))],
