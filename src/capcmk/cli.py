@@ -16,11 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
+import pickle
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -297,10 +296,70 @@ def _sweep_member(cfg: RunConfig, name: str, p: float, theta: float, out: Path) 
     return rec
 
 
-def _sweep_job(job: tuple) -> dict:
-    """_sweep_member(*job), looked up per call: the pool pickles what it maps by
-    name, and the benchmark tracer replaces `_sweep_member` with a local closure."""
-    return _sweep_member(*job)
+def _sweep_worker(jobs: list, queue, result: int, inherited) -> None:
+    """A forked worker; it leaves through os._exit, never by returning.  It
+    runs `_sweep_member` (looked up per call: the benchmark tracer and tests
+    replace it) on jobs[i] for each 4-byte index i read from `queue` until
+    EOF, then pickles ("ok", {i: record, ...}) or ("err", exc) into `result`."""
+    code = 1
+    try:
+        for fh in inherited:
+            fh.close()
+        try:
+            done = {}
+            while index := queue.read(4):
+                i = int.from_bytes(index, "little")
+                done[i] = _sweep_member(*jobs[i])
+            payload = ("ok", done)
+        except Exception as exc:
+            payload = ("err", exc)
+        with open(result, "wb") as fh:
+            fh.write(pickle.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_members(jobs: list, workers: int) -> list:
+    """[_sweep_member(*job) for job in jobs], run by `workers` forked workers
+    that pull job indices, 4 bytes each, from one pipe: pipe writes of at most
+    PIPE_BUF bytes are atomic, so a slow member holds back no other.  This
+    process runs no member, and reaps every worker before it returns."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    r, w = os.pipe()
+    queue_r, queue_w = open(r, "rb", buffering=0), open(w, "wb", buffering=0)
+    pids, results = [], []
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            results.append(open(r, "rb"))
+            if (pid := os.fork()) == 0:
+                _sweep_worker(jobs, queue_r, w, [queue_w, *results])
+            os.close(w)
+            pids.append(pid)
+        queue_r.close()
+        with queue_w:  # closing it is the workers' EOF
+            try:
+                for i in range(len(jobs)):
+                    queue_w.write(i.to_bytes(4, "little"))
+            except BrokenPipeError:
+                pass  # every worker has left; its exit status tells why
+        payloads = [fh.read() for fh in results]
+    finally:
+        for fh in (queue_r, queue_w, *results):
+            fh.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    records = {}
+    for data, status in zip(payloads, statuses):
+        if not data:
+            raise RuntimeError("a sweep worker exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} without a result")
+        kind, value = pickle.loads(data)
+        if kind == "err":
+            raise value
+        records.update(value)
+    return [records[i] for i in range(len(jobs))]
 
 
 def cmd_sweep(args) -> int:
@@ -309,13 +368,12 @@ def cmd_sweep(args) -> int:
     points = cfg.sweep_points()
     _say(args, f"sweep: {len(points)} members over p in {list(cfg.sweep_p)}, "
                f"theta in {[f'{t:.6g}' for t in cfg.sweep_theta]}")
-    # forked workers inherit the imported modules; one per CPU this process may
-    # use, or one where the CPU count is unknown (os.cpu_count() may be None)
+    # the members run in forked workers, which inherit the imported modules:
+    # one per CPU this process may use, or one where the CPU count is unknown
+    # (os.cpu_count() may be None), and never more than there are members
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=min(cpus, len(points)),
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        members = list(pool.map(_sweep_job, [(cfg, *pt, out) for pt in points]))
+    members = _fork_members([(cfg, *pt, out) for pt in points], min(cpus, len(points)))
     converged = [m for m in members if m["exit"] == EXIT_OK]
     summary = {
         "members": members,

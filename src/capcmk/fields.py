@@ -131,8 +131,9 @@ class CapGrid:
         self.beta_cells = (np.arange(self.nbeta) + 0.5) * self.dbeta
         self.beta_all = np.concatenate([self.beta_cells, [self.theta]])
         self.phi = np.arange(self.nphi) * self.dphi
-        # midpoint-rule weights over the cell rings (boundary ring: no mass)
-        self.weights = np.sin(self.beta_cells)[:, None] * self.dbeta * self.dphi * np.ones((1, self.nphi))
+        # midpoint-rule weights over the cell rings (boundary ring: no mass),
+        # one (Nbeta, 1) column: a cell's weight depends on its ring alone
+        self.weights = np.sin(self.beta_cells)[:, None] * self.dbeta * self.dphi
         self._ops = None
         self._modal = {}
 
@@ -311,7 +312,10 @@ class CapGrid:
         if (values.ndim != 2 or values.shape[0] not in (self.nbeta, self.nbeta + 1)
                 or values.shape[1] not in (1, self.nphi)):
             raise ValueError(f"bad field shape {values.shape} for {self!r}")
-        return float(np.sum(values[: self.nbeta] * self.weights))
+        # a column is spread to full width first, so the sum adds the same
+        # Nbeta x Nphi products in the same order as for a full-width field
+        full = np.broadcast_to(values[: self.nbeta], (self.nbeta, self.nphi))
+        return float(np.sum(full * self.weights))
 
 
 @dataclass(eq=False)

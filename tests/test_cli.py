@@ -1,9 +1,8 @@
 import json
 import math
-import multiprocessing
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+import time
 from pathlib import Path
 
 import numpy as np
@@ -578,31 +577,37 @@ def test_the_worker_pool_writes_what_the_members_write_in_process(tmp_path):
     assert file_tree(pooled) == tree
 
 
+def assert_no_child_process():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("extra,code", [("", 0), ("schedule.newton_max = 0\n", 2)],
                          ids=["converged", "stalled"])
 def test_a_sweep_leaves_no_worker_behind(tmp_path, extra, code):
     cfg = write_cfg(tmp_path, SWEEP_CFG + "sweep.theta_list = pi/3\n" + extra)
     assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--quiet"]) == code
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def test_a_sweep_without_a_cpu_count_runs_one_worker(tmp_path, monkeypatch):
     """Where os.sched_getaffinity is missing, as on macOS, and os.cpu_count()
     returns None, the sweep runs its members in one worker process."""
-    workers = []
+    forks = []
+    fork = os.fork
 
-    class Pool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            workers.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
 
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     cfg = write_cfg(tmp_path, SWEEP_CFG + "sweep.theta_list = pi/3\n")
     assert cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    assert workers == [1]
+    assert forks == [os.getpid()]
 
 
 def test_an_unexpected_member_error_escapes_the_sweep(tmp_path, monkeypatch):
@@ -615,7 +620,52 @@ def test_an_unexpected_member_error_escapes_the_sweep(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, SWEEP_CFG + "sweep.theta_list = pi/3\n")
     with pytest.raises(RuntimeError, match="member broke"):
         cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
+
+
+def test_a_worker_that_dies_without_a_result_fails_the_sweep(tmp_path, monkeypatch):
+    """A worker that exits without sending its members' records (killed, or
+    its exception would not pickle) makes the command raise with its status."""
+    member = cli._sweep_member
+
+    def dying(cfg, name, p, theta, out):
+        if p == 1.5:
+            os._exit(3)
+        return member(cfg, name, p, theta, out)
+
+    monkeypatch.setattr(cli, "_sweep_member", dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = write_cfg(tmp_path, SWEEP_CFG + "sweep.theta_list = pi/3\n")
+    with pytest.raises(RuntimeError, match="exited with status 3 without a result"):
+        cli_main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    assert_no_child_process()
+
+
+def test_members_that_finish_out_of_order_are_listed_in_lattice_order(tmp_path, monkeypatch):
+    """Two workers pull members as they free up.  The second member is held
+    back, so it finishes last; the summary still lists the members in
+    sweep_points() order, not in the order they finished or by worker."""
+    member, done = cli._sweep_member, tmp_path / "done"
+    done.mkdir()
+
+    def second_is_slow(cfg, name, p, theta, out):
+        if (name, p, theta) == cfg.sweep_points()[1]:
+            time.sleep(0.5)
+        rec = member(cfg, name, p, theta, out)
+        (done / name).write_text(str(time.monotonic_ns()))
+        return rec
+
+    monkeypatch.setattr(cli, "_sweep_member", second_is_slow)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = write_cfg(tmp_path, SWEEP_CFG + "sweep.theta_list = pi/4, pi/3\n")
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    names = [name for name, _, _ in load_config(cfg).sweep_points()]
+    finished = sorted(names, key=lambda name: int((done / name).read_text()))
+    assert finished[-1] == names[1]
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [m["name"] for m in summary["members"]] == names
+    assert_no_child_process()
 
 
 def test_sweep_rejects_colliding_member_names(tmp_path, capsys):

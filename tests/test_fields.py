@@ -152,6 +152,33 @@ def test_integrate_broadcasts_a_ring_function():
             g.integrate(np.ones(shape))
 
 
+@pytest.mark.parametrize("nbeta,nphi", [(8, 8), (64, 128), (129, 258)])
+def test_the_weight_column_sums_the_bits_of_full_width_weights(nbeta, nphi):
+    """integrate with the (Nbeta, 1) weight column returns, bit for bit, the
+    sum against full-width (Nbeta, Nphi) weights, on full-width fields and on
+    one-column fields, with or without the rim row."""
+    g = CapGrid(nbeta, nphi, THETA)
+    full = np.sin(g.beta_cells)[:, None] * g.dbeta * g.dphi * np.ones((1, nphi))
+    assert g.weights.shape == (nbeta, 1)
+    rng = np.random.default_rng(nbeta)
+    for shape in ((nbeta, nphi), (nbeta + 1, nphi), (nbeta, 1), (nbeta + 1, 1)):
+        # mixed signs and magnitudes, so another summation order shows in the bits
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+        assert g.integrate(values).hex() == float(np.sum(values[:nbeta] * full)).hex(), shape
+
+
+def test_a_grid_holds_no_full_width_weights():
+    # full-width weights at 1024x2048 are 16 MiB, and their build peaked at
+    # 16.2 MiB; the (Nbeta, 1) column and the ring and phi axes are 0.07 MB
+    tracemalloc.start()
+    try:
+        CapGrid(1024, 2048, math.pi / 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 def test_fd_weights_reproduce_central_stencils():
     assert np.allclose(fd_weights([-1.0, 0.0, 1.0], 1), [-0.5, 0.0, 0.5])
     assert np.allclose(fd_weights([-1.0, 0.0, 1.0], 2), [1.0, -2.0, 1.0])
