@@ -31,11 +31,16 @@ and memory; the 1-D oracle (`rotsym`) lays its own stencils out in the
 same bands.  The table is laid out two ways: `apply` evaluates an operator
 on a field by multiplying the sparse beta-matrix into the value array
 extended by ring -1 and one periodic column on each side, then applying
-the phi-stencil by slicing; and `modal_blocks` folds the table into the
-Newton blocks on even fields and splits them by azimuthal Fourier mode,
-for the solver's one factorization.  `tau_sharp`, `robin_residual` and
-the audit's gradients use `apply`, and so does the solver's Jacobian action
-(`solver.linearize`).
+the phi-stencil by slicing; and `modal_blocks` folds the table's bands
+into the Newton blocks on even fields and splits them by azimuthal Fourier
+mode, for the solver's one factorization.  `tau_sharp`, `robin_residual`
+and the audit's gradients use `apply`, and so does the solver's Jacobian
+action (`solver.linearize`).
+
+Every matrix that either layer factorizes weighs unknowns r-2..r+1 on row
+r, in the bands' layout: the modal blocks stacked by mode and the oracle's
+Jacobian.  `band_lu` factorizes such rows by LAPACK's banded LU, the one
+factorization of the package.
 
 `tau_sharp` returns the curvature endomorphism as a `symfunc.SymEndo` batch,
 the one endomorphism type shared by the solver and the audits.
@@ -68,6 +73,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .symfunc import SymEndo
 
@@ -111,6 +117,31 @@ def band_csr(band, first, ncols):
     indptr = np.zeros(m + 1, np.int32)
     np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
     return sp.csr_matrix((band[keep], cols[keep], indptr), shape=(m, ncols))
+
+
+def band_lu(rows):
+    """The LU of the square matrix whose row r weighs unknowns r-2..r+1 with
+    rows[r], an (n, 4) array laid out as `stencil_band`'s, by LAPACK's banded
+    LU with partial pivoting (dgbtrf, kl = 2, ku = 1).  Weights that fall
+    outside the matrix are ignored; stacked blocks whose cross-block weights
+    are zero factorize as the block-diagonal matrix.  Returns solve(b), for
+    a right side of n values or n rows of columns (dgbtrs); raises
+    RuntimeError on an exactly zero pivot."""
+    n = rows.shape[0]
+    # LAPACK's band storage: entry (i, j) in row kl + ku + i - j of column j,
+    # under kl rows that the pivoting fills
+    ab = np.zeros((6, n), order="F")
+    for t in range(4):
+        o = t - 2
+        ab[5 - t, max(o, 0):n + min(o, 0)] = rows[max(-o, 0):n - max(o, 0), t]
+    lu, piv, info = dgbtrf(ab, 2, 1, overwrite_ab=True)
+    if info > 0:
+        raise RuntimeError(f"the LU's pivot in row {info - 1} is exactly zero")
+
+    def solve(b):
+        return dgbtrs(lu, 2, 1, b, piv)[0]
+
+    return solve
 
 
 class CapGrid:
@@ -211,6 +242,7 @@ class CapGrid:
         self._ops = {name: [(band_csr(b, (nb if len(b) == 1 else 0) - 1, nb + 2), weights)
                             for b, weights in terms]
                      for name, terms in table.items()}
+        self._bands = table
         return self._ops
 
     def extend(self, values) -> np.ndarray:
@@ -257,50 +289,36 @@ class CapGrid:
         Where every coefficient of the Newton system is a ring function, its
         restriction to even fields is circulant in j < Nphi/2, and the real
         FFT over j splits it into one (Nbeta + 1)-square block per mode
-        m = 0..Nphi/4 (rounded down).  A term contributes its beta-matrix,
-        read from its CSR arrays and folded onto even fields (there the
-        half-turn is the identity, so ring -1 adds onto ring 0; a one-row
-        beta-matrix is the rim ring's), times the symbol
-        sum_o w_o cos(2 pi m o / (Nphi/2)) of its phi-stencil.  The
-        stencils of a11, a22, pint and robin are symmetric (w_o = w_-o), so
-        every block is real; a12's is odd, and its block is not formed.  A
-        ring-constant right side excites mode 0 alone, whose symbol is the
-        weight sum: mode0 builds that block, with the bits it has among all.
-        The blocks make one block-diagonal matrix, rows and columns ordered
-        (mode, ring), stored per entry in CSC order:
-          "ring": each entry's row ring i;
-          name: each entry's weight in that block;
-          "shape", "indices", "indptr": the CSC pattern.
+        m = 0..Nphi/4 (rounded down).  A term contributes its band (`ops`
+        keeps the bands its beta-matrices are built from) times the symbol
+        sum_o w_o cos(2 pi m o / (Nphi/2)) of its phi-stencil, folded onto
+        even fields: there the half-turn is the identity, so ring -1 adds
+        onto ring 0, and every block weighs rings r-2..r+1 of its own on row
+        r.  The stencils of a11, a22, pint and robin are symmetric
+        (w_o = w_-o), so every block is real; a12's is odd, and its block is
+        not formed.  A ring-constant right side excites mode 0 alone, whose
+        symbol is the weight sum: mode0 builds that block, with the bits it
+        has among all.  Each name maps to a (modes, Nbeta + 1, 4) array, the
+        blocks' rows in `stencil_band`'s layout, row Nbeta the rim's.
         """
         if mode0 in self._modal:
             return self._modal[mode0]
+        self.ops()
         h, nr = self.nphi // 2, self.nbeta + 1
-        modes = np.arange(1 if mode0 else h // 2 + 1)[:, None]
-        parts = []
-        for name in ("a11", "a22", "pint", "robin"):
-            for bmat, weights in self.ops()[name]:
-                m = bmat.shape[0]
-                first = self.nbeta if m == 1 else 0
-                i = np.repeat(np.arange(first, first + m, dtype=bmat.indices.dtype),
-                              np.diff(bmat.indptr))
-                r = np.maximum(bmat.indices - 1, 0)
-                symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
-                # entry key: column ring r first, then row ring i, which sorts as CSC
-                parts.append((name, r * nr + i, symbol * bmat.data))
-        # every mode's block has the same pattern: one block's unique keys
-        keys, at = np.unique(np.concatenate([key for _, key, _ in parts]), return_inverse=True)
-        at = np.split(at, np.cumsum([key.size for _, key, _ in parts])[:-1])
-        nnz, size = keys.size, modes.size * nr
+        modes = np.arange(1 if mode0 else h // 2 + 1)[:, None, None]
         blocks = {}
-        for (name, _, vals), slots in zip(parts, at):
-            # entry e of mode m fills slot m * nnz + slots[e], summed in entry order
-            blocks[name] = blocks.get(name, 0.0) + np.bincount(
-                (modes * nnz + slots).ravel(), vals.ravel(), modes.size * nnz)
-        ring = keys % nr
-        blocks.update(ring=np.tile(ring, modes.size), shape=(size, size),
-                      indices=(modes * nr + ring).ravel().astype(np.int32),
-                      indptr=np.append(0, np.cumsum(np.tile(np.bincount(keys // nr, minlength=nr),
-                                                            modes.size))).astype(np.int32))
+        for name in ("a11", "a22", "pint", "robin"):
+            block = np.zeros((modes.size, nr, 4))
+            for band, weights in self._bands[name]:
+                symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
+                term = symbol * band
+                if len(band) == 1:  # the rim ring's row
+                    block[:, -1:] += term
+                else:
+                    term[:, 0, 2] += term[:, 0, 1]
+                    term[:, 0, 1] = 0.0
+                    block[:, :-1] += term
+            blocks[name] = block
         self._modal[mode0] = blocks
         return blocks
 

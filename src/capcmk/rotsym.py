@@ -19,19 +19,20 @@ the 2-D conventions: cell-centered rings plus a rim node, second order
 throughout, 4-point nonuniform second derivative next to the rim.  The
 stencils' weights are this module's own.  They are built once per grid
 (`RotGrid.ops`), in O(n), as (m, 4) band arrays laid out as the 2-D grid's
-(`fields.stencil_band`), and the Jacobian's terms and its one CSC pattern,
-which each factorization fills, come from the same bands.  `save_profile`
-writes through the package's one CSV writer, `fields.write_csv`.
+(`fields.stencil_band`), and so are the Jacobian's terms, which each
+factorization combines into the band rows that `fields.band_lu` reads.
+`save_profile` writes through the package's one CSV writer,
+`fields.write_csv`.
 
 The Newton corrector is the solver's shared damped-Newton loop
 (`solver._damped_newton`), with the solver's stop on the relative residual
 r (`solver.relative_size`) or on the step.  Its one callback builds one
 `RotProfile` per Newton point (lam_r and lam_t are computed at build) for
 the cone margin, this module's residual and r and, at every iterate, the
-sparse LU of the Jacobian (`splu`, with the 2-D solver's policy
-`solver.LU_OPTIONS`); only the discretization is independent of the 2-D
-path.  The solve is the 2-D path's driver, `solver.newton_first`: one
-corrector at t = 1, and the continuation only if that fails.
+banded LU of the Jacobian (`fields.band_lu`, the 2-D solver's one LU); only
+the discretization is independent of the 2-D path.  The solve is the 2-D
+path's driver, `solver.newton_first`: one corrector at t = 1, and the
+continuation only if that fails.
 """
 
 from __future__ import annotations
@@ -40,13 +41,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .fields import band_csr, fd_weights, stencil_band, write_csv
+from .fields import band_csr, band_lu, fd_weights, stencil_band, write_csv
 from .geometry import CapParams, ell
-from .solver import (LU_OPTIONS, Schedule, _damped_newton, homotopy_values, newton_first,
-                     relative_size)
+from .solver import Schedule, _damped_newton, homotopy_values, newton_first, relative_size
 
 __all__ = [
     "RotGrid",
@@ -85,12 +83,12 @@ class RotGrid:
         row; each the CSR of its band's nonzeros.  The mirror closure
         s(-beta) = s(beta) (rotational symmetry plus the across-pole chart
         identity) feeds the first ring's central stencils: its weight on
-        ring -1 is added onto ring 0.  jac: the Jacobian's CSC pattern
-        (indices, indptr, shape) and the entries on it of its four terms,
-        lam_r = d2 + I and lam_t = diag(cot) d1 + I, the linearizations of
-        s'' + s and s' cot(beta) + s, and pcells, the cell values, on the
-        cells' rows, and robin, the Robin row dbd - cot(theta) e_rim, on the
-        rim's; `_linearize` fills the data alone.
+        ring -1 is added onto ring 0.  jac: the Jacobian's four terms as
+        (n + 1, 4) bands over every row, cells then the rim, row r weighing
+        rings r-2..r+1: lam_r = d2 + I and lam_t = diag(cot) d1 + I, the
+        linearizations of s'' + s and s' cot(beta) + s, and pcells, the cell
+        values, on the cells' rows, and robin, the Robin row
+        dbd - cot(theta) e_rim, on the rim's; `_linearize` combines them.
         """
         if self._ops is not None:
             return self._ops
@@ -110,29 +108,12 @@ class RotGrid:
         # and the rim's row is row n
         ops = {"d1": band_csr(d1, -2, ntot), "d2": band_csr(d2, -2, ntot),
                "dbd": band_csr(dbd, n - 2, ntot)}
-        # the Jacobian's four terms as bands over every row, cells then the
-        # rim, padded by one zero row above and two below
-        pad = np.zeros((4, ntot + 3, 4))
-        rows, eye = pad[:, 1:-2], np.array([0.0, 0.0, 1.0, 0.0])
+        rows, eye = np.zeros((4, ntot, 4)), np.array([0.0, 0.0, 1.0, 0.0])
         rows[0, :n] = d2 + eye
         rows[1, :n] = self.cot_cells[:, None] * d1 + eye
         rows[2, :n] = eye
         rows[3, n] = dbd[0] - math.cos(self.theta) / math.sin(self.theta) * eye
-
-        def by_column(term):
-            """A padded band transposed: column c of the CSC holds rows
-            c-1..c+2, in order, and its entry t is band entry 3 - t of row
-            c - 1 + t."""
-            return np.stack([term[t:t + ntot, 3 - t] for t in range(4)], axis=1)
-
-        keep = by_column((pad != 0).any(axis=0))
-        # int32, scipy's index type at this size, so each fill views these arrays
-        jac = {"indices": (np.arange(ntot)[:, None] + np.arange(-1, 3))[keep].astype(np.int32),
-               "indptr": np.append(0, np.cumsum(np.count_nonzero(keep, axis=1))).astype(np.int32),
-               "shape": (ntot, ntot)}
-        for name, term in zip(("lam_r", "lam_t", "pcells", "robin"), pad):
-            jac[name] = by_column(term)[keep]
-        ops["jac"] = jac
+        ops["jac"] = dict(zip(("lam_r", "lam_t", "pcells", "robin"), rows))
         self._ops = ops
         return ops
 
@@ -199,17 +180,16 @@ def _residual(profile: RotProfile, q: float, rhs_cells: np.ndarray, params: CapP
 
 
 def _linearize(profile: RotProfile, q: float, rhs_cells: np.ndarray, params: CapParams):
-    """The Jacobian of the residual pair as a CSC matrix on the grid's
-    pattern (`RotGrid.ops()["jac"]`), whose data alone are computed here."""
+    """The Jacobian of the residual pair as (n + 1, 4) band rows, row r
+    weighing unknowns r-2..r+1 (`fields.band_lu`), combined from the grid's
+    term bands (`RotGrid.ops()["jac"]`)."""
     g, jac = profile.grid, profile.grid.ops()["jac"]
     dr, dt = _sigma_rot_partials(profile.lam_r, profile.lam_t, params.n, params.k)
-    row = jac["indices"]
-    data = np.append(dr, 0.0)[row] * jac["lam_r"] + np.append(dt, 0.0)[row] * jac["lam_t"]
+    rows = np.append(dr, 0.0)[:, None] * jac["lam_r"] + np.append(dt, 0.0)[:, None] * jac["lam_t"]
     if q != 1.0:
         zer = (q - 1.0) * profile.s[: g.n_cells] ** (q - 2.0) * rhs_cells
-        data -= np.append(zer, 0.0)[row] * jac["pcells"]
-    data += jac["robin"]
-    return sp.csc_matrix((data, jac["indices"], jac["indptr"]), shape=jac["shape"])
+        rows -= np.append(zer, 0.0)[:, None] * jac["pcells"]
+    return rows + jac["robin"]
 
 
 def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells: int = 512):
@@ -234,8 +214,8 @@ def solve_rotsym(phi, params: CapParams, sched: Schedule | None = None, n_cells:
             prof = RotProfile(grid, x)
 
             def factor():
-                lu = splu(_linearize(prof, q, rhs_cells, params), **LU_OPTIONS)
-                return lambda fint, gbd: lu.solve(-np.append(fint, gbd))
+                solve = band_lu(_linearize(prof, q, rhs_cells, params))
+                return lambda fint, gbd: solve(-np.append(fint, gbd))
 
             lam1 = float(min(np.min(prof.lam_r), np.min(prof.lam_t)))
             return (lam1, *_residual(prof, q, rhs_cells, params), factor)

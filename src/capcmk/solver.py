@@ -18,24 +18,25 @@ full-space matrix is singular by design and the even restriction is what makes
 the problem well-posed, matching the even solution class.  The one matrix
 newton_solve factorizes is `linearize_modal`: a real FFT over phi splits the
 restriction, with every coefficient replaced by its ring mean, into Nphi/4 + 1
-banded ring systems (`CapGrid.modal_blocks`), factorized as one
-block-diagonal LU.  A step takes one of two forms.  Where the state and
-the right side are ring-constant (every ring holds one value, bit for bit:
-the bitwise period `fields.repeat_unit` is one column, as the fields layer
-tests it), the restriction is circulant in phi and a ring-constant residual
-excites mode 0 alone: the LU holds the one (Nbeta + 1)-square mode-0 block
-and the step is one ring vector.  Every other LU holds every mode, and its
-modal solve is refined by defect correction on the restriction's action
-(`linearize`, evaluated by `tau_sharp` and `robin_residual`), summed by
-numpy on one thread.  That action is the one Jacobian of the package:
-jacobian_fd_error checks it, at full width, against central differences of
-the residual.  Both layers factorize with one LU policy, LU_OPTIONS:
-SuperLU's symmetric mode.
+banded ring systems (`CapGrid.modal_blocks`), stacked and factorized as one
+banded LU (`fields.band_lu`).  A step takes one of two forms.  Where the
+state and the right side are ring-constant (every ring holds one value, bit
+for bit: the bitwise period `fields.repeat_unit` is one column, as the
+fields layer tests it), the restriction is circulant in phi and a
+ring-constant residual excites mode 0 alone: the LU holds the one
+(Nbeta + 1)-square mode-0 block and the step is one ring vector.  Every
+other LU holds every mode, and its modal solve is refined by defect
+correction on the restriction's action (`linearize`, evaluated by
+`tau_sharp` and `robin_residual`), summed by numpy on one thread.  That
+action is the one Jacobian of the package: jacobian_fd_error checks it, at
+full width, against central differences of the residual.  Every matrix
+either layer factorizes weighs rings r-2..r+1 on row r, and both factorize
+it with the one `fields.band_lu`.
 
 `_damped_newton` is the one damped-Newton corrector: `newton_solve` and the
 1-D oracle in `rotsym` both run it, each with one callback that evaluates a
 Newton point once (cone margin, residual, its relative size r, and the
-sparse LU of its Jacobian on demand).  It is plain damped Newton: it
+banded LU of its Jacobian on demand).  It is plain damped Newton: it
 factorizes once at every iterate, and it stops on the residual (r <=
 tol_solve) or, error-oriented, on the step (r <= STEP_RES and a Newton
 correction of at most STEP_RTOL of the iterate, which it takes in full).
@@ -74,9 +75,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .fields import CapField, CapGrid, repeat_unit, robin_residual, tau_sharp
+from .fields import CapField, CapGrid, band_lu, repeat_unit, robin_residual, tau_sharp
 from .geometry import CapParams, ell_field
 from .symfunc import sigma_k, sigma_k_grad
 
@@ -301,7 +301,7 @@ def linearize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
 
 def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau, mode0):
     """The Jacobian of `linearize` on even fields with every coefficient
-    replaced by its ring mean, split by azimuthal Fourier mode: the one CSC
+    replaced by its ring mean, split by azimuthal Fourier mode: the one
     matrix that newton_solve factorizes; tau is tau_sharp(s).  At a state
     that s and rhs make ring-constant it is that Jacobian to round-off;
     elsewhere its solve preconditions the defect correction.  With mode0,
@@ -309,10 +309,12 @@ def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau
     coefficients' first column.
 
     Rows and columns are (mode m = 0..Nphi/4, ring), one real block per
-    mode, filled on the pattern of the grid's cached modal blocks
+    mode, combined from the grid's cached modal blocks
     (`CapGrid.modal_blocks`) as g11 D11 + g22 D22 - z DP + DR, each
     coefficient its ring mean over j < Nphi/2.  The mixed block is left out:
-    g12 is round-off at a ring-constant state.
+    g12 is round-off at a ring-constant state.  Returns the stacked
+    (modes (Nbeta + 1), 4) rows, row r weighing unknowns r-2..r+1 as
+    `fields.band_lu` reads them; no weight crosses from one block to the next.
     """
     g = s.grid
     blocks = g.modal_blocks(mode0)
@@ -321,24 +323,16 @@ def linearize_modal(s: CapField, q: float, rhs: CapField, params: CapParams, tau
 
     def ring_mean(coef):
         """An interior-ring coefficient's ring means over its first `width`
-        columns (a column is its own) on each entry's row ring; zero on the rim."""
-        return np.append(np.mean(coef[:, :width], axis=1), 0.0)[blocks["ring"]]
+        columns (a column is its own), one per row ring; zero on the rim."""
+        return np.append(np.mean(coef[:, :width], axis=1), 0.0)[:, None]
 
-    data = (ring_mean(grad.a11) * blocks["a11"] + ring_mean(grad.a22) * blocks["a22"]
+    rows = (ring_mean(grad.a11) * blocks["a11"] + ring_mean(grad.a22) * blocks["a22"]
             + blocks["robin"])
     if q != 1.0:
         z = (q - 1.0) * s.interior[:, :width] ** (q - 2.0) * rhs.interior[:, :width]
-        data -= ring_mean(z) * blocks["pint"]
-    return sp.csc_matrix((data, blocks["indices"], blocks["indptr"]), shape=blocks["shape"])
+        rows -= ring_mean(z) * blocks["pint"]
+    return rows.reshape(-1, 4)
 
-
-# The one sparse LU policy of both layers (newton_solve and rotsym's oracle):
-# SuperLU's symmetric mode, which orders A + A^T by minimum degree and takes
-# the diagonal pivot wherever it is nonzero.  Both Jacobians have a nearly
-# symmetric sparsity (the 2-D one a 9-point stencil), so this fills less and
-# factorizes faster than the default COLAMD ordering with partial pivoting.
-LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-              "options": {"SymmetricMode": True}}
 
 # The defect correction stops at ||b - J x|| <= CORRECTION_RTOL ||b|| (2-norms),
 # a fixed forcing term, or after CORRECTION_SWEEPS sweeps (the stress family
@@ -355,8 +349,9 @@ def _ring_constant(values) -> bool:
 
 
 def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
-    """Factorizes the modal system (`linearize_modal`) at s and returns
-    apply(fint, gbd), the Newton step at s on every node, in one of two forms.
+    """Factorizes the modal system (`linearize_modal`) at s by the banded LU
+    (`fields.band_lu`) and returns apply(fint, gbd), the Newton step at s on
+    every node, in one of two forms.
 
     Where every ring of s and of rhs holds one value, bit for bit, so does
     the residual, and the step has mode 0 alone: the LU holds the mode-0
@@ -373,17 +368,17 @@ def _factorize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
     g = s.grid
     h, nr = g.nphi // 2, g.nbeta + 1
     mode0 = _ring_constant(s.values) and _ring_constant(rhs.values)
-    lu = splu(linearize_modal(s, q, rhs, params, tau, mode0), **LU_OPTIONS)
+    solve = band_lu(linearize_modal(s, q, rhs, params, tau, mode0))
     if mode0:
         def ring_step(fint, gbd):
-            x = lu.solve(-np.append(fint[:, 0], gbd[0]))
+            x = solve(-np.append(fint[:, 0], gbd[0]))
             return np.broadcast_to(x[:, None], (nr, g.nphi))
 
         return ring_step
 
     def modal_solve(b):
         bh = np.fft.rfft(b.reshape(nr, h), axis=1).T.ravel()
-        xh = lu.solve(np.column_stack([bh.real, bh.imag]))
+        xh = solve(np.column_stack([bh.real, bh.imag]))
         xh = (xh[:, 0] + 1j * xh[:, 1]).reshape(-1, nr).T
         return np.fft.irfft(xh, n=h, axis=1).ravel()
 
@@ -461,7 +456,7 @@ def _damped_newton(x, point, sched: Schedule):
             raise NewtonFailure(f"iterate left the cone: lam1min = {lam1:.3e}")
         try:
             step = factor()(fint, gbd)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        except RuntimeError as exc:  # band_lu: an exactly zero pivot
             raise NewtonFailure(f"singular Jacobian at Newton iteration {it}: {exc}") from exc
         if rel <= STEP_RES and np.max(np.abs(step)) <= STEP_RTOL * np.max(np.abs(x)):
             accepted = trial(step, 1.0, armijo=False)
@@ -488,9 +483,9 @@ def newton_solve(s0: CapField, q: float, rhs: CapField, params: CapParams, sched
 
     Runs the shared corrector `_damped_newton`, whose point evaluates
     tau_sharp once for the cone guard, the residual and the Jacobian.
-    `_factorize` factorizes the modal system with SuperLU (`splu`,
-    LU_OPTIONS), and its step is the mode-0 ring step or the defect-corrected
-    modal step.
+    `_factorize` factorizes the modal system with the banded LU
+    (`fields.band_lu`), and its step is the mode-0 ring step or the
+    defect-corrected modal step.
     Returns (s, info); raises NewtonFailure if the cone guard, the line search
     or the iteration budget gives out.  Accepted iterates always satisfy
     min s > 0 and lam1min > DELTA_CONE.

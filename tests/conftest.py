@@ -101,6 +101,18 @@ def csr(grid, name):
     return out.tocsr()
 
 
+def band_matrix(rows):
+    """The square CSR matrix whose row r weighs unknowns r-2..r+1 with
+    rows[r], the layout `fields.band_lu` factorizes, placed entry by entry;
+    the weights that would fall outside the matrix must be zero."""
+    n = rows.shape[0]
+    r, t = np.divmod(np.arange(4 * n), 4)
+    c = r - 2 + t
+    inside = (c >= 0) & (c < n)
+    assert not np.any(rows.ravel()[~inside])
+    return sp.csr_matrix((rows.ravel()[inside], (r[inside], c[inside])), shape=(n, n))
+
+
 def full_jacobian(s, q, rhs, params):
     """The assembled Jacobian [interior rows; Robin rows] of the residual
     pair on the full value vector: sigma_k^{ij}(tau_sharp[s]) (tau_sharp[v])_{ij}

@@ -31,7 +31,7 @@ from capcmk.geometry import (
     random_neumann_factor,
 )
 from capcmk.symfunc import SymEndo
-from conftest import csr
+from conftest import band_matrix, csr
 
 THETA = math.pi / 3
 
@@ -303,6 +303,61 @@ def test_tau_matches_covariant_hessian_components():
     assert np.max(np.abs(tau.a22 - (hpp / sinb**2 + s.interior))) < 1e-9
 
 
+def random_band(rng, sizes):
+    """Random rows in `band_lu`'s layout for blocks of the given sizes,
+    stacked: within a block row r weighs unknowns r-2..r+1, and every weight
+    on an unknown outside its block is zero."""
+    rows = rng.standard_normal((sum(sizes), 4))
+    for first in np.cumsum([0] + list(sizes[:-1])):
+        rows[first, :2] = 0.0
+        rows[first + 1, 0] = 0.0
+    rows[np.cumsum(sizes) - 1, 3] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("size", [3, 9, 64])
+def test_band_lu_solves_a_banded_system(size):
+    """band_lu's solve is np.linalg.solve's on the dense matrix, for one and
+    for two right-hand columns, to round-off: random weights, so its partial
+    pivoting swaps rows."""
+    rng = np.random.default_rng(size)
+    rows = random_band(rng, [size])
+    a = band_matrix(rows).toarray()
+    solve = fields.band_lu(rows)
+    for b in (rng.standard_normal(size), rng.standard_normal((size, 2))):
+        x, ref = solve(b), np.linalg.solve(a, b)
+        assert x.shape == b.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.linalg.cond(a) * np.max(np.abs(ref))
+
+
+def test_band_lu_of_stacked_blocks_is_the_block_diagonal_lu():
+    """Blocks stacked with zero cross-block weights, as the modal blocks are,
+    factorize as the block-diagonal matrix: each block's part of the solve
+    is, bit for bit, the solve of that block alone, for one and for two
+    right-hand columns, and it is np.linalg.solve's to round-off."""
+    rng = np.random.default_rng(3)
+    sizes = [7, 3, 12, 7]
+    rows = random_band(rng, sizes)
+    a = band_matrix(rows).toarray()
+    solve, cuts = fields.band_lu(rows), np.cumsum([0] + sizes)
+    for b in (rng.standard_normal(sum(sizes)), rng.standard_normal((sum(sizes), 2))):
+        x, ref = solve(b), np.linalg.solve(a, b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.linalg.cond(a) * np.max(np.abs(ref))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            alone = fields.band_lu(rows[lo:hi])(b[lo:hi])
+            assert x[lo:hi].tobytes() == alone.tobytes(), (lo, hi)
+
+
+def test_band_lu_refuses_an_exactly_zero_pivot():
+    """A matrix with an all-zero column has an exactly zero pivot, whatever
+    the row swaps: band_lu raises RuntimeError before any solve."""
+    rows = random_band(np.random.default_rng(4), [9])
+    # unknown 4 is weighed by rows 3..6, entries 3..0
+    rows[[3, 4, 5, 6], [3, 2, 1, 0]] = 0.0
+    with pytest.raises(RuntimeError, match="exactly zero"):
+        fields.band_lu(rows)
+
+
 @pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 30), (33, 64), (128, 256)],
                          ids=["8x8", "odd-half-turn", "odd-nbeta", "128x256"])
 def test_stencil_application_matches_the_csr_layout(nbeta, nphi):
@@ -353,28 +408,49 @@ def _modal_blocks_by_global_sort(g):
     return blocks
 
 
+def canonical(matrix):
+    """The (indptr, indices, data) bytes of a sparse matrix's CSR without
+    its zeros, columns sorted: two matrices with the same nonzeros, bit for
+    bit, have the same bytes, whatever zeros either one stores."""
+    m = sp.csr_matrix(matrix, copy=True)
+    m.eliminate_zeros()
+    m.sort_indices()
+    return m.indptr.tobytes(), m.indices.astype(np.int64).tobytes(), m.data.tobytes()
+
+
+def canonical_blocks(blocks):
+    """`canonical` of each name's matrix of `CapGrid.modal_blocks`: its
+    (modes, Nbeta + 1, 4) bands stacked into one banded matrix."""
+    return {name: canonical(band_matrix(b.reshape(-1, 4))) for name, b in blocks.items()}
+
+
+def canonical_reference(ref):
+    """`canonical` of each name's matrix of a reference's CSC arrays."""
+    return {name: canonical(sp.csc_matrix((ref[name], ref["indices"], ref["indptr"]),
+                                          shape=ref["shape"]))
+            for name in ("a11", "a22", "pint", "robin")}
+
+
 @pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 30), (33, 66), (128, 256)],
                          ids=["8x8", "odd-half-turn", "odd-nbeta", "128x256"])
 def test_modal_blocks_match_the_global_sort(nbeta, nphi):
-    """Each mode's block has one pattern, so modal_blocks sorts one block's
-    keys and fills every mode from it: every weight, summed in the same
-    order, and the CSC pattern are bitwise those of one sort over all
-    modes' keys.  The mode-0 block built alone is bitwise the first block."""
+    """modal_blocks folds each term's band by mode, with no sort: every
+    weight, summed in the same order, is bitwise that of one sort over all
+    modes' keys, and no weight crosses from one mode's block to the next.
+    The mode-0 block built alone is bitwise the first block."""
     g = CapGrid(nbeta, nphi, THETA)
     got, want = g.modal_blocks(False), _modal_blocks_by_global_sort(g)
-    assert got["shape"] == want["shape"]
-    assert np.array_equal(got["ring"], want["ring"])
-    for name in ("a11", "a22", "pint", "robin", "indices", "indptr"):
-        assert got[name].dtype == want[name].dtype, name
-        assert got[name].tobytes() == want[name].tobytes(), name
-    mode0, nr = g.modal_blocks(True), nbeta + 1
-    nnz = mode0["ring"].size
-    assert mode0["shape"] == (nr, nr) and nnz == want["ring"].size // (nphi // 4 + 1)
-    assert np.array_equal(mode0["ring"], want["ring"][:nnz])
-    for name, first in (("a11", nnz), ("a22", nnz), ("pint", nnz), ("robin", nnz),
-                        ("indices", nnz), ("indptr", nr + 1)):
-        assert mode0[name].dtype == want[name].dtype, name
-        assert mode0[name].tobytes() == want[name][:first].tobytes(), name
+    nr, modes = nbeta + 1, nphi // 4 + 1
+    assert got.keys() == {"a11", "a22", "pint", "robin"}
+    bands, ref = canonical_blocks(got), canonical_reference(want)
+    for name in got:
+        assert got[name].shape == (modes, nr, 4), name
+        assert bands[name] == ref[name], name
+    mode0 = g.modal_blocks(True)
+    assert mode0.keys() == got.keys()
+    for name in got:
+        assert mode0[name].shape == (1, nr, 4), name
+        assert mode0[name].tobytes() == got[name][:1].tobytes(), name
 
 
 def _dense_stencils(g):
@@ -459,8 +535,9 @@ def same_bits(a, b):
 @pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 32), (64, 128), (129, 258), (256, 512)])
 def test_the_band_build_is_the_dense_build(nbeta, nphi, theta):
     """The bands of `_stencils` are the dense beta-matrices' nonzero bands,
-    and every CSR of `ops` and every array of both `modal_blocks` is, bit for
-    bit, that of the dense construction (129 rings: an odd Nbeta)."""
+    and every CSR of `ops` and the matrix of every band of both
+    `modal_blocks` is, bit for bit, that of the dense construction (129
+    rings: an odd Nbeta)."""
     g = CapGrid(nbeta, nphi, theta)
     want_st = _dense_stencils(g)
     for name, got in g._stencils().items():
@@ -477,15 +554,16 @@ def test_the_band_build_is_the_dense_build(nbeta, nphi, theta):
             for attr in ("indptr", "indices", "data"):
                 assert same_bits(getattr(bmat, attr), getattr(ref, attr)), (name, attr)
     for mode0 in (True, False):
-        blocks, ref = g.modal_blocks(mode0), _modal_blocks_by_coo(g, want, mode0)
-        assert blocks.keys() == ref.keys() and blocks["shape"] == ref["shape"]
-        for name in ref.keys() - {"shape"}:
-            assert same_bits(blocks[name], ref[name]), (mode0, name)
+        blocks = canonical_blocks(g.modal_blocks(mode0))
+        ref = canonical_reference(_modal_blocks_by_coo(g, want, mode0))
+        assert blocks.keys() == ref.keys()
+        for name in ref:
+            assert blocks[name] == ref[name], (mode0, name)
 
 
 def test_the_stencil_build_is_linear_in_nbeta():
     # one dense (2048, 2050) beta-matrix is 33.6 MB; the bands and their CSRs
-    # come to about 2.1 MB with every modal block
+    # come to about 2.0 MB with every modal block
     g = CapGrid(2048, 8, math.pi / 4)
     tracemalloc.start()
     try:

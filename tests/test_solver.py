@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from capcmk import solver
-from capcmk.fields import CapField, CapGrid, tau_sharp
+from capcmk.fields import CapField, CapGrid, band_lu, tau_sharp
 from capcmk.geometry import CapParams, ell, ell_field, random_capillary_field
 from capcmk.solver import (
     ContinuationStall,
@@ -39,17 +39,17 @@ def positive_even_phi(grid, seed=7):
     return CapField(grid, vals, even=False).project_even()
 
 
-def recording_splu(monkeypatch):
-    """Route solver's splu through a wrapper; returns the list of the shapes
-    it factorizes."""
-    shapes = []
+def recording_band_lu(monkeypatch):
+    """Route solver's band_lu through a wrapper; returns the list of the
+    row counts of the matrices it factorizes."""
+    sizes, band_lu = [], solver.band_lu
 
-    def counting_splu(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return splu(a, *args, **kwargs)
+    def counting_band_lu(rows):
+        sizes.append(rows.shape[0])
+        return band_lu(rows)
 
-    monkeypatch.setattr(solver, "splu", counting_splu)
-    return shapes
+    monkeypatch.setattr(solver, "band_lu", counting_band_lu)
+    return sizes
 
 
 def every_mode(monkeypatch):
@@ -58,10 +58,9 @@ def every_mode(monkeypatch):
     monkeypatch.setattr(solver, "_ring_constant", lambda values: False)
 
 
-def modal_shape(grid):
-    """The shape of the modal system: Nphi/4 + 1 modes of Nbeta + 1 rings."""
-    size = (grid.nphi // 4 + 1) * (grid.nbeta + 1)
-    return size, size
+def modal_size(grid):
+    """The row count of the modal system: Nphi/4 + 1 modes of Nbeta + 1 rings."""
+    return (grid.nphi // 4 + 1) * (grid.nbeta + 1)
 
 
 def test_phi_q_endpoints(params_k1, grid_16):
@@ -291,12 +290,12 @@ def test_the_modal_step_is_the_direct_step(nbeta, nphi, k, q, monkeypatch):
     system: equal to 1e-12, and with a backward error at round-off.  16x30
     has an odd Nphi/2 and 33x64 an odd Nbeta."""
     s, q, rhs, params = ring_constant_problem(nbeta, nphi, k, q)
-    shapes, applied = recording_splu(monkeypatch), recording_linearize(monkeypatch)
+    sizes, applied = recording_band_lu(monkeypatch), recording_linearize(monkeypatch)
     every_mode(monkeypatch)
     apply = solver._factorize(s, q, rhs, params, tau_sharp(s))
     fint, gbd = random_residual(s.grid, 3)
     step = apply(fint, gbd)
-    assert shapes == [modal_shape(s.grid)] and applied == [1]
+    assert sizes == [modal_size(s.grid)] and applied == [1]
     assert np.array_equal(step[:, :nphi // 2], step[:, nphi // 2:])
     gap, backward, _ = step_error(s, q, rhs, params, step, fint, gbd)
     assert gap <= 1e-12
@@ -315,31 +314,30 @@ def test_the_mode0_step_is_the_modal_step(nbeta, nphi, k, q, monkeypatch):
     the Jacobian's action, once, for the defect correction's stop check.
     16x30 has an odd Nphi/2 and 33x64 an odd Nbeta."""
     s, q, rhs, params = ring_constant_problem(nbeta, nphi, k, q)
-    shapes, applied = recording_splu(monkeypatch), recording_linearize(monkeypatch)
+    sizes, applied = recording_band_lu(monkeypatch), recording_linearize(monkeypatch)
     rng = np.random.default_rng(8)
     fint = np.repeat(rng.standard_normal((nbeta, 1)), nphi, axis=1)
     gbd = np.full(nphi, rng.standard_normal())
     steps = [solver._factorize(s, q, rhs, params, tau_sharp(s))(fint, gbd)]
     every_mode(monkeypatch)
     steps.append(solver._factorize(s, q, rhs, params, tau_sharp(s))(fint, gbd))
-    assert shapes == [(nbeta + 1, nbeta + 1), modal_shape(s.grid)] and applied == [1]
+    assert sizes == [nbeta + 1, modal_size(s.grid)] and applied == [1]
     assert_ring_constant(steps[0])
     assert np.max(np.abs(steps[0] - steps[1])) <= 1e-12 * np.max(np.abs(steps[1]))
-    assert s.grid.modal_blocks(True)["shape"] == (nbeta + 1, nbeta + 1)
+    assert s.grid.modal_blocks(True)["a11"].shape == (1, nbeta + 1, 4)
 
 
 @pytest.mark.parametrize("q", [1.0, 1.4])
 def test_the_all_mode_matrix_holds_the_mode0_block_bit_for_bit(q):
-    """At a ring-constant state the all-mode matrix's first Nbeta + 1 rows
-    and columns, its mode-0 block, are the mode-0 matrix bit for bit: a
+    """At a ring-constant state the all-mode matrix's first Nbeta + 1 band
+    rows, its mode-0 block, are the mode-0 matrix bit for bit: a
     coefficient's column is its own ring mean.  At 63x126 the mean of
     Nphi/2 = 63 copies of a value need not be that value."""
     s, q, rhs, params = ring_constant_problem(63, 126, 2, q)
     tau = tau_sharp(s)
     mode0, full = (solver.linearize_modal(s, q, rhs, params, tau, m) for m in (True, False))
-    bits = (mode0.toarray(), full[:64, :64].toarray())
-    assert mode0.shape == (64, 64)
-    assert np.count_nonzero(bits[0].view(np.uint64) != bits[1].view(np.uint64)) == 0
+    assert mode0.shape == (64, 4) and full.shape == (modal_size(s.grid), 4)
+    assert np.count_nonzero(mode0.view(np.uint64) != full[:64].view(np.uint64)) == 0
 
 
 @pytest.mark.parametrize("state", ["converged", "perturbed"])
@@ -361,10 +359,10 @@ def test_the_corrected_step_solves_the_restricted_system(state, monkeypatch):
         s = random_capillary_field(grid, np.random.default_rng(5))
         q, rhs = 1.3, phi_q(phi, 1.3, params)
     assert np.max(np.abs(sigma_k_grad(tau_sharp(s), 2).a12)) > 1e-3
-    shapes, applied = recording_splu(monkeypatch), recording_linearize(monkeypatch)
+    sizes, applied = recording_band_lu(monkeypatch), recording_linearize(monkeypatch)
     fint, gbd = random_residual(grid, 6)
     step = solver._factorize(s, q, rhs, params, tau_sharp(s))(fint, gbd)
-    assert shapes == [modal_shape(grid)] and len(applied) == 1
+    assert sizes == [modal_size(grid)] and len(applied) == 1
     assert 1 < applied[0] < solver.CORRECTION_SWEEPS
     assert np.array_equal(step[:, :64], step[:, 64:])
     *_, relative = step_error(s, q, rhs, params, step, fint, gbd)
@@ -424,19 +422,18 @@ def test_every_state_factorizes_the_modal_system(monkeypatch):
     for f in (near_s, near_rhs):
         assert np.all(np.ptp(f.values, axis=1) <= 1e-12 * np.max(f.values, axis=1))
     fint, gbd = random_residual(grid, 4)
-    shapes, corrections = recording_splu(monkeypatch), []
+    sizes, corrections = recording_band_lu(monkeypatch), []
     for state, data in ((s, rhs), (turned, rhs), (s, aniso), (near_s, rhs), (s, near_rhs)):
         built = recording_linearize(monkeypatch)
         solver._factorize(state, q, data, params, tau_sharp(state))(fint, gbd)
         corrections.append(len(built))
-    assert shapes == [(17, 17)] + [modal_shape(grid)] * 4
+    assert sizes == [17] + [modal_size(grid)] * 4
     assert corrections == [0, 1, 1, 1, 1]
 
 
-def test_the_modal_lu_fills_a_tenth_of_the_2d_lu(monkeypatch):
-    """At a converged rotationally symmetric k = 2, 64x128 solve, the modal
-    LU fills under a tenth of the LU of the restricted Jacobian system, with
-    the same LU_OPTIONS, and its step solves that system (mixed block
+def test_the_modal_step_solves_the_2d_system_at_a_converged_solve(monkeypatch):
+    """At a converged rotationally symmetric k = 2, 64x128 solve, the
+    all-mode modal step solves the restricted Jacobian system (mixed block
     included) to round-off."""
     theta = math.pi / 4
     grid = CapGrid(64, 128, theta)
@@ -446,14 +443,6 @@ def test_the_modal_lu_fills_a_tenth_of_the_2d_lu(monkeypatch):
     s, report = solve_path(phi, params)
     assert report.converged
     q = params.p
-
-    def fill(a):
-        lu = splu(a, **solver.LU_OPTIONS)
-        return lu.L.nnz + lu.U.nnz
-
-    modal = solver.linearize_modal(s, q, phi, params, tau_sharp(s), False)
-    full = restricted_jacobian(s, q, phi, params)
-    assert fill(modal) < 0.1 * fill(full)
     fint, gbd = random_residual(grid, 6)
     every_mode(monkeypatch)
     step = solver._factorize(s, q, phi, params, tau_sharp(s))(fint, gbd)
@@ -501,15 +490,18 @@ def _toy_corrector(c, margin=lambda x: 1.0, floor=0.0):
     """The point callback for F(x) = x^2 - c, split as (fint, gbd) =
     (F[:-1], F[-1:]), with cone margin margin(x) and relative size r
     (`relative_size`, sigma_k standing for x^2 and the load for c); `calls`
-    records the points where the Jacobian diag(2x) is factorized.
+    records the points where the Jacobian diag(2x) is factorized, by the
+    package's banded LU (`fields.band_lu`).
     factor_at(x) is that factorization's apply.  With floor > 0, F carries
     a round-off floor: floor c times signs fixed by x's bits."""
     calls = []
 
     def factor_at(x):
         calls.append(x.copy())
-        lu = splu(sp.diags(2.0 * x).tocsc())
-        return lambda fint, gbd: lu.solve(-np.concatenate([fint, gbd]))
+        rows = np.zeros((x.size, 4))
+        rows[:, 2] = 2.0 * x
+        solve = band_lu(rows)
+        return lambda fint, gbd: solve(-np.concatenate([fint, gbd]))
 
     def point(x):
         noise = 1.0 - 2.0 * (x.view(np.uint64) & 1).astype(float)
@@ -550,8 +542,11 @@ def test_corrector_stops_on_a_small_step_at_the_residual_floor():
 
 
 def test_corrector_reports_a_singular_jacobian():
+    """The banded LU's exactly zero pivot, at x[0] = 0, is a singular
+    Jacobian to the corrector."""
     point, _, _ = _toy_corrector(np.array([4.0, 9.0]))
-    with pytest.raises(NewtonFailure, match="singular Jacobian at Newton iteration 0"):
+    with pytest.raises(NewtonFailure,
+                       match="singular Jacobian at Newton iteration 0: .* exactly zero"):
         solver._damped_newton(np.array([0.0, 2.5]), point, Schedule())
 
 
@@ -783,15 +778,15 @@ def test_grid_sequencing_stops_at_the_coarsest_grid():
 def test_sequenced_solve_matches_the_plain_continuation(params, monkeypatch):
     grid = CapGrid(64, 128, THETA)
     phi = positive_even_phi(grid)
-    shapes = recording_splu(monkeypatch)
+    sizes = recording_band_lu(monkeypatch)
     s, report = solve_path(phi, params)
     # anisotropic data: every factorization is of a modal system, one on 64x128
-    assert set(shapes) == {modal_shape(CapGrid(32, 64, THETA)), modal_shape(grid)}
+    assert set(sizes) == {modal_size(CapGrid(32, 64, THETA)), modal_size(grid)}
     assert report.converged and report.failure is None
     steps = len(report.t_steps)
     assert report.grids == ["32x64"] * (steps - 1) + ["64x128"]
     assert report.t_steps[-2:] == [1.0, 1.0]
-    assert shapes.count(modal_shape(grid)) == report.newton_iters[-1]
+    assert sizes.count(modal_size(grid)) == report.newton_iters[-1]
 
     plain, plain_report = plain_continuation(phi, params, Schedule())
     assert plain_report.grids == ["64x128"] * len(plain_report.t_steps)
@@ -805,11 +800,11 @@ def test_a_rotationally_symmetric_solve_factorizes_mode0_alone(k, monkeypatch):
     grid = CapGrid(64, 128, THETA)
     vals = 1.0 + 0.3 * (1.0 - np.cos(grid.beta_all))
     phi = CapField(grid, np.repeat(vals[:, None], grid.nphi, axis=1), even=True)
-    shapes = recording_splu(monkeypatch)
+    sizes = recording_band_lu(monkeypatch)
     _, report = solve_path(phi, CapParams(n=2, k=k, p=1.5 if k == 1 else 2.0, theta=THETA))
     assert report.converged and report.grids[-2:] == ["32x64", "64x128"]
-    assert set(shapes) == {(33, 33), (65, 65)}
-    assert len(shapes) == sum(report.newton_iters)
+    assert set(sizes) == {33, 65}
+    assert len(sizes) == sum(report.newton_iters)
 
 
 def test_the_anisotropic_fallback_factorizes_every_mode(params_k1, grid_32, monkeypatch):
@@ -834,19 +829,19 @@ def test_the_anisotropic_fallback_factorizes_every_mode(params_k1, grid_32, monk
 
     monkeypatch.setattr(solver, "newton_solve", failing_first)
     monkeypatch.setattr(solver, "_factorize", recording_factorize)
-    shapes = recording_splu(monkeypatch)
+    sizes = recording_band_lu(monkeypatch)
     _, report = solve_path(positive_even_phi(grid_32), params_k1)
     assert report.converged and report.method == "continuation"
     assert_ring_constant(calls[1])  # the t = 0 corrector's start
-    assert len(shapes) == len(flat) == sum(report.newton_iters)
+    assert len(sizes) == len(flat) == sum(report.newton_iters)
     assert flat[:report.newton_iters[0]] == [True] * report.newton_iters[0]
     assert any(not f for f in flat)
-    assert shapes == [(33, 33) if f else modal_shape(grid_32) for f in flat]
+    assert sizes == [33 if f else modal_size(grid_32) for f in flat]
 
 
 def test_a_grid_that_does_not_halve_is_sequenced(params_k1, monkeypatch):
     grid = CapGrid(127, 256, THETA)
-    shapes = recording_splu(monkeypatch)
+    sizes = recording_band_lu(monkeypatch)
     vals = 1.0 + 0.2 * (1.0 - np.cos(grid.beta_all))
     phi = CapField(grid, np.broadcast_to(vals[:, None], (128, 256)).copy(), even=True)
     _, report = solve_path(phi, params_k1)
@@ -854,7 +849,7 @@ def test_a_grid_that_does_not_halve_is_sequenced(params_k1, monkeypatch):
     assert report.grids == ["63x128"] * (len(report.t_steps) - 1) + ["127x256"]
     # rotationally symmetric data: mode 0 alone, of 64 rings on 63x128 and of
     # 128 on 127x256
-    assert set(shapes) == {(64, 64), (128, 128)} and shapes.count((128, 128)) == 1
+    assert set(sizes) == {64, 128} and sizes.count(128) == 1
 
 
 def test_a_failed_finer_corrector_stalls_with_the_coarse_path(params_k1, monkeypatch):
