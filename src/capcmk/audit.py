@@ -310,17 +310,6 @@ def steiner_volume_check(s: CapField, rhos, params: CapParams, tau, pts) -> list
 # -- estimate audit -----------------------------------------------------------------
 
 
-def _record(name, statement, lhs, rhs, margin, ok):
-    return {
-        "name": name,
-        "statement": statement,
-        "lhs": lhs,
-        "rhs": rhs,
-        "margin": margin,
-        "pass": ok,
-    }
-
-
 # discretization slack on the slope bound tan(theta)
 SLOPE_SLACK = 0.02
 
@@ -355,8 +344,9 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams, tau=None, pts
         tau = tau_sharp(s)
     items = []
 
-    def item(name, lhs, rhs, margin, ok):
-        items.append(_record(name, _STATEMENTS[name], lhs, rhs, margin, ok))
+    def item(name, lhs, rhs, margin, ok, note=""):
+        items.append({"name": name, "statement": _STATEMENTS[name] + note, "lhs": lhs,
+                      "rhs": rhs, "margin": margin, "pass": ok})
 
     phi0 = float(np.min(phi.values))
     # near p = k + 1 a factor can leave the float range (inf * 0 = nan) where
@@ -393,8 +383,7 @@ def estimates_audit(s: CapField, phi: CapField, params: CapParams, tau=None, pts
     else:
         for name in ("slope_bound", "height_positive", "support_height_bound",
                      "inradius_height", "rim_planarity"):
-            items.append(_record(name, _STATEMENTS[name] + " (skipped: not convex)",
-                                 None, None, None, False))
+            item(name, None, None, None, False, " (skipped: not convex)")
 
     item("sigma1_observed", float(np.max(sigma_k(tau, 1))), None, None, None)
 

@@ -107,6 +107,16 @@ def stencil_band(m, central, rim):
     return b
 
 
+def fold_pole(band):
+    """The band, in place, closed at the pole for even fields: its first
+    row's weight on ring -1, which is ring 0 under the half-turn, is added
+    onto ring 0.  band is an (m, 4) band or a stack of them along leading
+    axes."""
+    band[..., 0, 2] += band[..., 0, 1]
+    band[..., 0, 1] = 0.0
+    return band
+
+
 def band_csr(band, first, ncols):
     """The band's nonzeros, row by row, as an (m, ncols) CSR matrix; row r of
     the (m, 4) band holds columns first + r .. first + r + 3."""
@@ -293,10 +303,10 @@ class CapGrid:
         keeps the bands its beta-matrices are built from) times the symbol
         sum_o w_o cos(2 pi m o / (Nphi/2)) of its phi-stencil, folded onto
         even fields: there the half-turn is the identity, so ring -1 adds
-        onto ring 0, and every block weighs rings r-2..r+1 of its own on row
-        r.  The stencils of a11, a22, pint and robin are symmetric
-        (w_o = w_-o), so every block is real; a12's is odd, and its block is
-        not formed.  A ring-constant right side excites mode 0 alone, whose
+        onto ring 0 (`fold_pole`), and every block weighs rings r-2..r+1 of
+        its own on row r.  The stencils of a11, a22, pint and robin are
+        symmetric (w_o = w_-o), so every block is real; a12's is odd, and its
+        block is not formed.  A ring-constant right side excites mode 0 alone, whose
         symbol is the weight sum: mode0 builds that block, with the bits it
         has among all.  Each name maps to a (modes, Nbeta + 1, 4) array, the
         blocks' rows in `stencil_band`'s layout, row Nbeta the rim's.
@@ -315,9 +325,7 @@ class CapGrid:
                 if len(band) == 1:  # the rim ring's row
                     block[:, -1:] += term
                 else:
-                    term[:, 0, 2] += term[:, 0, 1]
-                    term[:, 0, 1] = 0.0
-                    block[:, :-1] += term
+                    block[:, :-1] += fold_pole(term)
             blocks[name] = block
         self._modal[mode0] = blocks
         return blocks
@@ -410,21 +418,18 @@ def tau_sharp(s: CapField) -> SymEndo:
     the cancellation noise of near-constant rings; without it the residual
     cannot be driven below a few 1e-9 on fine grids.
 
-    A field with a bitwise period (`repeat_unit`) is evaluated on its first
-    column, where every ring is constant, or its first half; with the full
-    rows' means, every bit is the full evaluation's.  The components of one
-    column come back as (Nbeta, 1) columns, which broadcast against
-    (Nbeta, Nphi); those of a half are tiled.
+    A field is evaluated on its bitwise period (`repeat_unit`): its first
+    column, where every ring is constant, its first half, or, with no
+    period, its full rows.  The means are the full rows', and ring -1 takes
+    ring 0's (a unit's own, or a turned row's, can differ in the last bit),
+    so every bit of a unit's evaluation is the full evaluation's.  The
+    components of one column come back as (Nbeta, 1) columns, which
+    broadcast against (Nbeta, Nphi); those of a half are tiled.
     """
     g, v = s.grid, s.values
     unit = repeat_unit(v)
-    if unit is None:
-        x = g.extend(v)
-        y = x - np.mean(x[:, 1:-1], axis=1, keepdims=True)
-    else:
-        # ring -1 takes ring 0's mean; a unit's own can differ in the last bit
-        x, m = g.extend(unit), np.mean(v, axis=1, keepdims=True)
-        y = x - np.concatenate([m[:1], m])
+    x, m = g.extend(v if unit is None else unit), np.mean(v, axis=1, keepdims=True)
+    y = x - np.concatenate([m[:1], m])
     a = [g.apply("a11", x), g.apply("a12", x, y), g.apply("a22", x, y)]
     if unit is not None and unit.shape[1] > 1:
         a = [np.concatenate([c, c], axis=1) for c in a]

@@ -123,23 +123,21 @@ class NeumannFactor:
             - sb ** (2 * m) * a * sb
         )
 
-    def __call__(self, beta, phi):
+    def _series(self, start, rho, beta, phi):
+        """start + sum_m eps_m cos(2 m phi - psi_m) rho(m, beta)."""
         beta = np.asarray(beta, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        out = np.ones(np.broadcast_shapes(beta.shape, phi.shape))
+        out = np.full(np.broadcast_shapes(beta.shape, phi.shape), start)
         for m, amp, psi in self.terms:
             ang = np.cos(2 * m * phi - psi) if m > 0 else 1.0
-            out = out + amp * ang * self._rho(m, beta)
+            out = out + amp * ang * rho(m, beta)
         return out
 
+    def __call__(self, beta, phi):
+        return self._series(1.0, self._rho, beta, phi)
+
     def dbeta(self, beta, phi):
-        beta = np.asarray(beta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        out = np.zeros(np.broadcast_shapes(beta.shape, phi.shape))
-        for m, amp, psi in self.terms:
-            ang = np.cos(2 * m * phi - psi) if m > 0 else 1.0
-            out = out + amp * ang * self._rho_dbeta(m, beta)
-        return out
+        return self._series(0.0, self._rho_dbeta, beta, phi)
 
 
 def random_neumann_factor(theta, rng) -> NeumannFactor:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import band_csr, band_lu, fd_weights, stencil_band, write_csv
+from .fields import band_csr, band_lu, fd_weights, fold_pole, stencil_band, write_csv
 from .geometry import CapParams, ell
 from .solver import Schedule, _damped_newton, homotopy_values, newton_first, relative_size
 
@@ -83,26 +83,22 @@ class RotGrid:
         row; each the CSR of its band's nonzeros.  The mirror closure
         s(-beta) = s(beta) (rotational symmetry plus the across-pole chart
         identity) feeds the first ring's central stencils: its weight on
-        ring -1 is added onto ring 0.  jac: the Jacobian's four terms as
-        (n + 1, 4) bands over every row, cells then the rim, row r weighing
-        rings r-2..r+1: lam_r = d2 + I and lam_t = diag(cot) d1 + I, the
-        linearizations of s'' + s and s' cot(beta) + s, and pcells, the cell
-        values, on the cells' rows, and robin, the Robin row
-        dbd - cot(theta) e_rim, on the rim's; `_linearize` combines them.
+        ring -1 is added onto ring 0 (`fields.fold_pole`).  jac: the
+        Jacobian's four terms as (n + 1, 4) bands over every row, cells then
+        the rim, row r weighing rings r-2..r+1: lam_r = d2 + I and
+        lam_t = diag(cot) d1 + I, the linearizations of s'' + s and
+        s' cot(beta) + s, and pcells, the cell values, on the cells' rows,
+        and robin, the Robin row dbd - cot(theta) e_rim, on the rim's;
+        `_linearize` combines them.
         """
         if self._ops is not None:
             return self._ops
         n, db, ntot = self.n_cells, self.dbeta, self.n_cells + 1
 
-        def mirrored(b):
-            b[0, 2] += b[0, 1]
-            b[0, 1] = 0.0
-            return b
-
-        d1 = mirrored(stencil_band(n, {-1: -0.5 / db, 1: 0.5 / db},
-                                   fd_weights([-db, 0.0, 0.5 * db], 1)))
-        d2 = mirrored(stencil_band(n, {-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
-                                   fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)))
+        d1 = fold_pole(stencil_band(n, {-1: -0.5 / db, 1: 0.5 / db},
+                                    fd_weights([-db, 0.0, 0.5 * db], 1)))
+        d2 = fold_pole(stencil_band(n, {-1: 1.0 / db**2, 0: -2.0 / db**2, 1: 1.0 / db**2},
+                                    fd_weights([-2.0 * db, -db, 0.0, 0.5 * db], 2)))
         dbd = stencil_band(1, {}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1))
         # column c is ring c, so row r of a band holds columns r - 2 .. r + 1,
         # and the rim's row is row n

@@ -411,13 +411,16 @@ def _damped_newton(x, point, sched: Schedule):
           (`relative_size`), and factor() -> apply, which factorizes the
           Jacobian there; apply(fint, gbd) is the Newton step for that
           residual, shaped like x.
-    Every iteration factorizes at its iterate.  A trial point is evaluated
-    only if min x > 0; a step is accepted if lam1min > DELTA_CONE and the
-    max-norm residual decreases by Armijo, halving alpha up to BACKTRACK_MAX
-    times.  The corrector stops on the residual when r <= sched.tol_solve,
-    also after the iteration budget, and on the step when r <= STEP_RES and
-    the step is at most STEP_RTOL of x (max norms): it then takes the full
-    step, with no line search, if the step stays positive and in the cone.
+    Every iteration factorizes at its iterate and runs one line search:
+    trials at alpha = 1, 1/2, ..., BACKTRACK_MAX of them.  A trial point is
+    evaluated only if min x > 0, and accepted if lam1min > DELTA_CONE and the
+    max-norm residual decreases by Armijo.  The corrector stops on the
+    residual when r <= sched.tol_solve, also after the iteration budget, and
+    on the step when r <= STEP_RES and the step is at most STEP_RTOL of x
+    (max norms): the first trial, the full step, then needs no Armijo
+    decrease, and its acceptance stops the corrector; a full step that
+    leaves the cone, or positivity, is evaluated once, and the line search
+    goes on at alpha = 1/2.
     info["iters"] counts the accepted steps and info["stop"] names the test.
 
     Returns (x, info); raises NewtonFailure, naming the cone, a singular
@@ -438,15 +441,6 @@ def _damped_newton(x, point, sched: Schedule):
             "smax": float(np.max(x)),
         }
 
-    def trial(step, alpha, armijo=True):
-        x_try = x + alpha * step
-        if np.min(x_try) > 0.0:
-            lam1_try, fint_try, gbd_try, rel_try, factor_try = point(x_try)
-            rn_try = max(float(np.max(np.abs(fint_try))), float(np.max(np.abs(gbd_try))))
-            if lam1_try > DELTA_CONE and (not armijo or rn_try <= (1.0 - 1e-4 * alpha) * rn):
-                return x_try, lam1_try, fint_try, gbd_try, rel_try, factor_try, rn_try
-        return None
-
     for it in range(sched.newton_max + 1):
         if rel <= sched.tol_solve:
             return x, info(it, "residual")
@@ -458,21 +452,25 @@ def _damped_newton(x, point, sched: Schedule):
             step = factor()(fint, gbd)
         except RuntimeError as exc:  # band_lu: an exactly zero pivot
             raise NewtonFailure(f"singular Jacobian at Newton iteration {it}: {exc}") from exc
-        if rel <= STEP_RES and np.max(np.abs(step)) <= STEP_RTOL * np.max(np.abs(x)):
-            accepted = trial(step, 1.0, armijo=False)
-            if accepted is not None:
-                x, lam1, fint, gbd, rel, factor, rn = accepted
-                return x, info(it + 1, "step")
+        # full: the step test holds, and this trial is the full step
+        full = rel <= STEP_RES and np.max(np.abs(step)) <= STEP_RTOL * np.max(np.abs(x))
         alpha = 1.0
         for _ in range(BACKTRACK_MAX):
-            accepted = trial(step, alpha)
-            if accepted is not None:
-                break
+            x_try = x + alpha * step
+            if np.min(x_try) > 0.0:
+                trial = point(x_try)  # (lam1min, fint, gbd, r, factor)
+                rn_try = max(float(np.max(np.abs(trial[1]))), float(np.max(np.abs(trial[2]))))
+                if trial[0] > DELTA_CONE and (full or rn_try <= (1.0 - 1e-4 * alpha) * rn):
+                    break
             alpha *= 0.5
+            full = False
         else:
             raise NewtonFailure(
                 f"line search failed at Newton iteration {it} (res = {rn:.3e}, r = {rel:.3e})")
-        x, lam1, fint, gbd, rel, factor, rn = accepted
+        x, rn = x_try, rn_try
+        lam1, fint, gbd, rel, factor = trial
+        if full:
+            return x, info(it + 1, "step")
 
     raise NewtonFailure(
         f"no convergence in {sched.newton_max} iterations (res = {rn:.3e}, r = {rel:.3e})")
@@ -642,15 +640,14 @@ def _interpolate(f: CapField, grid: CapGrid) -> CapField:
     exact value: the Lagrange weights need not sum to exactly 1 in floating
     point.  The beta weights and the projection keep such rings constant, so
     a ring-constant field comes back exactly ring-constant, on any grid.  A
-    field whose every ring is constant (its `repeat_unit` is one column) is
-    interpolated as that column: the phi pass would return it, the beta
-    weights act on it alone, and the projection's average of a column with
-    its half-turn is 0.5 * (c + c), the full-width result's bits.
+    field whose every ring is constant (`_ring_constant`) is interpolated as
+    its first column: the phi pass would return it, the beta weights act on
+    it alone, and the projection's average of a column with its half-turn
+    is 0.5 * (c + c), the full-width result's bits.
     """
     g = f.grid
-    unit = repeat_unit(f.values)
-    if unit is not None and unit.shape[1] == 1:
-        in_phi = unit
+    if _ring_constant(f.values):
+        in_phi = f.values[:, :1]
     else:
         # column j of `grid` lies t columns right of column `left` of f's grid
         pos = np.arange(grid.nphi) * g.nphi

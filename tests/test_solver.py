@@ -554,7 +554,9 @@ def test_corrector_halves_a_full_step_that_leaves_the_cone():
     """The full Newton step from x0 lowers the residual but leaves the cone
     2.05 - x[0] > DELTA_CONE, whose edge lies just past the root x[0] = 2:
     the line search halves it, and every accepted iterate, the ones the step
-    is taken from and the solution, keeps its margin above DELTA_CONE."""
+    is taken from and the solution, keeps its margin above DELTA_CONE.
+    Where the step test holds, a full step that leaves the cone is the line
+    search's first trial, evaluated once."""
     c, x0 = np.array([4.0, 9.0]), np.array([1.5, 2.5])
 
     def margin(x):
@@ -593,6 +595,44 @@ def test_corrector_halves_a_full_step_that_leaves_the_cone():
     assert np.allclose(accepted[0], x0, rtol=1e-15, atol=0.0)
     assert all(margin(y) > solver.DELTA_CONE for y in accepted + [x])
     assert info["lam1min"] == margin(x) > solver.DELTA_CONE
+
+    # The step test holds at x1 = sqrt(c) (1 + 1e-9), and the step there,
+    # twice the Newton step (an inexact step that overshoots the root),
+    # lands past the cone's edge 2 - 1e-9 on the root's other side.  That
+    # full step is evaluated once, and the line search goes on at alpha =
+    # 1/2, whose point is the root to round-off: no trial point is evaluated
+    # twice, and the corrector stops there on the residual after one step.
+    edge = 2.0 - 1e-9
+    toy, _, calls = _toy_corrector(c, lambda x: x[0] - edge)
+    evaluated, steps = [], []
+
+    def overshooting(x):
+        evaluated.append(x.copy())
+        lam1, fint, gbd, rel, factor = toy(x)
+
+        def factor_here():
+            apply = factor()
+
+            def step(fint, gbd):
+                steps.append(2.0 * apply(fint, gbd))
+                return steps[-1]
+
+            return step
+
+        return lam1, fint, gbd, rel, factor_here
+
+    x1 = np.sqrt(c) * (1.0 + 1e-9)
+    x, info = solver._damped_newton(x1, overshooting, Schedule())
+    _, _, _, rel1, _ = toy(x1)
+    [step] = steps
+    assert Schedule().tol_solve < rel1 <= solver.STEP_RES
+    assert np.max(np.abs(step)) <= solver.STEP_RTOL * np.max(np.abs(x1))
+    assert x1[0] + step[0] - edge <= solver.DELTA_CONE
+    assert len({y.tobytes() for y in evaluated}) == len(evaluated) == 3
+    assert np.array_equal(evaluated[0], x1) and np.array_equal(evaluated[1], x1 + step)
+    assert np.array_equal(evaluated[2], x1 + 0.5 * step) and np.array_equal(x, evaluated[2])
+    assert info["stop"] == "residual" and info["iters"] == 1 and len(calls) == 1
+    assert np.allclose(x, np.sqrt(c), rtol=1e-15, atol=0.0)
 
 
 def test_each_newton_point_is_evaluated_once(params_k1, grid_32, monkeypatch):
