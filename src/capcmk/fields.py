@@ -25,17 +25,18 @@ dbeta dphi; the boundary ring carries no quadrature weight.
 Each grid keeps one table of its operators (`CapGrid.ops`), each a list of
 (beta-matrix, phi-stencil) terms.  The beta-stencils are (m, 4) band arrays
 (`stencil_band`), a row's four weights on the rings around it, and the
-table combines them band by band and keeps each beta-matrix as the CSR of
-its band's nonzeros (`band_csr`), so a grid's operators cost O(Nbeta) time
-and memory; the 1-D oracle (`rotsym`) lays its own stencils out in the
-same bands.  The table is laid out two ways: `apply` evaluates an operator
-on a field by multiplying the sparse beta-matrix into the value array
-extended by ring -1 and one periodic column on each side, then applying
-the phi-stencil by slicing; and `modal_blocks` folds the table's bands
-into the Newton blocks on even fields and splits them by azimuthal Fourier
-mode, for the solver's one factorization.  `tau_sharp`, `robin_residual`
-and the audit's gradients use `apply`, and so does the solver's Jacobian
-action (`solver.linearize`).
+table combines them band by band and keeps each beta-matrix as its band
+(`BandMatrix`), so a grid's operators cost O(Nbeta) time and memory; the
+1-D oracle (`rotsym`) lays its own stencils out in the same bands.  The
+bands are the one operator format, read two ways: `apply` evaluates an
+operator on a field, each band's kernel multiplying the value array
+extended by ring -1 and one periodic column on each side by adding its
+nonzero weights' products row by row, and the phi-stencil then applied by
+slicing; and `modal_blocks` folds the bands into the Newton blocks on even
+fields and splits them by azimuthal Fourier mode, for the solver's one
+factorization.  `tau_sharp`, `robin_residual` and the audit's gradients
+use `apply`, and so does the solver's Jacobian action
+(`solver.linearize`).
 
 Every matrix that either layer factorizes weighs unknowns r-2..r+1 on row
 r, in the bands' layout: the modal blocks stacked by mode and the oracle's
@@ -72,7 +73,6 @@ import re
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .symfunc import SymEndo
@@ -117,16 +117,41 @@ def fold_pole(band):
     return band
 
 
-def band_csr(band, first, ncols):
-    """The band's nonzeros, row by row, as an (m, ncols) CSR matrix; row r of
-    the (m, 4) band holds columns first + r .. first + r + 3."""
-    m = band.shape[0]
-    # int32, scipy's index type at these sizes: it then checks no contents
-    cols = np.arange(first, first + m, dtype=np.int32)[:, None] + np.arange(4, dtype=np.int32)
-    keep = band != 0
-    indptr = np.zeros(m + 1, np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return sp.csr_matrix((band[keep], cols[keep], indptr), shape=(m, ncols))
+class BandMatrix:
+    """The matrix whose row r weighs rows first + r .. first + r + 3 of what
+    it multiplies with band[r], an (m, 4) band laid out as `stencil_band`'s.
+
+    It is kept as the band's nonzero weights in runs: band column t, the
+    contiguous rows where that weight is nonzero, and the rows they read.
+    `@` adds each run's products w * x[r + first + t] onto a zeroed
+    product, run by run in column order, so every row sums its nonzero
+    weights' products in column order and a zero weight never multiplies
+    an inf or a NaN of x.  x is 1-D, one value per row read, or 2-D, one
+    row of columns; where two NaNs meet in an add, a 1-D x keeps the
+    running sum's and a 2-D x the product's.  These are the operations,
+    in their order, of scipy's CSR product with one vector or with several
+    (`csr_matvec`, `csr_matvecs`) over the band's nonzeros, so the bits are
+    that product's."""
+
+    def __init__(self, band, first):
+        self.band = band
+        keep = np.zeros((4, len(band) + 2), bool)
+        keep[:, 1:-1] = (band != 0).T
+        # a run starts and ends where its column's nonzero flag flips
+        t, i = np.nonzero(keep[:, 1:] != keep[:, :-1])
+        self.runs = [(slice(lo, hi), slice(lo + first + c, hi + first + c), band[lo:hi, c, None])
+                     for c, lo, hi in zip(t[::2].tolist(), i[::2].tolist(), i[1::2].tolist())]
+
+    def __matmul__(self, x):
+        xs = x[:, None] if x.ndim == 1 else x
+        out = np.zeros((len(self.band), xs.shape[1]))
+        # one scratch array per call takes each run's products
+        scratch = np.empty_like(out)
+        for rows, reads, w in self.runs:
+            prod = np.multiply(w, xs[reads], out=scratch[:len(w)])
+            part = out[rows]
+            np.add(*((part, prod) if x.ndim == 1 else (prod, part)), out=part)
+        return out[:, 0] if x.ndim == 1 else out
 
 
 def band_lu(rows):
@@ -223,10 +248,11 @@ class CapGrid:
         once per grid in O(Nbeta).
 
         Each term's beta-matrix is combined from the bands of `_stencils`,
-        ring factors multiplied in, and held as the CSR of its nonzeros; row
-        r is ring r, except a one-row matrix, which is the rim ring's.  An
-        operator is the sum of its terms, each term the beta-matrix laid over
-        its periodic phi-stencil.  a11/a12/a22 are the orthonormal-frame
+        ring factors multiplied in, and held as its band (`BandMatrix`),
+        which reads row c of the extended array (ring c - 1) as column c;
+        row r is ring r, except a one-row matrix, which is the rim ring's.
+        An operator is the sum of its terms, each term the beta-matrix laid
+        over its periodic phi-stencil.  a11/a12/a22 are the orthonormal-frame
         components of tau_sharp, pint the interior rings, robin the rim's
         d/dbeta - cot(theta), and dbeta/dphi the gradient on every ring, the
         rim included.  `apply` evaluates the terms on a field, and
@@ -248,11 +274,10 @@ class CapGrid:
             "dbeta": [(np.vstack([d1, st["dbd"]]), one)],
             "dphi": [(np.vstack([rings, st["ibd"]]), st["w1"])],
         }
-        # column c of a beta-matrix is ring c - 1, and a one-row band is the rim's
-        self._ops = {name: [(band_csr(b, (nb if len(b) == 1 else 0) - 1, nb + 2), weights)
+        # row c of the extended array is ring c - 1, and a one-row band is the rim's
+        self._ops = {name: [(BandMatrix(b, (nb if len(b) == 1 else 0) - 1), weights)
                             for b, weights in terms]
                      for name, terms in table.items()}
-        self._bands = table
         return self._ops
 
     def extend(self, values) -> np.ndarray:
@@ -279,13 +304,13 @@ class CapGrid:
 
     def apply(self, name, x, y=None) -> np.ndarray:
         """Operator `name` of `ops` on the extended array x (`extend`): each
-        term's beta-matrix times the array, then its phi-stencil by slicing.
-        Terms whose phi-stencil annihilates ring constants read y instead,
-        when it is given.  Returns one row per row of the beta-matrices and
-        one column per value column of x."""
+        term's beta-matrix times the array by its band kernel (`BandMatrix`),
+        then its phi-stencil by slicing.  Terms whose phi-stencil annihilates
+        ring constants read y instead, when it is given.  Returns one row per
+        row of the beta-matrices and one column per value column of x."""
         terms = self.ops()[name]
         n = x.shape[1] - 2
-        out = np.zeros((terms[0][0].shape[0], n))
+        out = np.zeros((len(terms[0][0].band), n))
         for bmat, weights in terms:
             rb = bmat @ (x if y is None or sum(weights.values()) != 0.0 else y)
             for o, w in weights.items():
@@ -299,8 +324,8 @@ class CapGrid:
         Where every coefficient of the Newton system is a ring function, its
         restriction to even fields is circulant in j < Nphi/2, and the real
         FFT over j splits it into one (Nbeta + 1)-square block per mode
-        m = 0..Nphi/4 (rounded down).  A term contributes its band (`ops`
-        keeps the bands its beta-matrices are built from) times the symbol
+        m = 0..Nphi/4 (rounded down).  A term contributes its band (the
+        `BandMatrix` that `ops` keeps) times the symbol
         sum_o w_o cos(2 pi m o / (Nphi/2)) of its phi-stencil, folded onto
         even fields: there the half-turn is the identity, so ring -1 adds
         onto ring 0 (`fold_pole`), and every block weighs rings r-2..r+1 of
@@ -313,16 +338,16 @@ class CapGrid:
         """
         if mode0 in self._modal:
             return self._modal[mode0]
-        self.ops()
+        ops = self.ops()
         h, nr = self.nphi // 2, self.nbeta + 1
         modes = np.arange(1 if mode0 else h // 2 + 1)[:, None, None]
         blocks = {}
         for name in ("a11", "a22", "pint", "robin"):
             block = np.zeros((modes.size, nr, 4))
-            for band, weights in self._bands[name]:
+            for bmat, weights in ops[name]:
                 symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
-                term = symbol * band
-                if len(band) == 1:  # the rim ring's row
+                term = symbol * bmat.band
+                if len(bmat.band) == 1:  # the rim ring's row
                     block[:, -1:] += term
                 else:
                     block[:, :-1] += fold_pole(term)

@@ -19,7 +19,8 @@ the 2-D conventions: cell-centered rings plus a rim node, second order
 throughout, 4-point nonuniform second derivative next to the rim.  The
 stencils' weights are this module's own.  They are built once per grid
 (`RotGrid.ops`), in O(n), as (m, 4) band arrays laid out as the 2-D grid's
-(`fields.stencil_band`), and so are the Jacobian's terms, which each
+(`fields.stencil_band`) and applied by the 2-D grid's band kernel
+(`fields.BandMatrix`), and so are the Jacobian's terms, which each
 factorization combines into the band rows that `fields.band_lu` reads.
 `save_profile` writes through the package's one CSV writer,
 `fields.write_csv`.
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import band_csr, band_lu, fd_weights, fold_pole, stencil_band, write_csv
+from .fields import BandMatrix, band_lu, fd_weights, fold_pole, stencil_band, write_csv
 from .geometry import CapParams, ell
 from .solver import Schedule, _damped_newton, homotopy_values, newton_first, relative_size
 
@@ -80,7 +81,8 @@ class RotGrid:
         in O(n) from (m, 4) bands (`fields.stencil_band`).
 
         d1, d2: d/dbeta, d2/dbeta2 on the cells; dbd: the rim derivative
-        row; each the CSR of its band's nonzeros.  The mirror closure
+        row; each a `fields.BandMatrix`, applied to the profile by its band
+        kernel (`@`), as the 2-D grid applies its own.  The mirror closure
         s(-beta) = s(beta) (rotational symmetry plus the across-pole chart
         identity) feeds the first ring's central stencils: its weight on
         ring -1 is added onto ring 0 (`fields.fold_pole`).  jac: the
@@ -102,8 +104,7 @@ class RotGrid:
         dbd = stencil_band(1, {}, fd_weights([-1.5 * db, -0.5 * db, 0.0], 1))
         # column c is ring c, so row r of a band holds columns r - 2 .. r + 1,
         # and the rim's row is row n
-        ops = {"d1": band_csr(d1, -2, ntot), "d2": band_csr(d2, -2, ntot),
-               "dbd": band_csr(dbd, n - 2, ntot)}
+        ops = {"d1": BandMatrix(d1, -2), "d2": BandMatrix(d2, -2), "dbd": BandMatrix(dbd, n - 2)}
         rows, eye = np.zeros((4, ntot, 4)), np.array([0.0, 0.0, 1.0, 0.0])
         rows[0, :n] = d2 + eye
         rows[1, :n] = self.cot_cells[:, None] * d1 + eye

@@ -74,7 +74,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fields import CapField, CapGrid, band_lu, repeat_unit, robin_residual, tau_sharp
 from .geometry import CapParams, ell_field
@@ -287,14 +286,16 @@ def linearize(s: CapField, q: float, rhs: CapField, params: CapParams, tau):
     g = s.grid
     nr = g.nbeta + 1
     grad = sigma_k_grad(tau, params.k)
-    z = (q - 1.0) * s.interior ** (q - 2.0) * rhs.interior if q != 1.0 else 0.0
+    z = (q - 1.0) * s.interior ** (q - 2.0) * rhs.interior if q != 1.0 else np.zeros((1, 1))
 
     def action(x):
         n = x.size // nr
         v = CapField(g, np.tile(x.reshape(nr, n), g.nphi // n))
         a = tau_sharp(v)
-        jint = grad.a11 * a.a11 + 2.0 * grad.a12 * a.a12 + grad.a22 * a.a22 - z * v.interior
-        return np.append(jint[:, :n], robin_residual(v)[:n])
+        c = slice(None, n)  # the first n columns, all that the result keeps
+        jint = (grad.a11[:, c] * a.a11[:, c] + 2.0 * grad.a12[:, c] * a.a12[:, c]
+                + grad.a22[:, c] * a.a22[:, c] - z[:, c] * v.interior[:, c])
+        return np.append(jint, robin_residual(v)[:n])
 
     return action
 
@@ -613,24 +614,36 @@ def _coarser(grid: CapGrid) -> CapGrid | None:
     return CapGrid(nb, np_, grid.theta)
 
 
-def _lagrange(d, idx, ncols: int):
-    """Sparse interpolation matrix with ncols columns: row i holds, in columns
-    idx[i], the 4-point Lagrange weights at 0 of the nodes at offsets d[i].
+def _lagrange(d, idx, x, axis):
+    """The 2-D array x interpolated along `axis`: target i adds onto zero,
+    in the order of idx[i], the 4-point Lagrange weights at 0 of the nodes
+    at offsets d[i] times the rows (axis 0) or columns (axis 1) idx[i] of
+    x, zero weights included.  Where two NaNs meet in an add, one line
+    across `axis` keeps the running sum's and more lines the product's:
+    the bits of scipy's CSR product of those weights with x, or with x.T
+    for axis 1.
 
     A node at offset exactly 0 gets weight exactly 1 and the others 0.
     """
     w = np.stack([np.prod([d[:, m] / (d[:, m] - d[:, k]) for m in range(4) if m != k], axis=0)
-                  for k in range(4)], axis=1)
-    return sp.csr_matrix((w.ravel(), idx.ravel(), np.arange(0, w.size + 1, 4)),
-                         shape=(len(d), ncols))
+                  for k in range(4)])
+    shape = (-1, 1) if axis == 0 else (1, -1)
+    out = np.zeros((len(d), x.shape[1]) if axis == 0 else (x.shape[0], len(d)))
+    one = x.shape[1 - axis] == 1
+    for k in range(4):
+        prod = w[k].reshape(shape) * np.take(x, idx[:, k], axis=axis)
+        np.add(*((out, prod) if one else (prod, out)), out=out)
+    return out
 
 
 def _interpolate(f: CapField, grid: CapGrid) -> CapField:
     """f interpolated to another grid on the same cap, finer or coarser.
 
     Fourth order on smooth fields, by 4-point Lagrange weights in each
-    direction.  In phi: over the 4 periodic columns around each target
-    column, so a column that both grids share is copied exactly.  In beta:
+    direction, each pass one `_lagrange` gather of the 4 source rows or
+    columns per target, with no matrix built.  In phi: over the 4 periodic
+    columns around each target column, so a column that both grids share
+    is copied exactly.  In beta:
     over the nodes -beta_1, -beta_0 (the first two rings mirrored across the
     pole, where the chart identity s(-beta, phi) = s(beta, phi + pi) gives
     their values), the rings and the rim; the rim ring is interpolated in phi
@@ -653,8 +666,7 @@ def _interpolate(f: CapField, grid: CapGrid) -> CapField:
         pos = np.arange(grid.nphi) * g.nphi
         left, t = pos // grid.nphi, (pos % grid.nphi) / grid.nphi
         cols = (left[:, None] + np.arange(-1, 3)) % g.nphi
-        # phi first: the beta matrix then acts from the left and its product is row-major
-        in_phi = (_lagrange(np.arange(-1.0, 3.0) - t[:, None], cols, g.nphi) @ f.values.T).T
+        in_phi = _lagrange(np.arange(-1.0, 3.0) - t[:, None], cols, f.values, 1)
         bits = f.values.view(np.uint64)
         flat = (bits == bits[:, :1]).all(axis=1)
         in_phi[flat] = f.values[flat, :1]
@@ -662,7 +674,7 @@ def _interpolate(f: CapField, grid: CapGrid) -> CapField:
     ext = np.vstack([np.roll(in_phi[1::-1], grid.nphi // 2, axis=1), in_phi])
     rows = np.clip(np.searchsorted(nodes, grid.beta_cells) - 2, 0, nodes.size - 4)
     rows = rows[:, None] + np.arange(4)
-    in_beta = _lagrange(nodes[rows] - grid.beta_cells[:, None], rows, nodes.size) @ ext
+    in_beta = _lagrange(nodes[rows] - grid.beta_cells[:, None], rows, ext, 0)
     out = np.vstack([in_beta, in_phi[-1:]])
     if out.shape[1] == 1:
         return CapField(grid, np.repeat(0.5 * (out + out), grid.nphi, axis=1))

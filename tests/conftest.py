@@ -79,6 +79,45 @@ def spy_points(monkeypatch, module, evaluator):
     return points, per_point, per_factor
 
 
+# -0.0, subnormals, infinities and NaNs of both signs
+SPECIALS = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+                     np.inf, -np.inf, np.nan, -np.nan])
+
+
+def special_values(rng, shape):
+    """Standard normal values, about one in ten of them replaced by one of
+    `SPECIALS`."""
+    v = rng.standard_normal(shape)
+    at = rng.random(shape) < 0.1
+    v[at] = rng.choice(SPECIALS, size=int(at.sum()))
+    return v
+
+
+def same_bits(a, b):
+    """Whether two float64 arrays have one shape and the same bits."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def band_csr(band, first, ncols):
+    """The band's nonzeros, row by row, as an (m, ncols) CSR matrix; row r of
+    the (m, 4) band holds columns first + r .. first + r + 3, in that order:
+    the scipy layout of a `fields.BandMatrix`, built independently of its
+    kernel."""
+    m = band.shape[0]
+    cols = np.arange(first, first + m, dtype=np.int32)[:, None] + np.arange(4, dtype=np.int32)
+    keep = band != 0
+    indptr = np.zeros(m + 1, np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sp.csr_matrix((band[keep], cols[keep], indptr), shape=(m, ncols))
+
+
+def beta_csr(grid, bmat):
+    """A beta-matrix of `grid.ops()` as the CSR of its band over the columns
+    of rings -1..Nbeta (column c is ring c - 1); a one-row band is the rim
+    ring's, and reads from ring Nbeta - 2."""
+    return band_csr(bmat.band, (grid.nbeta if len(bmat.band) == 1 else 0) - 1, grid.nbeta + 2)
+
+
 def csr(grid, name):
     """Operator `name` of `grid.ops()` as a sparse matrix on the full value
     vector (row-major over (Nbeta+1) x Nphi nodes), one row per node of the
@@ -94,7 +133,8 @@ def csr(grid, name):
         return eye[(np.arange(n) + o) % n]
 
     out = 0
-    for bmat, weights in grid.ops()[name]:
+    for term, weights in grid.ops()[name]:
+        bmat = beta_csr(grid, term)
         phi = sum(w * shift(o) for o, w in weights.items())
         ring0 = sp.hstack([bmat[:, :1], sp.csr_matrix((bmat.shape[0], grid.nbeta))])
         out = out + sp.kron(bmat[:, 1:], phi) + sp.kron(ring0, phi @ shift(n // 2))

@@ -31,7 +31,8 @@ from capcmk.geometry import (
     random_neumann_factor,
 )
 from capcmk.symfunc import SymEndo
-from conftest import band_matrix, csr
+from conftest import band_matrix, beta_csr, csr, special_values
+from conftest import same_bits as same_values
 
 THETA = math.pi / 3
 
@@ -392,7 +393,7 @@ def _modal_blocks_by_global_sort(g):
     parts = []
     for name in ("a11", "a22", "pint", "robin"):
         for bmat, weights in g.ops()[name]:
-            b = bmat.tocoo()
+            b = beta_csr(g, bmat).tocoo()
             i, r = b.row + (g.nbeta if b.shape[0] == 1 else 0), np.maximum(b.col - 1, 0)
             symbol = sum(w * np.cos(2.0 * math.pi * modes * o / h) for o, w in weights.items())
             parts.append((name, ((modes * nr + r) * nr + i).ravel(), (symbol * b.data).ravel()))
@@ -535,9 +536,9 @@ def same_bits(a, b):
 @pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 32), (64, 128), (129, 258), (256, 512)])
 def test_the_band_build_is_the_dense_build(nbeta, nphi, theta):
     """The bands of `_stencils` are the dense beta-matrices' nonzero bands,
-    and every CSR of `ops` and the matrix of every band of both
-    `modal_blocks` is, bit for bit, that of the dense construction (129
-    rings: an odd Nbeta)."""
+    and the CSR of every band of `ops` (conftest's `beta_csr`) and the
+    matrix of every band of both `modal_blocks` is, bit for bit, that of the
+    dense construction (129 rings: an odd Nbeta)."""
     g = CapGrid(nbeta, nphi, theta)
     want_st = _dense_stencils(g)
     for name, got in g._stencils().items():
@@ -549,7 +550,8 @@ def test_the_band_build_is_the_dense_build(nbeta, nphi, theta):
     assert got.keys() == want.keys()
     for name in want:
         assert len(got[name]) == len(want[name]), name
-        for (bmat, weights), (ref, ref_weights) in zip(got[name], want[name]):
+        for (term, weights), (ref, ref_weights) in zip(got[name], want[name]):
+            bmat = beta_csr(g, term)
             assert weights == ref_weights and bmat.shape == ref.shape, name
             for attr in ("indptr", "indices", "data"):
                 assert same_bits(getattr(bmat, attr), getattr(ref, attr)), (name, attr)
@@ -559,6 +561,41 @@ def test_the_band_build_is_the_dense_build(nbeta, nphi, theta):
         assert blocks.keys() == ref.keys()
         for name in ref:
             assert blocks[name] == ref[name], (mode0, name)
+
+
+def csr_apply(g, name, x, y=None):
+    """`CapGrid.apply` with each beta-matrix as the CSR of its band
+    (conftest's `beta_csr`), multiplied by scipy: the reference."""
+    terms = g.ops()[name]
+    n = x.shape[1] - 2
+    out = np.zeros((terms[0][0].band.shape[0], n))
+    for bmat, weights in terms:
+        rb = beta_csr(g, bmat) @ (x if y is None or sum(weights.values()) != 0.0 else y)
+        for o, w in weights.items():
+            out += w * rb[:, 1 + o:1 + o + n]
+    return out
+
+
+@pytest.mark.parametrize("theta", [0.1, math.pi / 4, 1.5])
+@pytest.mark.parametrize("nbeta, nphi", [(8, 8), (16, 32), (64, 128), (129, 258)])
+def test_the_band_kernel_is_the_csr_product(nbeta, nphi, theta):
+    """Every beta-matrix of `ops`, applied by its band kernel, is bit for bit
+    the scipy CSR product of its band's nonzeros (conftest's `beta_csr`),
+    and `apply`, with and without y, is bit for bit the reference's, at
+    widths 1, Nphi/2 and Nphi, on values that hold -0.0, subnormals,
+    infinities and NaNs of both signs: a zero weight never multiplies an inf
+    or a NaN, and where NaNs meet, the same one is kept."""
+    g = CapGrid(nbeta, nphi, theta)
+    rng = np.random.default_rng(nbeta)
+    for width in (1, nphi // 2, nphi):
+        x, y = (special_values(rng, (nbeta + 2, width + 2)) for _ in range(2))
+        with np.errstate(all="ignore"):
+            for name, terms in g.ops().items():
+                for bmat, _ in terms:
+                    assert same_values(bmat @ x, beta_csr(g, bmat) @ x), (name, width)
+                for args in ((x,), (x, y)):
+                    assert same_values(g.apply(name, *args), csr_apply(g, name, *args)), (
+                        name, width, len(args))
 
 
 def test_the_stencil_build_is_linear_in_nbeta():

@@ -188,21 +188,23 @@ def test_no_module_reads_strides():
     assert readers == []
 
 
-def test_no_module_imports_scipy_sparse_linalg():
-    """Every matrix the package factorizes is banded, and `fields.band_lu`
-    is its one LU: no module imports scipy.sparse.linalg, and importing
-    every module, in a fresh process, does not load it."""
+def test_no_module_imports_scipy_sparse():
+    """Every operator the package applies or factorizes is held as its
+    band (`fields.BandMatrix`, `fields.band_lu`): no module imports any
+    scipy.sparse module, and importing every module, in a fresh process,
+    does not load scipy.sparse."""
     importers = []
     for path in PKG.glob("*.py"):
         for n in ast.walk(ast.parse(path.read_text())):
             names = ([a.name for a in n.names] if isinstance(n, ast.Import)
                      else [n.module or ""] + [f"{n.module}.{a.name}" for a in n.names]
                      if isinstance(n, ast.ImportFrom) else [])
-            if any(name.startswith("scipy.sparse.linalg") for name in names):
+            if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
                 importers.append(path.name)
     assert importers == []
     code = ("import sys, capcmk.audit, capcmk.cli, capcmk.rotsym; "
-            "sys.exit('scipy.sparse.linalg' in sys.modules)")
+            "sys.exit(any(m == 'scipy.sparse' or m.startswith('scipy.sparse.') "
+            "for m in sys.modules))")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(PKG.parent), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

@@ -21,7 +21,8 @@ from capcmk.rotsym import (
     solve_rotsym,
 )
 from capcmk.solver import ContinuationStall, NewtonFailure, Schedule, model_scale, solve_path
-from conftest import band_matrix, spy_points
+from conftest import band_csr, band_matrix, special_values, spy_points
+from conftest import same_bits as same_values
 
 THETA4 = math.pi / 4
 
@@ -127,6 +128,15 @@ def test_linearize_is_the_derivative_of_the_residual(n, k):
             assert np.max(np.abs(jv - fd)) <= 1e-5 * np.max(np.abs(jv))
 
 
+def ops_csr(g):
+    """d1, d2 and dbd of `g.ops()` as the CSRs of their bands' nonzeros over
+    the n_cells + 1 rings (column c is ring c; d1's and d2's row r reads
+    from ring r - 2, dbd's one row from ring n_cells - 2)."""
+    ops, n = g.ops(), g.n_cells
+    return {name: band_csr(ops[name].band, first, n + 1)
+            for name, first in (("d1", -2), ("d2", -2), ("dbd", n - 2))}
+
+
 def jacobian_terms(g, ops):
     """The Jacobian's terms lam_r = d2 + I, lam_t = diag(cot) d1 + I, pcells
     and the Robin row dbd - cot(theta) e_rim, by scipy's sparse algebra on
@@ -151,7 +161,7 @@ def test_the_jacobian_fills_the_grids_pattern(n, k):
     g = RotGrid(512, THETA4)
     prof = RotProfile(g, 1.2 * ell(THETA4, g.beta_all) + 0.05 * np.cos(g.beta_all) ** 2)
     rhs = 1.0 + 0.3 * (1.0 - np.cos(g.beta_cells))
-    terms = jacobian_terms(g, g.ops())
+    terms = jacobian_terms(g, ops_csr(g))
     dr, dt = rotsym._sigma_rot_partials(prof.lam_r, prof.lam_t, n, k)
     for q in (1.0, p):
         ref = sp.diags(dr) @ terms["lam_r"] + sp.diags(dt) @ terms["lam_t"]
@@ -194,22 +204,41 @@ def _ops_by_sparse_algebra(g):
 @pytest.mark.parametrize("theta", [0.1, THETA4, 1.5])
 @pytest.mark.parametrize("n_cells", [8, 9, 64, 512])
 def test_the_band_build_is_the_sparse_algebra_build(n_cells, theta):
-    """d1, d2, dbd and the matrix of every band of the Jacobian's terms are,
-    bit for bit, those of the sparse-algebra construction."""
+    """The CSRs of d1, d2 and dbd (`ops_csr`) and the matrix of every band of
+    the Jacobian's terms are, bit for bit, those of the sparse-algebra
+    construction."""
     g = RotGrid(n_cells, theta)
     got, want = g.ops(), _ops_by_sparse_algebra(g)
     assert got.keys() == want.keys()
     def same_bits(a, b):
         return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    matrices = ops_csr(g)
     for name in ("d1", "d2", "dbd"):
-        assert got[name].shape == want[name].shape
+        assert matrices[name].shape == want[name].shape
         for attr in ("indptr", "indices", "data"):
-            assert same_bits(getattr(got[name], attr), getattr(want[name], attr)), (name, attr)
+            assert same_bits(getattr(matrices[name], attr), getattr(want[name], attr)), (name, attr)
     assert got["jac"].keys() == want["jac"].keys()
     for name, ref in want["jac"].items():
         assert got["jac"][name].shape == (n_cells + 1, 4)
         assert same_bits(band_matrix(got["jac"][name]).toarray(), ref), name
+
+
+@pytest.mark.parametrize("theta", [0.1, THETA4, 1.5])
+@pytest.mark.parametrize("n_cells", [8, 9, 64, 512])
+def test_the_band_kernel_is_the_csr_product(n_cells, theta):
+    """d1, d2 and dbd of `RotGrid.ops`, applied to a 1-D profile by their
+    band kernel, are bit for bit the scipy CSR products of their bands'
+    nonzeros (`ops_csr`), on values that hold -0.0, subnormals, infinities
+    and NaNs of both signs."""
+    g = RotGrid(n_cells, theta)
+    ops, ref = g.ops(), ops_csr(g)
+    rng = np.random.default_rng(n_cells)
+    for _ in range(16):
+        s = special_values(rng, n_cells + 1)
+        with np.errstate(all="ignore"):
+            for name in ref:
+                assert same_values(ops[name] @ s, ref[name] @ s), name
 
 
 def test_the_oracle_build_is_linear_in_n_cells():

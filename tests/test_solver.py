@@ -30,7 +30,7 @@ from capcmk.solver import (
 )
 from capcmk.symfunc import sigma_k_grad
 from conftest import (THETA, full_jacobian, manufactured_phi, manufactured_reference,
-                      plain_continuation, spy_points)
+                      plain_continuation, same_bits, special_values, spy_points)
 
 
 def positive_even_phi(grid, seed=7):
@@ -737,7 +737,7 @@ def _interpolate_at_full_width(f, grid):
     pos = np.arange(grid.nphi) * g.nphi
     left, t = pos // grid.nphi, (pos % grid.nphi) / grid.nphi
     cols = (left[:, None] + np.arange(-1, 3)) % g.nphi
-    in_phi = (solver._lagrange(np.arange(-1.0, 3.0) - t[:, None], cols, g.nphi) @ f.values.T).T
+    in_phi = solver._lagrange(np.arange(-1.0, 3.0) - t[:, None], cols, f.values, 1)
     bits = f.values.view(np.uint64)
     flat = (bits == bits[:, :1]).all(axis=1)
     in_phi[flat] = f.values[flat, :1]
@@ -745,7 +745,7 @@ def _interpolate_at_full_width(f, grid):
     ext = np.vstack([np.roll(in_phi[1::-1], grid.nphi // 2, axis=1), in_phi])
     rows = np.clip(np.searchsorted(nodes, grid.beta_cells) - 2, 0, nodes.size - 4)
     rows = rows[:, None] + np.arange(4)
-    in_beta = solver._lagrange(nodes[rows] - grid.beta_cells[:, None], rows, nodes.size) @ ext
+    in_beta = solver._lagrange(nodes[rows] - grid.beta_cells[:, None], rows, ext, 0)
     return CapField(grid, np.vstack([in_beta, in_phi[-1:]])).project_even()
 
 
@@ -767,6 +767,42 @@ def test_a_ring_constant_field_interpolates_as_at_full_width(src, dst):
         assert got.values.tobytes() == want.values.tobytes()
         assert_ring_constant(got.values)
     assert np.isinf(got.values).any()
+
+
+def test_the_lagrange_gather_is_the_csr_product(monkeypatch):
+    """`_lagrange`, as `_interpolate` calls it in phi (along axis 1) and in
+    beta (along axis 0, on one column for a ring-constant field), is bit
+    for bit the scipy product of the CSR matrix that holds its 4 weights
+    per row, zeros included, in the order of idx, with x (axis 0) or x.T
+    (axis 1): on the values it was called with, and on values of that shape
+    that hold -0.0, subnormals, infinities and NaNs of both signs."""
+    calls, original = [], solver._lagrange
+
+    def recording(d, idx, x, axis):
+        calls.append((d, idx, x, axis))
+        return original(d, idx, x, axis)
+
+    monkeypatch.setattr(solver, "_lagrange", recording)
+    rng = np.random.default_rng(12)
+    for src, dst in [((16, 32), (32, 64)), ((32, 64), (16, 32)), ((128, 256), (64, 130))]:
+        f = CapField(CapGrid(*src, THETA), rng.standard_normal((src[0] + 1, src[1])))
+        solver._interpolate(f, CapGrid(*dst, THETA))
+    # a ring-constant field: the beta pass alone, on one column
+    solver._interpolate(ring_constant_field(CapGrid(32, 64, THETA), 3), CapGrid(16, 32, THETA))
+    assert [axis for *_, axis in calls] == [1, 0] * 3 + [0] and calls[-1][2].shape[1] == 1
+    zeros = 0
+    for d, idx, x, axis in calls:
+        w = np.stack([np.prod([d[:, m] / (d[:, m] - d[:, k]) for m in range(4) if m != k], axis=0)
+                      for k in range(4)], axis=1)
+        zeros += np.count_nonzero(w == 0.0)
+        ref = sp.csr_matrix((w.ravel(), idx.ravel(), np.arange(0, w.size + 1, 4)),
+                            shape=(len(d), x.shape[axis]))
+        for v in [x] + [special_values(rng, x.shape) for _ in range(16)]:
+            with np.errstate(all="ignore"):
+                want = ref @ v if axis == 0 else (ref @ v.T).T
+                assert same_bits(original(d, idx, v, axis), want)
+    # columns that both grids share are copied by weights (0, 1, 0, 0)
+    assert zeros > 0
 
 
 @pytest.mark.parametrize("k, shape", [(1, (64, 128)), (2, (64, 128)), (1, (64, 130))],
